@@ -33,5 +33,5 @@ from .quantize import (  # noqa: F401
 )
 from .encoding import compression_report, decode_layer, encode_layer, encode_model  # noqa: F401
 from .engine import ShiftAddEngine, quantize_activation, quantized_model_forward, shift_add_mul  # noqa: F401
-from .stream import LineBuffer, buffer_requirement, stream_model_forward  # noqa: F401
+from .stream import LineBuffer, buffer_requirement  # noqa: F401
 from .throughput import ThroughputReport, throughput_report  # noqa: F401

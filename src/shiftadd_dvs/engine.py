@@ -7,11 +7,20 @@ accumulator holds the exact product at scale 2^(f_a + frac_bits). Layers
 requantize back to the activation grid with round-half-to-even and symmetric
 saturation at the 32-bit boundary.
 
+Conv and dense layers, here and in the streaming simulator, share one kernel,
+``_shift_add``, over an im2col block (K rows, one column per position). Each
+layer's terms are grouped once by (output channel, left shift, sign), at most
+8 shifts for a 3-bit encoding; the kernel sums each group, shifts the sum once
+and folds the groups into their channels, in output-channel chunks whose
+gathered block stays under ``CHUNK_ELEMENTS``. int64 add and shift are exact
+modulo 2^64 and the overflow check keeps the true sum below 2^63, so the
+regrouped sum equals the per-term sum bit for bit.
+
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
 their AST), so the only data-dependent operations are shifts, adds and
-compares. Input conditioning (``quantize_activation``) is the floating-point
-boundary and sits outside that contract.
+compares. Plans and their chunk bounds are built outside it, and input
+conditioning (``quantize_activation``) is the floating-point boundary.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ DATA_PATH_FUNCTIONS = (
     "_rshift_round_half_even",
     "_saturate",
     "_requantize",
+    "_shift_add",
     "_conv_int",
     "_pool_int",
     "_dense_int",
@@ -95,69 +105,129 @@ def _rshift_round_half_even(values: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _saturate(values: np.ndarray) -> tuple[np.ndarray, int]:
-    over = values > ACT_LIMIT
-    under = values < -ACT_LIMIT
-    count = int(np.count_nonzero(over)) + int(np.count_nonzero(under))
-    if count:
-        values = np.where(over, ACT_LIMIT, values)
-        values = np.where(under, -ACT_LIMIT, values)
-    return values, count
+    count = int(np.count_nonzero((values > ACT_LIMIT) | (values < -ACT_LIMIT)))
+    return (np.clip(values, -ACT_LIMIT, ACT_LIMIT) if count else values), count
 
 
-@dataclass
-class _TermPlan:
-    """Per-layer shift/sign tables, one slot per term index."""
-
-    shift: list[np.ndarray]      # left-shift amounts, 0 where the term is absent
-    positive: list[np.ndarray]   # mask: term present with sign +1
-    negative: list[np.ndarray]   # mask: term present with sign -1
-    bias_acc: np.ndarray         # biases expanded to accumulator scale
+# Budget of the gathered block ``cols[rows]`` per kernel chunk, in int64
+# elements (2 MiB); bounds the kernel's scratch memory on the widest layers.
+CHUNK_ELEMENTS = 1 << 18
 
 
-def _build_plan(entry: QuantizedLayer, frac_bits: int, int_bits: int, f_a: int) -> _TermPlan:
+@dataclass(frozen=True)
+class _Chunk:
+    """A run of output channels whose (channel, shift, sign) groups share one gather."""
+
+    rows: np.ndarray            # im2col row of every term, grouped
+    group_starts: np.ndarray    # first term of each group
+    group_shift: np.ndarray     # (G, 1) left shift of each group
+    group_negative: np.ndarray  # (G, 1) True where the group's sign is -1
+    channel_starts: np.ndarray  # first group of each output channel
+    channels: np.ndarray        # output channel of each channel run
+
+
+@dataclass(frozen=True)
+class _ShiftPlan:
+    """One layer's terms grouped for ``_shift_add``, chunked for a fixed position count."""
+
+    bias_acc: np.ndarray        # biases expanded to accumulator scale
+    chunks: tuple[_Chunk, ...]
+
+
+def _layer_terms(entry: QuantizedLayer, align: int):
+    """(out-channel, column, left shift, negative) of every stored weight term."""
+    counts = [p.term_count for p in entry.weights]
+    shifts = np.fromiter((s for p in entry.weights for s in p.shifts), dtype=np.int64)
+    negative = np.repeat(np.array([p.sign < 0 for p in entry.weights], dtype=bool), counts)
+    out, col = np.divmod(np.repeat(np.arange(len(counts)), counts),
+                         len(counts) // entry.shape[0])
+    amount = align - shifts
+    if np.any(amount < 0):
+        raise ConfigurationError(
+            f"layer {entry.name}: shift magnitude {int(shifts.max())} exceeds alignment {align}")
+    return out, col, amount, negative
+
+
+def _bias_acc(entry: QuantizedLayer, align: int, f_a: int) -> np.ndarray:
+    """Biases expanded to accumulator scale 2^(f_a + frac_bits)."""
+    largest = max((s for p in entry.biases for s in p.shifts), default=0)
+    if largest > f_a + align:
+        raise ConfigurationError(
+            f"layer {entry.name}: bias magnitude {largest} exceeds alignment {f_a + align}")
+    return np.array([p.sign * sum(1 << (f_a + align - s) for s in p.shifts)
+                     for p in entry.biases], dtype=np.int64)
+
+
+def _group_plan(out, col, shift, negative, bias_acc: np.ndarray, positions: int) -> _ShiftPlan:
+    """Sort terms by (channel, shift, sign, column) and cut them into budgeted chunks."""
+    order = np.lexsort((col, negative, shift, out))
+    out, col, shift, negative = out[order], col[order], shift[order], negative[order]
+    edge = (out[1:] != out[:-1]) | (shift[1:] != shift[:-1]) | (negative[1:] != negative[:-1])
+    group_starts = np.flatnonzero(np.concatenate(([len(col) > 0], edge)))
+    group_out = out[group_starts]
+    channel_starts = np.flatnonzero(np.concatenate(([len(group_out) > 0],
+                                                    group_out[1:] != group_out[:-1])))
+    group_bounds = np.append(channel_starts, len(group_starts))
+    term_bounds = np.append(group_starts, len(col))[group_bounds]
+    rows_per_chunk = max(1, CHUNK_ELEMENTS // max(1, positions))
+    chunks = []
+    first = 0
+    while first < len(channel_starts):
+        last = first + 1
+        while (last < len(channel_starts)
+               and term_bounds[last + 1] - term_bounds[first] <= rows_per_chunk):
+            last += 1
+        t0, g0, g1 = term_bounds[first], group_bounds[first], group_bounds[last]
+        chunks.append(_Chunk(
+            rows=col[t0:term_bounds[last]], group_starts=group_starts[g0:g1] - t0,
+            group_shift=shift[group_starts[g0:g1], None],
+            group_negative=negative[group_starts[g0:g1], None],
+            channel_starts=channel_starts[first:last] - g0,
+            channels=group_out[channel_starts[first:last]]))
+        first = last
+    return _ShiftPlan(bias_acc=bias_acc, chunks=tuple(chunks))
+
+
+def _build_plan(entry: QuantizedLayer, frac_bits: int, int_bits: int, f_a: int,
+                positions: int) -> _ShiftPlan:
     align = frac_bits + int_bits
-    shape = entry.shape
-    terms = max((p.term_count for p in entry.weights), default=0)
-    shift, positive, negative = [], [], []
-    for t in range(terms):
-        sh = np.zeros(shape, dtype=np.int64)
-        pos = np.zeros(shape, dtype=bool)
-        neg = np.zeros(shape, dtype=bool)
-        flat_sh = sh.reshape(-1)
-        flat_pos = pos.reshape(-1)
-        flat_neg = neg.reshape(-1)
-        for i, p in enumerate(entry.weights):
-            if t < p.term_count:
-                amount = align - p.shifts[t]
-                if amount < 0:
-                    raise ConfigurationError(
-                        f"layer {entry.name}: shift magnitude {p.shifts[t]} exceeds alignment {align}")
-                flat_sh[i] = amount
-                if p.sign > 0:
-                    flat_pos[i] = True
-                else:
-                    flat_neg[i] = True
-        shift.append(sh)
-        positive.append(pos)
-        negative.append(neg)
-    bias_acc = np.zeros(shape[0], dtype=np.int64)
-    for i, p in enumerate(entry.biases):
-        acc = 0
-        for s in p.shifts:
-            amount = f_a + align - s
-            if amount < 0:
-                raise ConfigurationError(
-                    f"layer {entry.name}: bias magnitude {s} exceeds alignment {f_a + align}")
-            acc += 1 << amount
-        bias_acc[i] = p.sign * acc
-    return _TermPlan(shift=shift, positive=positive, negative=negative, bias_acc=bias_acc)
+    return _group_plan(*_layer_terms(entry, align), _bias_acc(entry, align, f_a), positions)
+
+
+def _shift_add(cols: np.ndarray, plan: _ShiftPlan) -> np.ndarray:
+    """Exact ``W_int @ cols + bias`` for an im2col block cols (K, positions), by shifts and adds.
+
+    Each group's activations are summed first and shifted once; int64 add and
+    shift are exact modulo 2^64, so the regrouped sum equals the per-term sum.
+    """
+    acc = np.empty((len(plan.bias_acc), cols.shape[1]), dtype=np.int64)
+    acc[...] = plan.bias_acc[:, None]
+    for chunk in plan.chunks:
+        sums = np.add.reduceat(cols[chunk.rows], chunk.group_starts, axis=0)
+        np.left_shift(sums, chunk.group_shift, out=sums)
+        np.negative(sums, out=sums, where=chunk.group_negative)
+        acc[chunk.channels] += np.add.reduceat(sums, chunk.channel_starts, axis=0)
+    return acc
+
+
+def _requantize(acc: np.ndarray, frac_bits: int, mode: str, stats: dict, name: str,
+                relu: bool = False) -> np.ndarray:
+    """Round half-even onto the activation grid and saturate to 32 bits, counting clips."""
+    out, clipped = _saturate(_rshift_round_half_even(acc, frac_bits))
+    if clipped:
+        if mode == "diagnostic":
+            raise SaturationError(f"layer {name}: {clipped} saturated values")
+        stats[name] = stats.get(name, 0) + clipped
+    if relu:
+        out = np.maximum(out, 0)
+    return out
 
 
 @dataclass
 class _StageConfig:
     kind: str
     name: str
-    plan: _TermPlan | None = None
+    plan: _ShiftPlan | None = None
     stride: int = 1
     padding: int = 0
     relu: bool = False
@@ -165,6 +235,7 @@ class _StageConfig:
     pool_mode: str = "max"
     avg_shift: int = 0
     out_hw: tuple[int, int] = (1, 1)
+    positions: int = 1
 
 
 @dataclass
@@ -219,9 +290,9 @@ class ShiftAddEngine:
                 ow = (shape[2] + 2 * layer.padding - q) // layer.stride + 1
                 stages.append(_StageConfig(
                     kind="conv", name=layer.name,
-                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a),
+                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a, oh * ow),
                     stride=layer.stride, padding=layer.padding, relu=layer.relu,
-                    window=(p, q), out_hw=(oh, ow)))
+                    window=(p, q), out_hw=(oh, ow), positions=oh * ow))
                 shape = (layer.out_channels, oh, ow)
             elif isinstance(layer, PoolLayerSpec):
                 p, q = layer.window
@@ -246,7 +317,7 @@ class ShiftAddEngine:
             else:
                 stages.append(_StageConfig(
                     kind="dense", name=layer.name,
-                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a)))
+                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a, 1)))
                 shape = (layer.out_features,)
         return stages
 
@@ -255,13 +326,7 @@ class ShiftAddEngine:
         align = self.frac_bits + self.int_bits
         for stage, entry in zip(self.stages, self.qmodel.entries):
             if stage.kind in ("conv", "dense"):
-                worst = 0
-                if stage.kind == "conv":
-                    m = entry.shape[0]
-                    per_out = len(entry.weights) // m
-                else:
-                    m = entry.shape[0]
-                    per_out = entry.shape[1]
+                per_out = len(entry.weights) // entry.shape[0]
                 weight_mag = max((sum(1 << (align - s) for s in p.shifts)
                                   for p in entry.weights), default=0)
                 worst = per_out * act_bound * weight_mag
@@ -274,38 +339,18 @@ class ShiftAddEngine:
 
     # -- integer data path (multiplication-free; audited) -------------------
 
-    def _requantize(self, acc: np.ndarray, stats: dict, name: str) -> np.ndarray:
-        out = _rshift_round_half_even(acc, self.frac_bits)
-        out, clipped = _saturate(out)
-        if clipped:
-            if self.mode == "diagnostic":
-                raise SaturationError(f"layer {name}: {clipped} saturated values")
-            stats[name] = stats.get(name, 0) + clipped
-        return out
-
     def _conv_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
-        plan = stage.plan
         p, q = stage.window
         pad = stage.padding
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))
-        win = win[:, ::stage.stride, ::stage.stride]
         oh, ow = stage.out_hw
-        win = win[:, :oh, :ow]
-        # win: (N, OH, OW, P, Q); tables: (M, N, P, Q)
-        win_b = win[None, :, :, :, :, :]
-        acc = np.broadcast_to(plan.bias_acc[:, None, None], (len(plan.bias_acc), oh, ow)).copy()
-        for t in range(len(plan.shift)):
-            shift_t = plan.shift[t][:, :, None, None, :, :]
-            shifted = np.left_shift(win_b, shift_t)
-            pos = plan.positive[t][:, :, None, None, :, :]
-            neg = plan.negative[t][:, :, None, None, :, :]
-            acc += np.sum(shifted, axis=(1, 4, 5), where=np.broadcast_to(pos, shifted.shape))
-            acc -= np.sum(shifted, axis=(1, 4, 5), where=np.broadcast_to(neg, shifted.shape))
-        out = self._requantize(acc, stats, stage.name)
-        if stage.relu:
-            out = np.maximum(out, 0)
-        return out
+        win = win[:, ::stage.stride, ::stage.stride][:, :oh, :ow]
+        # win: (N, OH, OW, P, Q) -> im2col (N*P*Q, OH*OW), rows in weight order
+        cols = win.transpose(0, 3, 4, 1, 2).reshape(-1, stage.positions)
+        acc = _shift_add(cols, stage.plan)
+        out = _requantize(acc, self.frac_bits, self.mode, stats, stage.name, stage.relu)
+        return out.reshape(-1, oh, ow)
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
         p, q = stage.window
@@ -325,18 +370,12 @@ class ShiftAddEngine:
         return (acc + half) >> stage.avg_shift
 
     def _dense_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
-        plan = stage.plan
-        acc = plan.bias_acc.copy()
-        xb = x[None, :]
-        for t in range(len(plan.shift)):
-            shifted = np.left_shift(xb, plan.shift[t])
-            acc += np.sum(shifted, axis=1, where=plan.positive[t])
-            acc -= np.sum(shifted, axis=1, where=plan.negative[t])
-        return self._requantize(acc, stats, stage.name)
+        acc = _shift_add(x.reshape(-1, 1), stage.plan)[:, 0]
+        return _requantize(acc, self.frac_bits, self.mode, stats, stage.name)
 
-    def _forward_arrays(self, x: np.ndarray, stats: dict) -> np.ndarray:
+    def _forward_arrays(self, x: np.ndarray, stats: dict, stages=None) -> np.ndarray:
         out = x
-        for stage in self.stages:
+        for stage in self.stages if stages is None else stages:
             if stage.kind == "conv":
                 out = self._conv_int(out, stage, stats)
             elif stage.kind == "pool":
@@ -358,17 +397,8 @@ class ShiftAddEngine:
         x_int = np.asarray(x_int, dtype=np.int64)
         stats: dict[str, int] = {}
         for stage in self.stages:
-            if stage.name != name:
-                continue
-            if stage.kind == "conv":
-                out = self._conv_int(x_int, stage, stats)
-            elif stage.kind == "pool":
-                out = self._pool_int(x_int, stage)
-            elif stage.kind == "flatten":
-                out = x_int.reshape(-1)
-            else:
-                out = self._dense_int(x_int.reshape(-1), stage, stats)
-            return out, stats.get(name, 0)
+            if stage.name == name:
+                return self._forward_arrays(x_int, stats, [stage]), stats.get(name, 0)
         raise ConfigurationError(f"no layer named {name!r}")
 
     def forward_integer(self, frame_int: np.ndarray) -> EngineResult:

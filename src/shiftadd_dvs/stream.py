@@ -8,8 +8,10 @@ are not counted toward buffer occupancy since hardware would not store
 constant zeros.
 
 The float path reproduces the batch reference bitwise for conv/pool stages
-(identical accumulation order); the integer path reuses the engine's shift-add
-tables, so streamed integer logits are bit-identical to the batch engine.
+(identical accumulation order). The integer stages run the engine's kernel
+and requantize step on each window (the dense stage: each position's channel
+vector against that position's columns), so streamed integer logits are
+bit-identical to the batch engine.
 The modeled cycle count assumes an initiation interval of one element per
 cycle per stage and is the maximum per-stage element-event count; it is an
 estimate, clearly distinct from externally measured latencies.
@@ -17,15 +19,25 @@ estimate, clearly distinct from externally measured latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError, SaturationError
-from .engine import _build_plan, _rshift_round_half_even, _saturate, _TermPlan
+from .errors import ConfigurationError, ProtocolError
+from .engine import (_bias_acc, _build_plan, _group_plan, _layer_terms, _requantize,
+                     _shift_add, _ShiftPlan)
 from .layers import BatchNormParams
 from .model import ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 from .quantize import QuantizedModel
 from .encoding import decoded_model
+
+# Integer compute methods audited for absence of multiplication (see tests/test_engine.py).
+DATA_PATH_METHODS = (
+    "_IntConvStage._compute",
+    "_IntPoolStage._compute",
+    "_IntDenseStage._accumulate",
+    "_IntDenseStage._result",
+)
 
 
 class LineBuffer:
@@ -97,11 +109,6 @@ class LineBuffer:
             slot = (r - (p - 1) + i) % p
             out[:, i, :] = self.rows[slot, c - (q - 1):c + 1].T
         return out
-
-
-def line_buffer_step(buf: LineBuffer, element, virtual: bool = False, pos=None):
-    """Feed one element; returns the newly completed window or None."""
-    return buf.step(element, virtual=virtual, pos=pos)
 
 
 def buffer_requirement(p: int, s: int, w: int, q: int) -> dict:
@@ -274,32 +281,17 @@ class _FloatPoolStage(_WindowStage):
 
 
 class _IntConvStage(_WindowStage):
-    def __init__(self, layer_name, qentry, relu, stride, padding, in_shape,
-                 frac_bits, mode, counters):
-        shape = qentry.shape
-        super().__init__(layer_name, in_shape, (shape[2], shape[3]), stride, padding, np.int64)
-        self.plan: _TermPlan = qentry.plan
-        self.relu = relu
-        self.frac_bits = frac_bits
-        self.mode = mode
-        self.counters = counters
+    """One window per call through the engine's kernel, as a one-position im2col block."""
+
+    def __init__(self, layer: ConvSpec, entry, in_shape, qmodel, f_a, mode, counters):
+        super().__init__(layer.name, in_shape, layer.kernel, layer.stride, layer.padding,
+                         np.int64)
+        self.plan: _ShiftPlan = _build_plan(entry, qmodel.frac_bits, qmodel.int_bits, f_a, 1)
+        self.requantize = partial(_requantize, frac_bits=qmodel.frac_bits, mode=mode,
+                                  stats=counters, name=layer.name, relu=layer.relu)
 
     def _compute(self, window: np.ndarray) -> np.ndarray:
-        win_b = window[None, :, :, :]
-        acc = self.plan.bias_acc.copy()
-        for t in range(len(self.plan.shift)):
-            shifted = np.left_shift(win_b, self.plan.shift[t])
-            acc += np.sum(shifted, axis=(1, 2, 3), where=self.plan.positive[t])
-            acc -= np.sum(shifted, axis=(1, 2, 3), where=self.plan.negative[t])
-        out = _rshift_round_half_even(acc, self.frac_bits)
-        out, clipped = _saturate(out)
-        if clipped:
-            if self.mode == "diagnostic":
-                raise SaturationError(f"stage {self.name}: {clipped} saturated values")
-            self.counters[self.name] = self.counters.get(self.name, 0) + clipped
-        if self.relu:
-            out = np.maximum(out, 0)
-        return out
+        return self.requantize(_shift_add(window.reshape(-1, 1), self.plan)[:, 0])
 
 
 class _IntPoolStage(_WindowStage):
@@ -347,16 +339,10 @@ class _DenseStageBase(_Stage):
         self._limit = h * w
         self.out_features = out_features
 
-    def _indices(self) -> np.ndarray:
-        c, h, w = self.in_shape
-        r = self.elements_in // w
-        col = self.elements_in % w
-        return np.arange(c) * (h * w) + r * w + col
-
     def push(self, element) -> list:
         if self.elements_in >= self._limit:
             raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
-        self._accumulate(np.asarray(element), self._indices())
+        self._accumulate(np.asarray(element), self.elements_in)
         self.elements_in += 1
         self.padded_in += 1
         return self._emit([])
@@ -371,7 +357,7 @@ class _DenseStageBase(_Stage):
     def _peak(self) -> int:
         return self.out_features
 
-    def _accumulate(self, vec, idx):
+    def _accumulate(self, vec, pos: int):
         raise NotImplementedError
 
     def _result(self):
@@ -381,42 +367,41 @@ class _DenseStageBase(_Stage):
 class _FloatDenseStage(_DenseStageBase):
     def __init__(self, layer: DenseSpec, entry, in_shape):
         super().__init__(layer.name, in_shape, layer.out_features)
+        c, h, w = in_shape
         self.weights = entry.weights
         self.bias = entry.bias
+        self.columns = np.arange(c * h * w).reshape(c, h * w).T
         self.acc = np.zeros(layer.out_features)
 
-    def _accumulate(self, vec, idx):
-        self.acc += self.weights[:, idx] @ vec
+    def _accumulate(self, vec, pos):
+        self.acc += self.weights[:, self.columns[pos]] @ vec
 
     def _result(self):
         return self.acc + self.bias
 
 
 class _IntDenseStage(_DenseStageBase):
-    def __init__(self, layer_name, qentry, out_features, in_shape, frac_bits, mode, counters):
-        super().__init__(layer_name, in_shape, out_features)
-        self.plan: _TermPlan = qentry.plan
-        self.frac_bits = frac_bits
-        self.mode = mode
-        self.counters = counters
-        self.acc = self.plan.bias_acc.copy()
+    """Each position's channel vector runs the engine's kernel against that position's columns."""
 
-    def _accumulate(self, vec, idx):
-        vec = vec[None, :]
-        for t in range(len(self.plan.shift)):
-            shift = self.plan.shift[t][:, idx]
-            shifted = np.left_shift(vec, shift)
-            self.acc += np.sum(shifted, axis=1, where=self.plan.positive[t][:, idx])
-            self.acc -= np.sum(shifted, axis=1, where=self.plan.negative[t][:, idx])
+    def __init__(self, layer: DenseSpec, entry, in_shape, qmodel, f_a, mode, counters):
+        super().__init__(layer.name, in_shape, layer.out_features)
+        _, h, w = in_shape
+        align = qmodel.frac_bits + qmodel.int_bits
+        out, col, shift, negative = _layer_terms(entry, align)
+        channel, position = np.divmod(col, h * w)
+        no_bias = np.zeros(layer.out_features, dtype=np.int64)
+        self.plans: list[_ShiftPlan] = [
+            _group_plan(out[sel], channel[sel], shift[sel], negative[sel], no_bias, 1)
+            for sel in (position == pos for pos in range(h * w))]
+        self.requantize = partial(_requantize, frac_bits=qmodel.frac_bits, mode=mode,
+                                  stats=counters, name=layer.name)
+        self.acc = _bias_acc(entry, align, f_a)
+
+    def _accumulate(self, vec, pos):
+        self.acc += _shift_add(vec.reshape(-1, 1), self.plans[pos])[:, 0]
 
     def _result(self):
-        out = _rshift_round_half_even(self.acc, self.frac_bits)
-        out, clipped = _saturate(out)
-        if clipped:
-            if self.mode == "diagnostic":
-                raise SaturationError(f"stage {self.name}: {clipped} saturated values")
-            self.counters[self.name] = self.counters.get(self.name, 0) + clipped
-        return out
+        return self.requantize(self.acc)
 
 
 @dataclass
@@ -426,12 +411,6 @@ class StreamResult:
     stages: list[StageReport]
     modeled_cycles: int
     saturations: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _QEntry:
-    shape: tuple
-    plan: _TermPlan
 
 
 def _stage_in_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
@@ -476,19 +455,13 @@ def _build_int_stages(qmodel: QuantizedModel, f_a: int, mode: str,
             if layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer streaming")
-            plan = _build_plan(entry, qmodel.frac_bits, qmodel.int_bits, f_a)
-            stages.append(_IntConvStage(layer.name, _QEntry(entry.shape, plan), layer.relu,
-                                        layer.stride, layer.padding, in_shape,
-                                        qmodel.frac_bits, mode, counters))
+            stages.append(_IntConvStage(layer, entry, in_shape, qmodel, f_a, mode, counters))
         elif isinstance(layer, PoolLayerSpec):
             stages.append(_IntPoolStage(layer, in_shape))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
-            plan = _build_plan(entry, qmodel.frac_bits, qmodel.int_bits, f_a)
-            stages.append(_IntDenseStage(layer.name, _QEntry(entry.shape, plan),
-                                         layer.out_features, in_shape,
-                                         qmodel.frac_bits, mode, counters))
+            stages.append(_IntDenseStage(layer, entry, in_shape, qmodel, f_a, mode, counters))
     return stages
 
 
@@ -564,11 +537,3 @@ def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = No
     counters: dict[str, int] = {}
     stages = _build_int_stages(qmodel, f_a, mode, counters)
     return _run(stages, frame_int, qmodel.spec.input_shape, counters)
-
-
-def stream_model_forward(model, frame, **kwargs) -> StreamResult:
-    """Stream a frame through either a (spec, params) pair or a QuantizedModel."""
-    if isinstance(model, QuantizedModel):
-        return stream_quantized_forward(model, frame, **kwargs)
-    spec, params = model
-    return stream_float_forward(spec, params, frame, **kwargs)

@@ -1,13 +1,14 @@
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shiftadd_dvs import engine as engine_module
+from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.engine import (
-    DATA_PATH_FUNCTIONS,
     FixedActivation,
     ShiftAddEngine,
     _rshift_round_half_even,
@@ -295,20 +296,34 @@ class TestOverflowBound:
             ShiftAddEngine(q, f_a=24, input_bound=1e9)
 
 
+# May grow, never shrink.
+BANNED_CALLS = ("multiply", "dot", "matmul", "einsum", "tensordot", "inner", "outer", "vdot",
+                "kron")
+
+
+def _functions_by_name(module, names):
+    """FunctionDef nodes of ``module`` named either bare or as ``Class.method``."""
+    tree = ast.parse(Path(inspect.getsourcefile(module)).read_text())
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                for key in (f"{prefix}{child.name}", child.name):
+                    if key in names:
+                        found[key] = child
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
 class TestMultiplierFreeAudit:
-    def test_data_path_functions_contain_no_multiplication(self):
-        source = Path(inspect.getsourcefile(engine_module)).read_text()
-        tree = ast.parse(source)
-        audited = {}
-
-        class Visitor(ast.NodeVisitor):
-            def visit_FunctionDef(self, node):
-                if node.name in DATA_PATH_FUNCTIONS:
-                    audited[node.name] = node
-                self.generic_visit(node)
-
-        Visitor().visit(tree)
-        assert set(audited) == set(DATA_PATH_FUNCTIONS)
+    def _assert_multiplier_free(self, module, names):
+        audited = _functions_by_name(module, names)
+        assert set(audited) == set(names)
         for name, node in audited.items():
             for sub in ast.walk(node):
                 assert not isinstance(sub, (ast.Mult, ast.MatMult)), (
@@ -316,5 +331,25 @@ class TestMultiplierFreeAudit:
                 if isinstance(sub, ast.Call):
                     func = sub.func
                     called = getattr(func, "attr", getattr(func, "id", ""))
-                    assert called not in ("multiply", "dot", "matmul", "einsum"), (
+                    assert called not in BANNED_CALLS, (
                         f"{called} call found in integer data path function {name}")
+
+    def test_data_path_functions_contain_no_multiplication(self):
+        kernel_module = sys.modules[stream_module._shift_add.__module__]
+        assert "_shift_add" in kernel_module.DATA_PATH_FUNCTIONS
+        for module in {kernel_module, engine_module}:
+            self._assert_multiplier_free(module, module.DATA_PATH_FUNCTIONS)
+
+    def test_stream_integer_methods_contain_no_multiplication(self):
+        self._assert_multiplier_free(stream_module, stream_module.DATA_PATH_METHODS)
+
+    def test_audit_catches_a_banned_call(self, tmp_path, monkeypatch):
+        bad = tmp_path / "bad_kernel.py"
+        bad.write_text("import numpy as np\n\n"
+                       "class K:\n"
+                       "    def run(self, a, b):\n"
+                       "        return np.tensordot(a, b)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        import bad_kernel
+        with pytest.raises(AssertionError, match="tensordot"):
+            self._assert_multiplier_free(bad_kernel, ("K.run",))

@@ -1,0 +1,178 @@
+"""The shift-add kernel against an exact integer product.
+
+The oracle here multiplies: it rebuilds every weight as the integer
+sign * sum(2^(align - s)) from its decoded shifts and takes ``cols @ W_int.T``
+in int64. It lives only in the tests, outside the audited data path.
+"""
+import numpy as np
+import pytest
+
+from shiftadd_dvs import engine as engine_module
+from shiftadd_dvs.encoding import decoded_model, encode_model
+from shiftadd_dvs.engine import ShiftAddEngine, quantize_frame
+from shiftadd_dvs.model import (
+    ConvSpec,
+    DenseSpec,
+    FlattenSpec,
+    ModelSpec,
+    PoolLayerSpec,
+    init_params,
+)
+from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
+from shiftadd_dvs.stream import _build_int_stages
+
+from conftest import make_small_model
+
+ACT_LIMIT = (1 << 31) - 1
+
+
+def _weight_ints(entry, align, f_a):
+    weights = np.array([p.sign * sum(1 << (align - s) for s in p.shifts)
+                        for p in entry.weights], dtype=np.int64)
+    biases = np.array([p.sign * sum(1 << (f_a + align - s) for s in p.shifts)
+                       for p in entry.biases], dtype=np.int64)
+    return weights.reshape(entry.shape[0], -1), biases
+
+
+def _requantize(acc, frac_bits, relu):
+    quotient, remainder = np.divmod(acc, 1 << frac_bits)
+    half = (1 << frac_bits) // 2
+    out = quotient + ((remainder > half) | ((remainder == half) & (quotient % 2 == 1)))
+    out = np.clip(out, -ACT_LIMIT, ACT_LIMIT)
+    return np.maximum(out, 0) if relu else out
+
+
+def _im2col(x, layer):
+    """(OH*OW, N*P*Q) windows of the zero-padded map, one loop per output position."""
+    p, q = layer.kernel
+    s, pad = layer.stride, layer.padding
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    oh = (xp.shape[1] - p) // s + 1
+    ow = (xp.shape[2] - q) // s + 1
+    windows = [xp[:, i * s:i * s + p, j * s:j * s + q] for i in range(oh) for j in range(ow)]
+    return np.array([w.reshape(-1) for w in windows]), windows, (oh, ow)
+
+
+def _check_layers(qmodel, frame, f_a=8):
+    """Every conv and dense layer of the engine and of the streamed stages equals the oracle."""
+    engine = ShiftAddEngine(qmodel, f_a=f_a)
+    plain = decoded_model(qmodel) if qmodel.bits is not None else qmodel
+    align = plain.frac_bits + plain.int_bits
+    stages = _build_int_stages(plain, f_a, "release", {})
+    x = quantize_frame(frame, f_a)
+    checked = 0
+    for layer, entry, stage in zip(plain.spec.layers, plain.entries, stages):
+        got, _ = engine.layer_forward(layer.name, x)
+        if isinstance(layer, ConvSpec):
+            w_int, b_int = _weight_ints(entry, align, f_a)
+            cols, windows, (oh, ow) = _im2col(x, layer)
+            want = _requantize(cols @ w_int.T + b_int, plain.frac_bits, layer.relu)
+            np.testing.assert_array_equal(got, want.T.reshape(-1, oh, ow))
+            streamed = np.array([stage._compute(w) for w in windows])
+            np.testing.assert_array_equal(streamed, want)
+            checked += 1
+        elif isinstance(layer, DenseSpec):
+            w_int, b_int = _weight_ints(entry, align, f_a)
+            want = _requantize(w_int @ x + b_int, plain.frac_bits, False)
+            np.testing.assert_array_equal(got, want)
+            c, h, w = stage.in_shape
+            grid = x.reshape(c, h, w)
+            for r in range(h):
+                for col in range(w):
+                    stage.push(grid[:, r, col])
+            np.testing.assert_array_equal(stage.finish()[0], want)
+            checked += 1
+        x = got
+    return checked
+
+
+def _single_conv(out_c, in_c=2, kernel=(3, 3), h=6, w=7):
+    return ModelSpec(layers=(
+        ConvSpec(name="c", out_channels=out_c, kernel=kernel, padding=1,
+                 relu=True, batchnorm=False),
+        PoolLayerSpec(name="p", mode="max"),
+        FlattenSpec(),
+        DenseSpec(name="d", out_features=3),
+    ), input_shape=(in_c, h, w), class_count=3)
+
+
+class TestExactProductOracle:
+    def test_random_small_models(self):
+        for trial in range(12):
+            local = np.random.default_rng([91, trial])
+            spec, params = make_small_model(local, weight_scale=0.8)
+            q = shift_quantize_model(spec, params, int(local.integers(1, 5)))
+            assert _check_layers(q, local.normal(0, 2, size=spec.input_shape)) >= 2
+
+    def test_clamped_encodings(self):
+        clamped = 0
+        for trial in range(8):
+            local = np.random.default_rng([92, trial])
+            spec, params = make_small_model(local, weight_scale=0.8)
+            q = encode_model(shift_quantize_model(spec, params, 4), int(local.integers(1, 3)))
+            clamped += sum(e.encoding.clamp_count for e in q.layers())
+            _check_layers(q, local.normal(0, 2, size=spec.input_shape))
+        assert clamped > 0
+
+    def test_repeated_shift_in_one_weight(self):
+        spec = _single_conv(2)
+        params = init_params(spec, np.random.default_rng(5))
+        q = shift_quantize_model(spec, params, 3)
+        # a clamped decode can repeat a term: 2^-1 + 2^-1 stands for one weight of 1.0
+        q.entries[0].weights[4] = ShiftQuantParam(sign=-1, shifts=(3, 3))
+        _check_layers(q, np.random.default_rng(6).normal(size=spec.input_shape))
+
+    def test_all_zero_layers_give_empty_plans(self):
+        spec = _single_conv(3)
+        params = init_params(spec, np.random.default_rng(7))
+        params.entries[0].conv.kernel[...] = 0.0
+        params.entries[0].conv.bias[...] = 0.25
+        params.entries[3].weights[...] = 0.0
+        q = shift_quantize_model(spec, params, 3)
+        engine = ShiftAddEngine(q)
+        assert engine.stages[0].plan.chunks == ()
+        assert engine.stages[-1].plan.chunks == ()
+        assert _check_layers(q, np.random.default_rng(8).normal(size=spec.input_shape)) == 2
+
+    def test_chunk_boundaries_split_a_layer(self, monkeypatch):
+        spec = _single_conv(5, in_c=3)
+        params = init_params(spec, np.random.default_rng(9), weight_scale=0.8)
+        q = shift_quantize_model(spec, params, 3)
+        frame = np.random.default_rng(10).normal(size=spec.input_shape)
+        # a budget below one channel's gathered block: one output channel per chunk
+        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 64)
+        engine = ShiftAddEngine(q)
+        chunks = engine.stages[0].plan.chunks
+        assert len(chunks) == 5
+        assert [len(c.channels) for c in chunks] == [1] * 5
+        _check_layers(q, frame)
+        # a budget of about two channels: chunks cover several channels each
+        terms = sum(len(c.rows) for c in chunks)
+        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", terms * 42 // 2)
+        chunks = ShiftAddEngine(q).stages[0].plan.chunks
+        assert 1 < len(chunks) < 5
+        _check_layers(q, frame)
+
+
+def test_default_student_chunks_stay_within_budget():
+    from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm
+    spec = default_student_spec()
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(11)))
+    engine = ShiftAddEngine(shift_quantize_model(fspec, fparams, 3))
+    for stage in engine.stages:
+        if stage.plan is None:
+            continue
+        for chunk in stage.plan.chunks:
+            assert (len(chunk.channels) == 1
+                    or len(chunk.rows) * stage.positions <= engine_module.CHUNK_ELEMENTS)
+        assert sum(len(c.channels) for c in stage.plan.chunks) == len(stage.plan.bias_acc)
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_default_student_layers_match_oracle(bits):
+    from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm
+    spec = default_student_spec()
+    rng = np.random.default_rng(12)
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+    q = encode_model(shift_quantize_model(fspec, fparams, 3), bits)
+    assert _check_layers(q, rng.normal(size=spec.input_shape)) == 5

@@ -17,9 +17,7 @@ from shiftadd_dvs.quantize import shift_quantize_model
 from shiftadd_dvs.stream import (
     LineBuffer,
     buffer_requirement,
-    line_buffer_step,
     stream_float_forward,
-    stream_model_forward,
     stream_quantized_forward,
 )
 
@@ -115,9 +113,9 @@ class TestLineBuffer:
         with pytest.raises(ProtocolError):
             buf.step(np.array([1.0]), pos=(1, 3))
 
-    def test_module_level_step_alias(self):
+    def test_unit_window_completes_on_every_step(self):
         buf = LineBuffer(1, 3, (1, 1), 1)
-        assert line_buffer_step(buf, np.array([2.0])) is not None
+        np.testing.assert_array_equal(buf.step(np.array([2.0])), [[[2.0]]])
 
 
 class TestBufferRequirement:
@@ -248,12 +246,12 @@ class TestIntegerStreaming:
         assert res.saturations == batch.saturations
         np.testing.assert_array_equal(res.logits, batch.logits)
 
-    def test_dispatcher_handles_both_kinds(self, rng):
+    def test_float_and_integer_paths_keep_their_dtypes(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
         frame = rng.normal(size=spec.input_shape)
-        float_res = stream_model_forward((spec, params), frame)
+        float_res = stream_float_forward(spec, params, frame)
         q = shift_quantize_model(spec, params, 3)
-        int_res = stream_model_forward(q, frame)
+        int_res = stream_quantized_forward(q, frame)
         assert float_res.logits.dtype.kind == "f"
         assert int_res.logits.dtype.kind == "i"
 
