@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._ioutil import read_json, thread_cap, write_json
+from ._ioutil import atomic_write_text, read_json, thread_cap, write_json
 from .dataset import ingest_dataset, read_sample
 from .encoding import compression_report, decoded_model, encode_model
 from .engine import ShiftAddEngine
@@ -376,7 +376,7 @@ def infer(model, data, engine_kind, f_a, out):
             values = ",".join(repr(float(v)) for v in logits)
             records.append(f"{ident},{values},{argmax},0")
             correct += int(argmax == label)
-    (out_path / "records.txt").write_text("\n".join(records) + "\n", encoding="utf-8")
+    atomic_write_text(out_path / "records.txt", "\n".join(records) + "\n")
     accuracy = correct / max(1, len(ds.ids))
     config = {"model": str(model), "data": str(data), "engine": engine_kind, "f_a": f_a}
     _result_doc(out, "infer", config,

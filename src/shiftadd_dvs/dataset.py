@@ -44,6 +44,8 @@ def read_sample(path, rows: int = SAMPLE_ROWS, cols: int = SAMPLE_COLS):
         data = fh.read()
     if data[:4] != MAGIC:
         raise IngestionError(f"{path}: not a DVSF sample file")
+    if len(data) < 11:
+        raise IngestionError(f"{path}: header truncated at {len(data)} bytes")
     version, r, c, label = struct.unpack("<HHHB", data[4:11])
     if version != VERSION:
         raise IngestionError(f"{path}: unsupported DVSF version {version}")

@@ -9,10 +9,11 @@ exact inverse).
 """
 from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import replace
 
 from .errors import ConfigurationError
-from .model import ConvSpec, DenseSpec, ModelSpec
+from .model import ModelSpec, weight_shape
 from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel, ShiftQuantParam, ZERO_PARAM
 
 
@@ -67,10 +68,8 @@ def encode_model(q: QuantizedModel, bits: int) -> QuantizedModel:
             codes.append(tuple(flat_codes[cursor:cursor + take]))
             cursor += take
         encoding = LayerEncoding(bias=bias, bits=bits, codes=tuple(codes), clamp_count=clamped)
-        entries.append(QuantizedLayer(
-            name=entry.name, kind=entry.kind, shape=entry.shape, stride=entry.stride,
-            padding=entry.padding, relu=entry.relu, weights=list(entry.weights),
-            biases=list(entry.biases), encoding=encoding))
+        entries.append(replace(entry, weights=list(entry.weights), biases=list(entry.biases),
+                               encoding=encoding))
     return QuantizedModel(spec=q.spec, entries=entries, n_terms=q.n_terms,
                           frac_bits=q.frac_bits, int_bits=q.int_bits, bits=bits, f_a=q.f_a)
 
@@ -104,10 +103,7 @@ def decoded_model(q: QuantizedModel) -> QuantizedModel:
             entries.append(None)
             continue
         weights, biases = decode_entry(entry)
-        entries.append(QuantizedLayer(
-            name=entry.name, kind=entry.kind, shape=entry.shape, stride=entry.stride,
-            padding=entry.padding, relu=entry.relu, weights=weights, biases=biases,
-            encoding=entry.encoding))
+        entries.append(replace(entry, weights=weights, biases=biases))
     return QuantizedModel(spec=q.spec, entries=entries, n_terms=q.n_terms,
                           frac_bits=q.frac_bits, int_bits=q.int_bits, bits=q.bits, f_a=q.f_a)
 
@@ -122,27 +118,10 @@ def compression_report(spec: ModelSpec, n_terms: int, bits: int) -> dict:
     """Headline storage ratio N*bits/32 plus itemized sign/bias overhead."""
     if n_terms < 1 or not 1 <= bits <= 8:
         raise ConfigurationError(f"invalid report config N={n_terms}, bits={bits}")
-    weight_count = 0
-    layer_count = 0
-    for layer in spec.layers:
-        if isinstance(layer, (ConvSpec, DenseSpec)):
-            layer_count += 1
-    shape = spec.input_shape
-    for layer in spec.layers:
-        if isinstance(layer, ConvSpec):
-            weight_count += layer.out_channels * shape[0] * layer.kernel[0] * layer.kernel[1]
-            weight_count += layer.out_channels
-            shape = (layer.out_channels,
-                     (shape[1] + 2 * layer.padding - layer.kernel[0]) // layer.stride + 1,
-                     (shape[2] + 2 * layer.padding - layer.kernel[1]) // layer.stride + 1)
-        elif isinstance(layer, DenseSpec):
-            weight_count += layer.out_features * shape[0] + layer.out_features
-            shape = (layer.out_features,)
-        elif hasattr(layer, "window"):
-            shape = (shape[0], (shape[1] - layer.window[0]) // layer.stride + 1,
-                     (shape[2] - layer.window[1]) // layer.stride + 1)
-        else:
-            shape = (int(np.prod(shape)),)
+    shapes = [weight_shape(layer, in_shape) for layer, in_shape, _ in spec.geometry()]
+    shapes = [shape for shape in shapes if shape is not None]
+    weight_count = sum(math.prod(shape) + shape[0] for shape in shapes)
+    layer_count = len(shapes)
     stored_bits = n_terms * bits
     ratio = stored_bits / BASELINE_BITS
     return {

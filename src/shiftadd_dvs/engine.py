@@ -16,6 +16,12 @@ gathered block stays under ``CHUNK_ELEMENTS``. int64 add and shift are exact
 modulo 2^64 and the overflow check keeps the true sum below 2^63, so the
 regrouped sum equals the per-term sum bit for bit.
 
+Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
+chain. At construction a worst-case bound proves that no accumulator can
+overflow 64 bits for any frame the engine accepts: ``quantize_frame`` rejects
+activations beyond 32 bits and every layer saturates to that range, so the
+proof needs no assumption about the input data.
+
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
 their AST), so the only data-dependent operations are shifts, adds and
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, RangeError, SaturationError
-from .model import ConvSpec, FlattenSpec, PoolLayerSpec
+from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
 from .quantize import QuantizedLayer, QuantizedModel, ShiftQuantParam
 from .encoding import decoded_model
 
@@ -75,6 +81,14 @@ def quantize_frame(frame: np.ndarray, f_a: int) -> np.ndarray:
     if not np.all(np.isfinite(scaled)) or np.any(np.abs(scaled) > ACT_LIMIT):
         raise RangeError(f"frame does not fit 32 bits at f_a={f_a}")
     return scaled.astype(np.int64)
+
+
+def _integer_input(x) -> np.ndarray:
+    """An int64 tensor within the 32-bit activation range the overflow bound assumes."""
+    x = np.asarray(x, dtype=np.int64)
+    if np.any((x > ACT_LIMIT) | (x < -ACT_LIMIT)):
+        raise RangeError("integer input exceeds the 32-bit activation range")
+    return x
 
 
 def shift_add_mul(act, q: ShiftQuantParam, frac_bits: int = 16, int_bits: int = 2) -> int:
@@ -223,19 +237,31 @@ def _requantize(acc: np.ndarray, frac_bits: int, mode: str, stats: dict, name: s
     return out
 
 
-@dataclass
+def _avg_shift(layer: PoolLayerSpec) -> int:
+    """Right shift that divides by an average pool's window area (0 for max pooling)."""
+    if layer.mode != "avg":
+        return 0
+    area = layer.window[0] * layer.window[1]
+    if area < 1 or area & (area - 1):
+        raise ConfigurationError(
+            f"layer {layer.name}: integer average pooling needs a power-of-two "
+            f"window area, got {layer.window[0]}x{layer.window[1]}")
+    return area.bit_length() - 1
+
+
+@dataclass(frozen=True)
 class _StageConfig:
-    kind: str
-    name: str
-    plan: _ShiftPlan | None = None
-    stride: int = 1
-    padding: int = 0
-    relu: bool = False
-    window: tuple[int, int] = (1, 1)
-    pool_mode: str = "max"
-    avg_shift: int = 0
-    out_hw: tuple[int, int] = (1, 1)
-    positions: int = 1
+    """A spec layer plus what the integer path precomputes for it."""
+
+    layer: LayerSpec
+    out_hw: tuple[int, ...]
+    plan: _ShiftPlan | None = None  # conv and dense
+    positions: int = 1              # conv: OH*OW, kept out of the audited data path
+    avg_shift: int = 0              # average pooling
+
+    @property
+    def name(self) -> str:
+        return self.layer.name
 
 
 @dataclass
@@ -254,11 +280,11 @@ class ShiftAddEngine:
 
     ``mode`` is "release" (saturate and count) or "diagnostic" (raise on the
     first saturation). Construction verifies with a worst-case bound that no
-    layer accumulator can overflow 64 bits for inputs within ``input_bound``.
+    layer accumulator can overflow 64 bits for any frame ``quantize_frame``
+    accepts, i.e. every input activation within the 32-bit range.
     """
 
-    def __init__(self, qmodel: QuantizedModel, f_a: int | None = None,
-                 mode: str = "release", input_bound: float = 8.0):
+    def __init__(self, qmodel: QuantizedModel, f_a: int | None = None, mode: str = "release"):
         if mode not in ("release", "diagnostic"):
             raise ConfigurationError(f"mode must be 'release' or 'diagnostic', got {mode}")
         if any(e is not None and e.encoding is not None for e in qmodel.entries):
@@ -271,7 +297,6 @@ class ShiftAddEngine:
         self.frac_bits = qmodel.frac_bits
         self.int_bits = qmodel.int_bits
         self.mode = mode
-        self.input_bound = float(input_bound)
         self.stages = self._build_stages()
         self._check_overflow_bound()
 
@@ -279,53 +304,24 @@ class ShiftAddEngine:
 
     def _build_stages(self) -> list[_StageConfig]:
         stages = []
-        shape = self.spec.input_shape
-        for layer, entry in zip(self.spec.layers, self.qmodel.entries):
-            if isinstance(layer, ConvSpec):
-                if layer.batchnorm:
-                    raise ConfigurationError(
-                        f"layer {layer.name}: fold batchnorm before integer inference")
-                p, q = layer.kernel
-                oh = (shape[1] + 2 * layer.padding - p) // layer.stride + 1
-                ow = (shape[2] + 2 * layer.padding - q) // layer.stride + 1
-                stages.append(_StageConfig(
-                    kind="conv", name=layer.name,
-                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a, oh * ow),
-                    stride=layer.stride, padding=layer.padding, relu=layer.relu,
-                    window=(p, q), out_hw=(oh, ow), positions=oh * ow))
-                shape = (layer.out_channels, oh, ow)
-            elif isinstance(layer, PoolLayerSpec):
-                p, q = layer.window
-                area = p * q
-                avg_shift = 0
-                if layer.mode == "avg":
-                    avg_shift = area.bit_length() - 1
-                    if (1 << avg_shift) != area:
-                        raise ConfigurationError(
-                            f"layer {layer.name}: integer average pooling needs a power-of-two "
-                            f"window area, got {p}x{q}")
-                oh = (shape[1] - p) // layer.stride + 1
-                ow = (shape[2] - q) // layer.stride + 1
-                stages.append(_StageConfig(
-                    kind="pool", name=layer.name, stride=layer.stride,
-                    window=(p, q), pool_mode=layer.mode, avg_shift=avg_shift,
-                    out_hw=(oh, ow)))
-                shape = (shape[0], oh, ow)
-            elif isinstance(layer, FlattenSpec):
-                stages.append(_StageConfig(kind="flatten", name=layer.name))
-                shape = (int(np.prod(shape)),)
-            else:
-                stages.append(_StageConfig(
-                    kind="dense", name=layer.name,
-                    plan=_build_plan(entry, self.frac_bits, self.int_bits, self.f_a, 1)))
-                shape = (layer.out_features,)
+        for (layer, _, out_shape), entry in zip(self.spec.geometry(), self.qmodel.entries):
+            if isinstance(layer, ConvSpec) and layer.batchnorm:
+                raise ConfigurationError(
+                    f"layer {layer.name}: fold batchnorm before integer inference")
+            positions = out_shape[1] * out_shape[2] if isinstance(layer, ConvSpec) else 1
+            plan = None if entry is None else _build_plan(
+                entry, self.frac_bits, self.int_bits, self.f_a, positions)
+            avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
+            stages.append(_StageConfig(layer, out_shape[1:], plan, positions, avg_shift))
         return stages
 
     def _check_overflow_bound(self) -> None:
-        act_bound = int(round(self.input_bound * 2 ** self.f_a)) + 1
+        # quantize_frame rejects any input beyond ACT_LIMIT and every layer
+        # saturates to it, so ACT_LIMIT + 1 bounds every activation magnitude.
+        act_bound = ACT_LIMIT + 1
         align = self.frac_bits + self.int_bits
         for stage, entry in zip(self.stages, self.qmodel.entries):
-            if stage.kind in ("conv", "dense"):
+            if stage.plan is not None:
                 per_out = len(entry.weights) // entry.shape[0]
                 weight_mag = max((sum(1 << (align - s) for s in p.shifts)
                                   for p in entry.weights), default=0)
@@ -334,29 +330,29 @@ class ShiftAddEngine:
                 if worst >= ACC_LIMIT:
                     raise ConfigurationError(
                         f"layer {stage.name}: worst-case accumulator {worst} would overflow "
-                        f"64 bits for inputs bounded by {self.input_bound}")
+                        f"64 bits for 32-bit input activations")
                 act_bound = min((worst >> self.frac_bits) + 1, ACT_LIMIT)
 
     # -- integer data path (multiplication-free; audited) -------------------
 
     def _conv_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
-        p, q = stage.window
-        pad = stage.padding
+        layer = stage.layer
+        pad, s = layer.padding, layer.stride
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))
+        win = np.lib.stride_tricks.sliding_window_view(xp, layer.kernel, axis=(1, 2))
         oh, ow = stage.out_hw
-        win = win[:, ::stage.stride, ::stage.stride][:, :oh, :ow]
+        win = win[:, ::s, ::s][:, :oh, :ow]
         # win: (N, OH, OW, P, Q) -> im2col (N*P*Q, OH*OW), rows in weight order
         cols = win.transpose(0, 3, 4, 1, 2).reshape(-1, stage.positions)
         acc = _shift_add(cols, stage.plan)
-        out = _requantize(acc, self.frac_bits, self.mode, stats, stage.name, stage.relu)
+        out = _requantize(acc, self.frac_bits, self.mode, stats, stage.name, layer.relu)
         return out.reshape(-1, oh, ow)
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
-        p, q = stage.window
-        s = stage.stride
+        p, q = stage.layer.window
+        s = stage.layer.stride
         oh, ow = stage.out_hw
-        if stage.pool_mode == "max":
+        if stage.layer.mode == "max":
             out = np.full((x.shape[0], oh, ow), np.iinfo(np.int64).min, dtype=np.int64)
             for pi in range(p):
                 for qi in range(q):
@@ -376,11 +372,11 @@ class ShiftAddEngine:
     def _forward_arrays(self, x: np.ndarray, stats: dict, stages=None) -> np.ndarray:
         out = x
         for stage in self.stages if stages is None else stages:
-            if stage.kind == "conv":
+            if isinstance(stage.layer, ConvSpec):
                 out = self._conv_int(out, stage, stats)
-            elif stage.kind == "pool":
+            elif isinstance(stage.layer, PoolLayerSpec):
                 out = self._pool_int(out, stage)
-            elif stage.kind == "flatten":
+            elif isinstance(stage.layer, FlattenSpec):
                 out = out.reshape(-1)
             else:
                 out = self._dense_int(out, stage, stats)
@@ -394,7 +390,7 @@ class ShiftAddEngine:
         Debug/verification surface: the same shift-add, requantization and
         pooling arithmetic the full forward uses, one stage at a time.
         """
-        x_int = np.asarray(x_int, dtype=np.int64)
+        x_int = _integer_input(x_int)
         stats: dict[str, int] = {}
         for stage in self.stages:
             if stage.name == name:
@@ -403,7 +399,7 @@ class ShiftAddEngine:
 
     def forward_integer(self, frame_int: np.ndarray) -> EngineResult:
         """Run on an already-conditioned int64 frame."""
-        frame_int = np.asarray(frame_int, dtype=np.int64)
+        frame_int = _integer_input(frame_int)
         if frame_int.shape != self.spec.input_shape:
             raise ConfigurationError(
                 f"frame shape {frame_int.shape} does not match spec {self.spec.input_shape}")
@@ -415,8 +411,3 @@ class ShiftAddEngine:
         """Condition a float frame onto the activation grid and run it."""
         return self.forward_integer(quantize_frame(frame, self.f_a))
 
-
-def quantized_model_forward(q: QuantizedModel, frame: np.ndarray,
-                            f_a: int | None = None, mode: str = "release") -> EngineResult:
-    """One-shot convenience wrapper around ShiftAddEngine."""
-    return ShiftAddEngine(q, f_a=f_a, mode=mode).forward(frame)

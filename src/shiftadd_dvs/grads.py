@@ -250,11 +250,3 @@ def batch_loss(spec: ModelSpec, params: ModelParams, x, labels,
     grads = backward_batch(spec, params, caches, dlogits / b)
     return float(losses.mean()), grads, logits, caches
 
-
-def backward_gradients(spec: ModelSpec, params: ModelParams, x, labels,
-                       teacher_logits=None, kd: KDConfig | None = None,
-                       sample_ids=None) -> dict[str, np.ndarray]:
-    """Gradients of the mean batch loss w.r.t. every trainable parameter."""
-    _, grads, _, _ = batch_loss(spec, params, x, labels, teacher_logits, kd,
-                                training=True, sample_ids=sample_ids)
-    return grads

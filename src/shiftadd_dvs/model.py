@@ -5,9 +5,15 @@ the matching parameter arrays. The default spec is the fixed 4-layer student
 (conv 8/16/32/64 with 3x3 kernels, alternating 2x2 pools, a 2048-wide flatten
 and a 3-class head); ``wide_student_spec`` doubles every channel count to act
 as a desk-scale teacher.
+
+``ModelSpec.geometry()`` is the one walk over the layer chain: every
+consumer that needs a layer's input or output shape (initialization, counts,
+both weight files, the integer engine and the streaming simulator) reads it
+from there instead of redoing the output-size arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,52 +82,59 @@ class ModelSpec:
     input_shape: tuple[int, int, int] = INPUT_SHAPE
     class_count: int = 3
 
+    _geometry: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
             raise ConfigurationError("layer names must be unique")
-        self.layer_shapes()  # validates composition
+        object.__setattr__(self, "_geometry", self._walk())
+
+    def _walk(self) -> tuple:
+        shape, flat, walk = self.input_shape, False, []
+        for layer in self.layers:
+            if isinstance(layer, DenseSpec):
+                if not flat:
+                    raise ConfigurationError(f"layer {layer.name}: dense before flatten")
+                out = (layer.out_features,)
+            elif flat:
+                what = {ConvSpec: "conv after flatten", PoolLayerSpec: "pool after flatten",
+                        FlattenSpec: "repeated flatten"}[type(layer)]
+                raise ConfigurationError(f"layer {layer.name}: {what}")
+            elif isinstance(layer, FlattenSpec):
+                c, h, w = shape
+                out = (c * h * w,)
+                flat = True
+            elif isinstance(layer, (ConvSpec, PoolLayerSpec)):
+                c, h, w = shape
+                if isinstance(layer, ConvSpec):
+                    c, window, padding = layer.out_channels, layer.kernel, layer.padding
+                else:
+                    window, padding = layer.window, 0
+                if layer.stride < 1 or padding < 0:
+                    raise ConfigurationError(
+                        f"layer {layer.name}: stride must be >= 1 and padding >= 0")
+                oh, ow = conv_output_shape(h, w, window, layer.stride, padding)
+                if oh < 1 or ow < 1:
+                    raise ConfigurationError(f"layer {layer.name}: window does not fit input {h}x{w}")
+                out = (c, oh, ow)
+            else:  # pragma: no cover - union is closed
+                raise ConfigurationError(f"unknown layer kind {type(layer).__name__}")
+            walk.append((layer, shape, out))
+            shape = out
+        if not walk or shape != (self.class_count,):
+            raise ConfigurationError(
+                f"final layer must produce {self.class_count} logits, got {shape if walk else None}")
+        return tuple(walk)
+
+    def geometry(self) -> tuple[tuple[LayerSpec, tuple, tuple], ...]:
+        """(layer, in_shape, out_shape) of every layer: the one shape walk of the chain."""
+        return self._geometry
 
     def layer_shapes(self) -> list[tuple]:
         """Output shape after each layer, starting from ``input_shape``."""
-        shape = self.input_shape
-        shapes = []
-        flat = False
-        for layer in self.layers:
-            if isinstance(layer, ConvSpec):
-                if flat:
-                    raise ConfigurationError(f"layer {layer.name}: conv after flatten")
-                c, h, w = shape
-                oh, ow = conv_output_shape(h, w, layer.kernel, layer.stride, layer.padding)
-                if oh < 1 or ow < 1:
-                    raise ConfigurationError(f"layer {layer.name}: window does not fit input {h}x{w}")
-                shape = (layer.out_channels, oh, ow)
-            elif isinstance(layer, PoolLayerSpec):
-                if flat:
-                    raise ConfigurationError(f"layer {layer.name}: pool after flatten")
-                c, h, w = shape
-                oh, ow = conv_output_shape(h, w, layer.window, layer.stride)
-                if oh < 1 or ow < 1:
-                    raise ConfigurationError(f"layer {layer.name}: window does not fit input {h}x{w}")
-                shape = (c, oh, ow)
-            elif isinstance(layer, FlattenSpec):
-                if flat:
-                    raise ConfigurationError(f"layer {layer.name}: repeated flatten")
-                c, h, w = shape
-                shape = (c * h * w,)
-                flat = True
-            elif isinstance(layer, DenseSpec):
-                if not flat:
-                    raise ConfigurationError(f"layer {layer.name}: dense before flatten")
-                shape = (layer.out_features,)
-            else:  # pragma: no cover - union is closed
-                raise ConfigurationError(f"unknown layer kind {type(layer).__name__}")
-            shapes.append(shape)
-        if not shapes or shapes[-1] != (self.class_count,):
-            raise ConfigurationError(
-                f"final layer must produce {self.class_count} logits, got {shapes[-1] if shapes else None}")
-        return shapes
+        return [out for _, _, out in self._geometry]
 
     def layer(self, name: str) -> LayerSpec:
         for layer in self.layers:
@@ -212,43 +225,50 @@ class ModelParams:
         raise ConfigurationError(f"no layer named {name!r}")
 
 
+def weight_shape(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...] | None:
+    """Weight array shape of a conv (M, N, P, Q) or dense (out, in) layer; None for the rest."""
+    if isinstance(layer, ConvSpec):
+        return (layer.out_channels, in_shape[0], *layer.kernel)
+    if isinstance(layer, DenseSpec):
+        return (layer.out_features, in_shape[0])
+    return None
+
+
+def layer_arrays(layer: LayerSpec, in_shape: tuple, entry) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, bias) of a conv or dense entry, checked against the shapes the walk gives it."""
+    if isinstance(layer, ConvSpec):
+        weights, bias = entry.conv.kernel, entry.conv.bias
+    else:
+        weights, bias = entry.weights, entry.bias
+    shape = weight_shape(layer, in_shape)
+    if weights.shape != shape or bias.shape != shape[:1]:
+        raise ConfigurationError(f"layer {layer.name}: parameters {weights.shape} and "
+                                 f"{bias.shape} do not match the spec's {shape}")
+    return weights, bias
+
+
 def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float = 1.0,
                 dtype=np.float64) -> ModelParams:
     """He-style initialization; biases start at zero, batchnorm at identity."""
     entries = []
-    shape = spec.input_shape
-    for layer in spec.layers:
-        if isinstance(layer, ConvSpec):
-            fan_in = shape[0] * layer.kernel[0] * layer.kernel[1]
-            std = weight_scale * np.sqrt(2.0 / fan_in)
-            kernel = rng.normal(0.0, std, size=(layer.out_channels, shape[0], *layer.kernel))
-            conv = ConvLayerParams(kernel=kernel.astype(dtype),
-                                   bias=np.zeros(layer.out_channels, dtype=dtype),
-                                   stride=layer.stride, padding=layer.padding)
-            bn = None
-            if layer.batchnorm:
-                c = layer.out_channels
-                bn = BatchNormParams(gamma=np.ones(c, dtype=dtype),
-                                     beta=np.zeros(c, dtype=dtype),
-                                     mean=np.zeros(c, dtype=dtype),
-                                     var=np.ones(c, dtype=dtype))
-            entries.append(ConvBlockParams(conv=conv, bn=bn))
-            oh, ow = conv_output_shape(shape[1], shape[2], layer.kernel, layer.stride, layer.padding)
-            shape = (layer.out_channels, oh, ow)
-        elif isinstance(layer, PoolLayerSpec):
+    for layer, in_shape, _ in spec.geometry():
+        shape = weight_shape(layer, in_shape)
+        if shape is None:
             entries.append(None)
-            oh, ow = conv_output_shape(shape[1], shape[2], layer.window, layer.stride)
-            shape = (shape[0], oh, ow)
-        elif isinstance(layer, FlattenSpec):
-            entries.append(None)
-            shape = (int(np.prod(shape)),)
-        else:
-            fan_in = shape[0]
-            std = weight_scale * np.sqrt(2.0 / fan_in)
-            weights = rng.normal(0.0, std, size=(layer.out_features, fan_in))
-            entries.append(DenseParams(weights=weights.astype(dtype),
-                                       bias=np.zeros(layer.out_features, dtype=dtype)))
-            shape = (layer.out_features,)
+            continue
+        m = shape[0]
+        std = weight_scale * np.sqrt(2.0 / (math.prod(shape) // m))
+        weights = rng.normal(0.0, std, size=shape).astype(dtype)
+        bias = np.zeros(m, dtype=dtype)
+        if isinstance(layer, DenseSpec):
+            entries.append(DenseParams(weights=weights, bias=bias))
+            continue
+        bn = None
+        if layer.batchnorm:
+            bn = BatchNormParams(gamma=np.ones(m, dtype=dtype), beta=np.zeros(m, dtype=dtype),
+                                 mean=np.zeros(m, dtype=dtype), var=np.ones(m, dtype=dtype))
+        conv = ConvLayerParams(kernel=weights, bias=bias, stride=layer.stride, padding=layer.padding)
+        entries.append(ConvBlockParams(conv=conv, bn=bn))
     return ModelParams(entries=entries)
 
 
@@ -329,27 +349,15 @@ def count_report(spec: ModelSpec) -> dict:
     """Parameter and FLOP totals under the documented counting convention."""
     params = 0
     flops = 0
-    shape = spec.input_shape
-    for layer in spec.layers:
-        if isinstance(layer, ConvSpec):
-            n = shape[0]
-            p, q = layer.kernel
-            params += layer.out_channels * n * p * q + layer.out_channels
-            if layer.batchnorm:
-                params += 2 * layer.out_channels
-            oh, ow = conv_output_shape(shape[1], shape[2], layer.kernel, layer.stride, layer.padding)
-            out_elems = layer.out_channels * oh * ow
-            flops += out_elems * n * p * q + out_elems
-            shape = (layer.out_channels, oh, ow)
-        elif isinstance(layer, PoolLayerSpec):
-            oh, ow = conv_output_shape(shape[1], shape[2], layer.window, layer.stride)
-            shape = (shape[0], oh, ow)
-        elif isinstance(layer, FlattenSpec):
-            shape = (int(np.prod(shape)),)
-        else:
-            params += layer.out_features * shape[0] + layer.out_features
-            flops += layer.out_features * shape[0] + layer.out_features
-            shape = (layer.out_features,)
+    for layer, in_shape, out_shape in spec.geometry():
+        shape = weight_shape(layer, in_shape)
+        if shape is None:
+            continue
+        m, fan_in = shape[0], math.prod(shape[1:])
+        params += m * fan_in + m
+        if isinstance(layer, ConvSpec) and layer.batchnorm:
+            params += 2 * m
+        flops += math.prod(out_shape) * (fan_in + 1)
     return {"param_count": params, "flop_count": flops, "convention": FLOP_CONVENTION}
 
 

@@ -19,9 +19,10 @@ from .layers import ConvLayerParams, DenseParams
 from .model import (
     ConvBlockParams,
     ConvSpec,
-    DenseSpec,
     ModelParams,
     ModelSpec,
+    layer_arrays,
+    weight_shape,
 )
 
 DEFAULT_FRAC_BITS = 16
@@ -111,12 +112,10 @@ class LayerEncoding:
 
 @dataclass
 class QuantizedLayer:
+    """Quantized parameters of one conv or dense layer; geometry and activation live in the spec."""
+
     name: str
-    kind: str                      # "conv" | "dense"
     shape: tuple[int, ...]         # conv: (M, N, P, Q); dense: (out, in)
-    stride: int
-    padding: int
-    relu: bool
     weights: list[ShiftQuantParam]  # kernel/weight entries in index order
     biases: list[ShiftQuantParam]
     encoding: LayerEncoding | None = None
@@ -155,34 +154,19 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
     """
     if n_terms < 1:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
+    bias_terms = n_terms if quantize_biases else frac_bits + int_bits
     entries: list = []
-    for layer, entry in zip(spec.layers, params.entries):
-        if isinstance(layer, ConvSpec):
-            if layer.batchnorm:
-                raise ConfigurationError(
-                    f"layer {layer.name}: fold batchnorm before quantization")
-            qlayer = QuantizedLayer(
-                name=layer.name, kind="conv", shape=entry.conv.kernel.shape,
-                stride=layer.stride, padding=layer.padding, relu=layer.relu,
-                weights=_quantize_array(entry.conv.kernel, layer.name, n_terms,
-                                        frac_bits, int_bits),
-                biases=_quantize_array(entry.conv.bias, layer.name,
-                                       n_terms if quantize_biases else frac_bits + int_bits,
-                                       frac_bits, int_bits))
-            entries.append(qlayer)
-        elif isinstance(layer, DenseSpec):
-            dense: DenseParams = entry
-            qlayer = QuantizedLayer(
-                name=layer.name, kind="dense", shape=dense.weights.shape,
-                stride=1, padding=0, relu=False,
-                weights=_quantize_array(dense.weights, layer.name, n_terms,
-                                        frac_bits, int_bits),
-                biases=_quantize_array(dense.bias, layer.name,
-                                       n_terms if quantize_biases else frac_bits + int_bits,
-                                       frac_bits, int_bits))
-            entries.append(qlayer)
-        else:
+    for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
+        if weight_shape(layer, in_shape) is None:
             entries.append(None)
+            continue
+        if isinstance(layer, ConvSpec) and layer.batchnorm:
+            raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
+        weights, bias = layer_arrays(layer, in_shape, entry)
+        entries.append(QuantizedLayer(
+            name=layer.name, shape=weights.shape,
+            weights=_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
+            biases=_quantize_array(bias, layer.name, bias_terms, frac_bits, int_bits)))
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, f_a=f_a)
 
@@ -199,10 +183,6 @@ def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int,
     return out
 
 
-def dequantize_param(param: ShiftQuantParam, int_bits: int = DEFAULT_INT_BITS) -> float:
-    return param.value(int_bits)
-
-
 def dequantize_model(q: QuantizedModel) -> ModelParams:
     """Exact floating-point reconstruction of the quantized model."""
     entries: list = []
@@ -210,14 +190,14 @@ def dequantize_model(q: QuantizedModel) -> ModelParams:
         if qentry is None:
             entries.append(None)
             continue
-        values = np.array([p.value(q.int_bits) for p in qentry.weights])
+        values = np.array([p.value(q.int_bits) for p in qentry.weights]).reshape(qentry.shape)
         biases = np.array([p.value(q.int_bits) for p in qentry.biases])
-        if qentry.kind == "conv":
-            conv = ConvLayerParams(kernel=values.reshape(qentry.shape), bias=biases,
-                                   stride=qentry.stride, padding=qentry.padding)
+        if isinstance(layer, ConvSpec):
+            conv = ConvLayerParams(kernel=values, bias=biases, stride=layer.stride,
+                                   padding=layer.padding)
             entries.append(ConvBlockParams(conv=conv, bn=None))
         else:
-            entries.append(DenseParams(weights=values.reshape(qentry.shape), bias=biases))
+            entries.append(DenseParams(weights=values, bias=biases))
     return ModelParams(entries=entries)
 
 

@@ -9,9 +9,14 @@ Layout (all little-endian):
   mean, var arrays (length M each) and a single epsilon follow the conv bias.
 The file carries parameters only; loading requires the ModelSpec that
 describes the layer chain (the CLI stores it as a JSON sidecar).
+
+``layer_header`` derives each 13-byte record from the layer and its input
+shape in ``ModelSpec.geometry()``; SACW and SAQM writers both pack it, and
+both loaders reject any record that differs from it in any field.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -22,10 +27,14 @@ from .layers import BatchNormParams, ConvLayerParams, DenseParams
 from .model import (
     ConvBlockParams,
     ConvSpec,
+    DenseSpec,
     FlattenSpec,
+    LayerSpec,
     ModelParams,
     ModelSpec,
     PoolLayerSpec,
+    layer_arrays,
+    weight_shape,
 )
 
 MAGIC = b"SACW"
@@ -36,68 +45,76 @@ KIND_MAXPOOL = 2
 KIND_AVGPOOL = 3
 KIND_FLATTEN = 4
 KIND_DENSE = 5
+HEADER = struct.Struct("<B6H")
 
 
 def _f32(arr) -> bytes:
     return np.asarray(arr, dtype="<f4").tobytes()
 
 
+def layer_header(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...]:
+    """The layer record (kind, M, N, P, Q, S, pad) both weight files store for ``layer``."""
+    if isinstance(layer, ConvSpec):
+        return (KIND_CONV, *weight_shape(layer, in_shape), layer.stride, layer.padding)
+    if isinstance(layer, PoolLayerSpec):
+        kind = KIND_MAXPOOL if layer.mode == "max" else KIND_AVGPOOL
+        return (kind, in_shape[0], in_shape[0], *layer.window, layer.stride, 0)
+    if isinstance(layer, FlattenSpec):
+        return (KIND_FLATTEN, 0, 0, 0, 0, 0, 0)
+    return (KIND_DENSE, *weight_shape(layer, in_shape), 1, 1, 1, 0)
+
+
 def save_weights(path, spec: ModelSpec, params: ModelParams) -> None:
     if len(params.entries) != len(spec.layers):
         raise ConfigurationError("params do not match spec layer count")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<HH", VERSION, len(spec.layers))
-    shape = spec.input_shape
-    for layer, entry in zip(spec.layers, params.entries):
-        if isinstance(layer, ConvSpec):
-            m, n = layer.out_channels, shape[0]
-            p, q = layer.kernel
-            blob += struct.pack("<B6H", KIND_CONV, m, n, p, q, layer.stride, layer.padding)
-            blob += _f32(entry.conv.kernel)
-            blob += _f32(entry.conv.bias)
-            if layer.batchnorm:
-                if entry.bn is None:
-                    raise ConfigurationError(f"layer {layer.name}: batchnorm flagged but no parameters")
-                blob += _f32(entry.bn.gamma) + _f32(entry.bn.beta)
-                blob += _f32(entry.bn.mean) + _f32(entry.bn.var)
-                blob += struct.pack("<f", entry.bn.eps)
-            oh = (shape[1] + 2 * layer.padding - p) // layer.stride + 1
-            ow = (shape[2] + 2 * layer.padding - q) // layer.stride + 1
-            shape = (m, oh, ow)
-        elif isinstance(layer, PoolLayerSpec):
-            kind = KIND_MAXPOOL if layer.mode == "max" else KIND_AVGPOOL
-            p, q = layer.window
-            blob += struct.pack("<B6H", kind, shape[0], shape[0], p, q, layer.stride, 0)
-            oh = (shape[1] - p) // layer.stride + 1
-            ow = (shape[2] - q) // layer.stride + 1
-            shape = (shape[0], oh, ow)
-        elif isinstance(layer, FlattenSpec):
-            blob += struct.pack("<B6H", KIND_FLATTEN, 0, 0, 0, 0, 0, 0)
-            shape = (int(np.prod(shape)),)
-        else:
-            out, inp = layer.out_features, shape[0]
-            blob += struct.pack("<B6H", KIND_DENSE, out, inp, 1, 1, 1, 0)
-            blob += _f32(entry.weights)
-            blob += _f32(entry.bias)
-            shape = (out,)
+    blob = bytearray(MAGIC + struct.pack("<HH", VERSION, len(spec.layers)))
+    for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
+        blob += HEADER.pack(*layer_header(layer, in_shape))
+        if weight_shape(layer, in_shape) is None:
+            continue
+        weights, bias = layer_arrays(layer, in_shape, entry)
+        blob += _f32(weights) + _f32(bias)
+        if isinstance(layer, ConvSpec) and layer.batchnorm:
+            if entry.bn is None:
+                raise ConfigurationError(f"layer {layer.name}: batchnorm flagged but no parameters")
+            blob += _f32(entry.bn.gamma) + _f32(entry.bn.beta)
+            blob += _f32(entry.bn.mean) + _f32(entry.bn.var)
+            blob += struct.pack("<f", entry.bn.eps)
     atomic_write_bytes(path, bytes(blob))
 
 
 class _Reader:
+    """Bounds-checked cursor over a weight file; every read past the end is a ConfigurationError."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise ConfigurationError("weight file truncated")
+            raise ConfigurationError(f"file truncated at byte {len(self.data)}")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
     def f32(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
+
+    def header(self, layer: LayerSpec, in_shape: tuple) -> None:
+        """Read one layer record and require it to equal the spec's."""
+        found = HEADER.unpack(self.take(HEADER.size))
+        expected = layer_header(layer, in_shape)
+        if found != expected:
+            raise ConfigurationError(
+                f"layer {layer.name}: file record {found} does not match the spec's {expected} "
+                f"(kind, M, N, P, Q, S, pad)")
+
+    def finish(self, path) -> None:
+        if self.pos != len(self.data):
+            raise ConfigurationError(f"{path}: {len(self.data) - self.pos} trailing bytes")
 
 
 def load_weights(path, spec: ModelSpec) -> ModelParams:
@@ -106,47 +123,31 @@ def load_weights(path, spec: ModelSpec) -> ModelParams:
         reader = _Reader(fh.read())
     if reader.take(4) != MAGIC:
         raise ConfigurationError(f"{path}: not a SACW file")
-    version, count = struct.unpack("<HH", reader.take(4))
+    version, count = reader.unpack("<HH")
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported SACW version {version}")
     if count != len(spec.layers):
         raise ConfigurationError(
             f"{path}: file has {count} layers, spec has {len(spec.layers)}")
     entries = []
-    for layer in spec.layers:
-        kind, m, n, p, q, s, pad = struct.unpack("<B6H", reader.take(13))
-        if isinstance(layer, ConvSpec):
-            if kind != KIND_CONV:
-                raise ConfigurationError(f"layer {layer.name}: expected conv record, found tag {kind}")
-            if (p, q) != layer.kernel or s != layer.stride or pad != layer.padding or m != layer.out_channels:
-                raise ConfigurationError(f"layer {layer.name}: shape header does not match spec")
-            kernel = reader.f32(m * n * p * q).reshape(m, n, p, q)
-            bias = reader.f32(m)
-            bn = None
-            if layer.batchnorm:
-                gamma, beta = reader.f32(m), reader.f32(m)
-                mean, var = reader.f32(m), reader.f32(m)
-                (eps,) = struct.unpack("<f", reader.take(4))
-                bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=float(eps))
-            entries.append(ConvBlockParams(
-                conv=ConvLayerParams(kernel=kernel, bias=bias, stride=s, padding=pad), bn=bn))
-        elif isinstance(layer, PoolLayerSpec):
-            expect = KIND_MAXPOOL if layer.mode == "max" else KIND_AVGPOOL
-            if kind != expect:
-                raise ConfigurationError(f"layer {layer.name}: expected pool record, found tag {kind}")
+    for layer, in_shape, _ in spec.geometry():
+        reader.header(layer, in_shape)
+        shape = weight_shape(layer, in_shape)
+        if shape is None:
             entries.append(None)
-        elif isinstance(layer, FlattenSpec):
-            if kind != KIND_FLATTEN:
-                raise ConfigurationError(f"layer {layer.name}: expected flatten record, found tag {kind}")
-            entries.append(None)
-        else:
-            if kind != KIND_DENSE:
-                raise ConfigurationError(f"layer {layer.name}: expected dense record, found tag {kind}")
-            if m != layer.out_features:
-                raise ConfigurationError(f"layer {layer.name}: shape header does not match spec")
-            weights = reader.f32(m * n).reshape(m, n)
-            bias = reader.f32(m)
+            continue
+        weights = reader.f32(math.prod(shape)).reshape(shape)
+        bias = reader.f32(shape[0])
+        if isinstance(layer, DenseSpec):
             entries.append(DenseParams(weights=weights, bias=bias))
-    if reader.pos != len(reader.data):
-        raise ConfigurationError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
+            continue
+        bn = None
+        if layer.batchnorm:
+            gamma, beta, mean, var = (reader.f32(shape[0]) for _ in range(4))
+            (eps,) = reader.unpack("<f")
+            bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=float(eps))
+        entries.append(ConvBlockParams(
+            conv=ConvLayerParams(kernel=weights, bias=bias, stride=layer.stride,
+                                 padding=layer.padding), bn=bn))
+    reader.finish(path)
     return ModelParams(entries=entries)

@@ -12,14 +12,19 @@ Layout (little-endian):
 
 The packed stream holds the encoded (possibly clamped) codes, so the loaded
 model is the deployable view; the field widths cap term counts at 15.
+Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
+the loader reads every byte through ``sacw._Reader`` and rejects a record that
+differs from the spec's in any field, so a file never loads against a spec
+whose shapes it does not carry.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 from ._ioutil import atomic_write_bytes
 from .errors import ConfigurationError
-from .model import ConvSpec, FlattenSpec, ModelSpec, PoolLayerSpec
+from .model import ModelSpec, weight_shape
 from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel, ShiftQuantParam, ZERO_PARAM
 from .encoding import decode_layer
 from . import sacw
@@ -47,9 +52,9 @@ class _BitWriter:
 
 
 class _BitReader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
         self.bit = 0
 
     def read(self, nbits: int) -> int:
@@ -79,36 +84,17 @@ def save_quantized(path, q: QuantizedModel) -> None:
     """Serialize an encoded quantized model."""
     if q.bits is None:
         raise ConfigurationError("encode the model before saving (encode_model)")
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<HBBBBH", VERSION, q.n_terms, q.bits, q.frac_bits,
-                          q.int_bits, len(q.spec.layers))
-    blob = bytearray(header)
-    shape = q.spec.input_shape
-    for layer, entry in zip(q.spec.layers, q.entries):
-        if isinstance(layer, ConvSpec):
-            p_, q_ = layer.kernel
-            blob += struct.pack("<B6H", sacw.KIND_CONV, layer.out_channels, shape[0],
-                                p_, q_, layer.stride, layer.padding)
-            blob += _pack_layer(entry)
-            oh = (shape[1] + 2 * layer.padding - p_) // layer.stride + 1
-            ow = (shape[2] + 2 * layer.padding - q_) // layer.stride + 1
-            shape = (layer.out_channels, oh, ow)
-        elif isinstance(layer, PoolLayerSpec):
-            kind = sacw.KIND_MAXPOOL if layer.mode == "max" else sacw.KIND_AVGPOOL
-            blob += struct.pack("<B6H", kind, shape[0], shape[0], layer.window[0],
-                                layer.window[1], layer.stride, 0)
-            oh = (shape[1] - layer.window[0]) // layer.stride + 1
-            ow = (shape[2] - layer.window[1]) // layer.stride + 1
-            shape = (shape[0], oh, ow)
-        elif isinstance(layer, FlattenSpec):
-            blob += struct.pack("<B6H", sacw.KIND_FLATTEN, 0, 0, 0, 0, 0, 0)
-            shape = (shape[0] * shape[1] * shape[2],)
-        else:
-            blob += struct.pack("<B6H", sacw.KIND_DENSE, layer.out_features, shape[0],
-                                1, 1, 1, 0)
-            blob += _pack_layer(entry)
-            shape = (layer.out_features,)
+    blob = bytearray(MAGIC + struct.pack("<HBBBBH", VERSION, q.n_terms, q.bits, q.frac_bits,
+                                         q.int_bits, len(q.spec.layers)))
+    for (layer, in_shape, _), entry in zip(q.spec.geometry(), q.entries):
+        blob += sacw.HEADER.pack(*sacw.layer_header(layer, in_shape))
+        shape = weight_shape(layer, in_shape)
+        if shape is None:
+            continue
+        if tuple(entry.shape) != shape:
+            raise ConfigurationError(
+                f"layer {layer.name}: parameters {tuple(entry.shape)} do not match the spec's {shape}")
+        blob += _pack_layer(entry)
     atomic_write_bytes(path, bytes(blob))
 
 
@@ -135,69 +121,41 @@ def _pack_layer(entry: QuantizedLayer) -> bytes:
 def load_quantized(path, spec: ModelSpec, f_a: int = 8) -> QuantizedModel:
     """Read a SAQM file; parameters come back decoded (deployable view)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
+        reader = sacw._Reader(fh.read())
+    if reader.take(4) != MAGIC:
         raise ConfigurationError(f"{path}: not a SAQM file")
-    version, n_terms, bits, frac_bits, int_bits, count = struct.unpack("<HBBBBH", data[4:12])
+    version, n_terms, bits, frac_bits, int_bits, count = reader.unpack("<HBBBBH")
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported SAQM version {version}")
+    if not 1 <= bits <= 8 or frac_bits + int_bits > 31:
+        raise ConfigurationError(
+            f"{path}: header fields bits={bits}, F={frac_bits}, I={int_bits} out of range")
     if count != len(spec.layers):
         raise ConfigurationError(f"{path}: file has {count} layers, spec has {len(spec.layers)}")
-    pos = 12
     entries: list = []
-    shape = spec.input_shape
-    for layer in spec.layers:
-        kind, m, n, p_, q_, s, pad = struct.unpack("<B6H", data[pos:pos + 13])
-        pos += 13
-        if isinstance(layer, ConvSpec):
-            if kind != sacw.KIND_CONV:
-                raise ConfigurationError(f"layer {layer.name}: expected conv record, found tag {kind}")
-            weight_count = m * n * p_ * q_
-            entry, pos = _unpack_layer(data, pos, layer.name, "conv", (m, n, p_, q_),
-                                       s, pad, layer.relu, weight_count, m, bits)
-            entries.append(entry)
-            oh = (shape[1] + 2 * pad - p_) // s + 1
-            ow = (shape[2] + 2 * pad - q_) // s + 1
-            shape = (m, oh, ow)
-        elif isinstance(layer, PoolLayerSpec):
-            expect = sacw.KIND_MAXPOOL if layer.mode == "max" else sacw.KIND_AVGPOOL
-            if kind != expect:
-                raise ConfigurationError(f"layer {layer.name}: expected pool record, found tag {kind}")
-            entries.append(None)
-            oh = (shape[1] - p_) // s + 1
-            ow = (shape[2] - q_) // s + 1
-            shape = (shape[0], oh, ow)
-        elif isinstance(layer, FlattenSpec):
-            if kind != sacw.KIND_FLATTEN:
-                raise ConfigurationError(f"layer {layer.name}: expected flatten record, found tag {kind}")
-            entries.append(None)
-            shape = (shape[0] * shape[1] * shape[2],)
-        else:
-            if kind != sacw.KIND_DENSE:
-                raise ConfigurationError(f"layer {layer.name}: expected dense record, found tag {kind}")
-            entry, pos = _unpack_layer(data, pos, layer.name, "dense", (m, n), 1, 0,
-                                       False, m * n, m, bits)
-            entries.append(entry)
-            shape = (m,)
-    if pos != len(data):
-        raise ConfigurationError(f"{path}: {len(data) - pos} trailing bytes")
+    for layer, in_shape, _ in spec.geometry():
+        reader.header(layer, in_shape)
+        shape = weight_shape(layer, in_shape)
+        entries.append(None if shape is None else _unpack_layer(reader, layer.name, shape, bits))
+    reader.finish(path)
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, bits=bits, f_a=f_a)
 
 
-def _unpack_layer(data, pos, name, kind, shape, stride, padding, relu,
-                  weight_count, bias_count, bits):
-    (bias,) = struct.unpack("<h", data[pos:pos + 2])
-    pos += 2
-    reader = _BitReader(data[pos:])
+def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
+    (bias,) = reader.unpack("<h")
+    if bias < 0:
+        raise ConfigurationError(f"layer {name}: negative encoding bias {bias}")
+    bit_reader = _BitReader(reader.data, reader.pos)
+    weight_count = math.prod(shape)
     params: list[ShiftQuantParam] = []
     codes: list[tuple[int, ...]] = []
-    for _ in range(weight_count + bias_count):
-        sign = _SIGN_DECODE.get(reader.read(2))
+    for _ in range(weight_count + shape[0]):
+        sign = _SIGN_DECODE.get(bit_reader.read(2))
         if sign is None:
             raise ConfigurationError(f"layer {name}: invalid sign field")
-        terms = reader.read(4)
-        row = tuple(reader.read(bits) for _ in range(terms))
+        terms = bit_reader.read(4)
+        row = tuple(bit_reader.read(bits) for _ in range(terms))
         codes.append(row)
         if sign == 0:
             if terms:
@@ -205,11 +163,8 @@ def _unpack_layer(data, pos, name, kind, shape, stride, padding, relu,
             params.append(ZERO_PARAM)
         else:
             params.append(ShiftQuantParam(sign=sign, shifts=tuple(decode_layer(bias, row))))
-    reader.align()
-    pos += reader.pos
+    bit_reader.align()
+    reader.pos = bit_reader.pos
     encoding = LayerEncoding(bias=bias, bits=bits, codes=tuple(codes), clamp_count=0)
-    entry = QuantizedLayer(name=name, kind=kind, shape=shape, stride=stride,
-                           padding=padding, relu=relu,
-                           weights=params[:weight_count], biases=params[weight_count:],
-                           encoding=encoding)
-    return entry, pos
+    return QuantizedLayer(name=name, shape=shape, weights=params[:weight_count],
+                          biases=params[weight_count:], encoding=encoding)

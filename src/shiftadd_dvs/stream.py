@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .engine import (_bias_acc, _build_plan, _group_plan, _layer_terms, _requantize,
-                     _shift_add, _ShiftPlan)
+from .engine import (_avg_shift, _bias_acc, _build_plan, _group_plan, _layer_terms,
+                     _requantize, _shift_add, _ShiftPlan, quantize_frame)
 from .layers import BatchNormParams
 from .model import ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 from .quantize import QuantizedModel
@@ -235,10 +235,9 @@ class _WindowStage(_Stage):
 
 class _FloatConvStage(_WindowStage):
     def __init__(self, layer: ConvSpec, entry, in_shape):
-        kernel = entry.conv.kernel
-        super().__init__(layer.name, in_shape, (kernel.shape[2], kernel.shape[3]),
-                         layer.stride, layer.padding, np.float64)
-        self.kernel = kernel
+        super().__init__(layer.name, in_shape, layer.kernel, layer.stride, layer.padding,
+                         np.float64)
+        self.kernel = entry.conv.kernel
         self.bias = entry.conv.bias
         self.relu = layer.relu
         self.bn_scale = None
@@ -298,11 +297,7 @@ class _IntPoolStage(_WindowStage):
     def __init__(self, layer: PoolLayerSpec, in_shape):
         super().__init__(layer.name, in_shape, layer.window, layer.stride, 0, np.int64)
         self.mode = layer.mode
-        area = layer.window[0] * layer.window[1]
-        self.avg_shift = area.bit_length() - 1
-        if layer.mode == "avg" and (1 << self.avg_shift) != area:
-            raise ConfigurationError(
-                f"layer {layer.name}: integer average pooling needs a power-of-two window area")
+        self.avg_shift = _avg_shift(layer)
 
     def _compute(self, window: np.ndarray) -> np.ndarray:
         if self.mode == "max":
@@ -414,22 +409,18 @@ class StreamResult:
 
 
 def _stage_in_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
-    """Spatial input shape per stage; the trailing dense sees its pre-flatten grid."""
-    shapes = [spec.input_shape] + spec.layer_shapes()
-    out = []
-    spatial = spec.input_shape
-    for layer, in_shape in zip(spec.layers, shapes[:-1]):
+    """Spatial input shape per stage; the trailing dense sees the flatten's input grid."""
+    shapes: list = []
+    previous = None
+    for layer, in_shape, _ in spec.geometry():
         if isinstance(layer, DenseSpec):
-            if len(in_shape) != 1:
-                raise ConfigurationError(f"layer {layer.name}: dense must follow flatten")
-            out.append(spatial)
-        else:
-            if len(in_shape) != 3:
+            if not isinstance(previous, FlattenSpec):
                 raise ConfigurationError(
-                    f"layer {layer.name}: streaming supports a single trailing dense layer")
-            spatial = in_shape
-            out.append(in_shape)
-    return out
+                    f"layer {layer.name}: streaming needs the dense layer right after flatten")
+            in_shape = shapes[-1]
+        shapes.append(in_shape)
+        previous = layer
+    return shapes
 
 
 def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
@@ -526,7 +517,6 @@ def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamR
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,
                              mode: str = "release") -> StreamResult:
-    from .engine import quantize_frame
     if any(e is not None and e.encoding is not None for e in qmodel.entries):
         qmodel = decoded_model(qmodel)
     f_a = int(qmodel.f_a if f_a is None else f_a)

@@ -14,7 +14,6 @@ from shiftadd_dvs.engine import (
     _rshift_round_half_even,
     quantize_activation,
     quantize_frame,
-    quantized_model_forward,
     shift_add_mul,
 )
 from shiftadd_dvs.errors import ConfigurationError, RangeError, SaturationError
@@ -29,9 +28,13 @@ from shiftadd_dvs.model import (
     param_arrays,
 )
 from shiftadd_dvs.quantize import (
+    ZERO_PARAM,
+    QuantizedLayer,
+    QuantizedModel,
     ShiftQuantParam,
     dequantize_model,
     shift_quantize_model,
+    shift_quantize_param,
 )
 
 from conftest import make_small_model
@@ -214,7 +217,7 @@ class TestIntegerForward:
         for arr in param_arrays(spec, params).values():
             arr[...] = 0.0
         q = shift_quantize_model(spec, params, 3)
-        res = quantized_model_forward(q, rng.normal(size=spec.input_shape))
+        res = ShiftAddEngine(q).forward(rng.normal(size=spec.input_shape))
         np.testing.assert_array_equal(res.logits, np.zeros(3, dtype=np.int64))
         assert res.argmax == 0
 
@@ -268,14 +271,14 @@ class TestSaturation:
 
     def test_release_mode_counts(self):
         spec, q = self._saturating_setup()
-        eng = ShiftAddEngine(q, f_a=24, mode="release", input_bound=110.0)
+        eng = ShiftAddEngine(q, f_a=24, mode="release")
         res = eng.forward(np.full(spec.input_shape, 100.0))
         assert res.total_saturations > 0
         assert np.all(np.abs(res.logits) <= (1 << 31) - 1)
 
     def test_diagnostic_mode_raises(self):
         spec, q = self._saturating_setup()
-        eng = ShiftAddEngine(q, f_a=24, mode="diagnostic", input_bound=110.0)
+        eng = ShiftAddEngine(q, f_a=24, mode="diagnostic")
         with pytest.raises(SaturationError):
             eng.forward(np.full(spec.input_shape, 100.0))
 
@@ -287,13 +290,34 @@ class TestOverflowBound:
         params = init_params(spec, rng)
         fspec, fparams = fold_model_batchnorm(spec, params)
         q = shift_quantize_model(fspec, fparams, 3)
-        ShiftAddEngine(q, f_a=8, input_bound=8.0)  # must construct cleanly
+        ShiftAddEngine(q, f_a=8)  # must construct cleanly
 
-    def test_worst_case_overflow_rejected(self, rng):
-        spec, params = make_small_model(rng, batchnorm=False)
-        q = shift_quantize_model(spec, params, 3)
-        with pytest.raises(ConfigurationError):
-            ShiftAddEngine(q, f_a=24, input_bound=1e9)
+    @staticmethod
+    def _wide_dense(width):
+        """One dense layer over a (1, 128, width) flatten, every weight 4 - 2^-16 (18 terms)."""
+        spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d", out_features=3)),
+                         input_shape=(1, 128, width), class_count=3)
+        weight = shift_quantize_param(4.0 - 2.0 ** -16, 18)
+        layer = QuantizedLayer(name="d", shape=(3, 128 * width),
+                               weights=[weight] * (3 * 128 * width), biases=[ZERO_PARAM] * 3)
+        return QuantizedModel(spec=spec, entries=[None, layer], n_terms=18)
+
+    def test_worst_case_overflow_rejected(self):
+        # 16512 inputs at the 2^31 activation bound times (2^18 - 1) per weight
+        # exceeds 2^63; 16256 inputs stay just below it.
+        with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
+            ShiftAddEngine(self._wide_dense(129))
+        ShiftAddEngine(self._wide_dense(127))
+
+    def test_out_of_range_integer_input_rejected(self, rng):
+        spec, _, q = _quantized_small_model(rng)
+        eng = ShiftAddEngine(q)
+        frame = np.zeros(spec.input_shape, dtype=np.int64)
+        frame[0, 0, 0] = 1 << 31
+        with pytest.raises(RangeError):
+            eng.forward_integer(frame)
+        with pytest.raises(RangeError):
+            eng.layer_forward(spec.layers[0].name, frame)
 
 
 # May grow, never shrink.

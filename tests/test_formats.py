@@ -1,0 +1,82 @@
+"""Byte-level contracts of the SACW, SAQM and DVSF file formats."""
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from shiftadd_dvs.dataset import read_sample, write_sample
+from shiftadd_dvs.encoding import encode_model
+from shiftadd_dvs.errors import ConfigurationError, ShiftAddError
+from shiftadd_dvs.model import (
+    default_student_spec,
+    fold_model_batchnorm,
+    init_params,
+    wide_student_spec,
+)
+from shiftadd_dvs.quantize import shift_quantize_model
+from shiftadd_dvs.sacw import load_weights, save_weights
+from shiftadd_dvs.saqm import load_quantized, save_quantized
+
+from conftest import make_small_model
+
+# SHA-256 of the files written for the default student initialised from
+# default_rng(2024): SACW with batchnorm, SAQM after folding at N=3, 3-bit codes.
+SACW_SHA256 = "da0bc6e4510f2ff06b873a453a436809e7d7bd259598665667d3f01a979d43f8"
+SAQM_SHA256 = "868ad8a6832c4cf01a01422a210ebdeea7f095e57fba6a076031c07805ec3fcb"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_student_files_are_pinned(tmp_path):
+    spec = default_student_spec()
+    params = init_params(spec, np.random.default_rng(2024))
+    save_weights(tmp_path / "m.sacw", spec, params)
+    fspec, fparams = fold_model_batchnorm(spec, params)
+    save_quantized(tmp_path / "m.saqm", encode_model(shift_quantize_model(fspec, fparams, 3), 3))
+    assert _sha256(tmp_path / "m.sacw") == SACW_SHA256
+    assert _sha256(tmp_path / "m.saqm") == SAQM_SHA256
+
+
+def test_writers_reject_parameters_of_another_spec(tmp_path):
+    spec, wide = default_student_spec(batchnorm=False), wide_student_spec(batchnorm=False)
+    params = init_params(wide, np.random.default_rng(3))
+    with pytest.raises(ConfigurationError, match="layer conv1: parameters"):
+        save_weights(tmp_path / "m.sacw", spec, params)
+    with pytest.raises(ConfigurationError, match="layer conv1: parameters"):
+        shift_quantize_model(spec, params, 3)
+    encoded = encode_model(shift_quantize_model(wide, params, 3), 3)
+    with pytest.raises(ConfigurationError, match="layer conv1: parameters"):
+        save_quantized(tmp_path / "m.saqm", replace(encoded, spec=spec))
+
+
+def _small_sacw(tmp_path):
+    spec, params = make_small_model(np.random.default_rng(31), batchnorm=True)
+    save_weights(tmp_path / "m.sacw", spec, params)
+    return tmp_path / "m.sacw", lambda path: load_weights(path, spec)
+
+
+def _small_saqm(tmp_path):
+    spec, params = make_small_model(np.random.default_rng(32))
+    save_quantized(tmp_path / "m.saqm", encode_model(shift_quantize_model(spec, params, 3), 3))
+    return tmp_path / "m.saqm", lambda path: load_quantized(path, spec)
+
+
+def _small_dvsf(tmp_path):
+    write_sample(tmp_path / "s.dvsf", np.arange(12.0).reshape(4, 3), 1, rows=4, cols=3)
+    return tmp_path / "s.dvsf", lambda path: read_sample(path, rows=4, cols=3)
+
+
+@pytest.mark.parametrize("make", [_small_sacw, _small_saqm, _small_dvsf],
+                         ids=["sacw", "saqm", "dvsf"])
+def test_every_truncation_raises_a_package_error(tmp_path, make):
+    path, load = make(tmp_path)
+    data = path.read_bytes()
+    load(path)
+    cut = tmp_path / "cut"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ShiftAddError):
+            load(cut)

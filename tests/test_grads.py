@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import NumericError
-from shiftadd_dvs.grads import backward_gradients, batch_loss, forward_batch
+from shiftadd_dvs.grads import batch_loss, forward_batch
 from shiftadd_dvs.losses import KDConfig
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -69,8 +69,7 @@ def check_instance(spec, params, x, labels, teacher, kd_cfg):
                                    kd=kd_cfg, training=True)
         return loss
 
-    analytic = backward_gradients(spec, params, x, labels, teacher_logits=teacher,
-                                  kd=kd_cfg)
+    analytic = batch_loss(spec, params, x, labels, teacher_logits=teacher, kd=kd_cfg)[1]
     numeric = finite_difference_gradients(spec, params, loss_fn)
     worst = 0.0
     for name, fd in numeric.items():
@@ -112,7 +111,7 @@ def test_zero_network_dense_bias_gradient():
         arr[...] = 0.0
     x = np.random.default_rng(1).normal(size=(1, 1, 4, 4))
     for label in range(3):
-        grads = backward_gradients(spec, params, x, np.array([label]))
+        grads = batch_loss(spec, params, x, np.array([label]))[1]
         onehot = np.zeros(3)
         onehot[label] = 1.0
         np.testing.assert_allclose(grads["head.bias"], np.full(3, 1 / 3) - onehot,
@@ -129,7 +128,7 @@ def test_dead_input_channel_gets_zero_gradient(rng):
     params = init_params(spec, rng)
     x = rng.normal(size=(2, 2, 5, 5))
     x[:, 1] = 0.0  # channel 1 carries no signal
-    grads = backward_gradients(spec, params, x, np.array([0, 2]))
+    grads = batch_loss(spec, params, x, np.array([0, 2]))[1]
     np.testing.assert_array_equal(grads["conv1.kernel"][:, 1], 0.0)
     assert np.any(grads["conv1.kernel"][:, 0] != 0.0)
 
@@ -146,7 +145,7 @@ def test_gradients_deterministic(rng):
     spec, params = make_small_model(rng)
     x = rng.normal(size=(3, *spec.input_shape))
     labels = np.array([0, 1, 2])
-    a = backward_gradients(spec, params, x, labels)
-    b = backward_gradients(spec, params, x, labels)
+    a = batch_loss(spec, params, x, labels)[1]
+    b = batch_loss(spec, params, x, labels)[1]
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])

@@ -7,6 +7,7 @@ from shiftadd_dvs.model import (
     DenseSpec,
     FlattenSpec,
     ModelSpec,
+    PoolLayerSpec,
     count_report,
     default_student_spec,
     fold_model_batchnorm,
@@ -90,6 +91,17 @@ def test_spec_rejects_bad_composition():
             FlattenSpec(),
             DenseSpec(name="d", out_features=3),
         ), input_shape=(1, 4, 4), class_count=3)
+
+
+@pytest.mark.parametrize("layer", [
+    ConvSpec(name="c", out_channels=2, stride=0),
+    ConvSpec(name="c", out_channels=2, kernel=(1, 1), padding=-1),
+    PoolLayerSpec(name="c", mode="max", stride=0),
+], ids=["conv_stride_0", "negative_padding", "pool_stride_0"])
+def test_spec_rejects_bad_stride_and_padding(layer):
+    with pytest.raises(ConfigurationError, match="layer c: stride"):
+        ModelSpec(layers=(layer, FlattenSpec(), DenseSpec(name="d", out_features=3)),
+                  input_shape=(1, 4, 4), class_count=3)
 
 
 def test_wide_spec_doubles_channels():

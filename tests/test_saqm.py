@@ -3,7 +3,15 @@ import pytest
 
 from shiftadd_dvs.encoding import decoded_model, encode_model
 from shiftadd_dvs.errors import ConfigurationError
-from shiftadd_dvs.model import default_student_spec, init_params
+from shiftadd_dvs.model import (
+    ConvSpec,
+    DenseSpec,
+    FlattenSpec,
+    ModelSpec,
+    PoolLayerSpec,
+    default_student_spec,
+    init_params,
+)
 from shiftadd_dvs.quantize import dequantize_model, shift_quantize_model
 from shiftadd_dvs.saqm import load_quantized, save_quantized
 
@@ -86,3 +94,42 @@ def test_layer_count_mismatch_rejected(rng, tmp_path):
     save_quantized(path, q)
     with pytest.raises(ConfigurationError):
         load_quantized(path, default_student_spec(batchnorm=False))
+
+
+def _two_conv_spec(conv2: ConvSpec) -> ModelSpec:
+    return ModelSpec(layers=(
+        ConvSpec(name="conv1", out_channels=2, relu=True, batchnorm=False),
+        PoolLayerSpec(name="pool1", mode="max"),
+        conv2,
+        FlattenSpec(),
+        DenseSpec(name="head", out_features=3),
+    ), input_shape=(1, 6, 5), class_count=3)
+
+
+@pytest.mark.parametrize("altered", [
+    ConvSpec(name="conv2", out_channels=4, relu=True, batchnorm=False),
+    ConvSpec(name="conv2", out_channels=3, kernel=(1, 1), padding=0, relu=True, batchnorm=False),
+], ids=["out_channels", "kernel_and_padding"])
+def test_header_disagreeing_with_spec_rejected(tmp_path, altered):
+    spec = _two_conv_spec(ConvSpec(name="conv2", out_channels=3, relu=True, batchnorm=False))
+    params = init_params(spec, np.random.default_rng(5))
+    path = tmp_path / "m.saqm"
+    save_quantized(path, encode_model(shift_quantize_model(spec, params, 3), bits=3))
+    load_quantized(path, spec)
+    with pytest.raises(ConfigurationError, match="layer conv2: file record"):
+        load_quantized(path, _two_conv_spec(altered))
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (7, 0, "out of range"), (7, 9, "out of range"), (8, 40, "out of range"),
+    (26, 0x80, "negative encoding bias"),  # high byte of the first layer's i16 bias
+], ids=["bits_0", "bits_9", "frac_40", "negative_bias"])
+def test_header_fields_out_of_range_rejected(rng, tmp_path, offset, value, message):
+    spec, params = make_small_model(rng)
+    path = tmp_path / "m.saqm"
+    save_quantized(path, encode_model(shift_quantize_model(spec, params, 3), bits=3))
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigurationError, match=message):
+        load_quantized(path, spec)

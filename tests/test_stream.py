@@ -209,6 +209,13 @@ class TestFloatStreaming:
         res = stream_float_forward(fspec, fparams, rng.normal(size=(1, 256, 11)))
         assert res.stages[0].peak_occupancy <= 3 * 11
 
+    def test_dense_after_dense_rejected(self, rng):
+        spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d1", out_features=4),
+                                 DenseSpec(name="d2", out_features=3)),
+                         input_shape=(2, 2, 2), class_count=3)
+        with pytest.raises(ConfigurationError, match="layer d2"):
+            stream_float_forward(spec, init_params(spec, rng), rng.normal(size=(2, 2, 2)))
+
     def test_wrong_frame_shape_rejected(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
         with pytest.raises(ProtocolError):
@@ -240,7 +247,7 @@ class TestIntegerStreaming:
         params.entries[1].conv.kernel[...] = 3.9
         q = shift_quantize_model(spec, params, 4)
         frame = np.full(spec.input_shape, 100.0)
-        batch = ShiftAddEngine(q, f_a=24, input_bound=110.0).forward(frame)
+        batch = ShiftAddEngine(q, f_a=24).forward(frame)
         assert batch.total_saturations > 0
         res = stream_quantized_forward(q, frame, f_a=24)
         assert res.saturations == batch.saturations
