@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelSpec, weight_shape
@@ -61,51 +65,71 @@ def encode_model(q: QuantizedModel, bits: int) -> QuantizedModel:
             bias, flat_codes, clamped = encode_layer(magnitudes, bits)
         else:
             bias, flat_codes, clamped = 0, [], 0
-        codes = []
-        cursor = 0
-        for p in entry.all_params():
-            take = len(p.shifts)
-            codes.append(tuple(flat_codes[cursor:cursor + take]))
-            cursor += take
-        encoding = LayerEncoding(bias=bias, bits=bits, codes=tuple(codes), clamp_count=clamped)
+        flat = iter(flat_codes)
+        codes = tuple(tuple(next(flat) for _ in p.shifts) for p in entry.all_params())
+        encoding = LayerEncoding(bias=bias, bits=bits, codes=codes, clamp_count=clamped)
         entries.append(replace(entry, weights=list(entry.weights), biases=list(entry.biases),
                                encoding=encoding))
-    return QuantizedModel(spec=q.spec, entries=entries, n_terms=q.n_terms,
-                          frac_bits=q.frac_bits, int_bits=q.int_bits, bits=bits, f_a=q.f_a)
+    return replace(q, entries=entries, bits=bits)
+
+
+class Terms(NamedTuple):
+    """Parameters of one layer as arrays, in stored order."""
+
+    sign: np.ndarray   # (P,) -1, 0 or 1
+    count: np.ndarray  # (P,) terms per parameter
+    shift: np.ndarray  # (count.sum(),) shift magnitudes, parameter after parameter
+
+
+def layer_terms(entry: QuantizedLayer) -> tuple[Terms, Terms]:
+    """(weights, biases) of one layer as sign, term-count and shift arrays.
+
+    An encoded layer yields ``bias + code`` for every stored code, the effective
+    shifts; an unencoded one its stored shifts. Clamping can map two terms of one
+    weight to one magnitude; the repeat is kept, as the datapath adds it twice.
+    """
+    params = entry.all_params()
+    enc = entry.encoding
+    rows = [p.shifts for p in params] if enc is None else enc.codes
+    sign = np.fromiter((p.sign for p in params), dtype=np.int64, count=len(params))
+    count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    shift = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
+    if enc is not None:
+        shift += enc.bias
+    if np.any((sign == 0) != (count == 0)):
+        raise ConfigurationError(
+            f"layer {entry.name}: sign must be 0 exactly when a parameter has no terms")
+    if np.any(shift < 0):
+        raise ConfigurationError(f"layer {entry.name}: shift magnitudes must be non-negative")
+    n = len(entry.weights)
+    split = int(count[:n].sum())
+    return (Terms(sign[:n], count[:n], shift[:split]),
+            Terms(sign[n:], count[n:], shift[split:]))
 
 
 def decode_entry(entry: QuantizedLayer) -> tuple[list[ShiftQuantParam], list[ShiftQuantParam]]:
-    """Effective (possibly clamp-distorted) parameters of an encoded layer.
-
-    Clamping can map two terms of one weight to the same magnitude; the
-    repeated shift is kept so the dequantized value matches what the shift-add
-    datapath would compute (the repeated power is added twice).
-    """
+    """Effective (possibly clamp-distorted) parameters of an encoded layer (see layer_terms)."""
     if entry.encoding is None:
         raise ConfigurationError(f"layer {entry.name} has no encoding")
-    enc = entry.encoding
     decoded = []
-    for param, codes in zip(entry.all_params(), enc.codes):
-        if not codes:
-            decoded.append(ZERO_PARAM)
-        else:
-            decoded.append(ShiftQuantParam(sign=param.sign,
-                                           shifts=tuple(decode_layer(enc.bias, codes))))
-    n_weights = len(entry.weights)
-    return decoded[:n_weights], decoded[n_weights:]
+    for terms in layer_terms(entry):
+        shifts, ends = terms.shift.tolist(), np.cumsum(terms.count).tolist()
+        decoded.append([ShiftQuantParam(sign, tuple(shifts[end - count:end])) if count
+                        else ZERO_PARAM
+                        for sign, count, end in zip(terms.sign.tolist(), terms.count.tolist(),
+                                                    ends)])
+    return decoded[0], decoded[1]
 
 
 def decoded_model(q: QuantizedModel) -> QuantizedModel:
     """Model whose parameters are the decode of their encoding (deployable view)."""
     entries = []
     for entry in q.entries:
-        if entry is None:
-            entries.append(None)
-            continue
-        weights, biases = decode_entry(entry)
-        entries.append(replace(entry, weights=weights, biases=biases))
-    return QuantizedModel(spec=q.spec, entries=entries, n_terms=q.n_terms,
-                          frac_bits=q.frac_bits, int_bits=q.int_bits, bits=q.bits, f_a=q.f_a)
+        if entry is not None:
+            weights, biases = decode_entry(entry)
+            entry = replace(entry, weights=weights, biases=biases)
+        entries.append(entry)
+    return replace(q, entries=entries)
 
 
 SIGN_FIELD_BITS = 2

@@ -7,11 +7,13 @@ accumulator holds the exact product at scale 2^(f_a + frac_bits). Layers
 requantize back to the activation grid with round-half-to-even and symmetric
 saturation at the 32-bit boundary.
 
-Conv and dense layers, here and in the streaming simulator, share one kernel,
-``_shift_add``, over an im2col block (K rows, one column per position). Each
-layer's terms are grouped once by (output channel, left shift, sign), at most
-8 shifts for a 3-bit encoding; the kernel sums each group, shifts the sum once
-and folds the groups into their channels, in output-channel chunks whose
+Conv and dense layers, here and in the streaming simulator (which runs on
+these stages), share one kernel, ``_shift_add``, over an im2col block (K rows,
+one column per position). Each layer's terms come as arrays from
+``encoding.layer_terms`` (``bias + code`` when the layer is encoded; no decoded
+model is built) and are grouped once by (output channel, left shift, sign), at
+most 8 shifts for a 3-bit encoding; the kernel sums each group, shifts the sum
+once and folds the groups into their channels, in output-channel chunks whose
 gathered block stays under ``CHUNK_ELEMENTS``. int64 add and shift are exact
 modulo 2^64 and the overflow check keeps the true sum below 2^63, so the
 regrouped sum equals the per-term sum bit for bit.
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import ConfigurationError, RangeError, SaturationError
 from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
-from .quantize import QuantizedLayer, QuantizedModel, ShiftQuantParam
-from .encoding import decoded_model
+from .quantize import QuantizedModel, ShiftQuantParam
+from .encoding import Terms, layer_terms
 
 ACT_LIMIT = (1 << 31) - 1
 ACC_LIMIT = 1 << 63
@@ -51,6 +53,7 @@ DATA_PATH_FUNCTIONS = (
     "_shift_add",
     "_conv_int",
     "_pool_int",
+    "_round_average",
     "_dense_int",
     "_forward_arrays",
 )
@@ -148,34 +151,43 @@ class _ShiftPlan:
     chunks: tuple[_Chunk, ...]
 
 
-def _layer_terms(entry: QuantizedLayer, align: int):
-    """(out-channel, column, left shift, negative) of every stored weight term."""
-    counts = [p.term_count for p in entry.weights]
-    shifts = np.fromiter((s for p in entry.weights for s in p.shifts), dtype=np.int64)
-    negative = np.repeat(np.array([p.sign < 0 for p in entry.weights], dtype=bool), counts)
-    out, col = np.divmod(np.repeat(np.arange(len(counts)), counts),
-                         len(counts) // entry.shape[0])
-    amount = align - shifts
+def _magnitudes(terms: Terms, amount: np.ndarray) -> np.ndarray:
+    """sum(2^amount) over each parameter's terms."""
+    sums = np.zeros(len(terms.count), dtype=np.int64)
+    np.add.at(sums, np.repeat(np.arange(len(terms.count)), terms.count),
+              np.left_shift(1, amount))
+    return sums
+
+
+def _layer_terms(name: str, weights: Terms, out_channels: int, align: int) -> tuple:
+    """(out-channel, column, left shift, negative) of every weight term.
+
+    The terms are ordered by (channel, shift, sign, column), the order ``_group_plan``
+    groups; any subset, such as the terms of one position, keeps that order.
+    """
+    amount = align - weights.shift
     if np.any(amount < 0):
         raise ConfigurationError(
-            f"layer {entry.name}: shift magnitude {int(shifts.max())} exceeds alignment {align}")
-    return out, col, amount, negative
+            f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
+    out, col = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count),
+                         len(weights.count) // out_channels)
+    negative = np.repeat(weights.sign < 0, weights.count)
+    order = np.lexsort((col, negative, amount, out))
+    return out[order], col[order], amount[order], negative[order]
 
 
-def _bias_acc(entry: QuantizedLayer, align: int, f_a: int) -> np.ndarray:
+def _bias_acc(name: str, biases: Terms, align: int, f_a: int) -> np.ndarray:
     """Biases expanded to accumulator scale 2^(f_a + frac_bits)."""
-    largest = max((s for p in entry.biases for s in p.shifts), default=0)
-    if largest > f_a + align:
-        raise ConfigurationError(
-            f"layer {entry.name}: bias magnitude {largest} exceeds alignment {f_a + align}")
-    return np.array([p.sign * sum(1 << (f_a + align - s) for s in p.shifts)
-                     for p in entry.biases], dtype=np.int64)
+    amount = f_a + align - biases.shift
+    if np.any(amount < 0):
+        raise ConfigurationError(f"layer {name}: bias magnitude {int(biases.shift.max())} "
+                                 f"exceeds alignment {f_a + align}")
+    magnitude = _magnitudes(biases, amount)
+    return np.where(biases.sign < 0, -magnitude, magnitude)
 
 
 def _group_plan(out, col, shift, negative, bias_acc: np.ndarray, positions: int) -> _ShiftPlan:
-    """Sort terms by (channel, shift, sign, column) and cut them into budgeted chunks."""
-    order = np.lexsort((col, negative, shift, out))
-    out, col, shift, negative = out[order], col[order], shift[order], negative[order]
+    """Group terms ordered as ``_layer_terms`` orders them and cut them into budgeted chunks."""
     edge = (out[1:] != out[:-1]) | (shift[1:] != shift[:-1]) | (negative[1:] != negative[:-1])
     group_starts = np.flatnonzero(np.concatenate(([len(col) > 0], edge)))
     group_out = out[group_starts]
@@ -200,12 +212,6 @@ def _group_plan(out, col, shift, negative, bias_acc: np.ndarray, positions: int)
             channels=group_out[channel_starts[first:last]]))
         first = last
     return _ShiftPlan(bias_acc=bias_acc, chunks=tuple(chunks))
-
-
-def _build_plan(entry: QuantizedLayer, frac_bits: int, int_bits: int, f_a: int,
-                positions: int) -> _ShiftPlan:
-    align = frac_bits + int_bits
-    return _group_plan(*_layer_terms(entry, align), _bias_acc(entry, align, f_a), positions)
 
 
 def _shift_add(cols: np.ndarray, plan: _ShiftPlan) -> np.ndarray:
@@ -237,6 +243,11 @@ def _requantize(acc: np.ndarray, frac_bits: int, mode: str, stats: dict, name: s
     return out
 
 
+def _round_average(acc: np.ndarray, shift: int) -> np.ndarray:
+    """A window sum divided by its power-of-two area 2^shift, rounding halves up."""
+    return (acc + ((1 << shift) >> 1)) >> shift
+
+
 def _avg_shift(layer: PoolLayerSpec) -> int:
     """Right shift that divides by an average pool's window area (0 for max pooling)."""
     if layer.mode != "avg":
@@ -255,7 +266,8 @@ class _StageConfig:
 
     layer: LayerSpec
     out_hw: tuple[int, ...]
-    plan: _ShiftPlan | None = None  # conv and dense
+    terms: tuple | None = None      # conv and dense: ``_layer_terms`` of the weights
+    plan: _ShiftPlan | None = None  # the terms grouped and chunked for ``positions``
     positions: int = 1              # conv: OH*OW, kept out of the audited data path
     avg_shift: int = 0              # average pooling
 
@@ -287,8 +299,6 @@ class ShiftAddEngine:
     def __init__(self, qmodel: QuantizedModel, f_a: int | None = None, mode: str = "release"):
         if mode not in ("release", "diagnostic"):
             raise ConfigurationError(f"mode must be 'release' or 'diagnostic', got {mode}")
-        if any(e is not None and e.encoding is not None for e in qmodel.entries):
-            qmodel = decoded_model(qmodel)
         self.qmodel = qmodel
         self.spec = qmodel.spec
         self.f_a = int(qmodel.f_a if f_a is None else f_a)
@@ -298,40 +308,44 @@ class ShiftAddEngine:
         self.int_bits = qmodel.int_bits
         self.mode = mode
         self.stages = self._build_stages()
-        self._check_overflow_bound()
 
     # -- construction ------------------------------------------------------
 
     def _build_stages(self) -> list[_StageConfig]:
+        # quantize_frame rejects any input beyond ACT_LIMIT and every layer
+        # saturates to it, so ACT_LIMIT + 1 bounds every activation magnitude.
+        act_bound = ACT_LIMIT + 1
+        align = self.frac_bits + self.int_bits
         stages = []
         for (layer, _, out_shape), entry in zip(self.spec.geometry(), self.qmodel.entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer inference")
             positions = out_shape[1] * out_shape[2] if isinstance(layer, ConvSpec) else 1
-            plan = None if entry is None else _build_plan(
-                entry, self.frac_bits, self.int_bits, self.f_a, positions)
+            terms = plan = None
+            if entry is not None:
+                weights, biases = layer_terms(entry)
+                terms = _layer_terms(layer.name, weights, out_shape[0], align)
+                plan = _group_plan(*terms, _bias_acc(layer.name, biases, align, self.f_a),
+                                   positions)
+                act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
+                                                       act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], plan, positions, avg_shift))
+            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, positions, avg_shift))
         return stages
 
-    def _check_overflow_bound(self) -> None:
-        # quantize_frame rejects any input beyond ACT_LIMIT and every layer
-        # saturates to it, so ACT_LIMIT + 1 bounds every activation magnitude.
-        act_bound = ACT_LIMIT + 1
-        align = self.frac_bits + self.int_bits
-        for stage, entry in zip(self.stages, self.qmodel.entries):
-            if stage.plan is not None:
-                per_out = len(entry.weights) // entry.shape[0]
-                weight_mag = max((sum(1 << (align - s) for s in p.shifts)
-                                  for p in entry.weights), default=0)
-                worst = per_out * act_bound * weight_mag
-                worst += max((abs(int(b)) for b in stage.plan.bias_acc.tolist()), default=0)
-                if worst >= ACC_LIMIT:
-                    raise ConfigurationError(
-                        f"layer {stage.name}: worst-case accumulator {worst} would overflow "
-                        f"64 bits for 32-bit input activations")
-                act_bound = min((worst >> self.frac_bits) + 1, ACT_LIMIT)
+    def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
+                              act_bound: int) -> int:
+        """Prove |accumulator| < 2^63 for |inputs| <= act_bound; returns the output bound."""
+        per_out = len(weights.count) // len(bias_acc)
+        magnitudes = _magnitudes(weights, self.frac_bits + self.int_bits - weights.shift)
+        worst = per_out * act_bound * int(magnitudes.max(initial=0))
+        worst += int(np.abs(bias_acc).max(initial=0))
+        if worst >= ACC_LIMIT:
+            raise ConfigurationError(
+                f"layer {name}: worst-case accumulator {worst} would overflow "
+                f"64 bits for 32-bit input activations")
+        return min((worst >> self.frac_bits) + 1, ACT_LIMIT)
 
     # -- integer data path (multiplication-free; audited) -------------------
 
@@ -362,8 +376,7 @@ class ShiftAddEngine:
         for pi in range(p):
             for qi in range(q):
                 acc += x[:, pi::s, qi::s][:, :oh, :ow]
-        half = 1 << (stage.avg_shift - 1) if stage.avg_shift else 0
-        return (acc + half) >> stage.avg_shift
+        return _round_average(acc, stage.avg_shift)
 
     def _dense_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
         acc = _shift_add(x.reshape(-1, 1), stage.plan)[:, 0]

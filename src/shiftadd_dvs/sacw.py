@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from ._ioutil import atomic_write_bytes
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .layers import BatchNormParams, ConvLayerParams, DenseParams
 from .model import (
     ConvBlockParams,
@@ -101,7 +101,10 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f32(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
+        values = np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise NumericError(f"non-finite float32 value in the payload ending at byte {self.pos}")
+        return values
 
     def header(self, layer: LayerSpec, in_shape: tuple) -> None:
         """Read one layer record and require it to equal the spec's."""
@@ -144,8 +147,8 @@ def load_weights(path, spec: ModelSpec) -> ModelParams:
         bn = None
         if layer.batchnorm:
             gamma, beta, mean, var = (reader.f32(shape[0]) for _ in range(4))
-            (eps,) = reader.unpack("<f")
-            bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=float(eps))
+            eps = float(reader.f32(1)[0])
+            bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=eps)
         entries.append(ConvBlockParams(
             conv=ConvLayerParams(kernel=weights, bias=bias, stride=layer.stride,
                                  padding=layer.padding), bn=bn))

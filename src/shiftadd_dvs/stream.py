@@ -8,10 +8,12 @@ are not counted toward buffer occupancy since hardware would not store
 constant zeros.
 
 The float path reproduces the batch reference bitwise for conv/pool stages
-(identical accumulation order). The integer stages run the engine's kernel
-and requantize step on each window (the dense stage: each position's channel
-vector against that position's columns), so streamed integer logits are
-bit-identical to the batch engine.
+(identical accumulation order). The integer path builds a ``ShiftAddEngine``
+and puts line buffers around its stages: each integer stage takes its terms,
+biases, pool shift and requantization from the engine stage and runs the
+engine's kernel on each window (the dense stage: each position's channel vector
+against that position's columns). The simulator thus accepts exactly the
+models, ``f_a`` and modes the engine accepts, and its logits are bit-identical.
 The modeled cycle count assumes an initiation interval of one element per
 cycle per stage and is the maximum per-stage element-event count; it is an
 estimate, clearly distinct from externally measured latencies.
@@ -24,12 +26,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .engine import (_avg_shift, _bias_acc, _build_plan, _group_plan, _layer_terms,
-                     _requantize, _shift_add, _ShiftPlan, quantize_frame)
+from .engine import (ShiftAddEngine, _group_plan, _requantize, _round_average, _shift_add,
+                     _ShiftPlan, _StageConfig, quantize_frame)
 from .layers import BatchNormParams
 from .model import ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 from .quantize import QuantizedModel
-from .encoding import decoded_model
 
 # Integer compute methods audited for absence of multiplication (see tests/test_engine.py).
 DATA_PATH_METHODS = (
@@ -140,20 +141,35 @@ class StageReport:
 
 
 class _Stage:
-    """Base stage: bookkeeping plus the push/finish protocol."""
+    """Base stage: bookkeeping plus the push/finish protocol over one (C, H, W) grid."""
 
     def __init__(self, name: str, in_shape: tuple[int, int, int]):
         self.name = name
         self.in_shape = in_shape
+        self._limit = in_shape[1] * in_shape[2]
         self.elements_in = 0
         self.padded_in = 0
         self.elements_out = 0
         self.first_output_at: int | None = None
 
     def push(self, element) -> list:
-        raise NotImplementedError
+        """Consume the next channel vector in row-major order; returns what it completes."""
+        if self.elements_in >= self._limit:
+            raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
+        self.elements_in += 1
+        return self._emit(self._consume(element, self.elements_in - 1))
 
     def finish(self) -> list:
+        if self.elements_in != self._limit:
+            raise ProtocolError(
+                f"stage {self.name}: stream ended after {self.elements_in} of "
+                f"{self._limit} elements")
+        return self._emit(self._drain())
+
+    def _consume(self, element, index: int) -> list:
+        raise NotImplementedError
+
+    def _drain(self) -> list:
         return []
 
     def _emit(self, outputs: list) -> list:
@@ -182,16 +198,11 @@ class _WindowStage(_Stage):
         self.padded_width = w + 2 * padding
         self.buffer = LineBuffer(c, self.padded_width, window, stride, dtype=dtype)
         self._zero = np.zeros(c, dtype=dtype)
-        self._limit = h * w
         self._capacity = window[0] * w  # P rows of real elements per channel
 
-    def push(self, element) -> list:
-        if self.elements_in >= self._limit:
-            raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
+    def _consume(self, element, index: int) -> list:
         c, h, w = self.in_shape
-        r = self.elements_in // w
-        col = self.elements_in % w
-        self.elements_in += 1
+        r, col = divmod(index, w)
         outputs = []
         pad = self.padding
         if pad and r == 0 and col == 0:
@@ -207,14 +218,7 @@ class _WindowStage(_Stage):
         if pad and r == h - 1 and col == w - 1:
             for _ in range(pad * self.padded_width):
                 self._feed(self._zero, True, outputs)
-        return self._emit(outputs)
-
-    def finish(self) -> list:
-        if self.elements_in != self._limit:
-            raise ProtocolError(
-                f"stage {self.name}: stream ended after {self.elements_in} of "
-                f"{self._limit} elements")
-        return []
+        return outputs
 
     def _feed(self, vec, virtual: bool, outputs: list) -> None:
         self.padded_in += 1
@@ -280,44 +284,36 @@ class _FloatPoolStage(_WindowStage):
 
 
 class _IntConvStage(_WindowStage):
-    """One window per call through the engine's kernel, as a one-position im2col block."""
+    """One window per call through the engine's kernel, the stage's terms cut for one column."""
 
-    def __init__(self, layer: ConvSpec, entry, in_shape, qmodel, f_a, mode, counters):
+    def __init__(self, stage: _StageConfig, in_shape, requantize):
+        layer = stage.layer
         super().__init__(layer.name, in_shape, layer.kernel, layer.stride, layer.padding,
                          np.int64)
-        self.plan: _ShiftPlan = _build_plan(entry, qmodel.frac_bits, qmodel.int_bits, f_a, 1)
-        self.requantize = partial(_requantize, frac_bits=qmodel.frac_bits, mode=mode,
-                                  stats=counters, name=layer.name, relu=layer.relu)
+        self.plan: _ShiftPlan = _group_plan(*stage.terms, stage.plan.bias_acc, 1)
+        self.requantize = partial(requantize, relu=layer.relu)
 
     def _compute(self, window: np.ndarray) -> np.ndarray:
         return self.requantize(_shift_add(window.reshape(-1, 1), self.plan)[:, 0])
 
 
 class _IntPoolStage(_WindowStage):
-    def __init__(self, layer: PoolLayerSpec, in_shape):
+    def __init__(self, stage: _StageConfig, in_shape):
+        layer = stage.layer
         super().__init__(layer.name, in_shape, layer.window, layer.stride, 0, np.int64)
         self.mode = layer.mode
-        self.avg_shift = _avg_shift(layer)
+        self.avg_shift = stage.avg_shift
 
     def _compute(self, window: np.ndarray) -> np.ndarray:
         if self.mode == "max":
             return np.max(window, axis=(1, 2))
-        acc = np.sum(window, axis=(1, 2))
-        half = 1 << (self.avg_shift - 1) if self.avg_shift else 0
-        return (acc + half) >> self.avg_shift
+        return _round_average(np.sum(window, axis=(1, 2)), self.avg_shift)
 
 
 class _FlattenStage(_Stage):
-    def __init__(self, name, in_shape):
-        super().__init__(name, in_shape)
-        self._limit = in_shape[1] * in_shape[2]
-
-    def push(self, element) -> list:
-        if self.elements_in >= self._limit:
-            raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
-        self.elements_in += 1
+    def _consume(self, element, index: int) -> list:
         self.padded_in += 1
-        return self._emit([element])
+        return [element]
 
 
 class _DenseStageBase(_Stage):
@@ -328,29 +324,16 @@ class _DenseStageBase(_Stage):
     batch flatten order.
     """
 
-    def __init__(self, name, in_shape, out_features):
-        super().__init__(name, in_shape)
-        c, h, w = in_shape
-        self._limit = h * w
-        self.out_features = out_features
-
-    def push(self, element) -> list:
-        if self.elements_in >= self._limit:
-            raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
-        self._accumulate(np.asarray(element), self.elements_in)
-        self.elements_in += 1
+    def _consume(self, element, index: int) -> list:
+        self._accumulate(np.asarray(element), index)
         self.padded_in += 1
-        return self._emit([])
+        return []
 
-    def finish(self) -> list:
-        if self.elements_in != self._limit:
-            raise ProtocolError(
-                f"stage {self.name}: stream ended after {self.elements_in} of "
-                f"{self._limit} elements")
-        return self._emit([self._result()])
+    def _drain(self) -> list:
+        return [self._result()]
 
     def _peak(self) -> int:
-        return self.out_features
+        return len(self.acc)
 
     def _accumulate(self, vec, pos: int):
         raise NotImplementedError
@@ -361,7 +344,7 @@ class _DenseStageBase(_Stage):
 
 class _FloatDenseStage(_DenseStageBase):
     def __init__(self, layer: DenseSpec, entry, in_shape):
-        super().__init__(layer.name, in_shape, layer.out_features)
+        super().__init__(layer.name, in_shape)
         c, h, w = in_shape
         self.weights = entry.weights
         self.bias = entry.bias
@@ -378,19 +361,18 @@ class _FloatDenseStage(_DenseStageBase):
 class _IntDenseStage(_DenseStageBase):
     """Each position's channel vector runs the engine's kernel against that position's columns."""
 
-    def __init__(self, layer: DenseSpec, entry, in_shape, qmodel, f_a, mode, counters):
-        super().__init__(layer.name, in_shape, layer.out_features)
+    def __init__(self, stage: _StageConfig, in_shape, requantize):
+        layer = stage.layer
+        super().__init__(layer.name, in_shape)
         _, h, w = in_shape
-        align = qmodel.frac_bits + qmodel.int_bits
-        out, col, shift, negative = _layer_terms(entry, align)
+        out, col, shift, negative = stage.terms
         channel, position = np.divmod(col, h * w)
         no_bias = np.zeros(layer.out_features, dtype=np.int64)
         self.plans: list[_ShiftPlan] = [
             _group_plan(out[sel], channel[sel], shift[sel], negative[sel], no_bias, 1)
             for sel in (position == pos for pos in range(h * w))]
-        self.requantize = partial(_requantize, frac_bits=qmodel.frac_bits, mode=mode,
-                                  stats=counters, name=layer.name)
-        self.acc = _bias_acc(entry, align, f_a)
+        self.requantize = requantize
+        self.acc = stage.plan.bias_acc.copy()
 
     def _accumulate(self, vec, pos):
         self.acc += _shift_add(vec.reshape(-1, 1), self.plans[pos])[:, 0]
@@ -437,74 +419,49 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     return stages
 
 
-def _build_int_stages(qmodel: QuantizedModel, f_a: int, mode: str,
-                      counters: dict) -> list[_Stage]:
-    spec = qmodel.spec
+def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
+    """Line-buffer stages around the engine's stages, requantizing as the engine does."""
     stages: list[_Stage] = []
-    for layer, entry, in_shape in zip(spec.layers, qmodel.entries, _stage_in_shapes(spec)):
+    for stage, in_shape in zip(engine.stages, _stage_in_shapes(engine.spec)):
+        layer = stage.layer
+        requantize = partial(_requantize, frac_bits=engine.frac_bits, mode=engine.mode,
+                             stats=counters, name=layer.name)
         if isinstance(layer, ConvSpec):
-            if layer.batchnorm:
-                raise ConfigurationError(
-                    f"layer {layer.name}: fold batchnorm before integer streaming")
-            stages.append(_IntConvStage(layer, entry, in_shape, qmodel, f_a, mode, counters))
+            stages.append(_IntConvStage(stage, in_shape, requantize))
         elif isinstance(layer, PoolLayerSpec):
-            stages.append(_IntPoolStage(layer, in_shape))
+            stages.append(_IntPoolStage(stage, in_shape))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
-            stages.append(_IntDenseStage(layer, entry, in_shape, qmodel, f_a, mode, counters))
+            stages.append(_IntDenseStage(stage, in_shape, requantize))
     return stages
 
 
-class StreamRunner:
-    """Push-driven pipeline over a stage list; collects final-stage emissions."""
-
-    def __init__(self, stages: list[_Stage], input_shape: tuple[int, int, int]):
-        self.stages = stages
-        self.input_shape = input_shape
-        self.pushed = 0
-        self.outputs: list = []
-
-    def push(self, element) -> None:
-        c, h, w = self.input_shape
-        if self.pushed >= h * w:
-            raise ProtocolError(f"stream longer than declared frame ({h * w} elements)")
-        self.pushed += 1
-        self._propagate(0, element)
-
-    def finish(self) -> None:
-        c, h, w = self.input_shape
-        if self.pushed != h * w:
-            raise ProtocolError(
-                f"stream shorter than declared frame: {self.pushed} of {h * w} elements")
-        for i, stage in enumerate(self.stages):
-            for out in stage.finish():
-                self._propagate(i + 1, out)
-
-    def _propagate(self, idx: int, element) -> None:
-        if idx == len(self.stages):
-            self.outputs.append(element)
-            return
-        for out in self.stages[idx].push(element):
-            self._propagate(idx + 1, out)
-
-    def modeled_cycles(self) -> int:
-        return max(stage.padded_in for stage in self.stages)
+def _propagate(stages: list[_Stage], idx: int, element, outputs: list) -> None:
+    """Push an element into stage ``idx`` and everything it completes further down."""
+    if idx == len(stages):
+        outputs.append(element)
+        return
+    for out in stages[idx].push(element):
+        _propagate(stages, idx + 1, out, outputs)
 
 
-def _run(stages: list[_Stage], frame: np.ndarray, input_shape, counters) -> StreamResult:
-    runner = StreamRunner(stages, input_shape)
-    c, h, w = input_shape
+def _run(stages: list[_Stage], frame: np.ndarray, counters) -> StreamResult:
+    """Push the frame's channel vectors in row-major order, then finish every stage."""
+    outputs: list = []
+    _, h, w = frame.shape
     for r in range(h):
         for col in range(w):
-            runner.push(frame[:, r, col])
-    runner.finish()
-    if len(runner.outputs) != 1:
-        raise ProtocolError(f"expected one logits emission, got {len(runner.outputs)}")
-    logits = runner.outputs[0]
+            _propagate(stages, 0, frame[:, r, col], outputs)
+    for i, stage in enumerate(stages):
+        for out in stage.finish():
+            _propagate(stages, i + 1, out, outputs)
+    if len(outputs) != 1:
+        raise ProtocolError(f"expected one logits emission, got {len(outputs)}")
+    logits = outputs[0]
     return StreamResult(logits=logits, argmax=int(np.argmax(logits)),
                         stages=[s.report() for s in stages],
-                        modeled_cycles=runner.modeled_cycles(),
+                        modeled_cycles=max(stage.padded_in for stage in stages),
                         saturations=dict(counters))
 
 
@@ -512,18 +469,20 @@ def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamR
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != spec.input_shape:
         raise ProtocolError(f"frame shape {frame.shape} does not match spec {spec.input_shape}")
-    return _run(_build_float_stages(spec, params), frame, spec.input_shape, {})
+    return _run(_build_float_stages(spec, params), frame, {})
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,
                              mode: str = "release") -> StreamResult:
-    if any(e is not None and e.encoding is not None for e in qmodel.entries):
-        qmodel = decoded_model(qmodel)
-    f_a = int(qmodel.f_a if f_a is None else f_a)
-    frame_int = quantize_frame(np.asarray(frame, dtype=np.float64), f_a)
-    if frame_int.shape != qmodel.spec.input_shape:
+    """Stream one frame through the stages of ``ShiftAddEngine(qmodel, f_a, mode)``.
+
+    The engine's construction checks (``f_a`` range, mode, folded batchnorm,
+    the 64-bit overflow bound) apply unchanged.
+    """
+    engine = ShiftAddEngine(qmodel, f_a, mode)
+    frame_int = quantize_frame(np.asarray(frame, dtype=np.float64), engine.f_a)
+    if frame_int.shape != engine.spec.input_shape:
         raise ProtocolError(
-            f"frame shape {frame_int.shape} does not match spec {qmodel.spec.input_shape}")
+            f"frame shape {frame_int.shape} does not match spec {engine.spec.input_shape}")
     counters: dict[str, int] = {}
-    stages = _build_int_stages(qmodel, f_a, mode, counters)
-    return _run(stages, frame_int, qmodel.spec.input_shape, counters)
+    return _run(_build_int_stages(engine, counters), frame_int, counters)

@@ -9,6 +9,7 @@ from shiftadd_dvs.model import (
     PoolLayerSpec,
     init_params,
 )
+from shiftadd_dvs.quantize import ZERO_PARAM, QuantizedLayer, QuantizedModel, shift_quantize_param
 
 
 def make_small_spec(rng: np.random.Generator, batchnorm: bool = False,
@@ -57,6 +58,20 @@ def single_conv_spec(in_c, h, w, out_c, kernel, stride=1, padding=0,
         FlattenSpec(),
         DenseSpec(name="head", out_features=3),
     ), input_shape=(in_c, h, w), class_count=3)
+
+
+def wide_dense_model(width: int) -> QuantizedModel:
+    """One dense layer over a (1, 128, width) flatten, every weight 4 - 2^-16 (18 terms).
+
+    16512 inputs (width 129) at the 2^31 activation bound times (2^18 - 1) per
+    weight exceed 2^63; 16256 inputs (width 127) stay just below it.
+    """
+    spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d", out_features=3)),
+                     input_shape=(1, 128, width), class_count=3)
+    weight = shift_quantize_param(4.0 - 2.0 ** -16, 18)
+    layer = QuantizedLayer(name="d", shape=(3, 128 * width),
+                           weights=[weight] * (3 * 128 * width), biases=[ZERO_PARAM] * 3)
+    return QuantizedModel(spec=spec, entries=[None, layer], n_terms=18)
 
 
 @pytest.fixture

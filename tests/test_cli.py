@@ -1,6 +1,8 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -196,6 +198,21 @@ class TestInferSimulate:
         assert doc["results"]["modeled_cycles"] > 0
         stage_names = [s["name"] for s in doc["results"]["stages"]]
         assert stage_names[0] == "conv1" and stage_names[-1] == "fc1"
+
+    def test_infer_float_rejects_non_finite_weights(self, runner, tmp_path, trained_model,
+                                                    data_dir):
+        broken = tmp_path / "nan-model"
+        shutil.copytree(trained_model, broken)
+        blob = bytearray((broken / "model.sacw").read_bytes())
+        # magic, version and layer count (8 bytes), conv1's 13-byte record, then its kernel
+        blob[21:25] = np.float32(np.nan).tobytes()
+        (broken / "model.sacw").write_bytes(bytes(blob))
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", "float", "-o", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "NumericError"
 
     def test_simulate_shift_add_agrees_with_infer(self, runner, tmp_path,
                                                   quantized_model, data_dir):

@@ -28,16 +28,12 @@ from shiftadd_dvs.model import (
     param_arrays,
 )
 from shiftadd_dvs.quantize import (
-    ZERO_PARAM,
-    QuantizedLayer,
-    QuantizedModel,
     ShiftQuantParam,
     dequantize_model,
     shift_quantize_model,
-    shift_quantize_param,
 )
 
-from conftest import make_small_model
+from conftest import make_small_model, wide_dense_model
 
 
 class TestQuantizeActivation:
@@ -292,22 +288,10 @@ class TestOverflowBound:
         q = shift_quantize_model(fspec, fparams, 3)
         ShiftAddEngine(q, f_a=8)  # must construct cleanly
 
-    @staticmethod
-    def _wide_dense(width):
-        """One dense layer over a (1, 128, width) flatten, every weight 4 - 2^-16 (18 terms)."""
-        spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d", out_features=3)),
-                         input_shape=(1, 128, width), class_count=3)
-        weight = shift_quantize_param(4.0 - 2.0 ** -16, 18)
-        layer = QuantizedLayer(name="d", shape=(3, 128 * width),
-                               weights=[weight] * (3 * 128 * width), biases=[ZERO_PARAM] * 3)
-        return QuantizedModel(spec=spec, entries=[None, layer], n_terms=18)
-
     def test_worst_case_overflow_rejected(self):
-        # 16512 inputs at the 2^31 activation bound times (2^18 - 1) per weight
-        # exceeds 2^63; 16256 inputs stay just below it.
         with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
-            ShiftAddEngine(self._wide_dense(129))
-        ShiftAddEngine(self._wide_dense(127))
+            ShiftAddEngine(wide_dense_model(129))
+        ShiftAddEngine(wide_dense_model(127))
 
     def test_out_of_range_integer_input_rejected(self, rng):
         spec, _, q = _quantized_small_model(rng)

@@ -80,3 +80,20 @@ def test_every_truncation_raises_a_package_error(tmp_path, make):
         cut.write_bytes(data[:size])
         with pytest.raises(ShiftAddError):
             load(cut)
+
+
+@pytest.mark.parametrize("make", [_small_sacw, _small_saqm, _small_dvsf],
+                         ids=["sacw", "saqm", "dvsf"])
+def test_every_single_bit_flip_loads_or_raises_a_package_error(tmp_path, make):
+    path, load = make(tmp_path)
+    data = path.read_bytes()
+    flipped = tmp_path / "flipped"
+    for offset in range(len(data)):
+        for bit in range(8):
+            blob = bytearray(data)
+            blob[offset] ^= 1 << bit
+            flipped.write_bytes(bytes(blob))
+            try:
+                load(flipped)
+            except ShiftAddError:
+                pass

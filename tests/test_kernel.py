@@ -1,9 +1,12 @@
 """The shift-add kernel against an exact integer product.
 
 The oracle here multiplies: it rebuilds every weight as the integer
-sign * sum(2^(align - s)) from its decoded shifts and takes ``cols @ W_int.T``
-in int64. It lives only in the tests, outside the audited data path.
+sign * sum(2^(align - s)) from its shifts, decoding an encoded layer itself as
+``bias + code``, and takes ``cols @ W_int.T`` in int64. It lives only in the
+tests, outside the audited data path.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,10 +30,15 @@ ACT_LIMIT = (1 << 31) - 1
 
 
 def _weight_ints(entry, align, f_a):
-    weights = np.array([p.sign * sum(1 << (align - s) for s in p.shifts)
-                        for p in entry.weights], dtype=np.int64)
-    biases = np.array([p.sign * sum(1 << (f_a + align - s) for s in p.shifts)
-                       for p in entry.biases], dtype=np.int64)
+    enc = entry.encoding
+    shifts = ([p.shifts for p in entry.all_params()] if enc is None
+              else [[code + enc.bias for code in codes] for codes in enc.codes])
+    signed = list(zip((p.sign for p in entry.all_params()), shifts))
+    n = len(entry.weights)
+    weights = np.array([sign * sum(1 << (align - s) for s in row) for sign, row in signed[:n]],
+                       dtype=np.int64)
+    biases = np.array([sign * sum(1 << (f_a + align - s) for s in row)
+                       for sign, row in signed[n:]], dtype=np.int64)
     return weights.reshape(entry.shape[0], -1), biases
 
 
@@ -56,24 +64,23 @@ def _im2col(x, layer):
 def _check_layers(qmodel, frame, f_a=8):
     """Every conv and dense layer of the engine and of the streamed stages equals the oracle."""
     engine = ShiftAddEngine(qmodel, f_a=f_a)
-    plain = decoded_model(qmodel) if qmodel.bits is not None else qmodel
-    align = plain.frac_bits + plain.int_bits
-    stages = _build_int_stages(plain, f_a, "release", {})
+    align = qmodel.frac_bits + qmodel.int_bits
+    stages = _build_int_stages(engine, {})
     x = quantize_frame(frame, f_a)
     checked = 0
-    for layer, entry, stage in zip(plain.spec.layers, plain.entries, stages):
+    for layer, entry, stage in zip(qmodel.spec.layers, qmodel.entries, stages):
         got, _ = engine.layer_forward(layer.name, x)
         if isinstance(layer, ConvSpec):
             w_int, b_int = _weight_ints(entry, align, f_a)
             cols, windows, (oh, ow) = _im2col(x, layer)
-            want = _requantize(cols @ w_int.T + b_int, plain.frac_bits, layer.relu)
+            want = _requantize(cols @ w_int.T + b_int, qmodel.frac_bits, layer.relu)
             np.testing.assert_array_equal(got, want.T.reshape(-1, oh, ow))
             streamed = np.array([stage._compute(w) for w in windows])
             np.testing.assert_array_equal(streamed, want)
             checked += 1
         elif isinstance(layer, DenseSpec):
             w_int, b_int = _weight_ints(entry, align, f_a)
-            want = _requantize(w_int @ x + b_int, plain.frac_bits, False)
+            want = _requantize(w_int @ x + b_int, qmodel.frac_bits, False)
             np.testing.assert_array_equal(got, want)
             c, h, w = stage.in_shape
             grid = x.reshape(c, h, w)
@@ -176,3 +183,31 @@ def test_default_student_layers_match_oracle(bits):
     fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
     q = encode_model(shift_quantize_model(fspec, fparams, 3), bits)
     assert _check_layers(q, rng.normal(size=spec.input_shape)) == 5
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_engine_reads_the_encoding_as_its_decode(bits):
+    """Reading bias + code directly equals running the decoded shifts, plans and logits alike."""
+    from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm
+    spec = default_student_spec()
+    rng = np.random.default_rng(13)
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+    q = encode_model(shift_quantize_model(fspec, fparams, 3), bits)
+    assert sum(e.encoding.clamp_count for e in q.layers()) > 0
+    decoded = decoded_model(q)
+    decoded.entries = [None if e is None else dataclasses.replace(e, encoding=None)
+                       for e in decoded.entries]
+    direct, plain = ShiftAddEngine(q), ShiftAddEngine(decoded)
+    for a, b in zip(direct.stages, plain.stages):
+        assert (a.plan is None) == (b.plan is None)
+        if a.plan is None:
+            continue
+        for x, y in zip(a.terms, b.terms):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.plan.bias_acc, b.plan.bias_acc)
+        assert len(a.plan.chunks) == len(b.plan.chunks)
+        for ca, cb in zip(a.plan.chunks, b.plan.chunks):
+            for field in dataclasses.fields(ca):
+                np.testing.assert_array_equal(getattr(ca, field.name), getattr(cb, field.name))
+    frame = rng.normal(size=spec.input_shape)
+    np.testing.assert_array_equal(direct.forward(frame).logits, plain.forward(frame).logits)

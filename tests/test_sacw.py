@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shiftadd_dvs.errors import ConfigurationError
+from shiftadd_dvs.errors import ConfigurationError, NumericError
 from shiftadd_dvs.model import (
     default_student_spec,
     init_params,
@@ -93,3 +93,28 @@ def test_save_is_deterministic(rng, tmp_path):
     save_weights(p1, spec, params)
     save_weights(p2, spec, params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["kernel", "bias", "gamma", "eps"])
+def test_non_finite_payload_rejected(tmp_path, field, bad):
+    from dataclasses import replace
+    spec, params = make_small_model(np.random.default_rng(33), batchnorm=True)
+    block = params.entries[0]
+    sentinel = 1.375
+    if field == "kernel":
+        block.conv.kernel[0, 0, 0, 0] = sentinel
+    elif field == "bias":
+        block.conv.bias[0] = sentinel
+    elif field == "gamma":
+        block.bn.gamma[0] = sentinel
+    else:
+        block.bn = replace(block.bn, eps=sentinel)
+    path = tmp_path / "m.sacw"
+    save_weights(path, spec, params)
+    data = path.read_bytes()
+    marker = np.float32(sentinel).tobytes()
+    assert data.count(marker) == 1
+    path.write_bytes(data.replace(marker, np.float32(bad).tobytes()))
+    with pytest.raises(NumericError, match="non-finite"):
+        load_weights(path, spec)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from shiftadd_dvs.stream import (
     stream_quantized_forward,
 )
 
-from conftest import make_small_model, single_conv_spec
+from conftest import make_small_model, make_small_spec, single_conv_spec, wide_dense_model
 
 
 def first_window_by_enumeration(p, q, s, h, w):
@@ -261,6 +263,39 @@ class TestIntegerStreaming:
         int_res = stream_quantized_forward(q, frame)
         assert float_res.logits.dtype.kind == "f"
         assert int_res.logits.dtype.kind == "i"
+
+
+class TestEngineChecks:
+    """The simulator accepts exactly the models, f_a and modes ShiftAddEngine accepts."""
+
+    @staticmethod
+    def _model(rng):
+        spec, params = make_small_model(rng, batchnorm=False)
+        return shift_quantize_model(spec, params, 3), rng.normal(size=spec.input_shape)
+
+    def test_overflowing_model_rejected(self):
+        q = wide_dense_model(129)
+        with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
+            stream_quantized_forward(q, np.zeros(q.spec.input_shape))
+
+    @pytest.mark.parametrize("f_a", [25, -1])
+    def test_f_a_outside_engine_range_rejected(self, rng, f_a):
+        q, frame = self._model(rng)
+        with pytest.raises(ConfigurationError, match=r"f_a must be in \[0, 24\]"):
+            stream_quantized_forward(q, frame, f_a=f_a)
+
+    def test_unknown_mode_rejected(self, rng):
+        q, frame = self._model(rng)
+        with pytest.raises(ConfigurationError, match="mode must be"):
+            stream_quantized_forward(q, frame, mode="bogus")
+
+    def test_unfolded_batchnorm_rejected(self):
+        # the same random draws give the same shapes with and without batchnorm
+        plain = make_small_spec(np.random.default_rng(8))
+        with_bn = make_small_spec(np.random.default_rng(8), batchnorm=True)
+        q = shift_quantize_model(plain, init_params(plain, np.random.default_rng(9)), 3)
+        with pytest.raises(ConfigurationError, match="fold batchnorm"):
+            stream_quantized_forward(replace(q, spec=with_bn), np.zeros(plain.input_shape))
 
 
 def test_zero_model_streams_zero_logits(rng):
