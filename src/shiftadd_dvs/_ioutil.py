@@ -6,6 +6,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import ParseError
+
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a temp file + rename so readers never see partial files."""
@@ -31,8 +33,12 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document at ``path``; bytes that are not UTF-8 JSON raise ``ParseError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def thread_cap(default: int = 1) -> int:

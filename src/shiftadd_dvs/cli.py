@@ -88,23 +88,19 @@ def _save_model_dir(out_dir, spec: ModelSpec, params, standardizer: Standardizer
     write_json(out / "model.json", doc)
 
 
-def _load_model_dir(model_dir):
-    model_dir = Path(model_dir)
-    doc = read_json(model_dir / "model.json")
-    spec = ModelSpec.from_json(doc["spec"])
-    scaler = Standardizer.from_json(doc["standardizer"])
-    params = load_weights(model_dir / "model.sacw", spec)
-    return spec, params, scaler, doc
-
-
-def _load_quantized_dir(model_dir, f_a: int | None = None):
-    model_dir = Path(model_dir)
-    doc = read_json(model_dir / "model.json")
-    spec = ModelSpec.from_json(doc["spec"])
-    scaler = Standardizer.from_json(doc["standardizer"])
-    qmodel = load_quantized(model_dir / "model.saqm", spec,
-                            f_a=f_a if f_a is not None else doc.get("f_a", 8))
-    return qmodel, scaler, doc
+def _load_model_dir(model_dir, quantized: bool = False, f_a: int | None = None):
+    """(spec, params or the quantized model, standardizer, model.json) of a model directory."""
+    path = Path(model_dir) / "model.json"
+    doc = read_json(path)
+    try:
+        spec = ModelSpec.from_json(doc["spec"])
+        scaler = Standardizer.from_json(doc["standardizer"])
+        f_a = int(doc.get("f_a", 8) if f_a is None else f_a)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed model document: {exc!r}") from exc
+    if quantized:
+        return spec, load_quantized(path.with_name("model.saqm"), spec, f_a=f_a), scaler, doc
+    return spec, load_weights(path.with_name("model.sacw"), spec), scaler, doc
 
 
 def _build_spec(arch: str) -> ModelSpec:
@@ -350,7 +346,7 @@ def infer(model, data, engine_kind, f_a, out):
     records = []
     correct = 0
     if engine_kind == "shift-add":
-        qmodel, scaler, _ = _load_quantized_dir(model, f_a=f_a)
+        _, qmodel, scaler, _ = _load_model_dir(model, quantized=True, f_a=f_a)
         engine = ShiftAddEngine(qmodel)
         frames = scaler.apply(ds.frames)
 
@@ -398,7 +394,7 @@ def simulate(model, frame_path, engine_kind, clock_mhz, out):
     """Stream one frame through the pipelined line-buffer simulator."""
     frame, _label = read_sample(frame_path)
     if engine_kind == "shift-add":
-        qmodel, scaler, _ = _load_quantized_dir(model)
+        _, qmodel, scaler, _ = _load_model_dir(model, quantized=True)
         result = stream_quantized_forward(qmodel, scaler.apply(frame)[None, :, :])
     else:
         spec, params, scaler, _ = _load_model_dir(model)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._ioutil import atomic_write_bytes, read_json, write_json
-from .errors import IngestionError, ParseError
+from .errors import IngestionError, NumericError, ParseError
 from .model import CLASS_NAMES
 
 MAGIC = b"DVSF"
@@ -34,14 +34,19 @@ def write_sample(path, frame: np.ndarray, label: int,
         raise IngestionError(f"{path}: frame shape {frame.shape} is not ({rows}, {cols})")
     if not 0 <= int(label) < len(CLASS_NAMES):
         raise IngestionError(f"{path}: label {label} out of range")
+    if not np.all(np.isfinite(frame)):
+        raise NumericError(f"{path}: frame holds non-finite values")
     blob = MAGIC + struct.pack("<HHHB", VERSION, rows, cols, int(label)) + frame.tobytes()
     atomic_write_bytes(path, blob)
 
 
 def read_sample(path, rows: int = SAMPLE_ROWS, cols: int = SAMPLE_COLS):
     """Returns (frame float64 (rows, cols), label)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise IngestionError(f"{path}: cannot read sample: {exc}") from exc
     if data[:4] != MAGIC:
         raise IngestionError(f"{path}: not a DVSF sample file")
     if len(data) < 11:
@@ -57,6 +62,9 @@ def read_sample(path, rows: int = SAMPLE_ROWS, cols: int = SAMPLE_COLS):
     if label >= len(CLASS_NAMES):
         raise IngestionError(f"{path}: unknown label {label}")
     frame = np.frombuffer(data[11:], dtype="<f4").reshape(rows, cols).astype(np.float64)
+    # float32 magnitudes sum far below the float64 limit, so only NaN or inf makes it non-finite
+    if not np.isfinite(frame.sum()):
+        raise NumericError(f"{path}: sample holds non-finite values")
     return frame, int(label)
 
 
@@ -90,8 +98,10 @@ class Manifest:
     def from_json(doc: dict) -> "Manifest":
         manifest = Manifest(name=doc["name"], class_names=tuple(doc["class_names"]))
         for entry in doc["samples"]:
-            manifest.samples.append(SampleRef(id=entry["id"], file=entry["file"],
-                                              label=int(entry["label"])))
+            ref = SampleRef(id=entry["id"], file=entry["file"], label=int(entry["label"]))
+            if not (isinstance(ref.id, str) and isinstance(ref.file, str)):
+                raise TypeError(f"sample id {ref.id!r} and file {ref.file!r} must be strings")
+            manifest.samples.append(ref)
         return manifest
 
 
@@ -126,7 +136,10 @@ def _ingest_directory(path: Path) -> Dataset:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise IngestionError(f"{path}: no manifest.json")
-    manifest = Manifest.from_json(read_json(manifest_path))
+    try:
+        manifest = Manifest.from_json(read_json(manifest_path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     seen = set()
     for ref in manifest.samples:
         if ref.id in seen:
@@ -157,23 +170,27 @@ def _ingest_csv(path: Path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty CSV") from None
-        if header != expected_header:
-            raise IngestionError(f"{path}: CSV header does not match the documented layout")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            try:
-                label = int(row[0])
-                values = np.array([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not 0 <= label < len(CLASS_NAMES):
-                raise IngestionError(f"{path}:{lineno}: unknown label {label}")
-            frames.append(values.reshape(SAMPLE_ROWS, SAMPLE_COLS))
-            labels.append(label)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty CSV")
+            if header != expected_header:
+                raise IngestionError(f"{path}: CSV header does not match the documented layout")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(expected_header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} fields")
+                try:
+                    label = int(row[0])
+                    values = np.array([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not 0 <= label < len(CLASS_NAMES):
+                    raise IngestionError(f"{path}:{lineno}: unknown label {label}")
+                if not np.all(np.isfinite(values)):
+                    raise NumericError(f"{path}:{lineno}: non-finite sample value")
+                frames.append(values.reshape(SAMPLE_ROWS, SAMPLE_COLS))
+                labels.append(label)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     stem = path.stem
     width = len(str(max(1, len(frames) - 1)))
     ids = [f"{stem}-{i:0{width}d}" for i in range(len(frames))]

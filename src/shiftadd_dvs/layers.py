@@ -61,14 +61,6 @@ class ConvLayerParams:
     def out_channels(self) -> int:
         return self.kernel.shape[0]
 
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.kernel.shape[2], self.kernel.shape[3]
-
 
 @dataclass(frozen=True)
 class PoolSpec:

@@ -1,43 +1,49 @@
 """Row-major streaming execution with per-stage line buffers.
 
 Each layer becomes a pipeline stage that consumes one per-position channel
-vector at a time, holds at most the window height's worth of rows in a ring
-line buffer, and emits downstream elements as windows complete. Zero padding
-is realized by injecting virtual zero elements at the borders; virtual cells
-are not counted toward buffer occupancy since hardware would not store
-constant zeros.
+vector at a time. Three stage classes cover every layer kind:
 
-The float path reproduces the batch reference bitwise for conv/pool stages
-(identical accumulation order). The integer path builds a ``ShiftAddEngine``
-and puts line buffers around its stages: each integer stage takes its terms,
-biases, pool shift and requantization from the engine stage and runs the
-engine's kernel on each window (the dense stage: each position's channel vector
-against that position's columns). The simulator thus accepts exactly the
-models, ``f_a`` and modes the engine accepts, and its logits are bit-identical.
-The modeled cycle count assumes an initiation interval of one element per
-cycle per stage and is the maximum per-stage element-event count; it is an
-estimate, clearly distinct from externally measured latencies.
+- ``_WindowStage`` (conv, pool) keeps at most the window height's rows in a
+  ring ``LineBuffer`` and maps each completed (C, P, Q) window to an output
+  vector. Zero padding enters as virtual elements, which do not count toward
+  occupancy since hardware would not store constant zeros.
+- ``_FlattenStage`` passes each position's vector through.
+- ``_DenseStage`` folds each position into an accumulator and emits the
+  layer's output when the grid is complete.
+
+The arithmetic is a module-level function bound to its stage with
+``functools.partial``. Float conv and pool windows keep the batch reference's
+accumulation order, so they match it bit for bit. The integer path builds a
+``ShiftAddEngine`` and takes every integer operation from it: conv windows
+and dense positions run the engine's ``_shift_add`` kernel on the stage's
+terms (cut for one column, or for one position's columns) and its
+``_requantize``; pool windows run ``ShiftAddEngine._pool_int`` with a 1x1
+output grid. The simulator thus accepts exactly the models, ``f_a`` and modes
+the engine accepts, and its logits are bit-identical. The modeled cycle count
+assumes one element per cycle per stage and is the maximum per-stage
+element-event count; it is an estimate, distinct from measured latencies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .engine import (ShiftAddEngine, _group_plan, _requantize, _round_average, _shift_add,
-                     _ShiftPlan, _StageConfig, quantize_frame)
+from .engine import (ShiftAddEngine, _group_plan, _requantize, _shift_add, _ShiftPlan,
+                     _StageConfig, quantize_frame)
 from .layers import BatchNormParams
 from .model import ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 from .quantize import QuantizedModel
 
-# Integer compute methods audited for absence of multiplication (see tests/test_engine.py).
-DATA_PATH_METHODS = (
-    "_IntConvStage._compute",
-    "_IntPoolStage._compute",
-    "_IntDenseStage._accumulate",
-    "_IntDenseStage._result",
+# Every function here that touches integer data; audited for absence of
+# multiplication (see tests/test_engine.py).
+DATA_PATH_FUNCTIONS = (
+    "_int_conv_window",
+    "_int_pool_window",
+    "_int_dense_add",
+    "_int_dense_result",
 )
 
 
@@ -63,17 +69,8 @@ class LineBuffer:
         self.real = np.zeros((p, width), dtype=bool)
         self.row = 0
         self.col = 0
-        self.real_count = 0
+        self.occupancy = 0  # real (non-virtual) elements stored, per channel
         self.peak_real = 0
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return self.row, self.col
-
-    @property
-    def occupancy(self) -> int:
-        """Real (non-virtual) elements currently stored, per channel."""
-        return self.real_count
 
     def step(self, element, virtual: bool = False, pos: tuple[int, int] | None = None):
         if pos is not None and pos != (self.row, self.col):
@@ -85,12 +82,12 @@ class LineBuffer:
         p, q = self.window
         slot = self.row % p
         if self.real[slot, self.col]:
-            self.real_count -= 1
+            self.occupancy -= 1
         self.rows[slot, self.col] = vec
         self.real[slot, self.col] = not virtual
         if not virtual:
-            self.real_count += 1
-            self.peak_real = max(self.peak_real, self.real_count)
+            self.occupancy += 1
+            self.peak_real = max(self.peak_real, self.occupancy)
         window = None
         r, c = self.row, self.col
         if (r >= p - 1 and c >= q - 1
@@ -105,11 +102,8 @@ class LineBuffer:
 
     def _extract(self, r: int, c: int) -> np.ndarray:
         p, q = self.window
-        out = np.empty((self.channels, p, q), dtype=self.rows.dtype)
-        for i in range(p):
-            slot = (r - (p - 1) + i) % p
-            out[:, i, :] = self.rows[slot, c - (q - 1):c + 1].T
-        return out
+        slots = np.arange(r - (p - 1), r + 1) % p
+        return self.rows[slots, c - (q - 1):c + 1].transpose(2, 0, 1)
 
 
 def buffer_requirement(p: int, s: int, w: int, q: int) -> dict:
@@ -141,7 +135,7 @@ class StageReport:
 
 
 class _Stage:
-    """Base stage: bookkeeping plus the push/finish protocol over one (C, H, W) grid."""
+    """Bookkeeping and the push/finish protocol over one (C, H, W) grid; subclasses ``_consume``."""
 
     def __init__(self, name: str, in_shape: tuple[int, int, int]):
         self.name = name
@@ -166,9 +160,6 @@ class _Stage:
                 f"{self._limit} elements")
         return self._emit(self._drain())
 
-    def _consume(self, element, index: int) -> list:
-        raise NotImplementedError
-
     def _drain(self) -> list:
         return []
 
@@ -189,35 +180,31 @@ class _Stage:
 
 
 class _WindowStage(_Stage):
-    """Shared line-buffer handling for conv and pool stages."""
+    """Conv or pool: window, stride and padding from the layer, ``compute`` on each window."""
 
-    def __init__(self, name, in_shape, window, stride, padding, dtype):
-        super().__init__(name, in_shape)
+    def __init__(self, layer: ConvSpec | PoolLayerSpec, in_shape, dtype, compute):
+        super().__init__(layer.name, in_shape)
+        conv = isinstance(layer, ConvSpec)
+        window = layer.kernel if conv else layer.window
         c, h, w = in_shape
-        self.padding = padding
-        self.padded_width = w + 2 * padding
-        self.buffer = LineBuffer(c, self.padded_width, window, stride, dtype=dtype)
+        self.padding = layer.padding if conv else 0
+        self.padded_width = w + 2 * self.padding
+        self.buffer = LineBuffer(c, self.padded_width, window, layer.stride, dtype=dtype)
         self._zero = np.zeros(c, dtype=dtype)
         self._capacity = window[0] * w  # P rows of real elements per channel
+        self._compute = compute
 
     def _consume(self, element, index: int) -> list:
-        c, h, w = self.in_shape
-        r, col = divmod(index, w)
-        outputs = []
-        pad = self.padding
-        if pad and r == 0 and col == 0:
-            for _ in range(pad * self.padded_width):
-                self._feed(self._zero, True, outputs)
-        if pad and col == 0:
-            for _ in range(pad):
-                self._feed(self._zero, True, outputs)
+        _, h, w = self.in_shape
+        col, pad, pad_rows = index % w, self.padding, self.padding * self.padded_width
+        before = (pad if col == 0 else 0) + (pad_rows if index == 0 else 0)
+        after = (pad if col == w - 1 else 0) + (pad_rows if index == h * w - 1 else 0)
+        outputs: list = []
+        for _ in range(before):
+            self._feed(self._zero, True, outputs)
         self._feed(element, False, outputs)
-        if pad and col == w - 1:
-            for _ in range(pad):
-                self._feed(self._zero, True, outputs)
-        if pad and r == h - 1 and col == w - 1:
-            for _ in range(pad * self.padded_width):
-                self._feed(self._zero, True, outputs)
+        for _ in range(after):
+            self._feed(self._zero, True, outputs)
         return outputs
 
     def _feed(self, vec, virtual: bool, outputs: list) -> None:
@@ -230,84 +217,8 @@ class _WindowStage(_Stage):
         if window is not None:
             outputs.append(self._compute(window))
 
-    def _compute(self, window: np.ndarray):
-        raise NotImplementedError
-
     def _peak(self) -> int:
         return self.buffer.peak_real
-
-
-class _FloatConvStage(_WindowStage):
-    def __init__(self, layer: ConvSpec, entry, in_shape):
-        super().__init__(layer.name, in_shape, layer.kernel, layer.stride, layer.padding,
-                         np.float64)
-        self.kernel = entry.conv.kernel
-        self.bias = entry.conv.bias
-        self.relu = layer.relu
-        self.bn_scale = None
-        self.bn_shift = None
-        if layer.batchnorm and entry.bn is not None:
-            bn: BatchNormParams = entry.bn
-            scale = bn.gamma / np.sqrt(bn.var + bn.eps)
-            self.bn_scale = scale
-            self.bn_shift = bn.beta - bn.mean * scale
-
-    def _compute(self, window: np.ndarray) -> np.ndarray:
-        m, n, p, q = self.kernel.shape
-        acc = np.zeros(m)
-        for ni in range(n):
-            for pi in range(p):
-                for qi in range(q):
-                    acc += self.kernel[:, ni, pi, qi] * window[ni, pi, qi]
-        acc += self.bias
-        if self.bn_scale is not None:
-            acc = acc * self.bn_scale + self.bn_shift
-        if self.relu:
-            acc = np.maximum(acc, 0.0)
-        return acc
-
-
-class _FloatPoolStage(_WindowStage):
-    def __init__(self, layer: PoolLayerSpec, in_shape):
-        super().__init__(layer.name, in_shape, layer.window, layer.stride, 0, np.float64)
-        self.mode = layer.mode
-
-    def _compute(self, window: np.ndarray) -> np.ndarray:
-        c, p, q = window.shape
-        if self.mode == "max":
-            return np.max(window, axis=(1, 2))
-        acc = np.zeros(c)
-        for pi in range(p):
-            for qi in range(q):
-                acc += window[:, pi, qi]
-        return acc / (p * q)
-
-
-class _IntConvStage(_WindowStage):
-    """One window per call through the engine's kernel, the stage's terms cut for one column."""
-
-    def __init__(self, stage: _StageConfig, in_shape, requantize):
-        layer = stage.layer
-        super().__init__(layer.name, in_shape, layer.kernel, layer.stride, layer.padding,
-                         np.int64)
-        self.plan: _ShiftPlan = _group_plan(*stage.terms, stage.plan.bias_acc, 1)
-        self.requantize = partial(requantize, relu=layer.relu)
-
-    def _compute(self, window: np.ndarray) -> np.ndarray:
-        return self.requantize(_shift_add(window.reshape(-1, 1), self.plan)[:, 0])
-
-
-class _IntPoolStage(_WindowStage):
-    def __init__(self, stage: _StageConfig, in_shape):
-        layer = stage.layer
-        super().__init__(layer.name, in_shape, layer.window, layer.stride, 0, np.int64)
-        self.mode = layer.mode
-        self.avg_shift = stage.avg_shift
-
-    def _compute(self, window: np.ndarray) -> np.ndarray:
-        if self.mode == "max":
-            return np.max(window, axis=(1, 2))
-        return _round_average(np.sum(window, axis=(1, 2)), self.avg_shift)
 
 
 class _FlattenStage(_Stage):
@@ -316,69 +227,81 @@ class _FlattenStage(_Stage):
         return [element]
 
 
-class _DenseStageBase(_Stage):
-    """Accumulates the dot product incrementally as positions arrive.
+class _DenseStage(_Stage):
+    """``acc = add(acc, vec, pos)`` at each position, then emits ``result(acc)``.
 
-    Elements arrive position-major with channel vectors; the flat feature
-    index for channel n at position (r, c) is n*H*W + r*W + c, matching the
-    batch flatten order.
+    The flat feature index of channel n at position (r, c) is n*H*W + r*W + c,
+    the batch flatten order.
     """
 
+    def __init__(self, layer: DenseSpec, in_shape, acc: np.ndarray, add, result):
+        super().__init__(layer.name, in_shape)
+        self.acc = acc
+        self._add = add
+        self._result = result
+
     def _consume(self, element, index: int) -> list:
-        self._accumulate(np.asarray(element), index)
+        self.acc = self._add(self.acc, np.asarray(element), index)
         self.padded_in += 1
         return []
 
     def _drain(self) -> list:
-        return [self._result()]
+        return [self._result(self.acc)]
 
     def _peak(self) -> int:
         return len(self.acc)
 
-    def _accumulate(self, vec, pos: int):
-        raise NotImplementedError
 
-    def _result(self):
-        raise NotImplementedError
+# -- per-window arithmetic, bound to each stage with functools.partial --------
 
-
-class _FloatDenseStage(_DenseStageBase):
-    def __init__(self, layer: DenseSpec, entry, in_shape):
-        super().__init__(layer.name, in_shape)
-        c, h, w = in_shape
-        self.weights = entry.weights
-        self.bias = entry.bias
-        self.columns = np.arange(c * h * w).reshape(c, h * w).T
-        self.acc = np.zeros(layer.out_features)
-
-    def _accumulate(self, vec, pos):
-        self.acc += self.weights[:, self.columns[pos]] @ vec
-
-    def _result(self):
-        return self.acc + self.bias
+def _float_conv_window(window, kernel, bias, bn_scale, bn_shift, relu):
+    m, n, p, q = kernel.shape
+    acc = np.zeros(m)
+    for ni in range(n):
+        for pi in range(p):
+            for qi in range(q):
+                acc += kernel[:, ni, pi, qi] * window[ni, pi, qi]
+    acc += bias
+    if bn_scale is not None:
+        acc = acc * bn_scale + bn_shift
+    if relu:
+        acc = np.maximum(acc, 0.0)
+    return acc
 
 
-class _IntDenseStage(_DenseStageBase):
-    """Each position's channel vector runs the engine's kernel against that position's columns."""
+def _float_pool_window(window, mode):
+    c, p, q = window.shape
+    if mode == "max":
+        return np.max(window, axis=(1, 2))
+    acc = np.zeros(c)
+    for pi in range(p):
+        for qi in range(q):
+            acc += window[:, pi, qi]
+    return acc / (p * q)
 
-    def __init__(self, stage: _StageConfig, in_shape, requantize):
-        layer = stage.layer
-        super().__init__(layer.name, in_shape)
-        _, h, w = in_shape
-        out, col, shift, negative = stage.terms
-        channel, position = np.divmod(col, h * w)
-        no_bias = np.zeros(layer.out_features, dtype=np.int64)
-        self.plans: list[_ShiftPlan] = [
-            _group_plan(out[sel], channel[sel], shift[sel], negative[sel], no_bias, 1)
-            for sel in (position == pos for pos in range(h * w))]
-        self.requantize = requantize
-        self.acc = stage.plan.bias_acc.copy()
 
-    def _accumulate(self, vec, pos):
-        self.acc += _shift_add(vec.reshape(-1, 1), self.plans[pos])[:, 0]
+def _float_dense_add(acc, vec, pos, weights, columns):
+    return acc + weights[:, columns[pos]] @ vec
 
-    def _result(self):
-        return self.requantize(self.acc)
+
+def _int_conv_window(window, plan: _ShiftPlan, engine: ShiftAddEngine, stats, layer):
+    """The engine's kernel on one window as a one-column im2col block, then its requantization."""
+    acc = _shift_add(window.reshape(-1, 1), plan)[:, 0]
+    return _requantize(acc, engine.frac_bits, engine.mode, stats, layer.name, layer.relu)
+
+
+def _int_pool_window(window, engine: ShiftAddEngine, stage: _StageConfig):
+    """The engine's pooling on one window; ``stage`` has a 1x1 output grid."""
+    return engine._pool_int(window, stage)[:, 0, 0]
+
+
+def _int_dense_add(acc, vec, pos, plans):
+    """Adds one position's channel vector through the kernel, against that position's columns."""
+    return acc + _shift_add(vec.reshape(-1, 1), plans[pos])[:, 0]
+
+
+def _int_dense_result(acc, engine: ShiftAddEngine, stats, name):
+    return _requantize(acc, engine.frac_bits, engine.mode, stats, name)
 
 
 @dataclass
@@ -392,16 +315,13 @@ class StreamResult:
 
 def _stage_in_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     """Spatial input shape per stage; the trailing dense sees the flatten's input grid."""
-    shapes: list = []
-    previous = None
-    for layer, in_shape, _ in spec.geometry():
+    shapes = [in_shape for _, in_shape, _ in spec.geometry()]
+    for i, layer in enumerate(spec.layers):
         if isinstance(layer, DenseSpec):
-            if not isinstance(previous, FlattenSpec):
+            if i == 0 or not isinstance(spec.layers[i - 1], FlattenSpec):
                 raise ConfigurationError(
                     f"layer {layer.name}: streaming needs the dense layer right after flatten")
-            in_shape = shapes[-1]
-        shapes.append(in_shape)
-        previous = layer
+            shapes[i] = shapes[i - 1]
     return shapes
 
 
@@ -409,13 +329,26 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     stages: list[_Stage] = []
     for layer, entry, in_shape in zip(spec.layers, params.entries, _stage_in_shapes(spec)):
         if isinstance(layer, ConvSpec):
-            stages.append(_FloatConvStage(layer, entry, in_shape))
+            scale = shift = None
+            if layer.batchnorm and entry.bn is not None:
+                bn: BatchNormParams = entry.bn
+                scale = bn.gamma / np.sqrt(bn.var + bn.eps)
+                shift = bn.beta - bn.mean * scale
+            compute = partial(_float_conv_window, kernel=entry.conv.kernel, bias=entry.conv.bias,
+                              bn_scale=scale, bn_shift=shift, relu=layer.relu)
+            stages.append(_WindowStage(layer, in_shape, np.float64, compute))
         elif isinstance(layer, PoolLayerSpec):
-            stages.append(_FloatPoolStage(layer, in_shape))
+            compute = partial(_float_pool_window, mode=layer.mode)
+            stages.append(_WindowStage(layer, in_shape, np.float64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
-            stages.append(_FloatDenseStage(layer, entry, in_shape))
+            c, h, w = in_shape
+            columns = np.arange(c * h * w).reshape(c, h * w).T
+            stages.append(_DenseStage(
+                layer, in_shape, np.zeros(layer.out_features),
+                partial(_float_dense_add, weights=entry.weights, columns=columns),
+                partial(np.add, entry.bias)))
     return stages
 
 
@@ -424,16 +357,27 @@ def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
     stages: list[_Stage] = []
     for stage, in_shape in zip(engine.stages, _stage_in_shapes(engine.spec)):
         layer = stage.layer
-        requantize = partial(_requantize, frac_bits=engine.frac_bits, mode=engine.mode,
-                             stats=counters, name=layer.name)
         if isinstance(layer, ConvSpec):
-            stages.append(_IntConvStage(stage, in_shape, requantize))
+            plan = _group_plan(*stage.terms, stage.plan.bias_acc, 1)
+            compute = partial(_int_conv_window, plan=plan, engine=engine, stats=counters,
+                              layer=layer)
+            stages.append(_WindowStage(layer, in_shape, np.int64, compute))
         elif isinstance(layer, PoolLayerSpec):
-            stages.append(_IntPoolStage(stage, in_shape))
+            compute = partial(_int_pool_window, engine=engine,
+                              stage=replace(stage, out_hw=(1, 1)))
+            stages.append(_WindowStage(layer, in_shape, np.int64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
-            stages.append(_IntDenseStage(stage, in_shape, requantize))
+            _, h, w = in_shape
+            out, col, shift, negative = stage.terms
+            channel, position = np.divmod(col, h * w)
+            no_bias = np.zeros(layer.out_features, dtype=np.int64)
+            plans = [_group_plan(out[sel], channel[sel], shift[sel], negative[sel], no_bias, 1)
+                     for sel in (position == pos for pos in range(h * w))]
+            stages.append(_DenseStage(
+                layer, in_shape, stage.plan.bias_acc, partial(_int_dense_add, plans=plans),
+                partial(_int_dense_result, engine=engine, stats=counters, name=layer.name)))
     return stages
 
 
@@ -448,6 +392,8 @@ def _propagate(stages: list[_Stage], idx: int, element, outputs: list) -> None:
 
 def _run(stages: list[_Stage], frame: np.ndarray, counters) -> StreamResult:
     """Push the frame's channel vectors in row-major order, then finish every stage."""
+    if frame.shape != stages[0].in_shape:
+        raise ProtocolError(f"frame shape {frame.shape} does not match spec {stages[0].in_shape}")
     outputs: list = []
     _, h, w = frame.shape
     for r in range(h):
@@ -466,10 +412,7 @@ def _run(stages: list[_Stage], frame: np.ndarray, counters) -> StreamResult:
 
 
 def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamResult:
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != spec.input_shape:
-        raise ProtocolError(f"frame shape {frame.shape} does not match spec {spec.input_shape}")
-    return _run(_build_float_stages(spec, params), frame, {})
+    return _run(_build_float_stages(spec, params), np.asarray(frame, dtype=np.float64), {})
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,
@@ -481,8 +424,5 @@ def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = No
     """
     engine = ShiftAddEngine(qmodel, f_a, mode)
     frame_int = quantize_frame(np.asarray(frame, dtype=np.float64), engine.f_a)
-    if frame_int.shape != engine.spec.input_shape:
-        raise ProtocolError(
-            f"frame shape {frame_int.shape} does not match spec {engine.spec.input_shape}")
     counters: dict[str, int] = {}
     return _run(_build_int_stages(engine, counters), frame_int, counters)

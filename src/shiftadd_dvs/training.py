@@ -7,11 +7,12 @@ the same constants are applied to validation and test data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError, ParseError, StratificationError
+from .errors import IngestionError, NumericError, ParseError, StratificationError
 from .grads import batch_loss, forward_batch, update_running_stats
 from .losses import KDConfig
 from .model import ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
@@ -70,7 +71,7 @@ class Standardizer:
 
     @staticmethod
     def from_json(doc: dict) -> "Standardizer":
-        return Standardizer(mean=doc["mean"], std=doc["std"])
+        return Standardizer(mean=float(doc["mean"]), std=float(doc["std"]))
 
 
 def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
@@ -267,22 +268,28 @@ def save_teacher_logits(path, ids, logits) -> None:
 
 def load_teacher_logits(path, expected_ids=None, class_count: int = 3) -> dict[str, np.ndarray]:
     """Parse a teacher logits file into an id-keyed table."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     table: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != class_count + 1:
-                raise ParseError(f"{path}:{lineno}: expected {class_count + 1} fields, got {len(parts)}")
-            try:
-                values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if parts[0] in table:
-                raise ParseError(f"{path}:{lineno}: duplicate sample id {parts[0]!r}")
-            table[parts[0]] = values
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != class_count + 1:
+            raise ParseError(f"{path}:{lineno}: expected {class_count + 1} fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise NumericError(f"{path}:{lineno}: non-finite logit")
+        if parts[0] in table:
+            raise ParseError(f"{path}:{lineno}: duplicate sample id {parts[0]!r}")
+        table[parts[0]] = np.array(values, dtype=np.float64)
     if expected_ids is not None:
         expected = list(expected_ids)
         if len(table) != len(expected):

@@ -214,6 +214,25 @@ class TestInferSimulate:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == "NumericError"
 
+    @pytest.mark.parametrize("engine", ["float", "shift-add"])
+    @pytest.mark.parametrize("text, error", [
+        ('{"standardizer": {"mean": 0.0, "std": 1.0}}', "ConfigurationError"),
+        ('{"spec": {"layers": 3}, "standardizer": {}}', "ConfigurationError"),
+        ('{"spec": ', "ParseError"),
+    ], ids=["no-spec", "bad-fields", "not-json"])
+    def test_corrupt_model_json_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                      quantized_model, data_dir, engine,
+                                                      text, error):
+        broken = tmp_path / "broken"
+        shutil.copytree(quantized_model if engine == "shift-add" else trained_model, broken)
+        (broken / "model.json").write_text(text)
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", engine, "-o", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == error
+
     def test_simulate_shift_add_agrees_with_infer(self, runner, tmp_path,
                                                   quantized_model, data_dir):
         shifted = ingest_dataset(data_dir / "shifted")

@@ -10,7 +10,7 @@ from shiftadd_dvs.dataset import (
     save_manifest,
     write_sample,
 )
-from shiftadd_dvs.errors import IngestionError, ParseError
+from shiftadd_dvs.errors import IngestionError, NumericError, ParseError
 
 
 def make_dataset(tmp_path, frames_labels_ids):
@@ -55,6 +55,21 @@ class TestSampleFiles:
     def test_unknown_label_rejected(self, tmp_path):
         with pytest.raises(IngestionError):
             write_sample(tmp_path / "s.dvsf", np.zeros((256, 11)), 7)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        frame = np.zeros((256, 11))
+        frame[3, 4] = value
+        with pytest.raises(NumericError):
+            write_sample(tmp_path / "s.dvsf", frame, 0)
+        path = tmp_path / "t.dvsf"
+        write_sample(path, np.zeros((256, 11)), 0)
+        blob = bytearray(path.read_bytes())
+        offset = 11 + 4 * (3 * 11 + 4)
+        blob[offset:offset + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NumericError):
+            read_sample(path)
 
 
 class TestIngest:
@@ -118,6 +133,15 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("label,x\n0,1\n")
         with pytest.raises(IngestionError, match="header"):
+            ingest_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_csv_non_finite_value_rejected(self, tmp_path, cell):
+        header = "label," + ",".join(f"r{r}c{c}" for r in range(256) for c in range(11))
+        row = "0," + ",".join(["0.0"] * (256 * 11 - 1) + [cell])
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n" + row + "\n")
+        with pytest.raises(NumericError, match=":2"):
             ingest_dataset(path)
 
     def test_csv_bad_value_reports_line(self, tmp_path):

@@ -328,6 +328,30 @@ def _functions_by_name(module, names):
     return found
 
 
+# The engine's integer operations the stream simulator calls.
+ENGINE_KERNELS = ("_shift_add", "_requantize", "_pool_int")
+
+
+def _assert_kernel_callers_listed(module):
+    """Every function of ``module`` calling an engine kernel is module-level and listed.
+
+    A lambda or a nested function calling one can never be listed, so neither
+    can sit on the integer path unaudited.
+    """
+    tree = ast.parse(Path(inspect.getsourcefile(module)).read_text())
+    top_level = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                called = getattr(sub.func, "attr", getattr(sub.func, "id", ""))
+                if called in ENGINE_KERNELS:
+                    assert name in module.DATA_PATH_FUNCTIONS and name in top_level, (
+                        f"{name} calls {called} but is not a listed module-level function")
+
+
 class TestMultiplierFreeAudit:
     def _assert_multiplier_free(self, module, names):
         audited = _functions_by_name(module, names)
@@ -348,8 +372,28 @@ class TestMultiplierFreeAudit:
         for module in {kernel_module, engine_module}:
             self._assert_multiplier_free(module, module.DATA_PATH_FUNCTIONS)
 
-    def test_stream_integer_methods_contain_no_multiplication(self):
-        self._assert_multiplier_free(stream_module, stream_module.DATA_PATH_METHODS)
+    def test_stream_integer_functions_contain_no_multiplication(self):
+        self._assert_multiplier_free(stream_module, stream_module.DATA_PATH_FUNCTIONS)
+
+    def test_stream_kernel_callers_are_listed(self):
+        _assert_kernel_callers_listed(stream_module)
+
+    @pytest.mark.parametrize("source, caller", [
+        ("def unlisted(acc):\n    return _requantize(acc, 16, 'release', {}, 'x')\n",
+         "unlisted"),
+        ("def listed(x):\n    f = lambda w: engine._pool_int(w, stage)\n    return f(x)\n",
+         "<lambda>"),
+        ("def listed(x):\n    def inner(c):\n        return _shift_add(c, plan)\n"
+         "    return inner(x)\n", "inner"),
+    ], ids=["unlisted", "lambda", "closure"])
+    def test_kernel_caller_audit_catches_unlisted_callers(self, tmp_path, monkeypatch,
+                                                          source, caller):
+        module = tmp_path / f"stream_like_{caller.strip('<>')}.py"
+        module.write_text(f"DATA_PATH_FUNCTIONS = ('listed',)\n\n{source}")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        loaded = __import__(module.stem)
+        with pytest.raises(AssertionError, match=f"{caller} calls"):
+            _assert_kernel_callers_listed(loaded)
 
     def test_audit_catches_a_banned_call(self, tmp_path, monkeypatch):
         bad = tmp_path / "bad_kernel.py"

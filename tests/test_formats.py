@@ -1,11 +1,13 @@
-"""Byte-level contracts of the SACW, SAQM and DVSF file formats."""
+"""Byte-level contracts of the SACW, SAQM and DVSF file formats and the text inputs."""
 import hashlib
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftadd_dvs.dataset import read_sample, write_sample
+from shiftadd_dvs import dataset
+from shiftadd_dvs.dataset import convert_samples, ingest_dataset, read_sample, write_sample
 from shiftadd_dvs.encoding import encode_model
 from shiftadd_dvs.errors import ConfigurationError, ShiftAddError
 from shiftadd_dvs.model import (
@@ -17,6 +19,7 @@ from shiftadd_dvs.model import (
 from shiftadd_dvs.quantize import shift_quantize_model
 from shiftadd_dvs.sacw import load_weights, save_weights
 from shiftadd_dvs.saqm import load_quantized, save_quantized
+from shiftadd_dvs.training import load_teacher_logits, save_teacher_logits
 
 from conftest import make_small_model
 
@@ -69,23 +72,65 @@ def _small_dvsf(tmp_path):
     return tmp_path / "s.dvsf", lambda path: read_sample(path, rows=4, cols=3)
 
 
-@pytest.mark.parametrize("make", [_small_sacw, _small_saqm, _small_dvsf],
-                         ids=["sacw", "saqm", "dvsf"])
-def test_every_truncation_raises_a_package_error(tmp_path, make):
-    path, load = make(tmp_path)
+def _small_csv(tmp_path):
+    frames = np.arange(24.0).reshape(2, 12) / 8 - 1
+    lines = ["label," + ",".join(f"r{r}c{c}" for r in range(4) for c in range(3))]
+    lines += [f"{label}," + ",".join(repr(float(v)) for v in frame)
+              for label, frame in zip((2, 0), frames)]
+    (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+
+    def load(path):
+        with pytest.MonkeyPatch.context() as patch:  # a 4x3 grid keeps the file small
+            patch.setattr(dataset, "SAMPLE_ROWS", 4)
+            patch.setattr(dataset, "SAMPLE_COLS", 3)
+            return dataset._ingest_csv(path)
+    return tmp_path / "d.csv", load
+
+
+def _small_logits(tmp_path):
+    ids = ["s0", "s1", "s2"]
+    save_teacher_logits(tmp_path / "t.csv", ids, [[1.5, -0.25, 3.0], [0.0, 2.0, -1.0],
+                                                  [0.125, 0.5, -7.75]])
+    return tmp_path / "t.csv", lambda path: load_teacher_logits(path, expected_ids=ids)
+
+
+def _small_manifest(tmp_path):
+    directory = tmp_path / "ds"
+    convert_samples(np.zeros((2, 256, 11)), [1, 2], ["a", "b"], directory, "small")
+    original = tmp_path / "manifest.json"
+    shutil.copyfile(directory / "manifest.json", original)
+
+    def load(path):
+        shutil.copyfile(path, directory / "manifest.json")
+        return ingest_dataset(directory)
+    return original, load
+
+
+FORMATS = {"sacw": _small_sacw, "saqm": _small_saqm, "dvsf": _small_dvsf,
+           "csv": _small_csv, "logits": _small_logits, "manifest": _small_manifest}
+TEXT_FORMATS = {"csv", "logits", "manifest"}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_every_truncation_raises_a_package_error(tmp_path, name):
+    """Binary files fail at every cut. A text file cut at a line or number boundary can
+    still be well formed, so a cut text file either loads or fails with a package error."""
+    path, load = FORMATS[name](tmp_path)
     data = path.read_bytes()
     load(path)
     cut = tmp_path / "cut"
     for size in range(len(data)):
         cut.write_bytes(data[:size])
-        with pytest.raises(ShiftAddError):
+        try:
             load(cut)
+        except ShiftAddError:
+            continue
+        assert name in TEXT_FORMATS, f"a {size}-byte cut of {len(data)} loaded"
 
 
-@pytest.mark.parametrize("make", [_small_sacw, _small_saqm, _small_dvsf],
-                         ids=["sacw", "saqm", "dvsf"])
-def test_every_single_bit_flip_loads_or_raises_a_package_error(tmp_path, make):
-    path, load = make(tmp_path)
+@pytest.mark.parametrize("name", FORMATS)
+def test_every_single_bit_flip_loads_or_raises_a_package_error(tmp_path, name):
+    path, load = FORMATS[name](tmp_path)
     data = path.read_bytes()
     flipped = tmp_path / "flipped"
     for offset in range(len(data)):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from shiftadd_dvs.model import (
     FlattenSpec,
     ModelSpec,
     PoolLayerSpec,
+    default_student_spec,
+    fold_model_batchnorm,
     init_params,
     model_forward,
     zero_params,
 )
+from shiftadd_dvs.encoding import encode_model
 from shiftadd_dvs.quantize import shift_quantize_model
 from shiftadd_dvs.stream import (
     LineBuffer,
@@ -310,3 +314,56 @@ def test_modeled_cycles_is_max_stage_events(rng):
     spec, params = make_small_model(rng, batchnorm=False)
     res = stream_float_forward(spec, params, rng.normal(size=spec.input_shape))
     assert res.modeled_cycles == max(s.padded_elements_in for s in res.stages)
+
+
+# SHA-256 over the streamed logits (dtype and bytes), modeled_cycles and every
+# StageReport tuple, float path first, then integer; computed before the stages
+# were merged into one class per layer kind.
+STREAM_SHA256 = {
+    "default": ("639fd00dfb49002086a98042dcb4d95a5ffb7207d8fee731e89605eb843e0016",
+                "de0a5c16724a4ee7c2a568c78a691459a6f8669dd260a40f6436eec1e2669146"),
+    "small-1": ("676c51f7826d1e00fd9fb5b2ac15278c6b85a0d356f66c019b93729e860f3e0b",
+                "4f62740b1d0e5c11d69bb16e9956f2752a45b3e17872be0474604f87842f4d44"),
+    "small-4": ("2e157678b84325faf97f39546ada02c91dc43037d020a1bf16083646700ef6b3",
+                "03c71469ae159c8bbb7257977bcbb748a19d2409ece81a92460dbc07116d6c13"),
+    "small-5": ("a6482bb7c3b223f83dceddaad12e1d01eea7626faf4e1d3c83ac1d5b2c88bad5",
+                "a39dc9381278175830f45c91a2d5ae22d0a29fe77f4af939e0a41a3226810d85"),
+}
+
+
+def _stream_digest(result) -> str:
+    h = hashlib.sha256(result.logits.dtype.str.encode() + result.logits.tobytes())
+    h.update(repr(result.modeled_cycles).encode())
+    for report in result.stages:
+        h.update(repr(astuple(report)).encode())
+    return h.hexdigest()
+
+
+def _pinned_inputs():
+    """(name, float spec and params, folded quantized model, frame) for each pinned input."""
+    spec = default_student_spec()
+    rng = np.random.default_rng(2024)
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+    q = encode_model(shift_quantize_model(fspec, fparams, 3), 3)
+    yield "default", fspec, fparams, q, rng.normal(size=spec.input_shape)
+    for seed in (1, 4, 5):
+        local = np.random.default_rng(seed)
+        spec, params = make_small_model(local, batchnorm=True, weight_scale=0.8)
+        for entry in params.entries:
+            if entry is None:
+                continue
+            bias = entry.conv.bias if hasattr(entry, "conv") else entry.bias
+            bias[...] = local.normal(0, 0.3, size=bias.shape)
+            if getattr(entry, "bn", None) is not None:
+                entry.bn.mean[...] = local.normal(0, 0.3, size=entry.bn.mean.shape)
+                entry.bn.var[...] = np.abs(local.normal(size=entry.bn.var.shape)) + 0.5
+        fspec, fparams = fold_model_batchnorm(spec, params)
+        q = encode_model(shift_quantize_model(fspec, fparams, 3), 3)
+        yield f"small-{seed}", spec, params, q, local.normal(0, 2, size=spec.input_shape)
+
+
+def test_streamed_outputs_are_pinned():
+    for name, spec, params, q, frame in _pinned_inputs():
+        got = (_stream_digest(stream_float_forward(spec, params, frame)),
+               _stream_digest(stream_quantized_forward(q, frame)))
+        assert got == STREAM_SHA256[name], name

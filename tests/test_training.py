@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shiftadd_dvs.errors import IngestionError, ParseError, StratificationError
+from shiftadd_dvs.errors import IngestionError, NumericError, ParseError, StratificationError
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -151,6 +151,13 @@ class TestTeacherLogits:
         save_teacher_logits(path, ["a", "b"], np.zeros((2, 3)))
         with pytest.raises(IngestionError):
             load_teacher_logits(path, expected_ids=["a", "b", "c"])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_logit_rejected(self, tmp_path, cell):
+        path = tmp_path / "teacher.csv"
+        path.write_text(f"a,1.0,2.0,3.0\nb,1.0,{cell},3.0\n")
+        with pytest.raises(NumericError, match=":2"):
+            load_teacher_logits(path)
 
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "teacher.csv"
