@@ -21,7 +21,7 @@ from ._ioutil import atomic_write_text, read_json, thread_cap, write_json
 from .dataset import ingest_dataset, read_sample
 from .encoding import compression_report, decoded_model, encode_model
 from .engine import ShiftAddEngine
-from .errors import ConfigurationError, ShiftAddError
+from .errors import ConfigurationError, IngestionError, ShiftAddError
 from .features import export_features
 from .losses import KDConfig
 from .model import (
@@ -91,16 +91,21 @@ def _save_model_dir(out_dir, spec: ModelSpec, params, standardizer: Standardizer
 def _load_model_dir(model_dir, quantized: bool = False, f_a: int | None = None):
     """(spec, params or the quantized model, standardizer, model.json) of a model directory."""
     path = Path(model_dir) / "model.json"
-    doc = read_json(path)
     try:
-        spec = ModelSpec.from_json(doc["spec"])
-        scaler = Standardizer.from_json(doc["standardizer"])
-        f_a = int(doc.get("f_a", 8) if f_a is None else f_a)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed model document: {exc!r}") from exc
-    if quantized:
-        return spec, load_quantized(path.with_name("model.saqm"), spec, f_a=f_a), scaler, doc
-    return spec, load_weights(path.with_name("model.sacw"), spec), scaler, doc
+        doc = read_json(path)
+        try:
+            spec = ModelSpec.from_json(doc["spec"])
+            scaler = Standardizer.from_json(doc["standardizer"])
+            f_a = int(doc.get("f_a", 8) if f_a is None else f_a)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: malformed model document: {exc!r}") from exc
+        if quantized:
+            model = load_quantized(path.with_name("model.saqm"), spec, f_a=f_a)
+        else:
+            model = load_weights(path.with_name("model.sacw"), spec)
+    except FileNotFoundError as exc:
+        raise IngestionError(f"{exc.filename}: missing from the model directory") from exc
+    return spec, model, scaler, doc
 
 
 def _build_spec(arch: str) -> ModelSpec:

@@ -1,13 +1,21 @@
 """Batched forward/backward passes for training.
 
-This is a self-contained reverse-mode implementation over the layer kinds the
-model spec allows (conv, batchnorm, relu, max/avg pool, flatten, dense).
-Batches are (B, C, H, W) float64 arrays; gradients come back as a dict keyed
-like ``model.param_arrays``. Batchnorm runs on batch statistics in training
-mode and on running statistics in eval mode; running-stat updates are applied
-separately by the train loop so the forward stays pure.
+A self-contained reverse-mode implementation over the layer kinds the model
+spec allows (conv, batchnorm, relu, max/avg pool, flatten, dense). The API is
+NCHW: batches come in and captured conv/pool outputs go out as (B, C, H, W);
+gradients come back as a dict keyed like ``model.param_arrays``. Inside,
+activations are channel-last (B, H, W, C), so a conv's GEMM output is its
+activation and its output gradient a GEMM operand without a copy. The im2col
+columns keep (C, P, Q) order and flatten restores (C, H, W) order, so logits
+and every gradient of a model without batchnorm are those of the NCHW passes
+this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
+and so may an input that wins three or more overlapping max-pool windows.
+Batchnorm runs on batch statistics in training mode and on running statistics
+in eval mode; the train loop applies running-stat updates, so the forward stays pure.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -16,10 +24,32 @@ from .losses import KDConfig, kd_logit_gradient, ce_logit_gradient, kd_loss, cro
 from .model import ConvSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 
 
-def _conv_windows(xp: np.ndarray, window: tuple[int, int], stride: int) -> np.ndarray:
-    """(B, C, OH, OW, P, Q) view of all stride-aligned windows of a padded batch."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, window, axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _taps(a: np.ndarray, window: tuple, stride: int, out_hw: tuple) -> list[np.ndarray]:
+    """One (B, OH, OW, C) strided view of a channel-last batch per window tap, row-major."""
+    (oh, ow), (p, q) = out_hw, window
+    return [a[:, pi:pi + stride * (oh - 1) + 1:stride, qi:qi + stride * (ow - 1) + 1:stride]
+            for pi in range(p) for qi in range(q)]
+
+
+def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
+    """(pooled, winner): the tap of each window's first maximum, the one ``np.argmax`` picks."""
+    taps = _taps(a, window, stride, out_hw)
+    pooled = reduce(np.maximum, taps)
+    winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    taken = taps[0] == pooled
+    for k in range(1, len(taps)):
+        hit = (taps[k] == pooled) & ~taken
+        taken |= hit
+        winner += hit * winner.dtype.type(k)
+    return pooled, winner
+
+
+def _max_pool_backward(dout, winner, in_shape: tuple, window: tuple, stride: int) -> np.ndarray:
+    """Route each pooled gradient to its window's winning input; overlaps accumulate."""
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    for k, tap in enumerate(_taps(dx, window, stride, winner.shape[1:3])):
+        tap += dout * (winner == k)
+    return dx
 
 
 def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
@@ -42,69 +72,65 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             f"batch shape {x.shape} does not match input spec {spec.input_shape}")
     caches = []
     captured = None
-    out = x
+    out = x.transpose(0, 2, 3, 1)
     for layer, entry in zip(spec.layers, params.entries):
         if isinstance(layer, ConvSpec):
             conv = entry.conv
             m, n, p, q = conv.kernel.shape
-            if out.shape[1] != n:
+            if out.shape[3] != n:
                 raise ConfigurationError(
-                    f"layer {layer.name}: input has {out.shape[1]} channels, kernel expects {n}")
+                    f"layer {layer.name}: input has {out.shape[3]} channels, kernel expects {n}")
             s, pad = conv.stride, conv.padding
-            xp = np.pad(out, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            win = _conv_windows(xp, (p, q), s)
-            b, _, oh, ow = win.shape[0], win.shape[1], win.shape[2], win.shape[3]
-            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, n * p * q)
-            wmat = conv.kernel.reshape(m, n * p * q)
-            z = cols @ wmat.T + conv.bias
-            out = z.reshape(b, oh, ow, m).transpose(0, 3, 1, 2)
+            xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+            win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
+            b, oh, ow = win.shape[:3]
+            cols = win.reshape(b * oh * ow, n * p * q)
+            z = cols @ conv.kernel.reshape(m, n * p * q).T
+            z += conv.bias  # in place: z's dtype already covers every parameter's
             cache = {"kind": "conv", "layer": layer, "entry": entry,
                      "cols": cols, "in_shape": xp.shape, "out_hw": (oh, ow)}
             if layer.batchnorm:
                 bn = entry.bn
-                if training:
-                    mu = out.mean(axis=(0, 2, 3))
-                    var = out.var(axis=(0, 2, 3))
-                else:
-                    mu, var = bn.mean, bn.var
+                mu = z.mean(axis=0) if training else bn.mean
+                xhat = z - mu
+                # np.var's own steps (so its bits), on the centered values that become xhat
+                var = np.square(xhat).mean(axis=0) if training else bn.var
                 inv_std = 1.0 / np.sqrt(var + bn.eps)
-                xhat = (out - mu[None, :, None, None]) * inv_std[None, :, None, None]
-                out = bn.gamma[None, :, None, None] * xhat + bn.beta[None, :, None, None]
+                xhat *= inv_std
+                z = xhat * bn.gamma
+                z += bn.beta
                 cache["bn"] = {"xhat": xhat, "inv_std": inv_std,
                                "batch_mu": mu, "batch_var": var, "training": training}
             if layer.relu:
                 if record_margins:
-                    cache["relu_margin"] = float(np.min(np.abs(out)))
-                mask = out > 0
-                out = out * mask
+                    cache["relu_margin"] = float(np.min(np.abs(z)))
+                mask = z > 0
+                z *= mask
                 cache["relu_mask"] = mask
             caches.append(cache)
+            out = z.reshape(b, oh, ow, m)
         elif isinstance(layer, PoolLayerSpec):
-            p, q = layer.window
-            s = layer.stride
-            if p > out.shape[2] or q > out.shape[3]:
+            (p, q), s = layer.window, layer.stride
+            _, h, w, _ = out.shape
+            if p > h or q > w:
                 raise ConfigurationError(
-                    f"layer {layer.name}: window {p}x{q} larger than input {out.shape[2]}x{out.shape[3]}")
-            win = _conv_windows(out, (p, q), s)
-            b, c, oh, ow = win.shape[:4]
+                    f"layer {layer.name}: window {p}x{q} larger than input {h}x{w}")
+            out_hw = ((h - p) // s + 1, (w - q) // s + 1)
+            cache = {"kind": "maxpool" if layer.mode == "max" else "avgpool", "layer": layer,
+                     "in_shape": out.shape, "out_hw": out_hw}
             if layer.mode == "max":
-                flat = win.reshape(b, c, oh, ow, p * q)
-                idx = np.argmax(flat, axis=-1)
-                pooled = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-                cache = {"kind": "maxpool", "layer": layer, "idx": idx,
-                         "in_shape": out.shape, "out_hw": (oh, ow)}
+                pooled, cache["winner"] = _max_pool(out, (p, q), s, out_hw)
                 if record_margins and p * q > 1:
-                    top2 = np.partition(flat, flat.shape[-1] - 2, axis=-1)[..., -2:]
+                    top2 = np.sort(np.stack(_taps(out, (p, q), s, out_hw), axis=-1))[..., -2:]
                     cache["pool_gap"] = float(np.min(top2[..., 1] - top2[..., 0]))
-                caches.append(cache)
             else:
-                pooled = win.mean(axis=(-2, -1))
-                caches.append({"kind": "avgpool", "layer": layer,
-                               "in_shape": out.shape, "out_hw": (oh, ow)})
+                win = np.lib.stride_tricks.sliding_window_view(out, (p, q), axis=(1, 2))
+                pooled = win[:, ::s, ::s].mean(axis=(-2, -1))
+            caches.append(cache)
             out = pooled
         elif isinstance(layer, FlattenSpec):
             caches.append({"kind": "flatten", "layer": layer, "in_shape": out.shape})
-            out = out.reshape(out.shape[0], -1)
+            out = out.transpose(0, 3, 1, 2).reshape(out.shape[0], -1)
         else:
             if out.shape[1] != entry.weights.shape[1]:
                 raise ConfigurationError(
@@ -113,7 +139,7 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             caches.append({"kind": "dense", "layer": layer, "entry": entry, "input": out})
             out = out @ entry.weights.T + entry.bias
         if capture is not None and layer.name == capture:
-            captured = np.array(out, copy=True)
+            captured = np.array(out.transpose(0, 3, 1, 2) if out.ndim == 4 else out, copy=True)
     if capture is not None:
         if captured is None:
             raise ConfigurationError(f"no layer named {capture!r}")
@@ -127,83 +153,56 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
     grads: dict[str, np.ndarray] = {}
     dout = np.asarray(dlogits)
     for cache in reversed(caches):
-        layer = cache["layer"]
-        kind = cache["kind"]
+        layer, kind = cache["layer"], cache["kind"]
         if kind == "dense":
-            entry = cache["entry"]
             grads[f"{layer.name}.weights"] = dout.T @ cache["input"]
             grads[f"{layer.name}.bias"] = dout.sum(axis=0)
-            dout = dout @ entry.weights
+            dout = dout @ cache["entry"].weights
         elif kind == "flatten":
-            dout = dout.reshape(cache["in_shape"])
+            b, h, w, c = cache["in_shape"]
+            dout = dout.reshape(b, c, h, w).transpose(0, 2, 3, 1)
         elif kind == "maxpool":
-            b, c, h, w = cache["in_shape"]
-            oh, ow = cache["out_hw"]
-            p, q = layer.window
-            s = layer.stride
-            idx = cache["idx"]
-            dx = np.zeros((b, c, h, w), dtype=dout.dtype)
-            if s >= p and s >= q:
-                # non-overlapping windows: scatter without index collisions
-                dwin = np.zeros((b, c, oh, ow, p * q), dtype=dout.dtype)
-                np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-                dwin = dwin.reshape(b, c, oh, ow, p, q)
-                for pi in range(p):
-                    for qi in range(q):
-                        dx[:, :, pi::s, qi::s][:, :, :oh, :ow] += dwin[..., pi, qi]
-            else:
-                bi, ci, ohi, owi = np.indices((b, c, oh, ow), sparse=False)
-                rows = ohi * s + idx // q
-                cols = owi * s + idx % q
-                np.add.at(dx, (bi, ci, rows, cols), dout)
-            dout = dx
+            dout = _max_pool_backward(dout, cache["winner"], cache["in_shape"],
+                                      layer.window, layer.stride)
         elif kind == "avgpool":
-            b, c, h, w = cache["in_shape"]
-            oh, ow = cache["out_hw"]
-            p, q = layer.window
-            s = layer.stride
-            dx = np.zeros((b, c, h, w), dtype=dout.dtype)
-            share = dout / (p * q)
-            for pi in range(p):
-                for qi in range(q):
-                    dx[:, :, pi::s, qi::s][:, :, :oh, :ow] += share
+            dx = np.zeros(cache["in_shape"], dtype=dout.dtype)
+            share = dout / (layer.window[0] * layer.window[1])
+            for tap in _taps(dx, layer.window, layer.stride, cache["out_hw"]):
+                tap += share
             dout = dx
         elif kind == "conv":
             entry = cache["entry"]
             conv = entry.conv
             m, n, p, q = conv.kernel.shape
-            oh, ow = cache["out_hw"]
+            dmat = dout.reshape(-1, m)  # always from an array this loop made: safe to edit in place
             if "relu_mask" in cache:
-                dout = dout * cache["relu_mask"]
+                dmat *= cache["relu_mask"]
             if "bn" in cache:
                 bn_cache = cache["bn"]
                 bn = entry.bn
                 xhat, inv_std = bn_cache["xhat"], bn_cache["inv_std"]
-                grads[f"{layer.name}.gamma"] = np.sum(dout * xhat, axis=(0, 2, 3))
-                grads[f"{layer.name}.beta"] = np.sum(dout, axis=(0, 2, 3))
-                dxhat = dout * bn.gamma[None, :, None, None]
+                ones = np.ones(dmat.shape[0], dtype=dmat.dtype)
+                dbeta, dgamma = ones @ dmat, ones @ (dmat * xhat)
+                grads[f"{layer.name}.gamma"] = dgamma
+                grads[f"{layer.name}.beta"] = dbeta
                 if bn_cache["training"]:
-                    count = dout.shape[0] * dout.shape[2] * dout.shape[3]
-                    sum_dxhat = np.sum(dxhat, axis=(0, 2, 3), keepdims=True)
-                    sum_dxhat_xhat = np.sum(dxhat * xhat, axis=(0, 2, 3), keepdims=True)
-                    dout = (inv_std[None, :, None, None] / count) * (
-                        count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+                    count = dmat.shape[0]
+                    dmat = dmat - dbeta / count
+                    dmat -= xhat * (dgamma / count)
+                    dmat *= bn.gamma * inv_std
                 else:
-                    dout = dxhat * inv_std[None, :, None, None]
-            b = dout.shape[0]
-            dmat = dout.transpose(0, 2, 3, 1).reshape(b * oh * ow, m)
-            wmat = conv.kernel.reshape(m, n * p * q)
+                    dmat = dmat * bn.gamma * inv_std
             grads[f"{layer.name}.kernel"] = (dmat.T @ cache["cols"]).reshape(m, n, p, q)
             grads[f"{layer.name}.bias"] = dmat.sum(axis=0)
-            dcols = (dmat @ wmat).reshape(b, oh, ow, n, p, q).transpose(0, 3, 1, 2, 4, 5)
-            _, _, hp, wp = cache["in_shape"]
-            dxp = np.zeros((b, n, hp, wp), dtype=dout.dtype)
-            s = conv.stride
-            for pi in range(p):
-                for qi in range(q):
-                    dxp[:, :, pi::s, qi::s][:, :, :oh, :ow] += dcols[:, :, :, :, pi, qi]
+            if cache is caches[0]:
+                break  # nothing reads the gradient of the network input
+            oh, ow = cache["out_hw"]
+            dxp = np.zeros(cache["in_shape"], dtype=dmat.dtype)
+            dcols = (dmat @ conv.kernel.reshape(m, n * p * q)).reshape(-1, oh, ow, n, p * q)
+            for k, tap in enumerate(_taps(dxp, (p, q), conv.stride, (oh, ow))):
+                tap += dcols[..., k]
             pad = conv.padding
-            dout = dxp[:, :, pad:hp - pad, pad:wp - pad] if pad else dxp
+            dout = dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
         else:  # pragma: no cover
             raise ConfigurationError(f"unknown cache kind {kind!r}")
     return grads
@@ -249,4 +248,3 @@ def batch_loss(spec: ModelSpec, params: ModelParams, x, labels,
         raise NumericError(f"non-finite loss for sample {ident!r}")
     grads = backward_batch(spec, params, caches, dlogits / b)
     return float(losses.mean()), grads, logits, caches
-

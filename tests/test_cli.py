@@ -233,6 +233,24 @@ class TestInferSimulate:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == error
 
+    @pytest.mark.parametrize("missing, engine", [
+        ("model.json", "float"), ("model.sacw", "float"), ("model.saqm", "shift-add"),
+    ])
+    def test_missing_model_file_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                      quantized_model, data_dir,
+                                                      missing, engine):
+        broken = tmp_path / "broken"
+        shutil.copytree(quantized_model if engine == "shift-add" else trained_model, broken)
+        (broken / missing).unlink()
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", engine, "-o", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "IngestionError"
+        assert missing in error["message"]
+
     def test_simulate_shift_add_agrees_with_infer(self, runner, tmp_path,
                                                   quantized_model, data_dir):
         shifted = ingest_dataset(data_dir / "shifted")

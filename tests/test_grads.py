@@ -1,15 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from shiftadd_dvs import grads as grads_module
 from shiftadd_dvs.errors import NumericError
-from shiftadd_dvs.grads import batch_loss, forward_batch
+from shiftadd_dvs.grads import backward_batch, batch_loss, forward_batch
 from shiftadd_dvs.losses import KDConfig
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
     FlattenSpec,
     ModelSpec,
+    PoolLayerSpec,
+    default_student_spec,
     init_params,
+    model_forward,
     param_arrays,
 )
 
@@ -149,3 +156,271 @@ def test_gradients_deterministic(rng):
     b = batch_loss(spec, params, x, labels)[1]
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
+
+
+# -- a float64 NCHW reference written apart from ``grads`` ----------------------
+
+
+def argmax_route(d, idx, in_shape, window, stride):
+    """Scatter each pooled gradient (B, C, OH, OW) to its window's ``np.argmax`` input."""
+    bi, ci, i, j = np.indices(idx.shape)
+    dx = np.zeros(in_shape, dtype=d.dtype)
+    np.add.at(dx, (bi, ci, i * stride + idx // window[1], j * stride + idx % window[1]), d)
+    return dx
+
+
+def _ref_conv(x, layer, conv, grads):
+    k = conv.kernel.astype(np.float64)
+    s, pad = layer.stride, layer.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, layer.kernel, axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = win.shape[2:4]
+
+    def back(d):
+        grads[f"{layer.name}.kernel"] = np.einsum("bmij,bnijpq->mnpq", d, win)
+        grads[f"{layer.name}.bias"] = d.sum(axis=(0, 2, 3))
+        dxp = np.zeros(xp.shape)
+        for pi, qi in np.ndindex(*layer.kernel):
+            dxp[:, :, pi:pi + s * oh:s, qi:qi + s * ow:s] += np.einsum(
+                "bmij,mn->bnij", d, k[:, :, pi, qi])
+        return dxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]
+
+    return np.einsum("bnijpq,mnpq->bmij", win, k) + conv.bias[:, None, None], back
+
+
+def _ref_batchnorm(z, name, bn, grads):
+    """Training-mode batchnorm in the textbook form."""
+    gamma = bn.gamma.astype(np.float64)[:, None, None]
+    axes = (0, 2, 3)
+    inv_std = 1.0 / np.sqrt(z.var(axis=axes, keepdims=True) + bn.eps)
+    xhat = (z - z.mean(axis=axes, keepdims=True)) * inv_std
+    count = z.size // z.shape[1]
+
+    def back(d):
+        grads[f"{name}.gamma"] = (d * xhat).sum(axis=axes)
+        grads[f"{name}.beta"] = d.sum(axis=axes)
+        dxhat = d * gamma
+        return inv_std / count * (count * dxhat - dxhat.sum(axis=axes, keepdims=True)
+                                  - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+
+    return gamma * xhat + bn.beta[:, None, None], back
+
+
+def _ref_pool(x, layer):
+    (p, q), s = layer.window, layer.stride
+    win = sliding_window_view(x, (p, q), axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = win.shape[2:4]
+    if layer.mode == "avg":
+        def back(d):
+            dx = np.zeros(x.shape)
+            for pi, qi in np.ndindex(p, q):
+                dx[:, :, pi:pi + s * oh:s, qi:qi + s * ow:s] += d / (p * q)
+            return dx
+        return win.mean(axis=(-2, -1)), back
+    flat = win.reshape(*win.shape[:4], p * q)
+    idx = np.argmax(flat, axis=-1)
+    return (np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0],
+            lambda d: argmax_route(d, idx, x.shape, (p, q), s))
+
+
+def reference_gradients(spec, params, x, dlogits):
+    """(logits, gradients) of a training-mode pass in float64, NCHW throughout.
+
+    Convolutions contract each kernel tap with einsum, batchnorm takes batch
+    statistics, and max pooling sends each window's gradient to the input
+    ``np.argmax`` picks.
+    """
+    grads, backs = {}, []
+    out = np.asarray(x, dtype=np.float64)
+    for layer, entry in zip(spec.layers, params.entries):
+        if isinstance(layer, ConvSpec):
+            out, back = _ref_conv(out, layer, entry.conv, grads)
+            backs.append(back)
+            if layer.batchnorm:
+                out, back = _ref_batchnorm(out, layer.name, entry.bn, grads)
+                backs.append(back)
+            if layer.relu:
+                mask = out > 0
+                out = out * mask
+                backs.append(lambda d, mask=mask: d * mask)
+        elif isinstance(layer, PoolLayerSpec):
+            out, back = _ref_pool(out, layer)
+            backs.append(back)
+        elif isinstance(layer, FlattenSpec):
+            backs.append(lambda d, shape=out.shape: d.reshape(shape))
+            out = out.reshape(out.shape[0], -1)
+        else:
+            def back(d, x_in=out, w=entry.weights.astype(np.float64), name=layer.name):
+                grads[f"{name}.weights"] = d.T @ x_in
+                grads[f"{name}.bias"] = d.sum(axis=0)
+                return d @ w
+            backs.append(back)
+            out = out @ entry.weights.T.astype(np.float64) + entry.bias
+    d = np.asarray(dlogits, dtype=np.float64)
+    for back in reversed(backs):
+        d = back(d)
+    return out, grads
+
+
+# -- the training step, pinned ---------------------------------------------------
+#
+# SHA-256 of the logits and of every gradient array of one step. Rewrites of
+# the passes must keep these bits for models without batchnorm. With batchnorm
+# only the logits are pinned; its gradients are checked against the float64
+# reference above instead. The digests belong to one numpy/BLAS build: a GEMM
+# kernel that sums in another order rounds differently.
+
+PINNED_STEP_DIGESTS = {
+    "student-float32": "ca028eff49d7d4449ed2ddd0de8eb48b438d89c454917b4a1105e3e416828bcd",
+    "student-float64": "ecf860480b400802f9d20194db9df6a3b7ba85522d5ae93eb27c5b30b0943c19",
+    "student-batchnorm-float32-logits": "e6396df990ad740c9f330b07f65aac223fdec828f0ca9af07a1034455213e9c1",
+    # make_small_model draws: ragged avg pool; padded conv into a max pool;
+    # max pool into a conv; ragged max pool after a padded 4x4 conv
+    "small-1": "ee339d347fd6d8a0c47936c3533fff5257206a3064a7a76fad30f4578bb5fc3c",
+    "small-4": "87f6bf9c2f15fcf4c14d487e2822c8718685731da0effba56caf22c0a7913c44",
+    "small-8": "1944093787ea2ebdbfaaa2ea3de57c84e22370907739c3307e537eaa557139e2",
+    "small-10": "dc373aa07a043b0ce5092c13f90a8e258f4fe8b0e488755fb6c74111c07d7209",
+}
+
+
+def _digest(logits, grads):
+    h = hashlib.sha256()
+    for name, arr in [("logits", logits), *sorted(grads.items())]:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _student_step(batchnorm, dtype, batch=8):
+    """One distillation step of the default student from a fixed draw."""
+    rng = np.random.default_rng(2024)
+    spec = default_student_spec(batchnorm=batchnorm)
+    params = init_params(spec, rng, dtype=dtype)
+    x = rng.normal(size=(batch, *spec.input_shape)).astype(dtype)
+    labels = rng.integers(0, 3, size=batch)
+    teacher = rng.normal(size=(batch, 3)) * 2
+    _, grads, logits, _ = batch_loss(spec, params, x, labels, teacher_logits=teacher,
+                                     kd=KDConfig())
+    return logits, grads
+
+
+def _pinned_step(case):
+    if case.startswith("small-"):
+        rng = np.random.default_rng(int(case.split("-")[1]))
+        spec, params = make_small_model(rng)
+        x = rng.normal(size=(3, *spec.input_shape))
+        _, grads, logits, _ = batch_loss(spec, params, x, rng.integers(0, 3, size=3))
+        return logits, grads
+    dtype = np.float32 if "float32" in case else np.float64
+    logits, grads = _student_step("batchnorm" in case, dtype)
+    return logits, {} if "batchnorm" in case else grads
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STEP_DIGESTS))
+def test_training_step_is_pinned(case):
+    assert _digest(*_pinned_step(case)) == PINNED_STEP_DIGESTS[case]
+
+
+def _assert_matches_reference(spec, params, x, rng):
+    logits, caches = forward_batch(spec, params, x, training=True)
+    dlogits = rng.normal(size=logits.shape)
+    grads = backward_batch(spec, params, caches, dlogits)
+    ref_logits, ref = reference_gradients(spec, params, x, dlogits)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-10)
+    assert grads.keys() == ref.keys()
+    for name, want in ref.items():
+        # atol: a gradient whose true value is 0 is rounding noise on both sides;
+        # conv biases under training batchnorm are one such, and so is the beta of
+        # a batchnorm whose output reaches the next batchnorm through linear maps
+        np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+def test_student_batchnorm_gradients_match_float64_reference():
+    rng = np.random.default_rng(2024)
+    spec = default_student_spec(batchnorm=True)
+    params = init_params(spec, rng)
+    _assert_matches_reference(spec, params, rng.normal(size=(8, *spec.input_shape)), rng)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 8, 10])
+@pytest.mark.parametrize("batchnorm", [False, True])
+def test_small_model_gradients_match_float64_reference(seed, batchnorm):
+    rng = np.random.default_rng(seed)
+    spec, params = make_small_model(rng, batchnorm=batchnorm)
+    _assert_matches_reference(spec, params, rng.normal(size=(3, *spec.input_shape)), rng)
+
+
+# -- max pooling: ties, signed zeros, ragged edges, overlaps ---------------------
+
+
+@pytest.mark.parametrize("shape,window,stride", [
+    ((2, 3, 6, 11), (2, 2), 2),   # the default geometry's ragged edge: width 11 -> 5 windows
+    ((2, 2, 6, 7), (3, 3), 1),    # overlapping windows
+    ((1, 2, 5, 5), (2, 2), 1),
+])
+def test_max_pool_backward_routes_like_argmax(shape, window, stride):
+    rng = np.random.default_rng(sum(shape))
+    pre = rng.integers(-2, 2, size=shape).astype(np.float32)
+    pre[:, :, :3, :3] = rng.choice([-1.0, 0.0], size=(*shape[:2], 3, 3))
+    values = pre * (pre > 0)  # post-ReLU: negatives become -0.0, zeros stay +0.0
+    zeros = values == 0
+    assert np.any(zeros & np.signbit(values)) and np.any(zeros & ~np.signbit(values))
+
+    win = sliding_window_view(values, window, axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(*win.shape[:4], -1)
+    idx = np.argmax(flat, axis=-1)
+    assert np.any(np.all(flat == 0, axis=-1)), "no all-zero window"
+    # integer gradients keep every overlap sum exact in any order
+    d = rng.integers(-9, 10, size=idx.shape).astype(np.float32)
+    nhwc = values.transpose(0, 2, 3, 1)
+    pooled, winner = grads_module._max_pool(nhwc, window, stride, idx.shape[2:])
+    np.testing.assert_array_equal(pooled.transpose(0, 3, 1, 2), flat.max(axis=-1))
+    np.testing.assert_array_equal(winner.transpose(0, 3, 1, 2), idx)
+    dx = grads_module._max_pool_backward(d.transpose(0, 2, 3, 1), winner, nhwc.shape,
+                                         window, stride)
+    np.testing.assert_array_equal(dx.transpose(0, 3, 1, 2),
+                                  argmax_route(d, idx, values.shape, window, stride))
+
+
+def test_overlapping_max_pool_gradients_match_finite_differences():
+    spec = ModelSpec(layers=(
+        ConvSpec(name="conv1", out_channels=2, kernel=(2, 2), padding=0,
+                 relu=False, batchnorm=False),
+        PoolLayerSpec(name="pool1", mode="max", window=(3, 3), stride=1),
+        FlattenSpec(),
+        DenseSpec(name="head", out_features=3),
+    ), input_shape=(1, 6, 6), class_count=3)
+    for attempt in range(50):
+        rng = np.random.default_rng([77, attempt])
+        params = init_params(spec, rng)
+        x = rng.normal(size=(1, *spec.input_shape))
+        if instance_is_fd_safe(spec, params, x):
+            break
+    else:
+        raise AssertionError("could not find an FD-safe instance")
+    assert check_instance(spec, params, x, np.array([1]), None, None) < FD_TOL
+
+
+# -- capture ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["conv1", "maxpool1", "conv2", "maxpool2", "conv3",
+                                  "avgpool1", "conv4", "flatten"])
+def test_capture_is_nchw_and_matches_model_forward(name):
+    rng = np.random.default_rng(11)
+    spec = default_student_spec()
+    params = init_params(spec, rng)
+    for entry in params.entries:
+        if getattr(entry, "bn", None) is not None:
+            entry.bn.mean[...] = rng.normal(size=entry.bn.mean.shape) * 0.1
+            entry.bn.var[...] = rng.uniform(0.5, 2.0, size=entry.bn.var.shape)
+            entry.bn.gamma[...] = rng.uniform(0.5, 1.5, size=entry.bn.gamma.shape)
+    x = rng.normal(size=(3, *spec.input_shape))
+    logits, _, captured = forward_batch(spec, params, x, training=False, capture=name)
+    out_shape = {layer.name: out for layer, _, out in spec.geometry()}[name]
+    assert captured.shape == (3, *out_shape)
+    for i in range(3):
+        want_logits, want = model_forward(spec, params, x[i], capture=name)
+        np.testing.assert_allclose(captured[i], want, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(logits[i], want_logits, rtol=0, atol=1e-5)
