@@ -4,24 +4,27 @@ Each layer becomes a pipeline stage that consumes one per-position channel
 vector at a time. Three stage classes cover every layer kind:
 
 - ``_WindowStage`` (conv, pool) keeps at most the window height's rows in a
-  ring ``LineBuffer`` and maps each completed (C, P, Q) window to an output
-  vector. Zero padding enters as virtual elements, which do not count toward
-  occupancy since hardware would not store constant zeros.
+  ring ``LineBuffer``; the element completing an output row's last window
+  hands the P rows up to it on as one slab, and the row's OW output vectors
+  leave together. Zero padding enters as virtual elements, which do not count
+  toward occupancy since hardware would not store constant zeros.
 - ``_FlattenStage`` passes each position's vector through.
 - ``_DenseStage`` folds each position into an accumulator and emits the
   layer's output when the grid is complete.
 
 The arithmetic is a module-level function bound to its stage with
-``functools.partial``. Float conv and pool windows keep the batch reference's
-accumulation order, so they match it bit for bit. The integer path builds a
-``ShiftAddEngine`` and takes every integer operation from it: conv windows
-and dense positions run the engine's ``_shift_add`` kernel on the stage's
-terms (cut for one column, or for one position's columns) and its
-``_requantize``; pool windows run ``ShiftAddEngine._pool_int`` with a 1x1
-output grid. The simulator thus accepts exactly the models, ``f_a`` and modes
-the engine accepts, and its logits are bit-identical. The modeled cycle count
-assumes one element per cycle per stage and is the maximum per-stage
-element-event count; it is an estimate, distinct from measured latencies.
+``functools.partial``. Float conv and pool rows keep the batch reference's
+per-window accumulation order, elementwise across the row, so they match it
+bit for bit. The integer path builds a ``ShiftAddEngine`` and takes every
+integer operation from it: a conv row runs the engine's ``_shift_add`` kernel
+on its (N*P*Q, OW) im2col block, gathered from the slab by a precomputed
+index, then ``_requantize`` (so diagnostic mode raises once per row); dense
+positions run the kernel on one position's columns; pool rows run
+``ShiftAddEngine._pool_int`` on a 1 x OW output grid. The simulator thus
+accepts exactly the models, ``f_a`` and modes the engine accepts, and its
+logits are bit-identical. The modeled cycle count assumes one element per
+cycle per stage and is the maximum per-stage element-event count; it is an
+estimate, distinct from measured latencies.
 """
 from __future__ import annotations
 
@@ -40,8 +43,8 @@ from .quantize import QuantizedModel
 # Every function here that touches integer data; audited for absence of
 # multiplication (see tests/test_engine.py).
 DATA_PATH_FUNCTIONS = (
-    "_int_conv_window",
-    "_int_pool_window",
+    "_int_conv_row",
+    "_int_pool_row",
     "_int_dense_add",
     "_int_dense_result",
 )
@@ -76,34 +79,37 @@ class LineBuffer:
         if pos is not None and pos != (self.row, self.col):
             raise ProtocolError(
                 f"element for position {pos} arrived at cursor {(self.row, self.col)}")
+        r, c = self.row, self.col
+        if not self._store(element, virtual):
+            return None
+        return self._slab(r, slice(c - (self.window[1] - 1), c + 1)).transpose(2, 0, 1)
+
+    def _store(self, element, virtual: bool) -> bool:
+        """Stores the element at the cursor and advances it; True if it completes a window."""
         vec = np.asarray(element, dtype=self.rows.dtype)
         if vec.shape != (self.channels,):
             raise ProtocolError(f"element shape {vec.shape} != ({self.channels},)")
         p, q = self.window
-        slot = self.row % p
-        if self.real[slot, self.col]:
+        r, c = self.row, self.col
+        slot = r % p
+        if self.real[slot, c]:
             self.occupancy -= 1
-        self.rows[slot, self.col] = vec
-        self.real[slot, self.col] = not virtual
+        self.rows[slot, c] = vec
+        self.real[slot, c] = not virtual
         if not virtual:
             self.occupancy += 1
             self.peak_real = max(self.peak_real, self.occupancy)
-        window = None
-        r, c = self.row, self.col
-        if (r >= p - 1 and c >= q - 1
-                and (r - (p - 1)) % self.stride == 0
-                and (c - (q - 1)) % self.stride == 0):
-            window = self._extract(r, c)
         self.col += 1
         if self.col == self.width:
             self.col = 0
             self.row += 1
-        return window
+        return (r >= p - 1 and c >= q - 1
+                and (r - (p - 1)) % self.stride == 0 and (c - (q - 1)) % self.stride == 0)
 
-    def _extract(self, r: int, c: int) -> np.ndarray:
-        p, q = self.window
-        slots = np.arange(r - (p - 1), r + 1) % p
-        return self.rows[slots, c - (q - 1):c + 1].transpose(2, 0, 1)
+    def _slab(self, r: int, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of the P rows ending at row ``r``, oldest first, as a copy."""
+        p = self.window[0]
+        return self.rows[np.arange(r - (p - 1), r + 1) % p, cols]
 
 
 def buffer_requirement(p: int, s: int, w: int, q: int) -> dict:
@@ -180,7 +186,7 @@ class _Stage:
 
 
 class _WindowStage(_Stage):
-    """Conv or pool: window, stride and padding from the layer, ``compute`` on each window."""
+    """Conv or pool; ``compute`` maps one output row's (P, width, C) slab to its OW outputs."""
 
     def __init__(self, layer: ConvSpec | PoolLayerSpec, in_shape, dtype, compute):
         super().__init__(layer.name, in_shape)
@@ -209,13 +215,19 @@ class _WindowStage(_Stage):
 
     def _feed(self, vec, virtual: bool, outputs: list) -> None:
         self.padded_in += 1
-        window = self.buffer.step(vec, virtual=virtual)
-        if self.buffer.occupancy > self._capacity:
+        buffer = self.buffer
+        r, c = buffer.row, buffer.col
+        completes = buffer._store(vec, virtual)
+        if buffer.occupancy > self._capacity:
             raise ProtocolError(
-                f"stage {self.name}: occupancy {self.buffer.occupancy} exceeds the "
+                f"stage {self.name}: occupancy {buffer.occupancy} exceeds the "
                 f"{self._capacity}-element line-buffer capacity")
-        if window is not None:
-            outputs.append(self._compute(window))
+        if completes:
+            if self.first_output_at is None:
+                self.first_output_at = self.elements_in
+            if c + buffer.stride >= self.padded_width:  # the row's last window
+                block = self._compute(buffer._slab(r, slice(c + 1)))
+                outputs.extend(np.ascontiguousarray(block))
 
     def _peak(self) -> int:
         return self.buffer.peak_real
@@ -252,31 +264,38 @@ class _DenseStage(_Stage):
         return len(self.acc)
 
 
-# -- per-window arithmetic, bound to each stage with functools.partial --------
+# -- per-row arithmetic, bound to each stage with functools.partial -----------
 
-def _float_conv_window(window, kernel, bias, bn_scale, bn_shift, relu):
+def _row_taps(slab, q: int, stride: int) -> list:
+    """``taps[pi][qi]``: the (OW, C) inputs of window tap (pi, qi) across the slab's row."""
+    span = slab.shape[1] - q + 1
+    return [[rows[qi:qi + span:stride] for qi in range(q)] for rows in slab]
+
+
+def _float_conv_row(slab, kernel, bias, bn_scale, bn_shift, layer: ConvSpec):
     m, n, p, q = kernel.shape
-    acc = np.zeros(m)
+    taps = _row_taps(slab, q, layer.stride)
+    acc = np.zeros((len(taps[0][0]), m))
     for ni in range(n):
         for pi in range(p):
             for qi in range(q):
-                acc += kernel[:, ni, pi, qi] * window[ni, pi, qi]
+                acc += taps[pi][qi][:, ni, None] * kernel[:, ni, pi, qi]
     acc += bias
     if bn_scale is not None:
         acc = acc * bn_scale + bn_shift
-    if relu:
+    if layer.relu:
         acc = np.maximum(acc, 0.0)
     return acc
 
 
-def _float_pool_window(window, mode):
-    c, p, q = window.shape
-    if mode == "max":
-        return np.max(window, axis=(1, 2))
-    acc = np.zeros(c)
-    for pi in range(p):
-        for qi in range(q):
-            acc += window[:, pi, qi]
+def _float_pool_row(slab, layer: PoolLayerSpec):
+    p, q = layer.window
+    taps = [tap for row in _row_taps(slab, q, layer.stride) for tap in row]
+    if layer.mode == "max":
+        return np.maximum.reduce(taps)
+    acc = np.zeros(taps[0].shape)
+    for tap in taps:
+        acc += tap
     return acc / (p * q)
 
 
@@ -284,15 +303,15 @@ def _float_dense_add(acc, vec, pos, weights, columns):
     return acc + weights[:, columns[pos]] @ vec
 
 
-def _int_conv_window(window, plan: _ShiftPlan, engine: ShiftAddEngine, stats, layer):
-    """The engine's kernel on one window as a one-column im2col block, then its requantization."""
-    acc = _shift_add(window.reshape(-1, 1), plan)[:, 0]
-    return _requantize(acc, engine.frac_bits, engine.mode, stats, layer.name, layer.relu)
+def _int_conv_row(slab, gather, plan: _ShiftPlan, engine: ShiftAddEngine, stats, layer):
+    """The engine's kernel on the row's im2col block ``slab.flat[gather]``, then requantization."""
+    acc = _shift_add(np.take(slab, gather), plan)
+    return _requantize(acc, engine.frac_bits, engine.mode, stats, layer.name, layer.relu).T
 
 
-def _int_pool_window(window, engine: ShiftAddEngine, stage: _StageConfig):
-    """The engine's pooling on one window; ``stage`` has a 1x1 output grid."""
-    return engine._pool_int(window, stage)[:, 0, 0]
+def _int_pool_row(slab, engine: ShiftAddEngine, stage: _StageConfig):
+    """The engine's pooling on one row's (P, width, C) slab; ``stage`` has a 1 x OW grid."""
+    return engine._pool_int(slab.transpose(2, 0, 1), stage)[:, 0].T
 
 
 def _int_dense_add(acc, vec, pos, plans):
@@ -334,11 +353,11 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
                 bn: BatchNormParams = entry.bn
                 scale = bn.gamma / np.sqrt(bn.var + bn.eps)
                 shift = bn.beta - bn.mean * scale
-            compute = partial(_float_conv_window, kernel=entry.conv.kernel, bias=entry.conv.bias,
-                              bn_scale=scale, bn_shift=shift, relu=layer.relu)
+            compute = partial(_float_conv_row, kernel=entry.conv.kernel, bias=entry.conv.bias,
+                              bn_scale=scale, bn_shift=shift, layer=layer)
             stages.append(_WindowStage(layer, in_shape, np.float64, compute))
         elif isinstance(layer, PoolLayerSpec):
-            compute = partial(_float_pool_window, mode=layer.mode)
+            compute = partial(_float_pool_row, layer=layer)
             stages.append(_WindowStage(layer, in_shape, np.float64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
@@ -352,19 +371,28 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     return stages
 
 
+def _row_gather(layer: ConvSpec, channels: int, ow: int) -> np.ndarray:
+    """Flat (P, width, C) slab index of the row's im2col block: rows (n, p, q), OW columns."""
+    (p, q), s = layer.kernel, layer.stride
+    n, pi, qi, j = np.ix_(range(channels), range(p), range(q), range(ow))
+    width = q + (ow - 1) * s
+    return ((pi * width + j * s + qi) * channels + n).reshape(-1, ow)
+
+
 def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
     """Line-buffer stages around the engine's stages, requantizing as the engine does."""
     stages: list[_Stage] = []
     for stage, in_shape in zip(engine.stages, _stage_in_shapes(engine.spec)):
         layer = stage.layer
         if isinstance(layer, ConvSpec):
-            plan = _group_plan(*stage.terms, stage.plan.bias_acc, 1)
-            compute = partial(_int_conv_window, plan=plan, engine=engine, stats=counters,
-                              layer=layer)
+            ow = stage.out_hw[1]
+            plan = _group_plan(*stage.terms, stage.plan.bias_acc, ow)
+            compute = partial(_int_conv_row, gather=_row_gather(layer, in_shape[0], ow),
+                              plan=plan, engine=engine, stats=counters, layer=layer)
             stages.append(_WindowStage(layer, in_shape, np.int64, compute))
         elif isinstance(layer, PoolLayerSpec):
-            compute = partial(_int_pool_window, engine=engine,
-                              stage=replace(stage, out_hw=(1, 1)))
+            compute = partial(_int_pool_row, engine=engine,
+                              stage=replace(stage, out_hw=(1, stage.out_hw[1])))
             stages.append(_WindowStage(layer, in_shape, np.int64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))

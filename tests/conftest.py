@@ -60,6 +60,15 @@ def single_conv_spec(in_c, h, w, out_c, kernel, stride=1, padding=0,
     ), input_shape=(in_c, h, w), class_count=3)
 
 
+# (kernel, stride, padding) of convolutions whose windows skip columns; in the
+# padded two, some windows complete on virtual (padding) elements
+STRIDED_GEOMETRIES = [
+    pytest.param((3, 3), 2, 1, id="s2-p1"),
+    pytest.param((2, 3), 3, 0, id="s3-k2x3"),
+    pytest.param((3, 2), 2, 2, id="s2-p2-k3x2"),
+]
+
+
 def wide_dense_model(width: int) -> QuantizedModel:
     """One dense layer over a (1, 128, width) flatten, every weight 4 - 2^-16 (18 terms).
 

@@ -199,6 +199,20 @@ class TestInferSimulate:
         stage_names = [s["name"] for s in doc["results"]["stages"]]
         assert stage_names[0] == "conv1" and stage_names[-1] == "fc1"
 
+    @pytest.mark.parametrize("clock_mhz", ["inf", "nan", "1e9"])
+    def test_simulate_unreportable_clock_exits_with_json_error(self, runner, tmp_path,
+                                                              trained_model, data_dir,
+                                                              clock_mhz):
+        # at 1e9 MHz the student's few thousand cycles round to 0.000 ms
+        shifted = ingest_dataset(data_dir / "shifted")
+        result = runner.invoke(main, [
+            "simulate", "--model", str(trained_model), "--engine", "float",
+            "--frame", str(data_dir / "shifted" / shifted.manifest.samples[0].file),
+            "--clock-mhz", clock_mhz, "-o", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "ConfigurationError"
+
     def test_infer_float_rejects_non_finite_weights(self, runner, tmp_path, trained_model,
                                                     data_dir):
         broken = tmp_path / "nan-model"

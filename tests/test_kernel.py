@@ -24,7 +24,7 @@ from shiftadd_dvs.model import (
 from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.stream import _build_int_stages
 
-from conftest import make_small_model
+from conftest import STRIDED_GEOMETRIES, make_small_model, single_conv_spec
 
 ACT_LIMIT = (1 << 31) - 1
 
@@ -58,11 +58,22 @@ def _im2col(x, layer):
     oh = (xp.shape[1] - p) // s + 1
     ow = (xp.shape[2] - q) // s + 1
     windows = [xp[:, i * s:i * s + p, j * s:j * s + q] for i in range(oh) for j in range(ow)]
-    return np.array([w.reshape(-1) for w in windows]), windows, (oh, ow)
+    return np.array([w.reshape(-1) for w in windows]), (oh, ow)
+
+
+def _stream_stage(stage, x):
+    """Every vector ``stage`` emits when fed x's (C, H, W) grid row-major, then finished."""
+    _, h, w = x.shape
+    emitted = [out for r in range(h) for col in range(w) for out in stage.push(x[:, r, col])]
+    return emitted + stage.finish()
 
 
 def _check_layers(qmodel, frame, f_a=8):
-    """Every conv and dense layer of the engine and of the streamed stages equals the oracle."""
+    """Every conv and dense layer of the engine and of the streamed stages equals the oracle.
+
+    Each streamed stage is fed the layer's unpadded input element by element,
+    so its virtual padding and its line buffer are part of what is checked.
+    """
     engine = ShiftAddEngine(qmodel, f_a=f_a)
     align = qmodel.frac_bits + qmodel.int_bits
     stages = _build_int_stages(engine, {})
@@ -72,22 +83,21 @@ def _check_layers(qmodel, frame, f_a=8):
         got, _ = engine.layer_forward(layer.name, x)
         if isinstance(layer, ConvSpec):
             w_int, b_int = _weight_ints(entry, align, f_a)
-            cols, windows, (oh, ow) = _im2col(x, layer)
+            cols, (oh, ow) = _im2col(x, layer)
             want = _requantize(cols @ w_int.T + b_int, qmodel.frac_bits, layer.relu)
             np.testing.assert_array_equal(got, want.T.reshape(-1, oh, ow))
-            streamed = np.array([stage._compute(w) for w in windows])
-            np.testing.assert_array_equal(streamed, want)
+            streamed = _stream_stage(stage, x)
+            assert len(streamed) == oh * ow
+            for vec, row in zip(streamed, want):
+                np.testing.assert_array_equal(vec, row)
             checked += 1
         elif isinstance(layer, DenseSpec):
             w_int, b_int = _weight_ints(entry, align, f_a)
             want = _requantize(w_int @ x + b_int, qmodel.frac_bits, False)
             np.testing.assert_array_equal(got, want)
-            c, h, w = stage.in_shape
-            grid = x.reshape(c, h, w)
-            for r in range(h):
-                for col in range(w):
-                    stage.push(grid[:, r, col])
-            np.testing.assert_array_equal(stage.finish()[0], want)
+            streamed = _stream_stage(stage, x.reshape(stage.in_shape))
+            assert len(streamed) == 1
+            np.testing.assert_array_equal(streamed[0], want)
             checked += 1
         x = got
     return checked
@@ -110,6 +120,14 @@ class TestExactProductOracle:
             spec, params = make_small_model(local, weight_scale=0.8)
             q = shift_quantize_model(spec, params, int(local.integers(1, 5)))
             assert _check_layers(q, local.normal(0, 2, size=spec.input_shape)) >= 2
+
+    @pytest.mark.parametrize("kernel, stride, padding", STRIDED_GEOMETRIES)
+    def test_strided_padded_convs(self, kernel, stride, padding):
+        spec = single_conv_spec(3, 9, 11, 4, kernel, stride=stride, padding=padding,
+                                use_relu=True)
+        local = np.random.default_rng([93, stride, padding])
+        q = shift_quantize_model(spec, init_params(spec, local, weight_scale=0.8), 3)
+        assert _check_layers(q, local.normal(0, 2, size=spec.input_shape)) == 2
 
     def test_clamped_encodings(self):
         clamped = 0

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from shiftadd_dvs.errors import ConfigurationError, ProtocolError
+from shiftadd_dvs.errors import ConfigurationError, ProtocolError, SaturationError
 from shiftadd_dvs.engine import ShiftAddEngine
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -27,7 +28,8 @@ from shiftadd_dvs.stream import (
     stream_quantized_forward,
 )
 
-from conftest import make_small_model, make_small_spec, single_conv_spec, wide_dense_model
+from conftest import (STRIDED_GEOMETRIES, make_small_model, make_small_spec, single_conv_spec,
+                      wide_dense_model)
 
 
 def first_window_by_enumeration(p, q, s, h, w):
@@ -258,6 +260,9 @@ class TestIntegerStreaming:
         res = stream_quantized_forward(q, frame, f_a=24)
         assert res.saturations == batch.saturations
         np.testing.assert_array_equal(res.logits, batch.logits)
+        # diagnostic mode stops at the first saturating output row, 4 values wide
+        with pytest.raises(SaturationError, match="layer gain1: 4 saturated values"):
+            stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
 
     def test_float_and_integer_paths_keep_their_dtypes(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -267,6 +272,82 @@ class TestIntegerStreaming:
         int_res = stream_quantized_forward(q, frame)
         assert float_res.logits.dtype.kind == "f"
         assert int_res.logits.dtype.kind == "i"
+
+
+def window_stage_reports_by_enumeration(spec):
+    """(first_output_at, peak_occupancy, padded_elements_in) of every conv and pool stage.
+
+    Steps a bare ``LineBuffer`` over each stage's zero-padded grid, element by
+    element. A stage feeds the top padding rows and a row's left padding with
+    the push of the next real element, and the rest with the push of the
+    previous one, so a window completing on a virtual element is credited to
+    that push.
+    """
+    reports = []
+    for layer, in_shape, _ in spec.geometry():
+        if not isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            continue
+        c, h, w = in_shape
+        window = layer.kernel if isinstance(layer, ConvSpec) else layer.window
+        pad = layer.padding if isinstance(layer, ConvSpec) else 0
+        buf = LineBuffer(c, w + 2 * pad, window, layer.stride)
+        pushed, first = 0, None
+        for r in range(h + 2 * pad):
+            for col in range(w + 2 * pad):
+                real = pad <= r < pad + h and pad <= col < pad + w
+                pushed += real
+                leading = not real and (r < pad or (r < pad + h and col < pad))
+                if buf.step(np.zeros(c), virtual=not real) is not None and first is None:
+                    first = pushed + leading
+        reports.append((first, buf.peak_real, (h + 2 * pad) * (w + 2 * pad)))
+    return reports
+
+
+@pytest.mark.parametrize("kernel, stride, padding", STRIDED_GEOMETRIES)
+def test_strided_padded_geometries(rng, kernel, stride, padding):
+    spec = single_conv_spec(2, 9, 11, 3, kernel, stride=stride, padding=padding,
+                            use_relu=True)
+    params = init_params(spec, rng, weight_scale=0.8)
+    frame = rng.normal(size=spec.input_shape)
+    float_res = stream_float_forward(spec, params, frame)
+    assert np.max(np.abs(float_res.logits - model_forward(spec, params, frame))) < 1e-6
+    q = shift_quantize_model(spec, params, 3)
+    int_res = stream_quantized_forward(q, frame)
+    np.testing.assert_array_equal(int_res.logits, ShiftAddEngine(q).forward(frame).logits)
+    want = window_stage_reports_by_enumeration(spec)
+    for res in (float_res, int_res):
+        got = [(r.first_output_at, r.peak_occupancy, r.padded_elements_in)
+               for layer, r in zip(spec.layers, res.stages) if isinstance(layer, ConvSpec)]
+        assert got == want
+
+
+def test_window_stage_reports_match_enumeration(rng):
+    for _ in range(8):
+        spec, params = make_small_model(rng)
+        res = stream_float_forward(spec, params, rng.normal(size=spec.input_shape))
+        got = [(r.first_output_at, r.peak_occupancy, r.padded_elements_in)
+               for layer, r in zip(spec.layers, res.stages)
+               if isinstance(layer, (ConvSpec, PoolLayerSpec))]
+        assert got == window_stage_reports_by_enumeration(spec)
+
+
+def test_streaming_retains_no_memory():
+    """Streaming frame after frame holds nothing back: traced memory stays flat."""
+    spec = default_student_spec()
+    rng = np.random.default_rng(31)
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+    q = encode_model(shift_quantize_model(fspec, fparams, 3), 3)
+    frames = rng.normal(size=(4, *spec.input_shape))
+    tracemalloc.start()
+    try:
+        for i in range(40):
+            if i == 5:
+                settled = tracemalloc.get_traced_memory()[0]
+            stream_quantized_forward(q, frames[i % len(frames)])
+        grown = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, f"{grown} bytes retained over 35 frames"
 
 
 class TestEngineChecks:

@@ -56,6 +56,24 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             throughput_report(100, 1e6, rounding="floor")
 
+    @pytest.mark.parametrize("args", [
+        (100, float("inf")), (100, float("nan")), (float("nan"), 303e6),
+        (100, 303e6, float("inf")), (100, 303e6, 0.256, float("nan")), (10 ** 400, 303e6),
+    ], ids=["clock-inf", "clock-nan", "cycles-nan", "period-inf", "span-nan", "cycles-huge"])
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            throughput_report(*args)
+
+    def test_time_rounding_to_zero_rejected(self):
+        # 150 cycles at 303 MHz take 0.000495 ms, 0.000 ms at three decimals
+        with pytest.raises(ConfigurationError, match=r"150 cycles at 303000000\.0 Hz"):
+            throughput_report(150, 303e6, rounding="paper")
+        assert throughput_report(150, 303e6, rounding="exact").frames_per_period == 517120
+
+    def test_uncountable_frames_rejected(self):
+        with pytest.raises(ConfigurationError, match="too short to count"):
+            throughput_report(1, 1e300, frame_period_s=1e300, rounding="exact")
+
     def test_json_shape(self):
         doc = throughput_report(25112, 303e6).to_json()
         for key in ("cycles", "clock_hz", "inference_time_s", "frames_per_period",
