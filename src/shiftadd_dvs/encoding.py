@@ -6,41 +6,48 @@ magnitude present; each stored code is ``magnitude - bias`` clamped to the
 largest magnitudes, i.e. the smallest weight terms; the clamp count is
 reported so losslessness is checkable (clamp_count == 0 iff decoding is the
 exact inverse).
+
+``encode_model`` encodes a layer's flat shift array at once (the bias as a
+minimum, the codes as a clip); ``layer_terms`` hands the engine the effective
+``bias + code`` arrays. ``encode_layer``/``decode_layer`` are the same
+arithmetic on lists.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelSpec, weight_shape
-from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel, ShiftQuantParam, ZERO_PARAM
+from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel
+
+
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= 8:
+        raise ConfigurationError(f"encoding width must be in [1, 8], got {bits}")
+
+
+def _offset_codes(magnitudes: np.ndarray, bits: int) -> tuple[int, np.ndarray, int]:
+    """(bias, codes, clamp_count) of a non-empty array of non-negative magnitudes."""
+    bias = int(magnitudes.min())
+    codes = magnitudes - bias
+    max_range = (1 << bits) - 1
+    return bias, np.minimum(codes, max_range), int(np.count_nonzero(codes > max_range))
 
 
 def encode_layer(magnitudes, bits: int) -> tuple[int, list[int], int]:
     """Encode one layer's magnitudes; returns (bias, codes, clamp_count)."""
-    if not 1 <= bits <= 8:
-        raise ConfigurationError(f"encoding width must be in [1, 8], got {bits}")
-    values = [int(m) for m in magnitudes]
-    if not values:
+    _check_bits(bits)
+    values = np.array([int(m) for m in magnitudes], dtype=object)  # Python ints, any size
+    if not values.size:
         raise ConfigurationError("cannot encode an empty layer")
-    if any(m < 0 for m in values):
+    if values.min() < 0:
         raise ConfigurationError("shift magnitudes must be non-negative")
-    bias = min(values)
-    max_range = (1 << bits) - 1
-    codes = []
-    clamped = 0
-    for m in values:
-        code = m - bias
-        if code > max_range:
-            code = max_range
-            clamped += 1
-        codes.append(code)
-    return bias, codes, clamped
+    bias, codes, clamped = _offset_codes(values, bits)
+    return bias, codes.tolist(), clamped
 
 
 def decode_layer(bias: int, codes) -> list[int]:
@@ -53,23 +60,15 @@ def encode_model(q: QuantizedModel, bits: int) -> QuantizedModel:
 
     Layers with no nonzero weight store bias 0 and no codes.
     """
-    if not 1 <= bits <= 8:
-        raise ConfigurationError(f"encoding width must be in [1, 8], got {bits}")
+    _check_bits(bits)
     entries = []
     for entry in q.entries:
-        if entry is None:
-            entries.append(None)
-            continue
-        magnitudes = [s for p in entry.all_params() for s in p.shifts]
-        if magnitudes:
-            bias, flat_codes, clamped = encode_layer(magnitudes, bits)
-        else:
-            bias, flat_codes, clamped = 0, [], 0
-        flat = iter(flat_codes)
-        codes = tuple(tuple(next(flat) for _ in p.shifts) for p in entry.all_params())
-        encoding = LayerEncoding(bias=bias, bits=bits, codes=codes, clamp_count=clamped)
-        entries.append(replace(entry, weights=list(entry.weights), biases=list(entry.biases),
-                               encoding=encoding))
+        if entry is not None:
+            bias, code, clamped = (_offset_codes(entry.shift, bits) if entry.shift.size
+                                   else (0, entry.shift, 0))
+            entry = replace(entry, encoding=LayerEncoding(
+                bias=bias, bits=bits, code=code, count=entry.count, clamp_count=clamped))
+        entries.append(entry)
     return replace(q, entries=entries, bits=bits)
 
 
@@ -88,48 +87,26 @@ def layer_terms(entry: QuantizedLayer) -> tuple[Terms, Terms]:
     shifts; an unencoded one its stored shifts. Clamping can map two terms of one
     weight to one magnitude; the repeat is kept, as the datapath adds it twice.
     """
-    params = entry.all_params()
     enc = entry.encoding
-    rows = [p.shifts for p in params] if enc is None else enc.codes
-    sign = np.fromiter((p.sign for p in params), dtype=np.int64, count=len(params))
-    count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    shift = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
-    if enc is not None:
-        shift += enc.bias
-    if np.any((sign == 0) != (count == 0)):
-        raise ConfigurationError(
-            f"layer {entry.name}: sign must be 0 exactly when a parameter has no terms")
+    shift = entry.shift if enc is None else enc.bias + enc.code
     if np.any(shift < 0):
         raise ConfigurationError(f"layer {entry.name}: shift magnitudes must be non-negative")
-    n = len(entry.weights)
-    split = int(count[:n].sum())
-    return (Terms(sign[:n], count[:n], shift[:split]),
-            Terms(sign[n:], count[n:], shift[split:]))
+    n = entry.weight_count
+    split = int(entry.count[:n].sum())
+    return (Terms(entry.sign[:n], entry.count[:n], shift[:split]),
+            Terms(entry.sign[n:], entry.count[n:], shift[split:]))
 
 
-def decode_entry(entry: QuantizedLayer) -> tuple[list[ShiftQuantParam], list[ShiftQuantParam]]:
-    """Effective (possibly clamp-distorted) parameters of an encoded layer (see layer_terms)."""
+def decode_entry(entry: QuantizedLayer) -> QuantizedLayer:
+    """The layer with its shifts replaced by the effective ``bias + code`` (see layer_terms)."""
     if entry.encoding is None:
         raise ConfigurationError(f"layer {entry.name} has no encoding")
-    decoded = []
-    for terms in layer_terms(entry):
-        shifts, ends = terms.shift.tolist(), np.cumsum(terms.count).tolist()
-        decoded.append([ShiftQuantParam(sign, tuple(shifts[end - count:end])) if count
-                        else ZERO_PARAM
-                        for sign, count, end in zip(terms.sign.tolist(), terms.count.tolist(),
-                                                    ends)])
-    return decoded[0], decoded[1]
+    return replace(entry, shift=entry.encoding.bias + entry.encoding.code)
 
 
 def decoded_model(q: QuantizedModel) -> QuantizedModel:
     """Model whose parameters are the decode of their encoding (deployable view)."""
-    entries = []
-    for entry in q.entries:
-        if entry is not None:
-            weights, biases = decode_entry(entry)
-            entry = replace(entry, weights=weights, biases=biases)
-        entries.append(entry)
-    return replace(q, entries=entries)
+    return replace(q, entries=[None if e is None else decode_entry(e) for e in q.entries])
 
 
 SIGN_FIELD_BITS = 2

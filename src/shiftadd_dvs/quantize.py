@@ -7,10 +7,20 @@ stored as a non-negative shift magnitude s = int_bits - e, so magnitudes grow
 as terms get smaller and the per-layer offset encoding operates on small
 non-negative integers. The dequantized value sign * sum(2^(int_bits - s)) is
 exact in binary floating point.
+
+A ``QuantizedLayer`` holds its parameters as arrays, the sign-and-shift form
+usual for power-of-two weights: a sign and a term count per parameter and one
+flat array of shifts. ``shift_quantize_model`` fills them a layer at a time
+(rounding with ``np.rint``, keeping the top set bits by integer bit tests).
+``ShiftQuantParam`` and ``shift_quantize_param`` are the scalar form of one
+weight; a layer's ``weights``, ``biases`` and ``all_params()`` give it as
+read-only views, built on first access and used by no inference path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +39,11 @@ DEFAULT_FRAC_BITS = 16
 DEFAULT_INT_BITS = 2
 
 
+def _check_frame(frac_bits: int, int_bits: int) -> None:
+    if frac_bits < 0 or int_bits < 0 or frac_bits + int_bits > 31:
+        raise ConfigurationError(f"invalid fixed-point frame F={frac_bits}, I={int_bits}")
+
+
 def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
                           int_bits: int = DEFAULT_INT_BITS) -> list[int]:
     """Exponents of |w| rounded to the fixed-point grid, most significant first.
@@ -36,11 +51,11 @@ def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
     Returns [] when |w| rounds to zero. Raises RangeError when the rounded
     magnitude needs more than ``int_bits`` integer bits.
     """
-    if frac_bits < 0 or int_bits < 0 or frac_bits + int_bits > 31:
-        raise ConfigurationError(f"invalid fixed-point frame F={frac_bits}, I={int_bits}")
+    _check_frame(frac_bits, int_bits)
     if not np.isfinite(w):
         raise RangeError(f"weight {w!r} is not finite")
-    scaled = _round_half_even_scaled(abs(float(w)), frac_bits)
+    # 2^int_bits is already out of range; the cap keeps a huge |w| from scaling to inf
+    scaled = _round_half_even_scaled(min(abs(float(w)), 2.0 ** int_bits), frac_bits)
     if scaled >= 1 << (frac_bits + int_bits):
         raise RangeError(
             f"|{w}| does not fit fixed point with {int_bits} integer bits")
@@ -100,28 +115,102 @@ def shift_quantize_param(w: float, n_terms: int, frac_bits: int = DEFAULT_FRAC_B
     return ShiftQuantParam(sign=sign, shifts=tuple(int_bits - e for e in exps))
 
 
-@dataclass(frozen=True)
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 copy; cached views stay true to arrays nobody can write."""
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _split(flat: np.ndarray, count: np.ndarray) -> list[tuple[int, ...]]:
+    """``flat`` cut into one tuple per parameter, ``count[i]`` values each."""
+    values, ends = flat.tolist(), np.cumsum(count).tolist()
+    return [tuple(values[end - n:end]) for n, end in zip(count.tolist(), ends)]
+
+
+@dataclass(frozen=True, eq=False)
 class LayerEncoding:
-    """Per-layer offset binary encoding of the shift magnitudes."""
+    """Per-layer offset binary encoding of the shift magnitudes.
+
+    ``code`` holds one code per term, aligned with the layer's ``shift``;
+    ``count`` is the layer's terms per parameter, the layout of ``code``.
+    """
 
     bias: int
     bits: int
-    codes: tuple[tuple[int, ...], ...]  # one code tuple per weight, term order preserved
+    code: np.ndarray
+    count: np.ndarray
     clamp_count: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "code", _frozen(self.code))
+        object.__setattr__(self, "count", _frozen(self.count))
 
-@dataclass
+    @cached_property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        """One code tuple per parameter, term order preserved (a read-only view)."""
+        return tuple(_split(self.code, self.count))
+
+
+@dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """Quantized parameters of one conv or dense layer; geometry and activation live in the spec."""
+    """Quantized parameters of one conv or dense layer; geometry and activation live in the spec.
+
+    Parameters run kernel/weight entries in index order, then biases. ``sign``
+    (-1, 0 or 1) and ``count`` (terms) hold one value per parameter; ``shift``
+    holds the shift magnitudes parameter after parameter, the ``encoding.Terms``
+    layout. Arrays are stored as read-only int64 copies.
+    """
 
     name: str
     shape: tuple[int, ...]         # conv: (M, N, P, Q); dense: (out, in)
-    weights: list[ShiftQuantParam]  # kernel/weight entries in index order
-    biases: list[ShiftQuantParam]
+    sign: np.ndarray
+    count: np.ndarray
+    shift: np.ndarray
     encoding: LayerEncoding | None = None
 
-    def all_params(self) -> list[ShiftQuantParam]:
-        return self.weights + self.biases
+    def __post_init__(self):
+        for field in ("sign", "count", "shift"):
+            object.__setattr__(self, field, _frozen(getattr(self, field)))
+        params = self.weight_count + self.shape[0]
+        if self.sign.shape != (params,) or self.count.shape != (params,) \
+                or self.shift.shape != (int(self.count.sum()),):
+            raise ConfigurationError(
+                f"layer {self.name}: arrays of {self.sign.shape} signs, {self.count.shape} "
+                f"counts and {self.shift.shape} shifts for {params} parameters")
+        if np.any(np.abs(self.sign) > 1) or np.any(self.count < 0) \
+                or np.any((self.sign == 0) != (self.count == 0)):
+            raise ConfigurationError(f"layer {self.name}: signs must be -1, 0 or 1, "
+                                     "and 0 exactly when a parameter has no terms")
+        if np.any(self.shift < 0):
+            raise ConfigurationError(f"layer {self.name}: shift magnitudes must be non-negative")
+        enc = self.encoding
+        if enc is not None and (enc.code.shape != self.shift.shape
+                                or not np.array_equal(enc.count, self.count)):
+            raise ConfigurationError(
+                f"layer {self.name}: the encoding's codes do not match its terms")
+
+    @property
+    def weight_count(self) -> int:
+        return math.prod(self.shape)
+
+    @cached_property
+    def _params(self) -> tuple[ShiftQuantParam, ...]:
+        return tuple(ShiftQuantParam(sign, shifts) if shifts else ZERO_PARAM
+                     for sign, shifts in zip(self.sign.tolist(), _split(self.shift, self.count)))
+
+    @cached_property
+    def weights(self) -> tuple[ShiftQuantParam, ...]:
+        """Kernel/weight entries as scalar parameters (a read-only view)."""
+        return self._params[:self.weight_count]
+
+    @cached_property
+    def biases(self) -> tuple[ShiftQuantParam, ...]:
+        """Biases as scalar parameters (a read-only view)."""
+        return self._params[self.weight_count:]
+
+    def all_params(self) -> tuple[ShiftQuantParam, ...]:
+        return self._params
 
 
 @dataclass
@@ -150,10 +239,12 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
 
     Batchnorm must already be folded into the convolutions. With
     ``quantize_biases`` off, biases keep full fixed-point precision (every grid
-    digit retained); note the file format caps stored terms at 15.
+    digit retained); note the file format caps stored terms at 15. Each weight
+    quantizes exactly as ``shift_quantize_param`` quantizes it.
     """
     if n_terms < 1:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
+    _check_frame(frac_bits, int_bits)
     bias_terms = n_terms if quantize_biases else frac_bits + int_bits
     entries: list = []
     for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
@@ -163,24 +254,34 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
         if isinstance(layer, ConvSpec) and layer.batchnorm:
             raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
         weights, bias = layer_arrays(layer, in_shape, entry)
-        entries.append(QuantizedLayer(
-            name=layer.name, shape=weights.shape,
-            weights=_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
-            biases=_quantize_array(bias, layer.name, bias_terms, frac_bits, int_bits)))
+        parts = [_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
+                 _quantize_array(bias, layer.name, bias_terms, frac_bits, int_bits)]
+        sign, count, shift = (np.concatenate(arrays) for arrays in zip(*parts))
+        entries.append(QuantizedLayer(name=layer.name, shape=weights.shape,
+                                      sign=sign, count=count, shift=shift))
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, f_a=f_a)
 
 
-def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int,
-                    frac_bits: int, int_bits: int) -> list[ShiftQuantParam]:
-    out = []
+def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int, frac_bits: int,
+                    int_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign, count, shift) of every weight of ``arr``, in ``shift_quantize_param``'s terms."""
     flat = np.asarray(arr, dtype=np.float64).reshape(-1)
-    for index, w in enumerate(flat):
-        try:
-            out.append(shift_quantize_param(float(w), n_terms, frac_bits, int_bits))
+    # as in fixed_point_decompose: cap at 2^int_bits, scale exactly, round half to even
+    scaled = np.rint(np.minimum(np.abs(flat), 2.0 ** int_bits) * float(2 ** frac_bits))
+    out_of_range = ~(scaled < float(1 << (frac_bits + int_bits)))  # NaN included
+    if out_of_range.any():
+        index = int(np.argmax(out_of_range))
+        try:  # the scalar path words the error
+            fixed_point_decompose(float(flat[index]), frac_bits, int_bits)
         except RangeError as exc:
             raise RangeError(f"layer {layer_name}, weight index {index}: {exc}") from exc
-    return out
+    bit = np.arange(frac_bits + int_bits - 1, -1, -1)  # most significant first
+    is_set = (scaled.astype(np.int64)[:, None] >> bit) & 1 == 1
+    keep = is_set & (np.cumsum(is_set, axis=1) <= n_terms)
+    count = keep.sum(axis=1)
+    sign = np.where(count == 0, 0, np.where(flat > 0, 1, -1))
+    return sign, count, frac_bits + int_bits - bit[np.nonzero(keep)[1]]
 
 
 def dequantize_model(q: QuantizedModel) -> ModelParams:
@@ -190,14 +291,19 @@ def dequantize_model(q: QuantizedModel) -> ModelParams:
         if qentry is None:
             entries.append(None)
             continue
-        values = np.array([p.value(q.int_bits) for p in qentry.weights]).reshape(qentry.shape)
-        biases = np.array([p.value(q.int_bits) for p in qentry.biases])
+        # bincount adds each parameter's terms in stored order, as the scalar sum does
+        owner = np.repeat(np.arange(len(qentry.count)), qentry.count)
+        magnitude = np.bincount(owner, weights=np.ldexp(1.0, q.int_bits - qentry.shift),
+                                minlength=len(qentry.count))
+        values = qentry.sign * magnitude
+        kernel = values[:qentry.weight_count].reshape(qentry.shape)
+        biases = values[qentry.weight_count:]
         if isinstance(layer, ConvSpec):
-            conv = ConvLayerParams(kernel=values, bias=biases, stride=layer.stride,
+            conv = ConvLayerParams(kernel=kernel, bias=biases, stride=layer.stride,
                                    padding=layer.padding)
             entries.append(ConvBlockParams(conv=conv, bn=None))
         else:
-            entries.append(DenseParams(weights=values, bias=biases))
+            entries.append(DenseParams(weights=kernel, bias=biases))
     return ModelParams(entries=entries)
 
 

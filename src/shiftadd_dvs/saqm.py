@@ -15,69 +15,33 @@ model is the deployable view; the field widths cap term counts at 15.
 Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
-whose shapes it does not carry.
+whose shapes it does not carry. The writer rejects codes that do not fit
+``bits`` unsigned bits; the loader rejects non-zero padding bits, so every
+file that loads saves back to the same bytes.
+
+Each layer's block is packed and unpacked as arrays with
+``np.packbits``/``np.unpackbits``. Because a record's length depends on its
+term count, the unpacker tabulates the record length at every bit position
+and then walks the record starts through that table, one step per parameter.
 """
 from __future__ import annotations
 
 import math
 import struct
 
+import numpy as np
+
 from ._ioutil import atomic_write_bytes
+from .encoding import SIGN_FIELD_BITS, TERM_COUNT_FIELD_BITS
 from .errors import ConfigurationError
 from .model import ModelSpec, weight_shape
-from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel, ShiftQuantParam, ZERO_PARAM
-from .encoding import decode_layer
+from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel
 from . import sacw
 
 MAGIC = b"SAQM"
 VERSION = 1
-MAX_PACKED_TERMS = 15  # 4-bit term-count field
-
-
-class _BitWriter:
-    def __init__(self):
-        self.data = bytearray()
-        self.bit = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        for i in range(nbits):
-            if self.bit == 0:
-                self.data.append(0)
-            if (value >> i) & 1:
-                self.data[-1] |= 1 << self.bit
-            self.bit = (self.bit + 1) % 8
-
-    def align(self) -> None:
-        self.bit = 0
-
-
-class _BitReader:
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-        self.bit = 0
-
-    def read(self, nbits: int) -> int:
-        value = 0
-        for i in range(nbits):
-            if self.pos >= len(self.data):
-                raise ConfigurationError("quantized model file truncated")
-            if (self.data[self.pos] >> self.bit) & 1:
-                value |= 1 << i
-            self.bit += 1
-            if self.bit == 8:
-                self.bit = 0
-                self.pos += 1
-        return value
-
-    def align(self) -> None:
-        if self.bit:
-            self.bit = 0
-            self.pos += 1
-
-
-_SIGN_CODE = {0: 0, 1: 1, -1: 2}
-_SIGN_DECODE = {0: 0, 1: 1, 2: -1}
+HEADER_BITS = SIGN_FIELD_BITS + TERM_COUNT_FIELD_BITS  # sign field: 0 zero, 1 +, 2 -
+MAX_PACKED_TERMS = (1 << TERM_COUNT_FIELD_BITS) - 1
 
 
 def save_quantized(path, q: QuantizedModel) -> None:
@@ -94,28 +58,42 @@ def save_quantized(path, q: QuantizedModel) -> None:
         if tuple(entry.shape) != shape:
             raise ConfigurationError(
                 f"layer {layer.name}: parameters {tuple(entry.shape)} do not match the spec's {shape}")
-        blob += _pack_layer(entry)
+        blob += _pack_layer(entry, q.bits)
     atomic_write_bytes(path, bytes(blob))
 
 
-def _pack_layer(entry: QuantizedLayer) -> bytes:
+def _pack_layer(entry: QuantizedLayer, bits: int) -> bytes:
     enc = entry.encoding
     if enc is None:
         raise ConfigurationError(f"layer {entry.name} has no encoding")
-    out = bytearray(struct.pack("<h", enc.bias))
-    writer = _BitWriter()
-    for param, codes in zip(entry.all_params(), enc.codes):
-        if len(codes) > MAX_PACKED_TERMS:
-            raise ConfigurationError(
-                f"layer {entry.name}: {len(codes)} terms exceed the packed field "
-                f"limit of {MAX_PACKED_TERMS}")
-        writer.write(_SIGN_CODE[param.sign], 2)
-        writer.write(len(codes), 4)
-        for code in codes:
-            if code >= (1 << enc.bits):
-                raise ConfigurationError(f"layer {entry.name}: code {code} wider than {enc.bits} bits")
-            writer.write(code, enc.bits)
-    return bytes(out + writer.data)
+    if not 0 <= enc.bias < 1 << 15:
+        raise ConfigurationError(f"layer {entry.name}: encoding bias {enc.bias} outside [0, 32767]")
+    if entry.count.max() > MAX_PACKED_TERMS:
+        raise ConfigurationError(
+            f"layer {entry.name}: {int(entry.count.max())} terms exceed the packed field "
+            f"limit of {MAX_PACKED_TERMS}")
+    unfit = enc.code[(enc.code < 0) | (enc.code >= 1 << bits)]
+    if unfit.size:
+        raise ConfigurationError(
+            f"layer {entry.name}: code {int(unfit[0])} does not fit {bits} unsigned bits")
+    start, code_at = _record_layout(entry.count, bits)
+    stream = np.zeros(int(start[-1]), dtype=np.uint8)
+    sign_field = np.where(entry.sign < 0, 2, entry.sign)
+    for at, values, width in ((start[:-1], sign_field, SIGN_FIELD_BITS),
+                              (start[:-1] + SIGN_FIELD_BITS, entry.count, TERM_COUNT_FIELD_BITS),
+                              (code_at, enc.code, bits)):
+        for bit in range(width):
+            stream[at + bit] = (values >> bit) & 1
+    return struct.pack("<h", enc.bias) + np.packbits(stream, bitorder="little").tobytes()
+
+
+def _record_layout(count: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit offset of every record plus the end of the last, and of every code."""
+    start = np.concatenate(([0], np.cumsum(HEADER_BITS + bits * count)))
+    first_term = np.cumsum(count) - count
+    code_at = np.repeat(start[:-1] + HEADER_BITS - bits * first_term, count) \
+        + bits * np.arange(int(count.sum()))
+    return start, code_at
 
 
 def load_quantized(path, spec: ModelSpec, f_a: int = 8) -> QuantizedModel:
@@ -146,25 +124,49 @@ def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
     (bias,) = reader.unpack("<h")
     if bias < 0:
         raise ConfigurationError(f"layer {name}: negative encoding bias {bias}")
-    bit_reader = _BitReader(reader.data, reader.pos)
-    weight_count = math.prod(shape)
-    params: list[ShiftQuantParam] = []
-    codes: list[tuple[int, ...]] = []
-    for _ in range(weight_count + shape[0]):
-        sign = _SIGN_DECODE.get(bit_reader.read(2))
-        if sign is None:
-            raise ConfigurationError(f"layer {name}: invalid sign field")
-        terms = bit_reader.read(4)
-        row = tuple(bit_reader.read(bits) for _ in range(terms))
-        codes.append(row)
-        if sign == 0:
-            if terms:
-                raise ConfigurationError(f"layer {name}: zero weight with {terms} terms")
-            params.append(ZERO_PARAM)
-        else:
-            params.append(ShiftQuantParam(sign=sign, shifts=tuple(decode_layer(bias, row))))
-    bit_reader.align()
-    reader.pos = bit_reader.pos
-    encoding = LayerEncoding(bias=bias, bits=bits, codes=tuple(codes), clamp_count=0)
-    return QuantizedLayer(name=name, shape=shape, weights=params[:weight_count],
-                          biases=params[weight_count:], encoding=encoding)
+    params = math.prod(shape) + shape[0]
+    longest = -(-params * (HEADER_BITS + MAX_PACKED_TERMS * bits) // 8)
+    window = np.frombuffer(reader.data[reader.pos:reader.pos + longest], dtype=np.uint8)
+    stream = np.unpackbits(window, bitorder="little")
+    # count_at[at] and table[at]: the term count and length of a record starting
+    # at bit ``at``, for every ``at`` where a whole record header fits
+    fits = max(stream.size - HEADER_BITS + 1, 0)
+    count_at = np.zeros(fits, dtype=np.uint8)
+    for bit in range(TERM_COUNT_FIELD_BITS):
+        count_at |= stream[SIGN_FIELD_BITS + bit:SIGN_FIELD_BITS + bit + fits] << bit
+    table = (HEADER_BITS + bits * count_at).tobytes()
+    starts = []
+    at = 0
+    try:
+        for _ in range(params):
+            starts.append(at)
+            at += table[at]
+    except IndexError:
+        raise ConfigurationError(f"layer {name}: quantized model file truncated") from None
+    if at > stream.size:
+        raise ConfigurationError(f"layer {name}: quantized model file truncated")
+    block = -(-at // 8)
+    if stream[at:8 * block].any():
+        raise ConfigurationError(f"layer {name}: non-zero padding bits after the last record")
+    reader.pos += block
+    start = np.array(starts, dtype=np.int64)
+    sign_field = _field(stream, start, SIGN_FIELD_BITS)
+    count = count_at[start].astype(np.int64)
+    if np.any(sign_field == 3):
+        raise ConfigurationError(f"layer {name}: invalid sign field")
+    zero_with_terms = count[(sign_field == 0) & (count > 0)]
+    if zero_with_terms.size:
+        raise ConfigurationError(f"layer {name}: zero weight with {zero_with_terms[0]} terms")
+    code = _field(stream, _record_layout(count, bits)[1], bits)
+    encoding = LayerEncoding(bias=bias, bits=bits, code=code, count=count, clamp_count=0)
+    sign = np.where(sign_field == 2, -1, sign_field.astype(np.int64))
+    return QuantizedLayer(name=name, shape=shape, sign=sign, count=count,
+                          shift=bias + encoding.code, encoding=encoding)
+
+
+def _field(stream: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-bit LSB-first fields starting at bit offsets ``at`` (width <= 8)."""
+    value = np.zeros(at.size, dtype=np.uint8)
+    for bit in range(width):
+        value |= stream[at + bit] << bit
+    return value

@@ -78,9 +78,16 @@ def wide_dense_model(width: int) -> QuantizedModel:
     spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d", out_features=3)),
                      input_shape=(1, 128, width), class_count=3)
     weight = shift_quantize_param(4.0 - 2.0 ** -16, 18)
-    layer = QuantizedLayer(name="d", shape=(3, 128 * width),
-                           weights=[weight] * (3 * 128 * width), biases=[ZERO_PARAM] * 3)
+    layer = layer_from_params("d", (3, 128 * width),
+                              [weight] * (3 * 128 * width) + [ZERO_PARAM] * 3)
     return QuantizedModel(spec=spec, entries=[None, layer], n_terms=18)
+
+
+def layer_from_params(name: str, shape: tuple, params) -> QuantizedLayer:
+    """A QuantizedLayer holding scalar ``params``: weights in index order, then biases."""
+    return QuantizedLayer(name=name, shape=shape, sign=[p.sign for p in params],
+                          count=[p.term_count for p in params],
+                          shift=[s for p in params for s in p.shifts])
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from shiftadd_dvs.model import (
 from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.stream import _build_int_stages
 
-from conftest import STRIDED_GEOMETRIES, make_small_model, single_conv_spec
+from conftest import STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec
 
 ACT_LIMIT = (1 << 31) - 1
 
@@ -144,7 +144,9 @@ class TestExactProductOracle:
         params = init_params(spec, np.random.default_rng(5))
         q = shift_quantize_model(spec, params, 3)
         # a clamped decode can repeat a term: 2^-1 + 2^-1 stands for one weight of 1.0
-        q.entries[0].weights[4] = ShiftQuantParam(sign=-1, shifts=(3, 3))
+        params = list(q.entries[0].all_params())
+        params[4] = ShiftQuantParam(sign=-1, shifts=(3, 3))
+        q.entries[0] = layer_from_params(q.entries[0].name, q.entries[0].shape, params)
         _check_layers(q, np.random.default_rng(6).normal(size=spec.input_shape))
 
     def test_all_zero_layers_give_empty_plans(self):

@@ -12,6 +12,8 @@ from shiftadd_dvs.quantize import (
     shift_quantize_param,
 )
 
+from conftest import single_conv_spec
+
 
 def brute_force_expansion(w, frac_bits):
     """Independent oracle: scan the rounded fixed-point integer bit by bit."""
@@ -195,3 +197,62 @@ class TestModelQuantization:
         for l1, l2 in zip(q1.layers(), q2.layers()):
             assert l1.weights == l2.weights
             assert l1.biases == l2.biases
+
+
+class TestArrayQuantizerMatchesScalar:
+    """shift_quantize_model's arrays against shift_quantize_param, weight by weight."""
+
+    FRAMES = [(16, 2), (4, 2), (0, 3), (8, 0), (12, 19)]
+
+    @staticmethod
+    def _spec():
+        return single_conv_spec(2, 4, 5, 3, (2, 2))
+
+    @staticmethod
+    def _special_values(rng, frac_bits, int_bits, size):
+        ulp = 2.0 ** -frac_bits
+        largest = np.nextafter((2 ** (frac_bits + int_bits) - 0.5) * ulp, 0.0)
+        special = [0.0, -0.0, ulp / 2, -ulp / 2, np.nextafter(ulp / 2, 1.0), ulp / 4, 1e-300,
+                   largest, -largest, (2 ** (frac_bits + int_bits) - 1) * ulp]
+        ties = (rng.integers(0, 2 ** (frac_bits + int_bits) - 1, size=size) + 0.5) * ulp
+        uniform = rng.uniform(-largest, largest, size=size)
+        pool = np.concatenate([special, ties, -ties, uniform])
+        return rng.choice(pool, size=size)
+
+    def test_arrays_equal_scalar_path(self, rng):
+        spec = self._spec()
+        for frac_bits, int_bits in self.FRAMES:
+            for n_terms in range(1, frac_bits + int_bits + 1):
+                for quantize_biases in (True, False):
+                    params = init_params(spec, rng)
+                    for arr in (params.entries[0].conv.kernel, params.entries[0].conv.bias,
+                                params.entries[2].weights, params.entries[2].bias):
+                        arr[...] = self._special_values(rng, frac_bits, int_bits,
+                                                        arr.size).reshape(arr.shape)
+                    q = shift_quantize_model(spec, params, n_terms, frac_bits, int_bits,
+                                             quantize_biases=quantize_biases)
+                    bias_terms = n_terms if quantize_biases else frac_bits + int_bits
+                    for layer, (weights, biases) in zip(q.layers(), (
+                            (params.entries[0].conv.kernel, params.entries[0].conv.bias),
+                            (params.entries[2].weights, params.entries[2].bias))):
+                        want = [shift_quantize_param(float(w), n_terms, frac_bits, int_bits)
+                                for w in weights.ravel()]
+                        want += [shift_quantize_param(float(w), bias_terms, frac_bits, int_bits)
+                                 for w in biases]
+                        assert list(layer.all_params()) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.0, -3.9999999, 1e308],
+                             ids=["nan", "inf", "-inf", "4", "rounds_to_4", "1e308"])
+    @pytest.mark.parametrize("where", ["weight", "bias"])
+    def test_first_bad_weight_raises_the_scalar_message(self, rng, bad, where):
+        spec = self._spec()
+        params = init_params(spec, rng)
+        arr = params.entries[0].conv.kernel.reshape(-1) if where == "weight" \
+            else params.entries[0].conv.bias
+        arr[1] = bad
+        arr[2] = 5.0 if np.isnan(bad) else np.nan  # a later bad value is not the one reported
+        with pytest.raises(RangeError) as scalar:
+            shift_quantize_param(float(arr[1]), 3)
+        with pytest.raises(RangeError) as array:
+            shift_quantize_model(spec, params, 3)
+        assert str(array.value) == f"layer conv1, weight index 1: {scalar.value}"

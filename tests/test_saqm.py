@@ -1,6 +1,10 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from shiftadd_dvs import sacw
 from shiftadd_dvs.encoding import decoded_model, encode_model
 from shiftadd_dvs.errors import ConfigurationError
 from shiftadd_dvs.model import (
@@ -133,3 +137,88 @@ def test_header_fields_out_of_range_rejected(rng, tmp_path, offset, value, messa
     path.write_bytes(bytes(data))
     with pytest.raises(ConfigurationError, match=message):
         load_quantized(path, spec)
+
+
+def _with_encoding(q, **changes):
+    """``q`` with its last layer's encoding changed, as a hand-built one would be."""
+    entry = q.entries[-1]
+    return replace(q, entries=q.entries[:-1] + [
+        replace(entry, encoding=replace(entry.encoding, **changes))])
+
+
+@pytest.mark.parametrize("code", [-1, 8, 255], ids=["negative", "bits_wide", "byte_wide"])
+def test_codes_outside_the_field_width_rejected(rng, tmp_path, code):
+    spec, params = make_small_model(rng)
+    q = encode_model(shift_quantize_model(spec, params, 3), bits=3)
+    codes = np.array(q.entries[-1].encoding.code)
+    codes[0] = code
+    with pytest.raises(ConfigurationError, match=f"layer head: code {code} does not fit 3"):
+        save_quantized(tmp_path / "m.saqm", _with_encoding(q, code=codes))
+    codes[0] = 7
+    save_quantized(tmp_path / "m.saqm", _with_encoding(q, code=codes))
+
+
+@pytest.mark.parametrize("bias", [-1, 1 << 15])
+def test_encoding_bias_outside_the_field_rejected(rng, tmp_path, bias):
+    spec, params = make_small_model(rng)
+    q = encode_model(shift_quantize_model(spec, params, 3), bits=3)
+    with pytest.raises(ConfigurationError, match=f"layer head: encoding bias {bias} outside"):
+        save_quantized(tmp_path / "m.saqm", _with_encoding(q, bias=bias))
+
+
+# Hand-built files: one dense layer of 3 x 1 weights and 3 biases behind a flatten,
+# packed here field by field, independently of the writer.
+DENSE_SPEC = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d", out_features=3)),
+                       input_shape=(1, 1, 1), class_count=3)
+BITS = 3
+
+
+def _hand_built(records, bias: int = 2, cut_bits: int = 0, tail_bits=()) -> bytes:
+    """SAQM bytes holding ``records`` as (sign field, term count, codes) in packing order."""
+    fields = []
+    for sign, count, codes in records:
+        fields += [(sign, 2), (count, 4)] + [(code, BITS) for code in codes]
+    bits = [(value >> i) & 1 for value, width in fields for i in range(width)]
+    bits = bits[:len(bits) - cut_bits] + list(tail_bits)
+    bits += [0] * (-len(bits) % 8)
+    packed = bytes(sum(bit << i for i, bit in enumerate(bits[k:k + 8]))
+                   for k in range(0, len(bits), 8))
+    blob = b"SAQM" + struct.pack("<HBBBBH", 1, 3, BITS, 16, 2, 2)
+    for layer, in_shape, _ in DENSE_SPEC.geometry():
+        blob += sacw.HEADER.pack(*sacw.layer_header(layer, in_shape))
+    return blob + struct.pack("<h", bias) + packed
+
+
+GOOD = [(1, 2, [0, 5]), (2, 1, [7]), (0, 0, []), (1, 3, [1, 1, 2]), (0, 0, []), (2, 1, [3])]
+
+
+def test_hand_built_file_loads_to_its_fields(tmp_path):
+    path = tmp_path / "m.saqm"
+    path.write_bytes(_hand_built(GOOD))
+    layer = load_quantized(path, DENSE_SPEC).entries[1]
+    assert layer.sign.tolist() == [1, -1, 0, 1, 0, -1]
+    assert layer.count.tolist() == [2, 1, 0, 3, 0, 1]
+    assert layer.encoding.code.tolist() == [0, 5, 7, 1, 1, 2, 3]
+    assert layer.shift.tolist() == [2, 7, 9, 3, 3, 4, 5]
+    resaved = tmp_path / "r.saqm"
+    save_quantized(resaved, load_quantized(path, DENSE_SPEC))
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("records, cut_bits, tail_bits, message", [
+    (GOOD[:2] + [(3, 0, [])] + GOOD[3:], 0, (), "invalid sign field"),
+    (GOOD[:2] + [(0, 2, [1, 1])] + GOOD[3:], 0, (), "zero weight with 2 terms"),
+    (GOOD[:2] + [(1, 0, [])] + GOOD[3:], 0, (), "0 exactly when a parameter has no terms"),
+    (GOOD, 2, (), "truncated"),  # the last code loses its top bits
+    (GOOD[:5] + [(2, 1, [])], 0, (), "truncated"),  # the last code is missing
+    (GOOD[:1] + [(1, 15, [1] * 3)], 0, (), "truncated"),  # 15 terms overrun the file
+    (GOOD[:5] + [(1, 15, [])], 0, (), "truncated"),  # the last record claims 15 terms
+    (GOOD, 0, (0, 1), "non-zero padding bits"),
+], ids=["sign_3", "zero_with_terms", "sign_without_terms", "cut_mid_code", "missing_code",
+        "count_overruns", "last_count_overruns", "padding"])
+def test_malformed_blocks_raise_configuration_errors(tmp_path, records, cut_bits, tail_bits,
+                                                     message):
+    path = tmp_path / "m.saqm"
+    path.write_bytes(_hand_built(records, cut_bits=cut_bits, tail_bits=tail_bits))
+    with pytest.raises(ConfigurationError, match=message):
+        load_quantized(path, DENSE_SPEC)

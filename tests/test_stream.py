@@ -20,7 +20,8 @@ from shiftadd_dvs.model import (
     zero_params,
 )
 from shiftadd_dvs.encoding import encode_model
-from shiftadd_dvs.quantize import shift_quantize_model
+from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
+from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs.stream import (
     LineBuffer,
     buffer_requirement,
@@ -348,6 +349,28 @@ def test_streaming_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 256 * 1024, f"{grown} bytes retained over 35 frames"
+
+
+def test_timed_paths_build_no_scalar_parameters(tmp_path, monkeypatch):
+    """Loading a SAQM file, building the engine and streaming a frame run on arrays only:
+    not one ShiftQuantParam is constructed (the scalar views are for inspection)."""
+    spec = default_student_spec()
+    rng = np.random.default_rng(33)
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+    save_quantized(tmp_path / "m.saqm", encode_model(shift_quantize_model(fspec, fparams, 3), 3))
+    built = []
+    init = ShiftQuantParam.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftQuantParam, "__init__", counting_init)
+    q = load_quantized(tmp_path / "m.saqm", fspec)
+    ShiftAddEngine(q)
+    stream_quantized_forward(q, rng.normal(size=spec.input_shape))
+    assert built == []
+    assert q.layers()[0].weights and built  # the counter works: a view does build them
 
 
 class TestEngineChecks:
