@@ -7,16 +7,19 @@ accumulator holds the exact product at scale 2^(f_a + frac_bits). Layers
 requantize back to the activation grid with round-half-to-even and symmetric
 saturation at the 32-bit boundary.
 
-Conv and dense layers, here and in the streaming simulator (which runs on
-these stages), share one kernel, ``_shift_add``, over an im2col block (K rows,
-one column per position). Each layer's terms come as arrays from
-``encoding.layer_terms`` (``bias + code`` when the layer is encoded; no decoded
-model is built) and are grouped once by (output channel, left shift, sign), at
-most 8 shifts for a 3-bit encoding; the kernel sums each group, shifts the sum
-once and folds the groups into their channels, in output-channel chunks whose
-gathered block stays under ``CHUNK_ELEMENTS``. int64 add and shift are exact
-modulo 2^64 and the overflow check keeps the true sum below 2^63, so the
-regrouped sum equals the per-term sum bit for bit.
+Conv and dense layers, here and in the streaming simulator (which runs each
+output row through ``_forward_arrays`` on a one-row restatement of these
+stages), share one kernel, ``_shift_add``, over an im2col block (K rows, one
+column per position). A conv gathers its block with ``np.take`` by a flat
+index that ``im2col_index`` precomputes over the padded input. Each layer's
+terms come as arrays from ``encoding.layer_terms`` (``bias + code`` when the
+layer is encoded; no decoded model is built) and are grouped once by (output
+channel, left shift, sign), at most 8 shifts for a 3-bit encoding; the kernel
+sums each group, shifts the sum once and folds the groups into their
+channels, in output-channel chunks whose gathered block stays under
+``CHUNK_ELEMENTS``. int64 add and shift are exact modulo 2^64 and the
+overflow check keeps the true sum below 2^63, so the regrouped sum equals the
+per-term sum bit for bit.
 
 Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
 chain. At construction a worst-case bound proves that no accumulator can
@@ -27,7 +30,7 @@ proof needs no assumption about the input data.
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
 their AST), so the only data-dependent operations are shifts, adds and
-compares. Plans and their chunk bounds are built outside it, and input
+compares. Plans, chunk bounds and im2col indices are built outside it, and input
 conditioning (``quantize_activation``) is the floating-point boundary.
 """
 from __future__ import annotations
@@ -260,6 +263,18 @@ def _avg_shift(layer: PoolLayerSpec) -> int:
     return area.bit_length() - 1
 
 
+def im2col_index(channels: int, window: tuple[int, int], stride: int,
+                 out_hw: tuple[int, int], in_hw: tuple[int, int]) -> np.ndarray:
+    """Flat index into a (channels, *in_hw) map of its im2col block.
+
+    Row (n, p, q) in weight order, column (i, j) in row-major output order:
+    ``np.take(x, index)`` is the (N*P*Q, OH*OW) block ``_shift_add`` consumes.
+    """
+    (p, q), (oh, ow), (h, w) = window, out_hw, in_hw
+    n, pi, qi, i, j = np.ix_(range(channels), range(p), range(q), range(oh), range(ow))
+    return ((n * h + pi + i * stride) * w + qi + j * stride).reshape(channels * p * q, oh * ow)
+
+
 @dataclass(frozen=True)
 class _StageConfig:
     """A spec layer plus what the integer path precomputes for it."""
@@ -267,8 +282,8 @@ class _StageConfig:
     layer: LayerSpec
     out_hw: tuple[int, ...]
     terms: tuple | None = None      # conv and dense: ``_layer_terms`` of the weights
-    plan: _ShiftPlan | None = None  # the terms grouped and chunked for ``positions``
-    positions: int = 1              # conv: OH*OW, kept out of the audited data path
+    plan: _ShiftPlan | None = None  # the terms grouped and chunked for the output positions
+    gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
     avg_shift: int = 0              # average pooling
 
     @property
@@ -317,21 +332,26 @@ class ShiftAddEngine:
         act_bound = ACT_LIMIT + 1
         align = self.frac_bits + self.int_bits
         stages = []
-        for (layer, _, out_shape), entry in zip(self.spec.geometry(), self.qmodel.entries):
+        for (layer, in_shape, out_shape), entry in zip(self.spec.geometry(),
+                                                           self.qmodel.entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer inference")
-            positions = out_shape[1] * out_shape[2] if isinstance(layer, ConvSpec) else 1
+            gather = None
+            if isinstance(layer, ConvSpec):
+                pad = 2 * layer.padding
+                gather = im2col_index(in_shape[0], layer.kernel, layer.stride, out_shape[1:],
+                                      (in_shape[1] + pad, in_shape[2] + pad))
             terms = plan = None
             if entry is not None:
                 weights, biases = layer_terms(entry)
                 terms = _layer_terms(layer.name, weights, out_shape[0], align)
                 plan = _group_plan(*terms, _bias_acc(layer.name, biases, align, self.f_a),
-                                   positions)
+                                   1 if gather is None else gather.shape[1])
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, positions, avg_shift))
+            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, gather, avg_shift))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
@@ -351,16 +371,11 @@ class ShiftAddEngine:
 
     def _conv_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
         layer = stage.layer
-        pad, s = layer.padding, layer.stride
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, layer.kernel, axis=(1, 2))
-        oh, ow = stage.out_hw
-        win = win[:, ::s, ::s][:, :oh, :ow]
-        # win: (N, OH, OW, P, Q) -> im2col (N*P*Q, OH*OW), rows in weight order
-        cols = win.transpose(0, 3, 4, 1, 2).reshape(-1, stage.positions)
-        acc = _shift_add(cols, stage.plan)
+        pad = layer.padding
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+        acc = _shift_add(np.take(xp, stage.gather), stage.plan)
         out = _requantize(acc, self.frac_bits, self.mode, stats, stage.name, layer.relu)
-        return out.reshape(-1, oh, ow)
+        return out.reshape(-1, *stage.out_hw)
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
         p, q = stage.layer.window
@@ -405,8 +420,11 @@ class ShiftAddEngine:
         """
         x_int = _integer_input(x_int)
         stats: dict[str, int] = {}
-        for stage in self.stages:
+        for stage, (_, in_shape, _) in zip(self.stages, self.spec.geometry()):
             if stage.name == name:
+                if x_int.shape != in_shape:
+                    raise ConfigurationError(f"layer {name}: input shape {x_int.shape} does "
+                                             f"not match the spec's {in_shape}")
                 return self._forward_arrays(x_int, stats, [stage]), stats.get(name, 0)
         raise ConfigurationError(f"no layer named {name!r}")
 

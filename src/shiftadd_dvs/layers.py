@@ -140,7 +140,9 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
 
     Accumulation is performed term by term in (in_channel, kernel_row,
     kernel_col) order with the bias added last, so every output element sees a
-    fixed floating-point operation sequence.
+    fixed floating-point operation sequence however many rows the call covers:
+    the streaming simulator runs it on one output row at a time (padding 0, as
+    its rows already hold the zeros) and matches the whole-map call bit for bit.
     """
     x = as_feature_map(x)
     m, n, p, q = params.kernel.shape
@@ -148,17 +150,18 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
         raise ConfigurationError(
             f"input has {x.shape[0]} channels but kernel expects {n}")
     s, pad = params.stride, params.padding
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     if xp.shape[1] < p or xp.shape[2] < q:
         raise ConfigurationError(
             f"window {p}x{q} larger than padded input {xp.shape[1]}x{xp.shape[2]}")
     oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), s, pad)
+    taps = [[xp[:, pi:pi + s * oh:s, qi:qi + s * ow:s] for qi in range(q)] for pi in range(p)]
+    weights = params.kernel.transpose(1, 2, 3, 0)[..., None, None]
     out = np.zeros((m, oh, ow), dtype=np.float64)
     for ni in range(n):
         for pi in range(p):
             for qi in range(q):
-                win = xp[ni, pi::s, qi::s][:oh, :ow]
-                out += params.kernel[:, ni, pi, qi][:, None, None] * win[None, :, :]
+                out += weights[ni, pi, qi] * taps[pi][qi][ni]
     out += params.bias[:, None, None]
     return out
 
@@ -172,16 +175,15 @@ def pool2d_forward(x, spec: PoolSpec) -> np.ndarray:
         raise ConfigurationError(
             f"pool window {p}x{q} larger than input {x.shape[1]}x{x.shape[2]}")
     oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), s)
+    taps = [x[:, pi:pi + s * oh:s, qi:qi + s * ow:s] for pi in range(p) for qi in range(q)]
     if spec.mode == "max":
-        out = np.full((x.shape[0], oh, ow), -np.inf)
-        for pi in range(p):
-            for qi in range(q):
-                np.maximum(out, x[:, pi::s, qi::s][:, :oh, :ow], out=out)
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
         return out
     acc = np.zeros((x.shape[0], oh, ow))
-    for pi in range(p):
-        for qi in range(q):
-            acc += x[:, pi::s, qi::s][:, :oh, :ow]
+    for tap in taps:
+        acc += tap
     return acc / (p * q)
 
 

@@ -282,6 +282,20 @@ def zero_params(spec: ModelSpec) -> ModelParams:
     return params
 
 
+def layer_forward(layer: LayerSpec, entry, x) -> np.ndarray:
+    """One layer of the reference forward: conv (then batchnorm, relu), pool, flatten or dense."""
+    if isinstance(layer, ConvSpec):
+        out = conv2d_forward(x, entry.conv)
+        if layer.batchnorm and entry.bn is not None:
+            out = batchnorm_apply(out, entry.bn)
+        return relu(out) if layer.relu else out
+    if isinstance(layer, PoolLayerSpec):
+        return pool2d_forward(x, layer.pool_spec())
+    if isinstance(layer, FlattenSpec):
+        return x.reshape(-1)
+    return dense_forward(x, entry)
+
+
 def model_forward(spec: ModelSpec, params: ModelParams, x, capture: str | None = None):
     """Run the layer chain on one sample and return the raw logits.
 
@@ -298,18 +312,7 @@ def model_forward(spec: ModelSpec, params: ModelParams, x, capture: str | None =
     out = x
     for layer, entry in zip(spec.layers, params.entries):
         try:
-            if isinstance(layer, ConvSpec):
-                out = conv2d_forward(out, entry.conv)
-                if layer.batchnorm and entry.bn is not None:
-                    out = batchnorm_apply(out, entry.bn)
-                if layer.relu:
-                    out = relu(out)
-            elif isinstance(layer, PoolLayerSpec):
-                out = pool2d_forward(out, layer.pool_spec())
-            elif isinstance(layer, FlattenSpec):
-                out = out.reshape(-1)
-            else:
-                out = dense_forward(out, entry)
+            out = layer_forward(layer, entry, out)
         except ConfigurationError as exc:
             raise ConfigurationError(f"layer {layer.name}: {exc}") from exc
         if capture is not None and layer.name == capture:

@@ -15,9 +15,11 @@ model is the deployable view; the field widths cap term counts at 15.
 Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
-whose shapes it does not carry. The writer rejects codes that do not fit
-``bits`` unsigned bits; the loader rejects non-zero padding bits, so every
-file that loads saves back to the same bytes.
+whose shapes it does not carry. The loader rejects N < 1, and both sides
+reject a weight with more than N terms; biases may hold more, since
+``quantize_biases=False`` keeps them at full precision. The writer rejects
+codes that do not fit ``bits`` unsigned bits; the loader rejects non-zero
+padding bits, so every file that loads saves back to the same bytes.
 
 Each layer's block is packed and unpacked as arrays with
 ``np.packbits``/``np.unpackbits``. Because a record's length depends on its
@@ -58,6 +60,7 @@ def save_quantized(path, q: QuantizedModel) -> None:
         if tuple(entry.shape) != shape:
             raise ConfigurationError(
                 f"layer {layer.name}: parameters {tuple(entry.shape)} do not match the spec's {shape}")
+        _check_weight_terms(layer.name, shape, entry.count, q.n_terms)
         blob += _pack_layer(entry, q.bits)
     atomic_write_bytes(path, bytes(blob))
 
@@ -105,22 +108,23 @@ def load_quantized(path, spec: ModelSpec, f_a: int = 8) -> QuantizedModel:
     version, n_terms, bits, frac_bits, int_bits, count = reader.unpack("<HBBBBH")
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported SAQM version {version}")
-    if not 1 <= bits <= 8 or frac_bits + int_bits > 31:
-        raise ConfigurationError(
-            f"{path}: header fields bits={bits}, F={frac_bits}, I={int_bits} out of range")
+    if n_terms < 1 or not 1 <= bits <= 8 or frac_bits + int_bits > 31:
+        raise ConfigurationError(f"{path}: header fields N={n_terms}, bits={bits}, "
+                                 f"F={frac_bits}, I={int_bits} out of range")
     if count != len(spec.layers):
         raise ConfigurationError(f"{path}: file has {count} layers, spec has {len(spec.layers)}")
     entries: list = []
     for layer, in_shape, _ in spec.geometry():
         reader.header(layer, in_shape)
         shape = weight_shape(layer, in_shape)
-        entries.append(None if shape is None else _unpack_layer(reader, layer.name, shape, bits))
+        entries.append(None if shape is None
+                       else _unpack_layer(reader, layer.name, shape, bits, n_terms))
     reader.finish(path)
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, bits=bits, f_a=f_a)
 
 
-def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
+def _unpack_layer(reader, name: str, shape: tuple, bits: int, n_terms: int) -> QuantizedLayer:
     (bias,) = reader.unpack("<h")
     if bias < 0:
         raise ConfigurationError(f"layer {name}: negative encoding bias {bias}")
@@ -157,11 +161,20 @@ def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
     zero_with_terms = count[(sign_field == 0) & (count > 0)]
     if zero_with_terms.size:
         raise ConfigurationError(f"layer {name}: zero weight with {zero_with_terms[0]} terms")
+    _check_weight_terms(name, shape, count, n_terms)
     code = _field(stream, _record_layout(count, bits)[1], bits)
     encoding = LayerEncoding(bias=bias, bits=bits, code=code, count=count, clamp_count=0)
     sign = np.where(sign_field == 2, -1, sign_field.astype(np.int64))
     return QuantizedLayer(name=name, shape=shape, sign=sign, count=count,
                           shift=bias + encoding.code, encoding=encoding)
+
+
+def _check_weight_terms(name: str, shape: tuple, count: np.ndarray, n_terms: int) -> None:
+    """Rejects a weight (one of the first prod(shape) records) with more than N terms."""
+    over = np.flatnonzero(count[:math.prod(shape)] > n_terms)
+    if over.size:
+        raise ConfigurationError(f"layer {name}: weight {over[0]} has {count[over[0]]} terms, "
+                                 f"more than N={n_terms}")
 
 
 def _field(stream: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:

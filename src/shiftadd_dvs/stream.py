@@ -13,18 +13,20 @@ vector at a time. Three stage classes cover every layer kind:
   layer's output when the grid is complete.
 
 The arithmetic is a module-level function bound to its stage with
-``functools.partial``. Float conv and pool rows keep the batch reference's
-per-window accumulation order, elementwise across the row, so they match it
-bit for bit. The integer path builds a ``ShiftAddEngine`` and takes every
-integer operation from it: a conv row runs the engine's ``_shift_add`` kernel
-on its (N*P*Q, OW) im2col block, gathered from the slab by a precomputed
-index, then ``_requantize`` (so diagnostic mode raises once per row); dense
-positions run the kernel on one position's columns; pool rows run
-``ShiftAddEngine._pool_int`` on a 1 x OW output grid. The simulator thus
-accepts exactly the models, ``f_a`` and modes the engine accepts, and its
-logits are bit-identical. The modeled cycle count assumes one element per
-cycle per stage and is the maximum per-stage element-event count; it is an
-estimate, distinct from measured latencies.
+``functools.partial``; this module adds none of its own to conv and pool rows.
+A row's compute is the batch path's own layer function on a one-row stage:
+the layer with padding 0, since the slab already holds the virtual zeros, and
+a 1 x OW output grid. Float rows run ``model.layer_forward`` (convolution,
+batchnorm, relu or pooling) and so match the batch reference bit for bit.
+The integer path builds a ``ShiftAddEngine`` and runs each row through
+``ShiftAddEngine._forward_arrays`` with the engine stage restated for the
+row: its conv plan chunked for OW positions and its ``im2col_index`` over the
+(P, Q + (OW-1)*S) slab (so diagnostic mode raises once per row). Dense
+positions run the engine's kernel on one position's columns, then its
+requantization. The simulator thus accepts exactly the models, ``f_a`` and
+modes the engine accepts, and its logits are bit-identical. The modeled cycle
+count assumes one element per cycle per stage and is the maximum per-stage
+element-event count; it is an estimate, distinct from measured latencies.
 """
 from __future__ import annotations
 
@@ -34,17 +36,16 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .engine import (ShiftAddEngine, _group_plan, _requantize, _shift_add, _ShiftPlan,
-                     _StageConfig, quantize_frame)
-from .layers import BatchNormParams
-from .model import ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
+from .engine import (ShiftAddEngine, _group_plan, _requantize, _shift_add, _StageConfig,
+                     im2col_index, quantize_frame)
+from .model import (ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec,
+                    layer_forward)
 from .quantize import QuantizedModel
 
 # Every function here that touches integer data; audited for absence of
 # multiplication (see tests/test_engine.py).
 DATA_PATH_FUNCTIONS = (
-    "_int_conv_row",
-    "_int_pool_row",
+    "_int_row",
     "_int_dense_add",
     "_int_dense_result",
 )
@@ -266,52 +267,18 @@ class _DenseStage(_Stage):
 
 # -- per-row arithmetic, bound to each stage with functools.partial -----------
 
-def _row_taps(slab, q: int, stride: int) -> list:
-    """``taps[pi][qi]``: the (OW, C) inputs of window tap (pi, qi) across the slab's row."""
-    span = slab.shape[1] - q + 1
-    return [[rows[qi:qi + span:stride] for qi in range(q)] for rows in slab]
-
-
-def _float_conv_row(slab, kernel, bias, bn_scale, bn_shift, layer: ConvSpec):
-    m, n, p, q = kernel.shape
-    taps = _row_taps(slab, q, layer.stride)
-    acc = np.zeros((len(taps[0][0]), m))
-    for ni in range(n):
-        for pi in range(p):
-            for qi in range(q):
-                acc += taps[pi][qi][:, ni, None] * kernel[:, ni, pi, qi]
-    acc += bias
-    if bn_scale is not None:
-        acc = acc * bn_scale + bn_shift
-    if layer.relu:
-        acc = np.maximum(acc, 0.0)
-    return acc
-
-
-def _float_pool_row(slab, layer: PoolLayerSpec):
-    p, q = layer.window
-    taps = [tap for row in _row_taps(slab, q, layer.stride) for tap in row]
-    if layer.mode == "max":
-        return np.maximum.reduce(taps)
-    acc = np.zeros(taps[0].shape)
-    for tap in taps:
-        acc += tap
-    return acc / (p * q)
+def _float_row(slab, layer, entry):
+    """``layer_forward`` on the row's (P, width, C) slab; ``entry`` has no padding."""
+    return layer_forward(layer, entry, slab.transpose(2, 0, 1))[:, 0].T
 
 
 def _float_dense_add(acc, vec, pos, weights, columns):
     return acc + weights[:, columns[pos]] @ vec
 
 
-def _int_conv_row(slab, gather, plan: _ShiftPlan, engine: ShiftAddEngine, stats, layer):
-    """The engine's kernel on the row's im2col block ``slab.flat[gather]``, then requantization."""
-    acc = _shift_add(np.take(slab, gather), plan)
-    return _requantize(acc, engine.frac_bits, engine.mode, stats, layer.name, layer.relu).T
-
-
-def _int_pool_row(slab, engine: ShiftAddEngine, stage: _StageConfig):
-    """The engine's pooling on one row's (P, width, C) slab; ``stage`` has a 1 x OW grid."""
-    return engine._pool_int(slab.transpose(2, 0, 1), stage)[:, 0].T
+def _int_row(slab, engine: ShiftAddEngine, stage: _StageConfig, stats):
+    """The engine's own layer on the row's (P, width, C) slab; ``stage`` is one output row."""
+    return engine._forward_arrays(slab.transpose(2, 0, 1), stats, [stage])[:, 0].T
 
 
 def _int_dense_add(acc, vec, pos, plans):
@@ -347,17 +314,10 @@ def _stage_in_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
 def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     stages: list[_Stage] = []
     for layer, entry, in_shape in zip(spec.layers, params.entries, _stage_in_shapes(spec)):
-        if isinstance(layer, ConvSpec):
-            scale = shift = None
-            if layer.batchnorm and entry.bn is not None:
-                bn: BatchNormParams = entry.bn
-                scale = bn.gamma / np.sqrt(bn.var + bn.eps)
-                shift = bn.beta - bn.mean * scale
-            compute = partial(_float_conv_row, kernel=entry.conv.kernel, bias=entry.conv.bias,
-                              bn_scale=scale, bn_shift=shift, layer=layer)
-            stages.append(_WindowStage(layer, in_shape, np.float64, compute))
-        elif isinstance(layer, PoolLayerSpec):
-            compute = partial(_float_pool_row, layer=layer)
+        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            if isinstance(layer, ConvSpec):
+                entry = replace(entry, conv=replace(entry.conv, padding=0))
+            compute = partial(_float_row, layer=layer, entry=entry)
             stages.append(_WindowStage(layer, in_shape, np.float64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
@@ -371,12 +331,15 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     return stages
 
 
-def _row_gather(layer: ConvSpec, channels: int, ow: int) -> np.ndarray:
-    """Flat (P, width, C) slab index of the row's im2col block: rows (n, p, q), OW columns."""
+def _row_stage(stage: _StageConfig, channels: int) -> _StageConfig:
+    """``stage`` restated for one output row of its slab, whose padding is already in place."""
+    layer, ow = stage.layer, stage.out_hw[1]
+    if not isinstance(layer, ConvSpec):
+        return replace(stage, out_hw=(1, ow))
     (p, q), s = layer.kernel, layer.stride
-    n, pi, qi, j = np.ix_(range(channels), range(p), range(q), range(ow))
-    width = q + (ow - 1) * s
-    return ((pi * width + j * s + qi) * channels + n).reshape(-1, ow)
+    return replace(stage, layer=replace(layer, padding=0), out_hw=(1, ow),
+                   plan=_group_plan(*stage.terms, stage.plan.bias_acc, ow),
+                   gather=im2col_index(channels, (p, q), s, (1, ow), (p, q + (ow - 1) * s)))
 
 
 def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
@@ -384,15 +347,9 @@ def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
     stages: list[_Stage] = []
     for stage, in_shape in zip(engine.stages, _stage_in_shapes(engine.spec)):
         layer = stage.layer
-        if isinstance(layer, ConvSpec):
-            ow = stage.out_hw[1]
-            plan = _group_plan(*stage.terms, stage.plan.bias_acc, ow)
-            compute = partial(_int_conv_row, gather=_row_gather(layer, in_shape[0], ow),
-                              plan=plan, engine=engine, stats=counters, layer=layer)
-            stages.append(_WindowStage(layer, in_shape, np.int64, compute))
-        elif isinstance(layer, PoolLayerSpec):
-            compute = partial(_int_pool_row, engine=engine,
-                              stage=replace(stage, out_hw=(1, stage.out_hw[1])))
+        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            compute = partial(_int_row, engine=engine, stage=_row_stage(stage, in_shape[0]),
+                              stats=counters)
             stages.append(_WindowStage(layer, in_shape, np.int64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))

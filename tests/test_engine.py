@@ -1,6 +1,7 @@
 import ast
 import inspect
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from shiftadd_dvs.model import (
     FlattenSpec,
     ModelSpec,
     PoolLayerSpec,
+    default_student_spec,
+    fold_model_batchnorm,
     init_params,
     model_forward,
     param_arrays,
@@ -33,7 +36,7 @@ from shiftadd_dvs.quantize import (
     shift_quantize_model,
 )
 
-from conftest import make_small_model, wide_dense_model
+from conftest import STRIDED_GEOMETRIES, make_small_model, single_conv_spec, wide_dense_model
 
 
 class TestQuantizeActivation:
@@ -142,6 +145,20 @@ class TestIntegerForward:
         assert out[0, 0, 0] == 4
         with pytest.raises(ConfigurationError):
             eng.layer_forward("missing", x)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 6, 6), (2, 5, 5)])
+    def test_layer_input_of_another_shape_rejected(self, rng, shape):
+        """A conv gathers by an index built for its spec's input, so any other shape is refused."""
+        spec = ModelSpec(layers=(
+            ConvSpec(name="c", out_channels=2, kernel=(3, 3), padding=1,
+                     relu=False, batchnorm=False),
+            FlattenSpec(),
+            DenseSpec(name="d", out_features=3),
+        ), input_shape=(1, 5, 5), class_count=3)
+        eng = ShiftAddEngine(shift_quantize_model(spec, init_params(spec, rng), 3))
+        eng.layer_forward("c", np.zeros((1, 5, 5), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match=r"layer c: input shape \("):
+            eng.layer_forward("c", np.zeros(shape, dtype=np.int64))
 
     def test_single_conv_matches_float_oracle_within_one_ulp(self, rng):
         from shiftadd_dvs.layers import ConvLayerParams, conv2d_forward
@@ -328,8 +345,8 @@ def _functions_by_name(module, names):
     return found
 
 
-# The engine's integer operations the stream simulator calls.
-ENGINE_KERNELS = ("_shift_add", "_requantize", "_pool_int")
+# The engine's integer operations the stream simulator calls. May grow, never shrink.
+ENGINE_KERNELS = ("_shift_add", "_requantize", "_pool_int", "_conv_int", "_forward_arrays")
 
 
 def _assert_kernel_callers_listed(module):
@@ -377,6 +394,29 @@ class TestMultiplierFreeAudit:
 
     def test_stream_kernel_callers_are_listed(self):
         _assert_kernel_callers_listed(stream_module)
+
+    @pytest.mark.parametrize("geometry", [pytest.param(None, id="default"), *(
+        pytest.param(g.values, id=g.id) for g in STRIDED_GEOMETRIES)])
+    def test_bound_stage_functions_are_listed(self, geometry):
+        """Every function an integer stage binds with ``partial`` is on an audited list."""
+        if geometry is None:
+            spec = default_student_spec()
+            spec, params = fold_model_batchnorm(
+                spec, init_params(spec, np.random.default_rng(14)))
+        else:
+            kernel, stride, padding = geometry
+            spec = single_conv_spec(2, 9, 11, 3, kernel, stride=stride, padding=padding,
+                                    use_relu=True)
+            params = init_params(spec, np.random.default_rng(14))
+        engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
+        listed = set(stream_module.DATA_PATH_FUNCTIONS) | set(engine_module.DATA_PATH_FUNCTIONS)
+        bound = [(stage.name, value.func.__name__)
+                 for stage in stream_module._build_int_stages(engine, {})
+                 for value in vars(stage).values() if isinstance(value, partial)]
+        assert {name for name, _ in bound} == {
+            layer.name for layer in spec.layers if not isinstance(layer, FlattenSpec)}
+        for name, func in bound:
+            assert func in listed, f"stage {name} binds unlisted {func}"
 
     @pytest.mark.parametrize("source, caller", [
         ("def unlisted(acc):\n    return _requantize(acc, 16, 'release', {}, 'x')\n",

@@ -19,10 +19,12 @@ from shiftadd_dvs.model import (
     FlattenSpec,
     ModelSpec,
     PoolLayerSpec,
+    default_student_spec,
     init_params,
+    layer_forward,
 )
 from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
-from shiftadd_dvs.stream import _build_int_stages
+from shiftadd_dvs.stream import _build_float_stages, _build_int_stages
 
 from conftest import STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec
 
@@ -101,6 +103,51 @@ def _check_layers(qmodel, frame, f_a=8):
             checked += 1
         x = got
     return checked
+
+
+def _check_float_layers(spec, params, frame):
+    """Every float conv and pool stage emits exactly ``layer_forward``'s output, bit for bit.
+
+    As in ``_check_layers``, each stage is fed the layer's unpadded input
+    element by element, so its virtual padding and line buffer are checked too.
+    """
+    x = frame
+    checked = 0
+    for layer, entry, stage in zip(spec.layers, params.entries, _build_float_stages(spec, params)):
+        want = layer_forward(layer, entry, x)
+        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            streamed = _stream_stage(stage, x)
+            np.testing.assert_array_equal(np.array(streamed), want.reshape(len(want), -1).T)
+            checked += 1
+        x = want
+    return checked
+
+
+def _random_batchnorm(params, rng):
+    for entry in params.entries:
+        if getattr(entry, "bn", None) is not None:
+            for arr in (entry.bn.gamma, entry.bn.beta, entry.bn.mean):
+                arr[...] = rng.normal(0, 0.5, size=arr.shape)
+            entry.bn.var[...] = rng.uniform(0.5, 2.0, size=entry.bn.var.shape)
+    return params
+
+
+def test_default_student_float_stages_equal_layer_forward():
+    spec = default_student_spec()
+    assert all(layer.batchnorm and layer.relu for layer in spec.layers
+               if isinstance(layer, ConvSpec))
+    rng = np.random.default_rng(15)
+    params = _random_batchnorm(init_params(spec, rng), rng)
+    assert _check_float_layers(spec, params, rng.normal(size=spec.input_shape)) == 7
+
+
+@pytest.mark.parametrize("kernel, stride, padding", STRIDED_GEOMETRIES)
+def test_strided_float_stages_equal_layer_forward(kernel, stride, padding):
+    spec = single_conv_spec(2, 9, 11, 3, kernel, stride=stride, padding=padding,
+                            use_relu=True, batchnorm=True)
+    rng = np.random.default_rng(16)
+    params = _random_batchnorm(init_params(spec, rng, weight_scale=0.8), rng)
+    assert _check_float_layers(spec, params, rng.normal(size=spec.input_shape)) == 1
 
 
 def _single_conv(out_c, in_c=2, kernel=(3, 3), h=6, w=7):
@@ -189,9 +236,10 @@ def test_default_student_chunks_stay_within_budget():
     for stage in engine.stages:
         if stage.plan is None:
             continue
+        positions = 1 if stage.gather is None else stage.gather.shape[1]
         for chunk in stage.plan.chunks:
             assert (len(chunk.channels) == 1
-                    or len(chunk.rows) * stage.positions <= engine_module.CHUNK_ELEMENTS)
+                    or len(chunk.rows) * positions <= engine_module.CHUNK_ELEMENTS)
         assert sum(len(c.channels) for c in stage.plan.chunks) == len(stage.plan.bias_acc)
 
 

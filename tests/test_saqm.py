@@ -125,9 +125,10 @@ def test_header_disagreeing_with_spec_rejected(tmp_path, altered):
 
 
 @pytest.mark.parametrize("offset, value, message", [
+    (6, 0, "N=0, .* out of range"),
     (7, 0, "out of range"), (7, 9, "out of range"), (8, 40, "out of range"),
     (26, 0x80, "negative encoding bias"),  # high byte of the first layer's i16 bias
-], ids=["bits_0", "bits_9", "frac_40", "negative_bias"])
+], ids=["n_terms_0", "bits_0", "bits_9", "frac_40", "negative_bias"])
 def test_header_fields_out_of_range_rejected(rng, tmp_path, offset, value, message):
     spec, params = make_small_model(rng)
     path = tmp_path / "m.saqm"
@@ -203,6 +204,40 @@ def test_hand_built_file_loads_to_its_fields(tmp_path):
     resaved = tmp_path / "r.saqm"
     save_quantized(resaved, load_quantized(path, DENSE_SPEC))
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_full_precision_biases_round_trip(rng, tmp_path):
+    """Biases kept at full precision hold more than N terms and still save back byte for byte."""
+    spec, params = make_small_model(rng)
+    for entry in params.entries:
+        if entry is not None:
+            bias = entry.conv.bias if hasattr(entry, "conv") else entry.bias
+            bias[...] = rng.normal(0, 0.5, size=bias.shape)
+    q = encode_model(shift_quantize_model(spec, params, 1, frac_bits=10, quantize_biases=False),
+                     bits=4)
+    assert any(layer.count[len(layer.count) - layer.shape[0]:].max() > 1 for layer in q.layers())
+    p1, p2 = tmp_path / "a.saqm", tmp_path / "b.saqm"
+    save_quantized(p1, q)
+    save_quantized(p2, load_quantized(p1, spec))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_weight_with_more_than_n_terms_not_saved(rng, tmp_path):
+    spec, params = make_small_model(rng)
+    q = encode_model(shift_quantize_model(spec, params, 3), bits=3)
+    assert max(layer.count.max() for layer in q.layers()) > 1
+    with pytest.raises(ConfigurationError, match="terms, more than N=1"):
+        save_quantized(tmp_path / "m.saqm", replace(q, n_terms=1))
+
+
+def test_weight_with_more_than_n_terms_rejected(tmp_path):
+    path = tmp_path / "m.saqm"
+    four_terms = (1, 4, [1, 1, 2, 3])
+    path.write_bytes(_hand_built(GOOD[:1] + [four_terms] + GOOD[2:]))
+    with pytest.raises(ConfigurationError, match="layer d: weight 1 has 4 terms, more than N=3"):
+        load_quantized(path, DENSE_SPEC)
+    path.write_bytes(_hand_built(GOOD[:4] + [four_terms] + GOOD[5:]))  # a bias may hold more
+    assert load_quantized(path, DENSE_SPEC).entries[1].count.tolist() == [2, 1, 0, 3, 4, 1]
 
 
 @pytest.mark.parametrize("records, cut_bits, tail_bits, message", [
