@@ -60,7 +60,7 @@ def _fail_on_error(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ShiftAddError as exc:
+        except (ShiftAddError, OSError) as exc:
             message = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             click.echo(json.dumps(message), err=True)
             sys.exit(1)

@@ -11,7 +11,7 @@ and every gradient of a model without batchnorm are those of the NCHW passes
 this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
 and so may an input that wins three or more overlapping max-pool windows.
 Batchnorm runs on batch statistics in training mode and on running statistics
-in eval mode; the train loop applies running-stat updates, so the forward stays pure.
+in eval mode; the forward stays pure, and ``update_running_stats`` is a separate step.
 """
 from __future__ import annotations
 

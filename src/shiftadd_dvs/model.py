@@ -218,12 +218,6 @@ class ModelParams:
 
     entries: list = field(default_factory=list)
 
-    def entry(self, spec: ModelSpec, name: str):
-        for layer, entry in zip(spec.layers, self.entries):
-            if layer.name == name:
-                return entry
-        raise ConfigurationError(f"no layer named {name!r}")
-
 
 def weight_shape(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...] | None:
     """Weight array shape of a conv (M, N, P, Q) or dense (out, in) layer; None for the rest."""

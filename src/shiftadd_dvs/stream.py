@@ -1,7 +1,11 @@
 """Row-major streaming execution with per-stage line buffers.
 
-Each layer becomes a pipeline stage that consumes one per-position channel
-vector at a time. Three stage classes cover every layer kind:
+Each layer becomes a stage that steps its own line buffer through its whole
+input, one per-position channel vector at a time in row-major order, and
+hands what it emitted to the next stage; stages run in layer order, as the
+engine's layers do. Every report counts one stage's own elements, so none
+depends on how stages would interleave in hardware. Three stage classes
+cover every layer kind:
 
 - ``_WindowStage`` (conv, pool) keeps at most the window height's rows in a
   ring ``LineBuffer``; the element completing an output row's last window
@@ -10,7 +14,7 @@ vector at a time. Three stage classes cover every layer kind:
   toward occupancy since hardware would not store constant zeros.
 - ``_FlattenStage`` passes each position's vector through.
 - ``_DenseStage`` folds each position into an accumulator and emits the
-  layer's output when the grid is complete.
+  layer's output at the grid's last position.
 
 The arithmetic is a module-level function bound to its stage with
 ``functools.partial``; this module adds none of its own to conv and pool rows.
@@ -142,38 +146,29 @@ class StageReport:
 
 
 class _Stage:
-    """Bookkeeping and the push/finish protocol over one (C, H, W) grid; subclasses ``_consume``."""
+    """Bookkeeping over one (C, H, W) grid; ``run`` consumes it whole, subclasses ``_consume``."""
 
     def __init__(self, name: str, in_shape: tuple[int, int, int]):
         self.name = name
         self.in_shape = in_shape
-        self._limit = in_shape[1] * in_shape[2]
         self.elements_in = 0
         self.padded_in = 0
         self.elements_out = 0
         self.first_output_at: int | None = None
 
-    def push(self, element) -> list:
-        """Consume the next channel vector in row-major order; returns what it completes."""
-        if self.elements_in >= self._limit:
-            raise ProtocolError(f"stage {self.name}: more than {self._limit} elements pushed")
-        self.elements_in += 1
-        return self._emit(self._consume(element, self.elements_in - 1))
-
-    def finish(self) -> list:
-        if self.elements_in != self._limit:
+    def run(self, elements: list) -> list:
+        """Consume the grid's channel vectors in row-major order; returns everything emitted."""
+        limit = self.in_shape[1] * self.in_shape[2]
+        if len(elements) != limit:
             raise ProtocolError(
-                f"stage {self.name}: stream ended after {self.elements_in} of "
-                f"{self._limit} elements")
-        return self._emit(self._drain())
-
-    def _drain(self) -> list:
-        return []
-
-    def _emit(self, outputs: list) -> list:
-        if outputs and self.first_output_at is None:
-            self.first_output_at = self.elements_in
-        self.elements_out += len(outputs)
+                f"stage {self.name}: {len(elements)} elements for a {limit}-element grid")
+        outputs: list = []
+        for index, element in enumerate(elements):
+            self.elements_in = index + 1
+            self._consume(element, index, outputs)
+            if outputs and self.first_output_at is None:
+                self.first_output_at = self.elements_in
+        self.elements_out = len(outputs)
         return outputs
 
     def report(self) -> StageReport:
@@ -201,18 +196,16 @@ class _WindowStage(_Stage):
         self._capacity = window[0] * w  # P rows of real elements per channel
         self._compute = compute
 
-    def _consume(self, element, index: int) -> list:
+    def _consume(self, element, index: int, outputs: list) -> None:
         _, h, w = self.in_shape
         col, pad, pad_rows = index % w, self.padding, self.padding * self.padded_width
         before = (pad if col == 0 else 0) + (pad_rows if index == 0 else 0)
         after = (pad if col == w - 1 else 0) + (pad_rows if index == h * w - 1 else 0)
-        outputs: list = []
         for _ in range(before):
             self._feed(self._zero, True, outputs)
         self._feed(element, False, outputs)
         for _ in range(after):
             self._feed(self._zero, True, outputs)
-        return outputs
 
     def _feed(self, vec, virtual: bool, outputs: list) -> None:
         self.padded_in += 1
@@ -235,13 +228,13 @@ class _WindowStage(_Stage):
 
 
 class _FlattenStage(_Stage):
-    def _consume(self, element, index: int) -> list:
+    def _consume(self, element, index: int, outputs: list) -> None:
         self.padded_in += 1
-        return [element]
+        outputs.append(element)
 
 
 class _DenseStage(_Stage):
-    """``acc = add(acc, vec, pos)`` at each position, then emits ``result(acc)``.
+    """``acc = add(acc, vec, pos)`` at each position; the last one emits ``result(acc)``.
 
     The flat feature index of channel n at position (r, c) is n*H*W + r*W + c,
     the batch flatten order.
@@ -253,13 +246,11 @@ class _DenseStage(_Stage):
         self._add = add
         self._result = result
 
-    def _consume(self, element, index: int) -> list:
+    def _consume(self, element, index: int, outputs: list) -> None:
         self.acc = self._add(self.acc, np.asarray(element), index)
         self.padded_in += 1
-        return []
-
-    def _drain(self) -> list:
-        return [self._result(self.acc)]
+        if index == self.in_shape[1] * self.in_shape[2] - 1:
+            outputs.append(self._result(self.acc))
 
     def _peak(self) -> int:
         return len(self.acc)
@@ -366,30 +357,17 @@ def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
     return stages
 
 
-def _propagate(stages: list[_Stage], idx: int, element, outputs: list) -> None:
-    """Push an element into stage ``idx`` and everything it completes further down."""
-    if idx == len(stages):
-        outputs.append(element)
-        return
-    for out in stages[idx].push(element):
-        _propagate(stages, idx + 1, out, outputs)
-
-
 def _run(stages: list[_Stage], frame: np.ndarray, counters) -> StreamResult:
-    """Push the frame's channel vectors in row-major order, then finish every stage."""
+    """Run the frame's channel vectors through each stage in turn, in row-major order."""
     if frame.shape != stages[0].in_shape:
         raise ProtocolError(f"frame shape {frame.shape} does not match spec {stages[0].in_shape}")
-    outputs: list = []
     _, h, w = frame.shape
-    for r in range(h):
-        for col in range(w):
-            _propagate(stages, 0, frame[:, r, col], outputs)
-    for i, stage in enumerate(stages):
-        for out in stage.finish():
-            _propagate(stages, i + 1, out, outputs)
-    if len(outputs) != 1:
-        raise ProtocolError(f"expected one logits emission, got {len(outputs)}")
-    logits = outputs[0]
+    elements = [frame[:, r, c] for r in range(h) for c in range(w)]
+    for stage in stages:
+        elements = stage.run(elements)
+    if len(elements) != 1:
+        raise ProtocolError(f"expected one logits emission, got {len(elements)}")
+    logits = elements[0]
     return StreamResult(logits=logits, argmax=int(np.argmax(logits)),
                         stages=[s.report() for s in stages],
                         modeled_cycles=max(stage.padded_in for stage in stages),

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Manifest, SampleRef, save_manifest, write_sample, SAMPLE_ROWS, SAMPLE_COLS
+from .dataset import Manifest, convert_samples, SAMPLE_ROWS, SAMPLE_COLS
 from .errors import ConfigurationError
 from .rng import stream
 
@@ -126,18 +126,11 @@ def generate_synthetic_dataset(seed: int, per_class: int, out_dir,
     """Write per_class samples of each class as a DVSF dataset directory."""
     if per_class < 1:
         raise ConfigurationError("per_class must be >= 1")
-    out = Path(out_dir)
-    (out / "samples").mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(name=name or f"synthetic-{variant}")
-    for label in range(len(_TEXTURES)):
-        for index in range(per_class):
-            frame = synth_sample(seed, variant, label, index)
-            ident = f"{variant}-c{label}-{index:04d}"
-            rel = f"samples/{ident}.dvsf"
-            write_sample(out / rel, frame, label)
-            manifest.samples.append(SampleRef(id=ident, file=rel, label=label))
-    save_manifest(out, manifest)
-    return manifest
+    keys = [(label, index) for label in range(len(_TEXTURES)) for index in range(per_class)]
+    return convert_samples((synth_sample(seed, variant, label, index) for label, index in keys),
+                           [label for label, _ in keys],
+                           [f"{variant}-c{label}-{index:04d}" for label, index in keys],
+                           out_dir, name or f"synthetic-{variant}")
 
 
 def generate_benchmark(seed: int, per_class: int, out_dir,

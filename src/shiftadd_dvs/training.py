@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IngestionError, NumericError, ParseError, StratificationError
-from .grads import batch_loss, forward_batch, update_running_stats
+from .grads import batch_loss, forward_batch
 from .losses import KDConfig
 from .model import ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
 from .optim import OptimizerState, adam_update, lr_plateau_schedule
@@ -28,14 +28,13 @@ class TrainConfig:
     max_epochs: int = 100
     min_lr: float = 1e-6
     patience: int = 5
-    bn_momentum: float = 0.1
     weight_scale: float = 1.0
     dtype: type = np.float64
     kd: KDConfig | None = None
 
     def to_json(self) -> dict:
         doc = {"lr": self.lr, "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-               "min_lr": self.min_lr, "patience": self.patience, "bn_momentum": self.bn_momentum,
+               "min_lr": self.min_lr, "patience": self.patience,
                "weight_scale": self.weight_scale, "dtype": np.dtype(self.dtype).name, "kd": None}
         if self.kd is not None:
             doc["kd"] = {"alpha": self.kd.alpha, "temperature": self.kd.temperature,
@@ -77,7 +76,11 @@ class Standardizer:
 def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                 seed: int, teacher_logits: np.ndarray | None = None,
                 sample_ids=None, init: ModelParams | None = None) -> TrainResult:
-    """Train one model; ``teacher_logits`` rows must align with ``x`` rows."""
+    """Train one model; ``teacher_logits`` rows must align with ``x`` rows.
+
+    Batchnorm running statistics are set once, over every training frame,
+    after the last step.
+    """
     x = np.asarray(x, dtype=cfg.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
@@ -94,12 +97,11 @@ def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainCo
             take = perm[start:start + cfg.batch_size]
             teacher = teacher_logits[take] if teacher_logits is not None else None
             ids = [sample_ids[i] for i in take] if sample_ids is not None else None
-            loss, grads, _, caches = batch_loss(spec, params, x[take], labels[take],
-                                                teacher_logits=teacher, kd=cfg.kd,
-                                                training=True, sample_ids=ids)
+            loss, grads, _, _ = batch_loss(spec, params, x[take], labels[take],
+                                           teacher_logits=teacher, kd=cfg.kd,
+                                           training=True, sample_ids=ids)
             arrays = param_arrays(spec, params)
             set_param_arrays(spec, params, adam_update(arrays, grads, state))
-            update_running_stats(spec, params, caches, momentum=cfg.bn_momentum)
             total += loss * len(take)
         epoch_loss = total / n
         result.epoch_losses.append(epoch_loss)
@@ -140,21 +142,16 @@ def _recalibrate_running_stats(spec: ModelSpec, params: ModelParams, x: np.ndarr
 def evaluate_accuracy(spec: ModelSpec, params: ModelParams, x: np.ndarray,
                       labels: np.ndarray, batch: int = 256) -> float:
     """Eval-mode argmax accuracy."""
-    labels = np.asarray(labels, dtype=np.int64)
-    hits = 0
-    for start in range(0, x.shape[0], batch):
-        logits, _ = forward_batch(spec, params, x[start:start + batch], training=False)
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start:start + batch]))
-    return hits / max(1, x.shape[0])
+    predicted = np.argmax(predict_logits(spec, params, x, batch), axis=1)
+    return int(np.sum(predicted == np.asarray(labels, dtype=np.int64))) / max(1, x.shape[0])
 
 
 def predict_logits(spec: ModelSpec, params: ModelParams, x: np.ndarray,
                    batch: int = 256) -> np.ndarray:
-    out = []
-    for start in range(0, x.shape[0], batch):
-        logits, _ = forward_batch(spec, params, x[start:start + batch], training=False)
-        out.append(logits)
-    return np.concatenate(out, axis=0)
+    """Eval-mode logits, ``batch`` frames per forward call."""
+    out = [forward_batch(spec, params, x[start:start + batch], training=False)[0]
+           for start in range(0, x.shape[0], batch)]
+    return np.concatenate(out, axis=0) if out else np.zeros((0, spec.class_count))
 
 
 def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

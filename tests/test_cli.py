@@ -98,6 +98,7 @@ class TestTrain:
         result = runner.invoke(main, ["train", "--data", str(tmp_path / "empty"),
                                       "-o", str(tmp_path / "out")])
         assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "IngestionError"
 
 
 class TestDistill:
@@ -402,3 +403,27 @@ class TestExportFeatures:
             "-o", str(tmp_path / "x"),
         ])
         assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("args, error", [
+    (lambda model, data, a_file, tmp: ["distill", "--data", str(data / "base"),
+                                       "--teacher-logits", str(tmp), "-o", str(tmp / "out")],
+     "IsADirectoryError"),
+    (lambda model, data, a_file, tmp: ["gen-data", "--per-class", "1", "-o", str(a_file)],
+     "NotADirectoryError"),
+    (lambda model, data, a_file, tmp: ["report", "-o", str(a_file / "x")],
+     "NotADirectoryError"),
+    (lambda model, data, a_file, tmp: ["infer", "--model", str(model),
+                                       "--data", str(data / "shifted"), "--engine", "float",
+                                       "-o", str(a_file)],
+     "FileExistsError"),
+], ids=["distill-teacher-logits-dir", "gen-data-into-file", "report-under-file",
+        "infer-onto-file"])
+def test_filesystem_errors_exit_with_json_error(runner, tmp_path, trained_model, data_dir,
+                                                args, error):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    result = runner.invoke(main, args(trained_model, data_dir, a_file, tmp_path))
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"]["type"] == error

@@ -64,10 +64,9 @@ def _im2col(x, layer):
 
 
 def _stream_stage(stage, x):
-    """Every vector ``stage`` emits when fed x's (C, H, W) grid row-major, then finished."""
+    """Every vector ``stage`` emits when run over x's (C, H, W) grid row-major."""
     _, h, w = x.shape
-    emitted = [out for r in range(h) for col in range(w) for out in stage.push(x[:, r, col])]
-    return emitted + stage.finish()
+    return stage.run([x[:, r, col] for r in range(h) for col in range(w)])
 
 
 def _check_layers(qmodel, frame, f_a=8):

@@ -24,6 +24,7 @@ from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs.stream import (
     LineBuffer,
+    _build_int_stages,
     buffer_requirement,
     stream_float_forward,
     stream_quantized_forward,
@@ -265,6 +266,43 @@ class TestIntegerStreaming:
         with pytest.raises(SaturationError, match="layer gain1: 4 saturated values"):
             stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
 
+    def test_diagnostic_mode_names_the_engines_layer(self, rng):
+        """Stages run in layer order, so the first saturating layer is the engine's.
+
+        gain1 saturates only on the frame's last row; gain2 saturates on every
+        row. Were the stages interleaved element by element, gain2 would raise
+        before gain1 had seen the last row.
+        """
+        spec = ModelSpec(layers=(
+            ConvSpec(name="gain1", out_channels=1, kernel=(1, 1), padding=0,
+                     relu=False, batchnorm=False),
+            ConvSpec(name="gain2", out_channels=2, kernel=(3, 3), padding=1,
+                     relu=False, batchnorm=False),
+            FlattenSpec(),
+            DenseSpec(name="head", out_features=3),
+        ), input_shape=(1, 6, 4), class_count=3)
+        params = init_params(spec, rng)
+        params.entries[0].conv.kernel[...] = 2.0
+        params.entries[1].conv.kernel[...] = 3.9
+        q = shift_quantize_model(spec, params, 4)
+        frame = np.full(spec.input_shape, 10.0)
+        frame[:, -1] = 100.0
+        with pytest.raises(SaturationError) as engine_error:
+            ShiftAddEngine(q, f_a=24, mode="diagnostic").forward(frame)
+        with pytest.raises(SaturationError) as stream_error:
+            stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
+        assert str(stream_error.value) == str(engine_error.value)
+        batch = ShiftAddEngine(q, f_a=24).forward(frame)
+        res = stream_quantized_forward(q, frame, f_a=24)
+        assert list(res.saturations) == list(batch.saturations)
+
+    def test_stage_rejects_a_grid_of_the_wrong_length(self, rng):
+        spec, params = make_small_model(rng, batchnorm=False)
+        stage = _build_int_stages(ShiftAddEngine(shift_quantize_model(spec, params, 3)), {})[0]
+        _, h, w = stage.in_shape
+        with pytest.raises(ProtocolError, match="elements for a"):
+            stage.run([np.zeros(stage.in_shape[0], dtype=np.int64)] * (h * w - 1))
+
     def test_float_and_integer_paths_keep_their_dtypes(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
         frame = rng.normal(size=spec.input_shape)
@@ -280,9 +318,8 @@ def window_stage_reports_by_enumeration(spec):
 
     Steps a bare ``LineBuffer`` over each stage's zero-padded grid, element by
     element. A stage feeds the top padding rows and a row's left padding with
-    the push of the next real element, and the rest with the push of the
-    previous one, so a window completing on a virtual element is credited to
-    that push.
+    the next real element, and the rest with the previous one, so a window
+    completing on a virtual element is credited to that real element.
     """
     reports = []
     for layer, in_shape, _ in spec.geometry():

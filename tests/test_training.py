@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import IngestionError, NumericError, ParseError, StratificationError
+from shiftadd_dvs.layers import conv2d_forward
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -97,6 +98,16 @@ class TestTrainModel:
         assert a.epoch_losses == b.epoch_losses
         for name, arr in param_arrays(spec, a.params).items():
             np.testing.assert_array_equal(arr, param_arrays(spec, b.params)[name])
+
+    def test_running_stats_recalibrated_over_the_training_set(self):
+        frames, labels = separable_toy_set()
+        spec = tiny_spec()
+        result = train_model(spec, frames, labels, TrainConfig(batch_size=16, max_epochs=3),
+                             seed=3)
+        conv1 = result.params.entries[0]
+        outs = np.stack([conv2d_forward(x, conv1.conv) for x in frames])
+        np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)))
 
     def test_lr_trace_and_losses_recorded(self):
         frames, labels = separable_toy_set(n_per_class=5)
