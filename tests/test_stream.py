@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import deque
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -316,28 +317,42 @@ class TestIntegerStreaming:
 def window_stage_reports_by_enumeration(spec):
     """(first_output_at, peak_occupancy, padded_elements_in) of every conv and pool stage.
 
-    Steps a bare ``LineBuffer`` over each stage's zero-padded grid, element by
-    element. A stage feeds the top padding rows and a row's left padding with
-    the next real element, and the rest with the previous one, so a window
-    completing on a virtual element is credited to that real element.
+    Walks each stage's zero-padded grid element by element, from the
+    definitions alone (no simulator code):
+
+    - a P-row line buffer over rows Wp wide holds the last P * Wp elements
+      fed; padding elements are virtual and take no storage, so the occupancy
+      is the number of real elements among them;
+    - a window completes at padded (r, c) when r >= P-1, c >= Q-1 and both
+      offsets from there are multiples of the stride;
+    - the top padding rows and a real row's left padding are fed with the real
+      element after them, so a window completing on one of these leading
+      virtual elements is credited to that next real element; any other
+      element is credited to the real elements fed so far.
     """
     reports = []
     for layer, in_shape, _ in spec.geometry():
         if not isinstance(layer, (ConvSpec, PoolLayerSpec)):
             continue
-        c, h, w = in_shape
-        window = layer.kernel if isinstance(layer, ConvSpec) else layer.window
-        pad = layer.padding if isinstance(layer, ConvSpec) else 0
-        buf = LineBuffer(c, w + 2 * pad, window, layer.stride)
-        pushed, first = 0, None
+        _, h, w = in_shape
+        p, q = layer.kernel if isinstance(layer, ConvSpec) else layer.window
+        s, pad = layer.stride, (layer.padding if isinstance(layer, ConvSpec) else 0)
+        live = deque(maxlen=p * (w + 2 * pad))  # real flags of the stored elements
+        fed = real_fed = peak = 0
+        first = None
         for r in range(h + 2 * pad):
             for col in range(w + 2 * pad):
                 real = pad <= r < pad + h and pad <= col < pad + w
-                pushed += real
-                leading = not real and (r < pad or (r < pad + h and col < pad))
-                if buf.step(np.zeros(c), virtual=not real) is not None and first is None:
-                    first = pushed + leading
-        reports.append((first, buf.peak_real, (h + 2 * pad) * (w + 2 * pad)))
+                fed += 1
+                real_fed += real
+                live.append(real)
+                peak = max(peak, sum(live))
+                completes = (r >= p - 1 and col >= q - 1
+                             and (r - (p - 1)) % s == 0 and (col - (q - 1)) % s == 0)
+                if completes and first is None:
+                    leading = not real and (r < pad or (r < pad + h and col < pad))
+                    first = real_fed + leading
+        reports.append((first, peak, fed))
     return reports
 
 
