@@ -384,7 +384,8 @@ class TestMultiplierFreeAudit:
                         f"{called} call found in integer data path function {name}")
 
     def test_data_path_functions_contain_no_multiplication(self):
-        kernel_module = sys.modules[stream_module._shift_add.__module__]
+        # the module defining the kernel the engine, and so the stream, calls
+        kernel_module = sys.modules[engine_module._shift_add.__module__]
         assert "_shift_add" in kernel_module.DATA_PATH_FUNCTIONS
         for module in {kernel_module, engine_module}:
             self._assert_multiplier_free(module, module.DATA_PATH_FUNCTIONS)

@@ -64,16 +64,18 @@ def _im2col(x, layer):
 
 
 def _stream_stage(stage, x):
-    """Every vector ``stage`` emits when run over x's (C, H, W) grid row-major."""
-    _, h, w = x.shape
-    return stage.run([x[:, r, col] for r in range(h) for col in range(w)])
+    """The rows of the map ``stage`` returns for the (C, H, W) input x: one channel
+    vector per output position, row-major (a dense stage's output is one row)."""
+    out = stage.run(x)
+    return out.reshape(len(out), -1).T
 
 
 def _check_layers(qmodel, frame, f_a=8):
     """Every conv and dense layer of the engine and of the streamed stages equals the oracle.
 
-    Each streamed stage is fed the layer's unpadded input element by element,
-    so its virtual padding and its line buffer are part of what is checked.
+    Each streamed stage is fed the layer's unpadded input map, which it pushes
+    row by row, so its virtual padding and its line buffer are part of what is
+    checked.
     """
     engine = ShiftAddEngine(qmodel, f_a=f_a)
     align = qmodel.frac_bits + qmodel.int_bits
@@ -107,8 +109,8 @@ def _check_layers(qmodel, frame, f_a=8):
 def _check_float_layers(spec, params, frame):
     """Every float conv and pool stage emits exactly ``layer_forward``'s output, bit for bit.
 
-    As in ``_check_layers``, each stage is fed the layer's unpadded input
-    element by element, so its virtual padding and line buffer are checked too.
+    As in ``_check_layers``, each stage is fed the layer's unpadded input map,
+    so its virtual padding and line buffer are checked too.
     """
     x = frame
     checked = 0
