@@ -89,17 +89,22 @@ class LineBuffer:
         return None
 
     def _store(self, values: np.ndarray, real: np.ndarray) -> None:
-        """Stores (n, C) ``values`` with their real mask at the cursor, within its row."""
+        """Stores (n, C) ``values`` and their real mask from the cursor, within its row.
+
+        The occupancy after each element is the running sum of the real-flag
+        changes at the slots it overwrites, so the peak is that sum's maximum.
+        """
         slot, c = self.row % self.window[0], self.col
         end = c + len(real)
-        running = self.occupancy + np.cumsum(np.subtract(real, self.real[slot, c:end],
-                                                         dtype=np.int64))
+        running = np.subtract(real, self.real[slot, c:end], dtype=np.int64).cumsum()
+        running += self.occupancy
         self.rows[slot, c:end] = values
         self.real[slot, c:end] = real
         self.occupancy = int(running[-1])
         self.peak_real = max(self.peak_real, int(running.max()))
         self.col = end % self.width
-        self.row += end == self.width
+        if self.col == 0:
+            self.row += 1
 
     def _slab(self, r: int, cols: slice) -> np.ndarray:
         """Columns ``cols`` of the P rows ending at row ``r``, oldest first, as a copy."""
