@@ -76,7 +76,10 @@ class LineBuffer:
         self.occupancy = 0  # real (non-virtual) elements stored, per channel
         self.peak_real = 0
 
-    def step(self, element, virtual: bool = False):
+    def step(self, element, virtual: bool = False, pos: tuple[int, int] | None = None):
+        if pos is not None and pos != (self.row, self.col):
+            raise ProtocolError(
+                f"element for position {pos} arrived at cursor {(self.row, self.col)}")
         vec = np.asarray(element, dtype=self.rows.dtype)
         if vec.shape != (self.channels,):
             raise ProtocolError(f"element shape {vec.shape} != ({self.channels},)")

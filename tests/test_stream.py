@@ -118,6 +118,12 @@ class TestLineBuffer:
             if s == 1:
                 assert first == (p - 1) * w + q
 
+    def test_out_of_order_position_rejected(self):
+        buf = LineBuffer(1, 4, (2, 2), 1)
+        buf.step(np.array([1.0]), pos=(0, 0))
+        with pytest.raises(ProtocolError):
+            buf.step(np.array([1.0]), pos=(1, 3))
+
     def test_unit_window_completes_on_every_step(self):
         buf = LineBuffer(1, 3, (1, 1), 1)
         np.testing.assert_array_equal(buf.step(np.array([2.0])), [[[2.0]]])
