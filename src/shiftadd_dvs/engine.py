@@ -8,18 +8,21 @@ requantize back to the activation grid with round-half-to-even and symmetric
 saturation at the 32-bit boundary.
 
 Conv and dense layers, here and in the streaming simulator (which runs each
-output row through ``_forward_arrays`` on a one-row restatement of these
-stages), share one kernel, ``_shift_add``, over an im2col block (K rows, one
-column per position). A conv gathers its block with ``np.take`` by a flat
-index that ``im2col_index`` precomputes over the padded input. Each layer's
-terms come as arrays from ``encoding.layer_terms`` (``bias + code`` when the
-layer is encoded; no decoded model is built) and are grouped once by (output
-channel, left shift, sign), at most 8 shifts for a 3-bit encoding; the kernel
-sums each group, shifts the sum once and folds the groups into their
-channels, in output-channel chunks whose gathered block stays under
-``CHUNK_ELEMENTS``. int64 add and shift are exact modulo 2^64 and the
-overflow check keeps the true sum below 2^63, so the regrouped sum equals the
-per-term sum bit for bit.
+window layer through one ``_forward_arrays`` call on the stack of slabs its
+line buffer handed out, with only the stage's window reads restated), share
+one kernel, ``_shift_add``, over an im2col block (K rows, one column per
+position). A conv gathers its block with ``np.take`` by a flat index that
+``im2col_index`` precomputes over the padded input; a pool reads each window
+tap as a strided view at its (row, column) stride and takes the maximum over
+the taps, or their sum rounded by ``_round_average``. Each layer's terms come
+as arrays from ``encoding.layer_terms`` (``bias + code`` when the layer is
+encoded; no decoded model is built) and are grouped once by (output channel,
+left shift, sign), at most 8 shifts for a 3-bit encoding; the kernel sums
+each group, shifts the sum once and folds the groups into their channels, in
+output-channel chunks whose gathered block stays under ``CHUNK_ELEMENTS``.
+int64 add and shift are exact modulo 2^64 and the overflow check keeps the
+true sum below 2^63, so the regrouped sum equals the per-term sum bit for
+bit.
 
 Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
 chain. At construction a worst-case bound proves that no accumulator can
@@ -166,7 +169,9 @@ def _layer_terms(name: str, weights: Terms, out_channels: int, align: int) -> tu
     """(out-channel, column, left shift, negative) of every weight term.
 
     The terms are ordered by (channel, shift, sign, column), the order ``_group_plan``
-    groups; any subset, such as the terms of one position, keeps that order.
+    groups. They arrive ordered by (channel, column), so a stable sort on one
+    (channel, shift, sign) key gives that order; a key of at most 16 bits takes
+    numpy's radix sort.
     """
     amount = align - weights.shift
     if np.any(amount < 0):
@@ -175,7 +180,9 @@ def _layer_terms(name: str, weights: Terms, out_channels: int, align: int) -> tu
     out, col = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count),
                          len(weights.count) // out_channels)
     negative = np.repeat(weights.sign < 0, weights.count)
-    order = np.lexsort((col, negative, amount, out))
+    key = (out * (align + 1) + amount) * 2 + negative
+    order = np.argsort(key.astype(np.min_scalar_type(2 * (align + 1) * out_channels)),
+                       kind="stable")
     return out[order], col[order], amount[order], negative[order]
 
 
@@ -263,16 +270,18 @@ def _avg_shift(layer: PoolLayerSpec) -> int:
     return area.bit_length() - 1
 
 
-def im2col_index(channels: int, window: tuple[int, int], stride: int,
+def im2col_index(channels: int, window: tuple[int, int], stride: int | tuple[int, int],
                  out_hw: tuple[int, int], in_hw: tuple[int, int]) -> np.ndarray:
     """Flat index into a (channels, *in_hw) map of its im2col block.
 
     Row (n, p, q) in weight order, column (i, j) in row-major output order:
     ``np.take(x, index)`` is the (N*P*Q, OH*OW) block ``_shift_add`` consumes.
+    ``stride`` is one stride for both axes or a (row, column) pair.
     """
     (p, q), (oh, ow), (h, w) = window, out_hw, in_hw
+    sr, sc = stride if isinstance(stride, tuple) else (stride, stride)
     n, pi, qi, i, j = np.ix_(range(channels), range(p), range(q), range(oh), range(ow))
-    return ((n * h + pi + i * stride) * w + qi + j * stride).reshape(channels * p * q, oh * ow)
+    return ((n * h + pi + i * sr) * w + qi + j * sc).reshape(channels * p * q, oh * ow)
 
 
 @dataclass(frozen=True)
@@ -284,6 +293,7 @@ class _StageConfig:
     terms: tuple | None = None      # conv and dense: ``_layer_terms`` of the weights
     plan: _ShiftPlan | None = None  # the terms grouped and chunked for the output positions
     gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
+    stride: tuple[int, int] | None = None  # pool: (row, column) stride of its windows
     avg_shift: int = 0              # average pooling
 
     @property
@@ -337,11 +347,13 @@ class ShiftAddEngine:
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer inference")
-            gather = None
+            gather = stride = None
             if isinstance(layer, ConvSpec):
                 pad = 2 * layer.padding
                 gather = im2col_index(in_shape[0], layer.kernel, layer.stride, out_shape[1:],
                                       (in_shape[1] + pad, in_shape[2] + pad))
+            elif isinstance(layer, PoolLayerSpec):
+                stride = (layer.stride, layer.stride)
             terms = plan = None
             if entry is not None:
                 weights, biases = layer_terms(entry)
@@ -351,7 +363,8 @@ class ShiftAddEngine:
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, gather, avg_shift))
+            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, gather, stride,
+                                       avg_shift))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
@@ -378,19 +391,20 @@ class ShiftAddEngine:
         return out.reshape(-1, *stage.out_hw)
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
+        """The maximum, or the rounded average, over each window's taps, one strided view each."""
         p, q = stage.layer.window
-        s = stage.layer.stride
+        sr, sc = stage.stride
         oh, ow = stage.out_hw
         if stage.layer.mode == "max":
             out = np.full((x.shape[0], oh, ow), np.iinfo(np.int64).min, dtype=np.int64)
             for pi in range(p):
                 for qi in range(q):
-                    np.maximum(out, x[:, pi::s, qi::s][:, :oh, :ow], out=out)
+                    np.maximum(out, x[:, pi::sr, qi::sc][:, :oh, :ow], out=out)
             return out
         acc = np.zeros((x.shape[0], oh, ow), dtype=np.int64)
         for pi in range(p):
             for qi in range(q):
-                acc += x[:, pi::s, qi::s][:, :oh, :ow]
+                acc += x[:, pi::sr, qi::sc][:, :oh, :ow]
         return _round_average(acc, stage.avg_shift)
 
     def _dense_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:

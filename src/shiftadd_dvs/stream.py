@@ -8,26 +8,30 @@ would interleave in hardware. Three stage classes cover every layer kind:
 - ``_WindowStage`` (conv, pool) pushes its zero-padded input one row per step
   into a ring ``LineBuffer`` of the window height's rows. The row that
   completes an output row's windows hands the P buffered rows on as one slab,
-  and the output row leaves whole. Zero padding enters as virtual elements,
-  which do not count toward occupancy since hardware would not store constant
-  zeros; the occupancy peak inside a row is a running sum over its elements.
+  which is copied into the stage's stack of slabs, P rows per output row.
+  Zero padding enters as virtual elements, which do not count toward
+  occupancy since hardware would not store constant zeros; the occupancy peak
+  inside a row is a running sum over its elements.
 - ``_FlattenStage`` passes its map on unchanged.
 - ``_DenseStage`` reads the map whole and emits the layer's output.
 
 The arithmetic is a module-level function bound to its stage with
-``functools.partial``; this module adds none of its own to conv and pool rows.
-A row's compute is the batch path's own layer function on a one-row stage:
-the layer with padding 0, since the slab already holds the virtual zeros, and
-a 1 x OW output grid. Float rows run ``model.layer_forward`` (convolution,
-batchnorm, relu or pooling) and so match the batch reference bit for bit; the
-float dense layer adds one position's channel vector at a time. The integer
-path builds a ``ShiftAddEngine`` and runs each row through
-``ShiftAddEngine._forward_arrays`` with the engine stage restated for the
-row: its conv plan chunked for OW positions and its ``im2col_index`` over the
-(P, Q + (OW-1)*S) slab (so diagnostic mode raises once per row). The integer
-dense layer is the engine's own stage on the whole map. The simulator thus
-accepts exactly the models, ``f_a`` and modes the engine accepts, and its
-logits are bit-identical. The modeled cycle count assumes one element per
+``functools.partial``; this module adds none of its own to conv and pool
+layers. Once its last row is in, a window stage computes its whole output map
+from the stack, with the layer at padding 0, since the slabs already hold the
+virtual zeros. Float stages run ``model.layer_forward`` (convolution,
+batchnorm, relu or pooling) once per slab, so each output row matches the
+batch reference bit for bit; the float dense layer adds one position's
+channel vector at a time. The integer path builds a ``ShiftAddEngine`` and
+runs each window stage's stack through one ``ShiftAddEngine._forward_arrays``
+call, with the engine stage restated only by how it reads its windows from
+the (OH*P, Q + (OW-1)*S) stack: at row stride P and column stride S, a conv
+through an ``im2col_index`` gather, a pool through its strided taps. The
+engine's plan, chunked for OH*OW positions, is used as built, and diagnostic
+mode raises at the engine's layer with the engine's whole-layer count. The
+integer dense layer is the engine's own stage on the whole map. The simulator
+thus accepts exactly the models, ``f_a`` and modes the engine accepts, and
+its logits are bit-identical. The modeled cycle count assumes one element per
 cycle per stage and is the maximum per-stage element-event count; it is an
 estimate, distinct from measured latencies.
 """
@@ -39,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .engine import ShiftAddEngine, _group_plan, _StageConfig, im2col_index, quantize_frame
+from .engine import ShiftAddEngine, _StageConfig, im2col_index, quantize_frame
 from .model import (ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec,
                     layer_forward)
 from .quantize import QuantizedModel
@@ -47,7 +51,7 @@ from .quantize import QuantizedModel
 # Every function here that touches integer data; audited for absence of
 # multiplication (see tests/test_engine.py).
 DATA_PATH_FUNCTIONS = (
-    "_int_row",
+    "_int_layer",
 )
 
 
@@ -174,7 +178,11 @@ class _Stage:
 
 
 class _WindowStage(_Stage):
-    """Conv or pool; ``compute`` maps one output row's (C, P, width) slab to (C', 1, OW)."""
+    """Conv or pool; ``compute`` maps the (C, OH*P, width) stack of slabs to (C', OH, OW).
+
+    Rows [i*P, (i+1)*P) of the stack are the slab the line buffer handed out
+    for output row i: its P ring rows, cut to the columns that row's windows read.
+    """
 
     def __init__(self, layer: ConvSpec | PoolLayerSpec, in_shape, out_shape, dtype, compute):
         conv = isinstance(layer, ConvSpec)
@@ -185,6 +193,7 @@ class _WindowStage(_Stage):
         self.buffer = LineBuffer(c, w + 2 * pad, (p, q), s, dtype=dtype)
         self._real = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
         self._real[pad:pad + h, pad:pad + w] = True
+        self._rows = out_shape[1]
         self._cols = slice(q + (out_shape[2] - 1) * s)  # the slab columns one output row reads
         self._capacity = p * w  # P rows of real elements per channel
         self._compute = compute
@@ -197,12 +206,12 @@ class _WindowStage(_Stage):
         self.padded_in = self._real.size
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        _, h, w = self.in_shape
+        c, h, w = self.in_shape
         pad, buffer = self.padding, self.buffer
-        padded = np.zeros(self._real.shape + (x.shape[0],), dtype=buffer.rows.dtype)
+        padded = np.zeros(self._real.shape + (c,), dtype=buffer.rows.dtype)
         padded[pad:pad + h, pad:pad + w] = x.transpose(1, 2, 0)
         p, s = buffer.window[0], buffer.stride
-        out = []
+        stack = np.empty((c, self._rows * p, self._cols.stop), dtype=buffer.rows.dtype)
         for r in range(len(padded)):
             buffer._store(padded[r], self._real[r])
             if buffer.peak_real > self._capacity:
@@ -210,8 +219,9 @@ class _WindowStage(_Stage):
                     f"stage {self.name}: occupancy {buffer.peak_real} exceeds the "
                     f"{self._capacity}-element line-buffer capacity")
             if r >= p - 1 and (r - (p - 1)) % s == 0:
-                out.append(self._compute(buffer._slab(r, self._cols).transpose(2, 0, 1))[:, 0])
-        return np.stack(out, axis=1)
+                i = (r - (p - 1)) // s
+                stack[:, i * p:(i + 1) * p] = buffer._slab(r, self._cols).transpose(2, 0, 1)
+        return self._compute(stack)
 
     def _peak(self) -> int:
         return self.buffer.peak_real
@@ -259,8 +269,14 @@ def _float_dense(x, weights, bias):
     return bias + acc
 
 
-def _int_row(x, engine: ShiftAddEngine, stage: _StageConfig, stats):
-    """The engine's own layer ``stage`` on x: an output row's slab, or the dense layer's map."""
+def _float_rows(stack, layer, entry, window_rows: int):
+    """``layer_forward`` on each P-row slab of the stack, one output row each, in row order."""
+    return np.concatenate([layer_forward(layer, entry, stack[:, i:i + window_rows])
+                           for i in range(0, stack.shape[1], window_rows)], axis=1)
+
+
+def _int_layer(x, engine: ShiftAddEngine, stage: _StageConfig, stats):
+    """The engine's own layer ``stage`` on x: a window stage's slab stack, or the dense map."""
     return engine._forward_arrays(x, stats, [stage])
 
 
@@ -291,7 +307,8 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
             if isinstance(layer, ConvSpec):
                 entry = replace(entry, conv=replace(entry.conv, padding=0))
-            compute = partial(layer_forward, layer, entry)
+            p = layer.kernel[0] if isinstance(layer, ConvSpec) else layer.window[0]
+            compute = partial(_float_rows, layer=layer, entry=entry, window_rows=p)
             stages.append(_WindowStage(layer, in_shape, out_shape, np.float64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
@@ -301,15 +318,19 @@ def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
     return stages
 
 
-def _row_stage(stage: _StageConfig, channels: int) -> _StageConfig:
-    """``stage`` restated for one output row of its slab, whose padding is already in place."""
-    layer, ow = stage.layer, stage.out_hw[1]
-    if not isinstance(layer, ConvSpec):
-        return replace(stage, out_hw=(1, ow))
+def _slab_stage(stage: _StageConfig, channels: int) -> _StageConfig:
+    """``stage`` restated to read its windows from the stack of slabs, padding already in place.
+
+    Output row i reads slab i, rows [i*P, (i+1)*P) of the stack, so a window's
+    row stride is P and its column stride the layer's; the plan is the engine's.
+    """
+    layer, (oh, ow) = stage.layer, stage.out_hw
+    if isinstance(layer, PoolLayerSpec):
+        return replace(stage, stride=(layer.window[0], layer.stride))
     (p, q), s = layer.kernel, layer.stride
-    return replace(stage, layer=replace(layer, padding=0), out_hw=(1, ow),
-                   plan=_group_plan(*stage.terms, stage.plan.bias_acc, ow),
-                   gather=im2col_index(channels, (p, q), s, (1, ow), (p, q + (ow - 1) * s)))
+    return replace(stage, layer=replace(layer, padding=0),
+                   gather=im2col_index(channels, (p, q), (p, s), (oh, ow),
+                                       (oh * p, q + (ow - 1) * s)))
 
 
 def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
@@ -317,14 +338,14 @@ def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
     stages: list[_Stage] = []
     for stage, (layer, in_shape, out_shape) in zip(engine.stages, _stage_geometry(engine.spec)):
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            compute = partial(_int_row, engine=engine, stage=_row_stage(stage, in_shape[0]),
+            compute = partial(_int_layer, engine=engine, stage=_slab_stage(stage, in_shape[0]),
                               stats=counters)
             stages.append(_WindowStage(layer, in_shape, out_shape, np.int64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
             stages.append(_DenseStage(layer, in_shape, partial(
-                _int_row, engine=engine, stage=stage, stats=counters)))
+                _int_layer, engine=engine, stage=stage, stats=counters)))
     return stages
 
 

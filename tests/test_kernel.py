@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs import engine as engine_module
-from shiftadd_dvs.encoding import decoded_model, encode_model
+from shiftadd_dvs.encoding import decoded_model, encode_model, layer_terms
 from shiftadd_dvs.engine import ShiftAddEngine, quantize_frame
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -20,6 +20,7 @@ from shiftadd_dvs.model import (
     ModelSpec,
     PoolLayerSpec,
     default_student_spec,
+    fold_model_batchnorm,
     init_params,
     layer_forward,
 )
@@ -227,6 +228,44 @@ class TestExactProductOracle:
         chunks = ShiftAddEngine(q).stages[0].plan.chunks
         assert 1 < len(chunks) < 5
         _check_layers(q, frame)
+
+
+def _lexsorted_terms(weights, out_channels, align):
+    """(out-channel, column, left shift, negative) of every term, by a 4-key lexsort."""
+    amount = align - weights.shift
+    out, col = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count),
+                         len(weights.count) // out_channels)
+    negative = np.repeat(weights.sign < 0, weights.count)
+    order = np.lexsort((col, negative, amount, out))
+    return out[order], col[order], amount[order], negative[order]
+
+
+def test_layer_terms_order_matches_a_lexsort():
+    """One stable sort on a composite key orders the terms exactly as a 4-key lexsort,
+    terms of one weight that a clamped encoding repeats included."""
+    models = []
+    for trial in range(8):
+        local = np.random.default_rng([95, trial])
+        spec, params = make_small_model(local, weight_scale=0.8)
+        q = shift_quantize_model(spec, params, int(local.integers(1, 5)))
+        models.append(encode_model(q, 1) if trial % 2 else q)
+    spec = default_student_spec()
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(18)))
+    models.append(encode_model(shift_quantize_model(fspec, fparams, 3), 1))
+    repeated = 0
+    for q in models:
+        align = q.frac_bits + q.int_bits
+        for entry in q.layers():
+            weights, _ = layer_terms(entry)
+            want = _lexsorted_terms(weights, entry.shape[0], align)
+            got = engine_module._layer_terms(entry.name, weights, entry.shape[0], align)
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y)
+                assert x.dtype == y.dtype
+            out, col, amount, _ = want
+            repeated += int(np.sum((out[1:] == out[:-1]) & (col[1:] == col[:-1])
+                                   & (amount[1:] == amount[:-1])))
+    assert repeated > 0  # some weight holds two terms clamped to one magnitude
 
 
 def test_default_student_chunks_stay_within_budget():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import ConfigurationError, ProtocolError, SaturationError
-from shiftadd_dvs.engine import ShiftAddEngine
+from shiftadd_dvs.engine import ShiftAddEngine, quantize_frame
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -263,9 +263,13 @@ class TestIntegerStreaming:
         res = stream_quantized_forward(q, frame, f_a=24)
         assert res.saturations == batch.saturations
         np.testing.assert_array_equal(res.logits, batch.logits)
-        # diagnostic mode stops at the first saturating output row, 4 values wide
-        with pytest.raises(SaturationError, match="layer gain1: 4 saturated values"):
+        # diagnostic mode raises at the first saturating layer with the engine's whole-layer count
+        with pytest.raises(SaturationError) as engine_error:
+            ShiftAddEngine(q, f_a=24, mode="diagnostic").forward(frame)
+        assert str(engine_error.value) == "layer gain1: 16 saturated values"
+        with pytest.raises(SaturationError) as stream_error:
             stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
+        assert str(stream_error.value) == str(engine_error.value)
 
     def test_diagnostic_mode_names_the_engines_layer(self, rng):
         """Stages run in layer order, so the first saturating layer is the engine's.
@@ -382,6 +386,109 @@ def test_window_stage_reports_match_enumeration(rng):
                for layer, r in zip(spec.layers, res.stages)
                if isinstance(layer, (ConvSpec, PoolLayerSpec))]
         assert got == window_stage_reports_by_enumeration(spec)
+
+
+def pool_by_python_ints(x, mode, window, stride):
+    """(C, OH, OW) nested lists: each window's maximum, or its sum divided by its
+    area rounding halves up, over Python ints, one window at a time."""
+    (p, q), area = window, window[0] * window[1]
+    out = []
+    for plane in x:
+        rows = []
+        for i in range(0, len(plane) - p + 1, stride):
+            row = []
+            for j in range(0, len(plane[0]) - q + 1, stride):
+                taps = [plane[i + a][j + b] for a in range(p) for b in range(q)]
+                row.append(max(taps) if mode == "max" else (sum(taps) + area // 2) // area)
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+# Pools whose window height differs from their stride; (2, 2)/3 over the
+# (2, 7, 9) input below leaves its last two rows and its last column unread.
+POOL_GEOMETRIES = [
+    pytest.param("max", (3, 3), 2, id="max-3x3-s2"),
+    pytest.param("avg", (2, 2), 1, id="avg-2x2-s1"),
+    pytest.param("max", (2, 1), 1, id="max-2x1-s1"),
+    pytest.param("avg", (2, 2), 3, id="avg-2x2-s3"),
+]
+
+
+@pytest.mark.parametrize("mode, window, stride", POOL_GEOMETRIES)
+def test_pools_match_a_python_int_loop(mode, window, stride):
+    """The engine's pool and the streamed one equal a loop over windows in Python ints.
+
+    An identity readout after the pool passes its map through to the logits
+    unchanged, so the streamed logits are the streamed pool's output.
+    """
+    in_shape = (2, 7, 9)
+    size = 2 * ((7 - window[0]) // stride + 1) * ((9 - window[1]) // stride + 1)
+    spec = ModelSpec(layers=(PoolLayerSpec(name="pool", mode=mode, window=window, stride=stride),
+                             FlattenSpec(), DenseSpec(name="readout", out_features=size)),
+                     input_shape=in_shape, class_count=size)
+    rng = np.random.default_rng([41, window[0], window[1], stride])
+    params = init_params(spec, rng)
+    params.entries[2].weights[...] = np.eye(size)
+    params.entries[2].bias[...] = 0.0
+    q = shift_quantize_model(spec, params, 1)
+    frame = rng.integers(-4096, 4096, size=in_shape) / 256.0
+    x = quantize_frame(frame, 8)
+    want = np.array(pool_by_python_ints(x.tolist(), mode, window, stride), dtype=np.int64)
+    engine = ShiftAddEngine(q, f_a=8)
+    np.testing.assert_array_equal(engine.layer_forward("pool", x)[0], want)
+    np.testing.assert_array_equal(engine.forward(frame).logits, want.reshape(-1))
+    res = stream_quantized_forward(q, frame, f_a=8)
+    np.testing.assert_array_equal(res.logits, want.reshape(-1))
+    float_res = stream_float_forward(spec, params, frame)
+    np.testing.assert_array_equal(float_res.logits, model_forward(spec, params, frame))
+    for r in (res, float_res):
+        report = r.stages[0]
+        got = (report.first_output_at, report.peak_occupancy, report.padded_elements_in)
+        assert [got] == window_stage_reports_by_enumeration(spec)
+
+
+@pytest.mark.parametrize("geometry", [pytest.param(None, id="default"), *(
+    pytest.param(g.values, id=g.id) for g in STRIDED_GEOMETRIES)])
+def test_slab_reads_stay_in_their_rows(geometry):
+    """Output row i of every integer window stage reads only stack rows [i*P, (i+1)*P).
+
+    The stack holds one P-row slab per output row, so a window reading
+    outside its own slab would read another row's buffered input. A conv
+    reads through its gather; a pool reads tap row pi of output row i at
+    stack row i * (row stride) + pi.
+    """
+    if geometry is None:
+        spec = default_student_spec()
+        spec, params = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(17)))
+    else:
+        kernel, stride, padding = geometry
+        spec = single_conv_spec(2, 9, 11, 3, kernel, stride=stride, padding=padding)
+        params = init_params(spec, np.random.default_rng(17))
+    engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
+    checked = 0
+    for (layer, in_shape, out_shape), stage in zip(spec.geometry(),
+                                                   _build_int_stages(engine, {})):
+        if not isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            continue
+        (p, q), s = layer.kernel if isinstance(layer, ConvSpec) else layer.window, layer.stride
+        _, oh, ow = out_shape
+        width = q + (ow - 1) * s
+        bound = stage._compute.keywords["stage"]
+        if isinstance(layer, PoolLayerSpec):
+            row_stride, col_stride = bound.stride
+            assert col_stride == s
+            stack_row = np.arange(oh)[:, None] * row_stride + np.arange(p)[None, :]
+            output_row = np.broadcast_to(np.arange(oh)[:, None], stack_row.shape)
+        else:
+            gather = bound.gather
+            assert gather.shape == (in_shape[0] * p * q, oh * ow)
+            assert gather.min() >= 0 and gather.max() < in_shape[0] * oh * p * width
+            stack_row = gather // width % (oh * p)
+            output_row = np.broadcast_to(np.arange(oh * ow) // ow, gather.shape)
+        assert np.array_equal(stack_row // p, output_row)
+        checked += 1
+    assert checked == sum(isinstance(layer, (ConvSpec, PoolLayerSpec)) for layer in spec.layers)
 
 
 def test_streaming_retains_no_memory():
