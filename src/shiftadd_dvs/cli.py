@@ -417,7 +417,8 @@ def simulate(model, frame_path, engine_kind, clock_mhz, out):
         "saturations": result.saturations,
         "stages": [{"name": s.name, "peak_occupancy": s.peak_occupancy,
                     "elements_in": s.elements_in, "elements_out": s.elements_out,
-                    "first_output_at": s.first_output_at} for s in result.stages],
+                    "first_output_at": s.first_output_at,
+                    "padded_elements_in": s.padded_elements_in} for s in result.stages],
     }
     _result_doc(out, "simulate", config, results)
     click.echo(f"argmax {result.argmax}, modeled cycles {result.modeled_cycles}")

@@ -5,35 +5,40 @@ returns its output map; stages run in layer order, as the engine's layers do.
 Every report counts one stage's own elements, so none depends on how stages
 would interleave in hardware. Three stage classes cover every layer kind:
 
-- ``_WindowStage`` (conv, pool) pushes its zero-padded input one row per step
-  into a ring ``LineBuffer`` of the window height's rows. The row that
-  completes an output row's windows hands the P buffered rows on as one slab,
-  which is copied into the stage's stack of slabs, P rows per output row.
-  Zero padding enters as virtual elements, which do not count toward
-  occupancy since hardware would not store constant zeros; the occupancy peak
-  inside a row is a running sum over its elements.
+- ``_WindowStage`` (conv, pool) models a ring ``LineBuffer`` of the window
+  height's rows over its zero-padded input. The ring's schedule is fixed by
+  the geometry, as a hardware line buffer's wiring is, so the stage derives it
+  once when built: output row i reads padded rows i*S .. i*S+P-1, the slab the
+  ring hands out when row P-1+i*S completes, cut to the columns that row's
+  windows read. Zero padding enters as virtual elements, which do not count
+  toward occupancy since hardware would not store constant zeros; the ring
+  holds the last P*Wp elements fed, so the occupancy peak is the largest real
+  count over P*Wp consecutive elements, and the capacity check runs once, at
+  build. Per frame the stage pads its map and gathers every slab into one
+  (C, OH*P, Q + (OW-1)*S) stack in a single read. The tests step
+  ``LineBuffer.step`` element by element over each stage's padded input and
+  check that every window and the occupancy peak match this schedule.
 - ``_FlattenStage`` passes its map on unchanged.
 - ``_DenseStage`` reads the map whole and emits the layer's output.
 
 The arithmetic is a module-level function bound to its stage with
 ``functools.partial``; this module adds none of its own to conv and pool
-layers. Once its last row is in, a window stage computes its whole output map
-from the stack, with the layer at padding 0, since the slabs already hold the
-virtual zeros. Float stages run ``model.layer_forward`` (convolution,
-batchnorm, relu or pooling) once per slab, so each output row matches the
-batch reference bit for bit; the float dense layer adds one position's
-channel vector at a time. The integer path builds a ``ShiftAddEngine`` and
-runs each window stage's stack through one ``ShiftAddEngine._forward_arrays``
-call, with the engine stage restated only by how it reads its windows from
-the (OH*P, Q + (OW-1)*S) stack: at row stride P and column stride S, a conv
-through an ``im2col_index`` gather, a pool through its strided taps. The
-engine's plan, chunked for OH*OW positions, is used as built, and diagnostic
-mode raises at the engine's layer with the engine's whole-layer count. The
-integer dense layer is the engine's own stage on the whole map. The simulator
-thus accepts exactly the models, ``f_a`` and modes the engine accepts, and
-its logits are bit-identical. The modeled cycle count assumes one element per
-cycle per stage and is the maximum per-stage element-event count; it is an
-estimate, distinct from measured latencies.
+layers. A window stage computes its whole output map from the stack, with the
+layer at padding 0, since the slabs already hold the virtual zeros. Float
+stages run ``model.layer_forward`` (convolution, batchnorm, relu or pooling)
+once per slab, so each output row matches the batch reference bit for bit;
+the float dense layer adds one position's channel vector at a time. The
+integer path builds a ``ShiftAddEngine`` and runs each window stage's stack
+through one ``ShiftAddEngine._forward_arrays`` call, with the engine stage
+restated only by how it reads its windows from the stack: at row stride P and
+column stride S, a conv through an ``im2col_index`` gather, a pool through its
+strided taps. The engine's plan, chunked for OH*OW positions, is used as
+built, and diagnostic mode raises at the engine's layer with the engine's
+whole-layer count. The integer dense layer is the engine's own stage on the
+whole map. The simulator thus accepts exactly the models, ``f_a`` and modes
+the engine accepts, and its logits are bit-identical. The modeled cycle count
+assumes one element per cycle per stage and is the maximum per-stage
+element-event count; it is an estimate, distinct from measured latencies.
 """
 from __future__ import annotations
 
@@ -60,6 +65,8 @@ class LineBuffer:
 
     ``step`` consumes one channel vector and returns the completed (C, P, Q)
     window when the element finishes one at the configured stride phase.
+    No streamed frame steps it: it is the element-level model that the window
+    stages' precomputed schedules are tested against.
     """
 
     def __init__(self, channels: int, width: int, window: tuple[int, int],
@@ -89,34 +96,19 @@ class LineBuffer:
             raise ProtocolError(f"element shape {vec.shape} != ({self.channels},)")
         (p, q), s = self.window, self.stride
         r, c = self.row, self.col
-        self._store(vec[None], np.array([not virtual]))
-        if (r >= p - 1 and c >= q - 1
-                and (r - (p - 1)) % s == 0 and (c - (q - 1)) % s == 0):
-            return self._slab(r, slice(c - (q - 1), c + 1)).transpose(2, 0, 1)
-        return None
-
-    def _store(self, values: np.ndarray, real: np.ndarray) -> None:
-        """Stores (n, C) ``values`` and their real mask from the cursor, within its row.
-
-        The occupancy after each element is the running sum of the real-flag
-        changes at the slots it overwrites, so the peak is that sum's maximum.
-        """
-        slot, c = self.row % self.window[0], self.col
-        end = c + len(real)
-        running = np.subtract(real, self.real[slot, c:end], dtype=np.int64).cumsum()
-        running += self.occupancy
-        self.rows[slot, c:end] = values
-        self.real[slot, c:end] = real
-        self.occupancy = int(running[-1])
-        self.peak_real = max(self.peak_real, int(running.max()))
-        self.col = end % self.width
+        slot = r % p
+        self.occupancy += int(not virtual) - int(self.real[slot, c])
+        self.peak_real = max(self.peak_real, self.occupancy)
+        self.rows[slot, c] = vec
+        self.real[slot, c] = not virtual
+        self.col = (c + 1) % self.width
         if self.col == 0:
             self.row += 1
-
-    def _slab(self, r: int, cols: slice) -> np.ndarray:
-        """Columns ``cols`` of the P rows ending at row ``r``, oldest first, as a copy."""
-        p = self.window[0]
-        return self.rows[np.arange(r - (p - 1), r + 1) % p, cols]
+        if (r >= p - 1 and c >= q - 1
+                and (r - (p - 1)) % s == 0 and (c - (q - 1)) % s == 0):
+            ring_rows = np.arange(r - (p - 1), r + 1) % p  # oldest first
+            return self.rows[ring_rows, c - (q - 1):c + 1].transpose(2, 0, 1)
+        return None
 
 
 def buffer_requirement(p: int, s: int, w: int, q: int) -> dict:
@@ -180,8 +172,10 @@ class _Stage:
 class _WindowStage(_Stage):
     """Conv or pool; ``compute`` maps the (C, OH*P, width) stack of slabs to (C', OH, OW).
 
-    Rows [i*P, (i+1)*P) of the stack are the slab the line buffer handed out
-    for output row i: its P ring rows, cut to the columns that row's windows read.
+    Rows [i*P, (i+1)*P) of the stack are the slab a line buffer hands out for
+    output row i: padded rows i*S .. i*S+P-1, cut to the columns that row's
+    windows read. The schedule and the occupancy peak follow from the
+    geometry, so both are derived here, once.
     """
 
     def __init__(self, layer: ConvSpec | PoolLayerSpec, in_shape, out_shape, dtype, compute):
@@ -190,13 +184,23 @@ class _WindowStage(_Stage):
         c, h, w = in_shape
         pad = layer.padding if conv else 0
         self.padding = pad
-        self.buffer = LineBuffer(c, w + 2 * pad, (p, q), s, dtype=dtype)
+        self._dtype = dtype
         self._real = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
         self._real[pad:pad + h, pad:pad + w] = True
-        self._rows = out_shape[1]
+        self._rows = (np.arange(out_shape[1])[:, None] * s + np.arange(p)).ravel()
         self._cols = slice(q + (out_shape[2] - 1) * s)  # the slab columns one output row reads
-        self._capacity = p * w  # P rows of real elements per channel
         self._compute = compute
+        # The ring holds the last P*Wp elements fed, of which only the real ones
+        # are stored, so the occupancy peak is the largest real count over any
+        # P*Wp consecutive elements; the grid has at least P rows.
+        fed = np.concatenate(([0], np.cumsum(self._real.ravel())))
+        span = p * self._real.shape[1]
+        self._peak_real = int((fed[span:] - fed[:len(fed) - span]).max())
+        capacity = p * w  # P rows of real elements per channel
+        if self._peak_real > capacity:
+            raise ProtocolError(
+                f"stage {layer.name}: occupancy {self._peak_real} exceeds the "
+                f"{capacity}-element line-buffer capacity")
         # The first window completes at padded (P-1, Q-1); a leading virtual
         # element (top padding, or a real row's left padding) is credited to
         # the real element after it.
@@ -207,24 +211,13 @@ class _WindowStage(_Stage):
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         c, h, w = self.in_shape
-        pad, buffer = self.padding, self.buffer
-        padded = np.zeros(self._real.shape + (c,), dtype=buffer.rows.dtype)
-        padded[pad:pad + h, pad:pad + w] = x.transpose(1, 2, 0)
-        p, s = buffer.window[0], buffer.stride
-        stack = np.empty((c, self._rows * p, self._cols.stop), dtype=buffer.rows.dtype)
-        for r in range(len(padded)):
-            buffer._store(padded[r], self._real[r])
-            if buffer.peak_real > self._capacity:
-                raise ProtocolError(
-                    f"stage {self.name}: occupancy {buffer.peak_real} exceeds the "
-                    f"{self._capacity}-element line-buffer capacity")
-            if r >= p - 1 and (r - (p - 1)) % s == 0:
-                i = (r - (p - 1)) // s
-                stack[:, i * p:(i + 1) * p] = buffer._slab(r, self._cols).transpose(2, 0, 1)
-        return self._compute(stack)
+        pad = self.padding
+        padded = np.zeros((c,) + self._real.shape, dtype=self._dtype)
+        padded[:, pad:pad + h, pad:pad + w] = x
+        return self._compute(padded[:, self._rows, self._cols])
 
     def _peak(self) -> int:
-        return self.buffer.peak_real
+        return self._peak_real
 
 
 class _FlattenStage(_Stage):

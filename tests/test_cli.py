@@ -197,6 +197,8 @@ class TestInferSimulate:
         doc = json.loads((sim_out / "result.json").read_text())
         assert str(doc["results"]["argmax"]) == records[shifted.manifest.samples[0].id]
         assert doc["results"]["modeled_cycles"] > 0
+        assert doc["results"]["modeled_cycles"] == max(
+            s["padded_elements_in"] for s in doc["results"]["stages"])
         stage_names = [s["name"] for s in doc["results"]["stages"]]
         assert stage_names[0] == "conv1" and stage_names[-1] == "fc1"
 

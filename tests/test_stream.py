@@ -25,6 +25,7 @@ from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs.stream import (
     LineBuffer,
+    _build_float_stages,
     _build_int_stages,
     buffer_requirement,
     stream_float_forward,
@@ -415,6 +416,19 @@ POOL_GEOMETRIES = [
 ]
 
 
+def identity_pool_model(mode, window, stride, rng):
+    """(spec, params, quantized model): the pool over a (2, 7, 9) input, then an
+    identity readout, so the logits are the pool's output map."""
+    size = 2 * ((7 - window[0]) // stride + 1) * ((9 - window[1]) // stride + 1)
+    spec = ModelSpec(layers=(PoolLayerSpec(name="pool", mode=mode, window=window, stride=stride),
+                             FlattenSpec(), DenseSpec(name="readout", out_features=size)),
+                     input_shape=(2, 7, 9), class_count=size)
+    params = init_params(spec, rng)
+    params.entries[2].weights[...] = np.eye(size)
+    params.entries[2].bias[...] = 0.0
+    return spec, params, shift_quantize_model(spec, params, 1)
+
+
 @pytest.mark.parametrize("mode, window, stride", POOL_GEOMETRIES)
 def test_pools_match_a_python_int_loop(mode, window, stride):
     """The engine's pool and the streamed one equal a loop over windows in Python ints.
@@ -422,17 +436,9 @@ def test_pools_match_a_python_int_loop(mode, window, stride):
     An identity readout after the pool passes its map through to the logits
     unchanged, so the streamed logits are the streamed pool's output.
     """
-    in_shape = (2, 7, 9)
-    size = 2 * ((7 - window[0]) // stride + 1) * ((9 - window[1]) // stride + 1)
-    spec = ModelSpec(layers=(PoolLayerSpec(name="pool", mode=mode, window=window, stride=stride),
-                             FlattenSpec(), DenseSpec(name="readout", out_features=size)),
-                     input_shape=in_shape, class_count=size)
     rng = np.random.default_rng([41, window[0], window[1], stride])
-    params = init_params(spec, rng)
-    params.entries[2].weights[...] = np.eye(size)
-    params.entries[2].bias[...] = 0.0
-    q = shift_quantize_model(spec, params, 1)
-    frame = rng.integers(-4096, 4096, size=in_shape) / 256.0
+    spec, params, q = identity_pool_model(mode, window, stride, rng)
+    frame = rng.integers(-4096, 4096, size=spec.input_shape) / 256.0
     x = quantize_frame(frame, 8)
     want = np.array(pool_by_python_ints(x.tolist(), mode, window, stride), dtype=np.int64)
     engine = ShiftAddEngine(q, f_a=8)
@@ -489,6 +495,81 @@ def test_slab_reads_stay_in_their_rows(geometry):
         assert np.array_equal(stack_row // p, output_row)
         checked += 1
     assert checked == sum(isinstance(layer, (ConvSpec, PoolLayerSpec)) for layer in spec.layers)
+
+
+def check_ring_schedule(layer, stage, x):
+    """Steps a fresh LineBuffer over the stage's padded input, padding virtual, and
+    compares every window it completes, and its occupancy peak, with the stage's
+    precomputed schedule: window (i, j) is columns [j*S, j*S+Q) of slab i."""
+    (p, q), s = layer.kernel if isinstance(layer, ConvSpec) else layer.window, layer.stride
+    pad = layer.padding if isinstance(layer, ConvSpec) else 0
+    c, h, w = x.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = x
+    buffer = LineBuffer(c, w + 2 * pad, (p, q), s, dtype=x.dtype)
+    windows = []
+    for r, col in np.ndindex(padded.shape[1:]):
+        real = pad <= r < pad + h and pad <= col < pad + w
+        window = buffer.step(padded[:, r, col], virtual=not real, pos=(r, col))
+        if window is not None:
+            windows.append(window)
+    stack = padded[:, stage._rows, stage._cols]
+    oh, ow = len(stage._rows) // p, (stack.shape[2] - q) // s + 1
+    want = [stack[:, i * p:(i + 1) * p, j * s:j * s + q] for i in range(oh) for j in range(ow)]
+    assert len(windows) == len(want) == stage.elements_out
+    np.testing.assert_array_equal(np.stack(windows), np.stack(want))
+    assert buffer.peak_real == stage.report().peak_occupancy
+
+
+@pytest.mark.parametrize("case", [pytest.param(None, id="default"), *(
+    pytest.param(("conv", *g.values), id=g.id) for g in STRIDED_GEOMETRIES), *(
+    pytest.param(("pool", *g.values), id=g.id) for g in POOL_GEOMETRIES)])
+def test_ring_schedule_matches_line_buffer_steps(case):
+    """Every float and integer window stage reads the windows a line buffer hands out."""
+    rng = np.random.default_rng(43)
+    if case is None:
+        _, spec, params, q, frame = next(_pinned_inputs())
+    else:
+        if case[0] == "conv":
+            spec = single_conv_spec(2, 9, 11, 3, case[1], stride=case[2], padding=case[3],
+                                    use_relu=True)
+            params = init_params(spec, rng, weight_scale=0.8)
+            q = shift_quantize_model(spec, params, 3)
+        else:
+            spec, params, q = identity_pool_model(*case[1:], rng)
+        frame = rng.normal(size=spec.input_shape)
+    engine = ShiftAddEngine(q)
+    checked = 0
+    for stages, x in ((_build_float_stages(spec, params), frame),
+                      (_build_int_stages(engine, {}), quantize_frame(frame, engine.f_a))):
+        for layer, stage in zip(spec.layers, stages):
+            if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+                check_ring_schedule(layer, stage, x)
+                checked += 1
+            x = stage.run(x)
+    assert checked == 2 * sum(isinstance(layer, (ConvSpec, PoolLayerSpec))
+                              for layer in spec.layers)
+
+
+def test_frames_call_no_line_buffer_method(monkeypatch):
+    """A streamed frame reads its precomputed schedule; it neither builds nor steps a LineBuffer."""
+    calls = []
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name, method in list(vars(LineBuffer).items()):
+        if callable(method):
+            monkeypatch.setattr(LineBuffer, name, counting(name, method))
+    _, spec, params, q, frame = next(_pinned_inputs())
+    stream_quantized_forward(q, frame)
+    stream_float_forward(spec, params, frame)
+    assert calls == []
+    LineBuffer(1, 3, (1, 1)).step(np.array([2.0]))
+    assert calls == ["__init__", "step"]  # the counters work
 
 
 def test_streaming_retains_no_memory():
