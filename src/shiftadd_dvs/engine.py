@@ -16,13 +16,14 @@ position). A conv gathers its block with ``np.take`` by a flat index that
 tap as a strided view at its (row, column) stride and takes the maximum over
 the taps, or their sum rounded by ``_round_average``. Each layer's terms come
 as arrays from ``encoding.layer_terms`` (``bias + code`` when the layer is
-encoded; no decoded model is built) and are grouped once by (output channel,
-left shift, sign), at most 8 shifts for a 3-bit encoding; the kernel sums
-each group, shifts the sum once and folds the groups into their channels, in
-output-channel chunks whose gathered block stays under ``CHUNK_ELEMENTS``.
-int64 add and shift are exact modulo 2^64 and the overflow check keeps the
-true sum below 2^63, so the regrouped sum equals the per-term sum bit for
-bit.
+encoded; no decoded model is built). At build each distinct (sign, im2col row,
+left shift) operand of a layer is listed once, and each output channel lists
+the operand of every one of its terms; the kernel shifts and signs each
+operand's row once, then sums each channel's operand rows, in blocks of
+positions whose scratch arrays stay within ``CHUNK_ELEMENTS``. int64 add and
+shift are exact modulo 2^64 and the overflow check keeps the true sum below
+2^63, so the sum of the shifted operands equals the per-term sum bit for bit,
+whatever its intermediate values.
 
 Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
 chain. At construction a worst-case bound proves that no accumulator can
@@ -33,7 +34,7 @@ proof needs no assumption about the input data.
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
 their AST), so the only data-dependent operations are shifts, adds and
-compares. Plans, chunk bounds and im2col indices are built outside it, and input
+compares. Plans, block sizes and im2col indices are built outside it, and input
 conditioning (``quantize_activation``) is the floating-point boundary.
 """
 from __future__ import annotations
@@ -132,29 +133,24 @@ def _saturate(values: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.clip(values, -ACT_LIMIT, ACT_LIMIT) if count else values), count
 
 
-# Budget of the gathered block ``cols[rows]`` per kernel chunk, in int64
-# elements (2 MiB); bounds the kernel's scratch memory on the widest layers.
-CHUNK_ELEMENTS = 1 << 18
-
-
-@dataclass(frozen=True)
-class _Chunk:
-    """A run of output channels whose (channel, shift, sign) groups share one gather."""
-
-    rows: np.ndarray            # im2col row of every term, grouped
-    group_starts: np.ndarray    # first term of each group
-    group_shift: np.ndarray     # (G, 1) left shift of each group
-    group_negative: np.ndarray  # (G, 1) True where the group's sign is -1
-    channel_starts: np.ndarray  # first group of each output channel
-    channels: np.ndarray        # output channel of each channel run
+# Budget of every scratch array one ``_shift_add`` call holds, in int64 elements
+# (1 MiB): the shifted operand block and each output channel's gather of it. On
+# the default student half the budget shortens the rows each channel sums and
+# slows conv2..conv4 by ~1 ms each; twice it saves ~0.3 ms on conv3 for twice
+# conv2's scratch memory.
+CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
 class _ShiftPlan:
-    """One layer's terms grouped for ``_shift_add``, chunked for a fixed position count."""
+    """One layer's weight terms as distinct shifted operands and each channel's share of them."""
 
     bias_acc: np.ndarray        # biases expanded to accumulator scale
-    chunks: tuple[_Chunk, ...]
+    rows: np.ndarray            # im2col row of each distinct (sign, row, left shift) operand
+    shift: np.ndarray           # (U, 1) left shift of each operand
+    first_negative: int         # operands from here on have sign -1, those before +1
+    channel_terms: tuple[np.ndarray, ...]  # per output channel, the operand of each of its terms
+    block: int                  # positions per block (at least 1) within the budget
 
 
 def _magnitudes(terms: Terms, amount: np.ndarray) -> np.ndarray:
@@ -163,27 +159,6 @@ def _magnitudes(terms: Terms, amount: np.ndarray) -> np.ndarray:
     np.add.at(sums, np.repeat(np.arange(len(terms.count)), terms.count),
               np.left_shift(1, amount))
     return sums
-
-
-def _layer_terms(name: str, weights: Terms, out_channels: int, align: int) -> tuple:
-    """(out-channel, column, left shift, negative) of every weight term.
-
-    The terms are ordered by (channel, shift, sign, column), the order ``_group_plan``
-    groups. They arrive ordered by (channel, column), so a stable sort on one
-    (channel, shift, sign) key gives that order; a key of at most 16 bits takes
-    numpy's radix sort.
-    """
-    amount = align - weights.shift
-    if np.any(amount < 0):
-        raise ConfigurationError(
-            f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
-    out, col = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count),
-                         len(weights.count) // out_channels)
-    negative = np.repeat(weights.sign < 0, weights.count)
-    key = (out * (align + 1) + amount) * 2 + negative
-    order = np.argsort(key.astype(np.min_scalar_type(2 * (align + 1) * out_channels)),
-                       kind="stable")
-    return out[order], col[order], amount[order], negative[order]
 
 
 def _bias_acc(name: str, biases: Terms, align: int, f_a: int) -> np.ndarray:
@@ -196,47 +171,54 @@ def _bias_acc(name: str, biases: Terms, align: int, f_a: int) -> np.ndarray:
     return np.where(biases.sign < 0, -magnitude, magnitude)
 
 
-def _group_plan(out, col, shift, negative, bias_acc: np.ndarray, positions: int) -> _ShiftPlan:
-    """Group terms ordered as ``_layer_terms`` orders them and cut them into budgeted chunks."""
-    edge = (out[1:] != out[:-1]) | (shift[1:] != shift[:-1]) | (negative[1:] != negative[:-1])
-    group_starts = np.flatnonzero(np.concatenate(([len(col) > 0], edge)))
-    group_out = out[group_starts]
-    channel_starts = np.flatnonzero(np.concatenate(([len(group_out) > 0],
-                                                    group_out[1:] != group_out[:-1])))
-    group_bounds = np.append(channel_starts, len(group_starts))
-    term_bounds = np.append(group_starts, len(col))[group_bounds]
-    rows_per_chunk = max(1, CHUNK_ELEMENTS // max(1, positions))
-    chunks = []
-    first = 0
-    while first < len(channel_starts):
-        last = first + 1
-        while (last < len(channel_starts)
-               and term_bounds[last + 1] - term_bounds[first] <= rows_per_chunk):
-            last += 1
-        t0, g0, g1 = term_bounds[first], group_bounds[first], group_bounds[last]
-        chunks.append(_Chunk(
-            rows=col[t0:term_bounds[last]], group_starts=group_starts[g0:g1] - t0,
-            group_shift=shift[group_starts[g0:g1], None],
-            group_negative=negative[group_starts[g0:g1], None],
-            channel_starts=channel_starts[first:last] - g0,
-            channels=group_out[channel_starts[first:last]]))
-        first = last
-    return _ShiftPlan(bias_acc=bias_acc, chunks=tuple(chunks))
+def _shift_plan(name: str, weights: Terms, bias_acc: np.ndarray, align: int) -> _ShiftPlan:
+    """The distinct operands of a layer's weight terms and, per output channel, each term's operand.
+
+    An operand is a (sign, im2col row, left shift) triple. Each used triple is
+    marked in a dense array of two signs by the rows by ``slots`` left shifts, so
+    the running count of marks numbers the operands in that order with no sort,
+    the positive ones first. The terms arrive in (channel, column) order, so each
+    channel's terms are one run; a repeated term keeps its repeat, as its weight
+    sums it twice.
+    """
+    amount = align - weights.shift
+    if np.any(amount < 0):
+        raise ConfigurationError(
+            f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
+    columns = len(weights.count) // len(bias_acc)
+    slots = int(amount.max(initial=0)) + 1
+    row = np.repeat(np.arange(len(weights.count)) % columns, weights.count)
+    negative = np.repeat(weights.sign < 0, weights.count)
+    key = (negative * columns + row) * slots + amount
+    used = np.zeros(2 * columns * slots, dtype=bool)
+    used[key] = True
+    operand = np.cumsum(used)[key] - 1
+    rows, shift = np.divmod(np.flatnonzero(used) % (columns * slots), slots)
+    per_channel = weights.count.reshape(len(bias_acc), columns).sum(axis=1)
+    widest = max(len(rows), int(per_channel.max(initial=0)), 1)
+    return _ShiftPlan(bias_acc=bias_acc, rows=rows, shift=shift[:, None],
+                      first_negative=int(np.count_nonzero(used[:columns * slots])),
+                      channel_terms=tuple(np.split(operand, np.cumsum(per_channel)[:-1])),
+                      block=max(1, CHUNK_ELEMENTS // widest))
 
 
 def _shift_add(cols: np.ndarray, plan: _ShiftPlan) -> np.ndarray:
     """Exact ``W_int @ cols + bias`` for an im2col block cols (K, positions), by shifts and adds.
 
-    Each group's activations are summed first and shifted once; int64 add and
-    shift are exact modulo 2^64, so the regrouped sum equals the per-term sum.
+    Each distinct operand is shifted and signed once per block of positions, and
+    each output channel sums its operands' rows. int64 add and shift are exact
+    modulo 2^64, so the sum equals the per-term sum bit for bit.
     """
     acc = np.empty((len(plan.bias_acc), cols.shape[1]), dtype=np.int64)
-    acc[...] = plan.bias_acc[:, None]
-    for chunk in plan.chunks:
-        sums = np.add.reduceat(cols[chunk.rows], chunk.group_starts, axis=0)
-        np.left_shift(sums, chunk.group_shift, out=sums)
-        np.negative(sums, out=sums, where=chunk.group_negative)
-        acc[chunk.channels] += np.add.reduceat(sums, chunk.channel_starts, axis=0)
+    for start in range(0, cols.shape[1], plan.block):
+        block = slice(start, start + plan.block)
+        operands = np.take(cols[:, block], plan.rows, axis=0)
+        np.left_shift(operands, plan.shift, out=operands)
+        negatives = operands[plan.first_negative:]
+        np.negative(negatives, out=negatives)
+        for channel, terms in enumerate(plan.channel_terms):
+            np.add.reduce(np.take(operands, terms, axis=0), axis=0, out=acc[channel, block])
+    acc += plan.bias_acc[:, None]
     return acc
 
 
@@ -290,8 +272,7 @@ class _StageConfig:
 
     layer: LayerSpec
     out_hw: tuple[int, ...]
-    terms: tuple | None = None      # conv and dense: ``_layer_terms`` of the weights
-    plan: _ShiftPlan | None = None  # the terms grouped and chunked for the output positions
+    plan: _ShiftPlan | None = None  # conv and dense: the weight terms as ``_shift_add`` reads them
     gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
     stride: tuple[int, int] | None = None  # pool: (row, column) stride of its windows
     avg_shift: int = 0              # average pooling
@@ -354,17 +335,15 @@ class ShiftAddEngine:
                                       (in_shape[1] + pad, in_shape[2] + pad))
             elif isinstance(layer, PoolLayerSpec):
                 stride = (layer.stride, layer.stride)
-            terms = plan = None
+            plan = None
             if entry is not None:
                 weights, biases = layer_terms(entry)
-                terms = _layer_terms(layer.name, weights, out_shape[0], align)
-                plan = _group_plan(*terms, _bias_acc(layer.name, biases, align, self.f_a),
-                                   1 if gather is None else gather.shape[1])
+                plan = _shift_plan(layer.name, weights,
+                                   _bias_acc(layer.name, biases, align, self.f_a), align)
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], terms, plan, gather, stride,
-                                       avg_shift))
+            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, stride, avg_shift))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,

@@ -32,7 +32,7 @@ integer path builds a ``ShiftAddEngine`` and runs each window stage's stack
 through one ``ShiftAddEngine._forward_arrays`` call, with the engine stage
 restated only by how it reads its windows from the stack: at row stride P and
 column stride S, a conv through an ``im2col_index`` gather, a pool through its
-strided taps. The engine's plan, chunked for OH*OW positions, is used as
+strided taps. The engine's plan, which fits any position count, is used as
 built, and diagnostic mode raises at the engine's layer with the engine's
 whole-layer count. The integer dense layer is the engine's own stage on the
 whole map. The simulator thus accepts exactly the models, ``f_a`` and modes

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs import engine as engine_module
-from shiftadd_dvs.encoding import decoded_model, encode_model, layer_terms
+from shiftadd_dvs.encoding import Terms, decoded_model, encode_model, layer_terms
 from shiftadd_dvs.engine import ShiftAddEngine, quantize_frame
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -25,9 +25,10 @@ from shiftadd_dvs.model import (
     layer_forward,
 )
 from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
-from shiftadd_dvs.stream import _build_float_stages, _build_int_stages
+from shiftadd_dvs.stream import _build_float_stages, _build_int_stages, stream_quantized_forward
 
-from conftest import STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec
+from conftest import (STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec,
+                      wide_dense_model)
 
 ACT_LIMIT = (1 << 31) - 1
 
@@ -206,43 +207,56 @@ class TestExactProductOracle:
         params.entries[3].weights[...] = 0.0
         q = shift_quantize_model(spec, params, 3)
         engine = ShiftAddEngine(q)
-        assert engine.stages[0].plan.chunks == ()
-        assert engine.stages[-1].plan.chunks == ()
+        for plan in (engine.stages[0].plan, engine.stages[-1].plan):
+            assert len(plan.rows) == 0
+            assert [len(terms) for terms in plan.channel_terms] == [0] * len(plan.bias_acc)
         assert _check_layers(q, np.random.default_rng(8).normal(size=spec.input_shape)) == 2
 
-    def test_chunk_boundaries_split_a_layer(self, monkeypatch):
+    def test_position_blocks_split_a_layer(self, monkeypatch):
         spec = _single_conv(5, in_c=3)
         params = init_params(spec, np.random.default_rng(9), weight_scale=0.8)
         q = shift_quantize_model(spec, params, 3)
         frame = np.random.default_rng(10).normal(size=spec.input_shape)
-        # a budget below one channel's gathered block: one output channel per chunk
-        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 64)
-        engine = ShiftAddEngine(q)
-        chunks = engine.stages[0].plan.chunks
-        assert len(chunks) == 5
-        assert [len(c.channels) for c in chunks] == [1] * 5
+        # a budget below one position's operands: one position per block, the minimum
+        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 8)
+        plan = ShiftAddEngine(q).stages[0].plan
+        assert plan.block == 1
         _check_layers(q, frame)
-        # a budget of about two channels: chunks cover several channels each
-        terms = sum(len(c.rows) for c in chunks)
-        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", terms * 42 // 2)
-        chunks = ShiftAddEngine(q).stages[0].plan.chunks
-        assert 1 < len(chunks) < 5
+        # a budget of four positions: the 6 x 7 positions in eleven blocks, the last one short
+        widest = max([len(plan.rows)] + [len(terms) for terms in plan.channel_terms])
+        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 4 * widest)
+        assert ShiftAddEngine(q).stages[0].plan.block == 4
         _check_layers(q, frame)
+        # and the Python-int product agrees on the same blocked layer
+        x = quantize_frame(frame, 8)
+        got, _ = ShiftAddEngine(q, f_a=8).layer_forward("c", x)
+        cols, (oh, ow) = _im2col(x, spec.layers[0])
+        np.testing.assert_array_equal(
+            got, np.array(_python_int_layer(q, q.entries[0], cols, 8, True)).T.reshape(-1, oh, ow))
 
 
-def _lexsorted_terms(weights, out_channels, align):
-    """(out-channel, column, left shift, negative) of every term, by a 4-key lexsort."""
-    amount = align - weights.shift
-    out, col = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count),
-                         len(weights.count) // out_channels)
-    negative = np.repeat(weights.sign < 0, weights.count)
-    order = np.lexsort((col, negative, amount, out))
-    return out[order], col[order], amount[order], negative[order]
+def _operand_terms(plan):
+    """Per output channel, the sorted (row, left shift, sign) of every term its operands reach."""
+    sign = np.where(np.arange(len(plan.rows)) < plan.first_negative, 1, -1)
+    return [sorted(zip(plan.rows[terms].tolist(), plan.shift[terms, 0].tolist(),
+                       sign[terms].tolist())) for terms in plan.channel_terms]
 
 
-def test_layer_terms_order_matches_a_lexsort():
-    """One stable sort on a composite key orders the terms exactly as a 4-key lexsort,
-    terms of one weight that a clamped encoding repeats included."""
+def _weight_terms(weights, out_channels, align):
+    """Per output channel, the sorted (column, left shift, sign) of every weight term."""
+    param = np.repeat(np.arange(len(weights.count)), weights.count)
+    out, col = np.divmod(param, len(weights.count) // out_channels)
+    sign = np.repeat(weights.sign, weights.count)
+    want = [[] for _ in range(out_channels)]
+    for o, c, amount, s in zip(out, col, align - weights.shift, sign):
+        want[o].append((int(c), int(amount), int(s)))
+    return [sorted(terms) for terms in want]
+
+
+def test_plan_operands_reach_exactly_each_channels_terms():
+    """Through its operands each output channel reaches the multiset of its weight terms,
+    terms of one weight that a clamped encoding repeats counted twice, and each
+    operand is distinct."""
     models = []
     for trial in range(8):
         local = np.random.default_rng([95, trial])
@@ -257,30 +271,55 @@ def test_layer_terms_order_matches_a_lexsort():
         align = q.frac_bits + q.int_bits
         for entry in q.layers():
             weights, _ = layer_terms(entry)
-            want = _lexsorted_terms(weights, entry.shape[0], align)
-            got = engine_module._layer_terms(entry.name, weights, entry.shape[0], align)
-            for x, y in zip(got, want):
-                np.testing.assert_array_equal(x, y)
-                assert x.dtype == y.dtype
-            out, col, amount, _ = want
-            repeated += int(np.sum((out[1:] == out[:-1]) & (col[1:] == col[:-1])
-                                   & (amount[1:] == amount[:-1])))
+            plan = engine_module._shift_plan(entry.name, weights, np.zeros(entry.shape[0]), align)
+            want = _weight_terms(weights, entry.shape[0], align)
+            assert _operand_terms(plan) == want
+            sign = np.arange(len(plan.rows)) < plan.first_negative
+            assert len(set(zip(plan.rows.tolist(), plan.shift[:, 0].tolist(), sign.tolist()))) \
+                == len(plan.rows)
+            repeated += sum(len(terms) - len(set(terms)) for terms in want)
     assert repeated > 0  # some weight holds two terms clamped to one magnitude
 
 
-def test_default_student_chunks_stay_within_budget():
-    from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm
+def test_default_student_blocks_stay_within_budget():
+    """Every scratch array of a call, the operand block and each channel's gather,
+    stays within CHUNK_ELEMENTS unless the block is the one-position minimum."""
     spec = default_student_spec()
     fspec, fparams = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(11)))
     engine = ShiftAddEngine(shift_quantize_model(fspec, fparams, 3))
+    blocks = []
     for stage in engine.stages:
         if stage.plan is None:
             continue
+        plan = stage.plan
+        assert len(plan.channel_terms) == len(plan.bias_acc)
+        widest = max([len(plan.rows)] + [len(terms) for terms in plan.channel_terms])
+        assert plan.block == 1 or plan.block * widest <= engine_module.CHUNK_ELEMENTS
+        assert (plan.block + 1) * widest > engine_module.CHUNK_ELEMENTS
         positions = 1 if stage.gather is None else stage.gather.shape[1]
-        for chunk in stage.plan.chunks:
-            assert (len(chunk.channels) == 1
-                    or len(chunk.rows) * positions <= engine_module.CHUNK_ELEMENTS)
-        assert sum(len(c.channels) for c in stage.plan.chunks) == len(stage.plan.bias_acc)
+        blocks.append(-(-positions // plan.block))
+    assert max(blocks) > 1  # the budget splits some layer of the default student
+    # a channel can reach more terms than its layer has operands: one weight of four equal terms
+    repeated = Terms(sign=np.array([1]), count=np.array([4]), shift=np.array([3, 3, 3, 3]))
+    plan = engine_module._shift_plan("r", repeated, np.zeros(1, dtype=np.int64), 18)
+    assert (len(plan.rows), len(plan.channel_terms[0])) == (1, 4)
+    assert plan.block == engine_module.CHUNK_ELEMENTS // 4
+
+
+def _python_int_layer(q, entry, cols, f_a, relu):
+    """Requantized ``cols @ W_int.T + b_int`` in Python integers, which cannot wrap:
+    one list of output-channel values per row of cols."""
+    w_int, b_int = _weight_ints(entry, q.frac_bits + q.int_bits, f_a)
+    acc = cols.astype(object) @ w_int.T.astype(object) + b_int.astype(object)
+    return [[_requantize_int(int(v), q.frac_bits, relu) for v in row] for row in acc]
+
+
+def _requantize_int(value, frac_bits, relu):
+    quotient, remainder = divmod(value, 1 << frac_bits)
+    half = 1 << (frac_bits - 1)
+    quotient += remainder > half or (remainder == half and quotient % 2 == 1)
+    quotient = max(-ACT_LIMIT, min(ACT_LIMIT, quotient))
+    return max(quotient, 0) if relu else quotient
 
 
 @pytest.mark.parametrize("bits", [1, 3])
@@ -296,7 +335,6 @@ def test_default_student_layers_match_oracle(bits):
 @pytest.mark.parametrize("bits", [1, 3])
 def test_engine_reads_the_encoding_as_its_decode(bits):
     """Reading bias + code directly equals running the decoded shifts, plans and logits alike."""
-    from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm
     spec = default_student_spec()
     rng = np.random.default_rng(13)
     fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
@@ -310,12 +348,116 @@ def test_engine_reads_the_encoding_as_its_decode(bits):
         assert (a.plan is None) == (b.plan is None)
         if a.plan is None:
             continue
-        for x, y in zip(a.terms, b.terms):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a.plan.bias_acc, b.plan.bias_acc)
-        assert len(a.plan.chunks) == len(b.plan.chunks)
-        for ca, cb in zip(a.plan.chunks, b.plan.chunks):
-            for field in dataclasses.fields(ca):
-                np.testing.assert_array_equal(getattr(ca, field.name), getattr(cb, field.name))
+        for field in dataclasses.fields(a.plan):
+            x, y = getattr(a.plan, field.name), getattr(b.plan, field.name)
+            if field.name == "channel_terms":
+                assert len(x) == len(y)
+                for terms_a, terms_b in zip(x, y):
+                    np.testing.assert_array_equal(terms_a, terms_b)
+            else:
+                np.testing.assert_array_equal(x, y)
     frame = rng.normal(size=spec.input_shape)
     np.testing.assert_array_equal(direct.forward(frame).logits, plain.forward(frame).logits)
+
+
+
+def _proof_bounds(q):
+    """Per weight layer, the overflow proof rederived in Python integers: the input bound
+    it assumes, the worst accumulator it allows and the output bound it passes on."""
+    align, bound, bounds = q.frac_bits + q.int_bits, ACT_LIMIT + 1, {}
+    for entry in q.layers():
+        w_int, b_int = _weight_ints(entry, align, q.f_a)
+        worst = (w_int.shape[1] * bound * int(np.abs(w_int).max(initial=0))
+                 + int(np.abs(b_int).max(initial=0)))
+        passed = min((worst >> q.frac_bits) + 1, ACT_LIMIT)
+        bounds[entry.name], bound = (min(bound, ACT_LIMIT), worst, passed), passed
+    return bounds
+
+
+def _edge_input(layer, w_int, b_int, in_shape, bound, polarity):
+    """Every activation at polarity * bound, signed like the weight it meets on the
+    window of the output channel with the largest L1 bound, at a position whose window
+    holds the most real taps. Returns the input, that channel and position, and the
+    flat input index of each of its taps (-1 on padding)."""
+    channel = int(np.argmax([int(np.abs(w).sum()) + abs(int(b)) for w, b in zip(w_int, b_int)]))
+    x = np.full(in_shape, polarity * bound, dtype=np.int64)
+    if isinstance(layer, DenseSpec):
+        position, taps = 0, np.arange(x.size)
+    else:
+        index, _ = _im2col(np.arange(1, x.size + 1).reshape(in_shape), layer)  # padding reads 0
+        position = int(np.argmax(np.count_nonzero(index, axis=1)))
+        taps = index[position] - 1
+    real = taps >= 0
+    x.flat[taps[real]] = polarity * np.where(w_int[channel][real] < 0, -bound, bound)
+    return x, channel, position, taps
+
+
+def _check_edge_layers(q):
+    """Each weight layer of q, on its adversarial input of either polarity: the engine's
+    accumulators and outputs and the streamed stage's outputs equal the Python-int
+    oracle, the chosen accumulator reaches the channel's L1 bound over its real taps, no
+    accumulator passes the proof's worst case, and every output stays within the bound
+    the proof hands the next layer."""
+    engine = ShiftAddEngine(q)
+    stages = _build_int_stages(engine, {})
+    bounds = _proof_bounds(q)
+    checked = 0
+    for (layer, in_shape, _), entry, stage, config in zip(q.spec.geometry(), q.entries, stages,
+                                                          engine.stages):
+        if entry is None:
+            continue
+        bound, worst, passed = bounds[layer.name]
+        w_int, b_int = _weight_ints(entry, q.frac_bits + q.int_bits, q.f_a)
+        for polarity in (1, -1):
+            x, channel, position, taps = _edge_input(layer, w_int, b_int, stage.in_shape,
+                                                     bound, polarity)
+            cols = x.reshape(1, -1) if isinstance(layer, DenseSpec) else _im2col(x, layer)[0]
+            acc = cols.astype(object) @ w_int.T.astype(object) + b_int.astype(object)
+            reach = bound * sum(abs(int(w)) for w in w_int[channel][taps >= 0])
+            assert acc[position, channel] == polarity * reach + int(b_int[channel])
+            assert max(abs(int(a)) for a in acc.flat) <= worst < 1 << 63
+            kernel_cols = cols.T if config.gather is None else np.take(
+                np.pad(x, ((0, 0),) + ((layer.padding, layer.padding),) * 2), config.gather)
+            assert engine_module._shift_add(kernel_cols, config.plan).T.tolist() == acc.tolist()
+            want = np.array(_python_int_layer(q, entry, cols, q.f_a, getattr(layer, "relu", False)))
+            got, _ = engine.layer_forward(layer.name, x.reshape(in_shape))
+            np.testing.assert_array_equal(got.reshape(len(want.T), -1).T, want)
+            np.testing.assert_array_equal(_stream_stage(stage, x), want)
+            assert int(np.abs(got).max()) <= passed
+        checked += 1
+    return checked
+
+
+def test_edge_of_proof_wide_dense_layer():
+    """The widest dense layer the proof accepts, every input at the 32-bit limit: its
+    accumulators sit just below 2^63, where a wrap would show, through the engine and
+    the whole streamed frame alike."""
+    q = wide_dense_model(127)
+    assert _check_edge_layers(q) == 1
+    w_int, _ = _weight_ints(q.entries[1], q.frac_bits + q.int_bits, q.f_a)
+    for polarity in (1, -1):
+        acc = polarity * ACT_LIMIT * sum(int(w) for w in w_int[0])
+        assert 1 << 62 < abs(acc) < 1 << 63
+        frame = np.full(q.spec.input_shape, polarity * ACT_LIMIT / (1 << q.f_a))
+        want = [_requantize_int(acc, q.frac_bits, False)] * 3
+        np.testing.assert_array_equal(ShiftAddEngine(q).forward(frame).logits, want)
+        np.testing.assert_array_equal(stream_quantized_forward(q, frame).logits, want)
+
+
+def test_edge_of_proof_default_student_layers():
+    spec = default_student_spec()
+    fspec, fparams = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(19)))
+    assert _check_edge_layers(encode_model(shift_quantize_model(fspec, fparams, 3), 3)) == 5
+
+
+def test_edge_of_proof_strided_padded_chain():
+    spec = ModelSpec(layers=(
+        ConvSpec(name="a", out_channels=4, kernel=(3, 3), stride=2, padding=1, batchnorm=False),
+        ConvSpec(name="b", out_channels=3, kernel=(3, 2), stride=2, padding=2, relu=False,
+                 batchnorm=False),
+        PoolLayerSpec(name="p", mode="max"),
+        FlattenSpec(),
+        DenseSpec(name="d", out_features=3),
+    ), input_shape=(2, 13, 11), class_count=3)
+    params = init_params(spec, np.random.default_rng(20), weight_scale=0.8)
+    assert _check_edge_layers(shift_quantize_model(spec, params, 3)) == 3
