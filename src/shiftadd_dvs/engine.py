@@ -29,7 +29,9 @@ Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
 chain. At construction a worst-case bound proves that no accumulator can
 overflow 64 bits for any frame the engine accepts: ``quantize_frame`` rejects
 activations beyond 32 bits and every layer saturates to that range, so the
-proof needs no assumption about the input data.
+proof needs no assumption about the input data. A later layer is proven only
+for the bound its predecessor passes on, so each stage records that bound and
+``layer_forward``, which takes any layer's input from outside, refuses more.
 
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
@@ -276,6 +278,7 @@ class _StageConfig:
     gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
     stride: tuple[int, int] | None = None  # pool: (row, column) stride of its windows
     avg_shift: int = 0              # average pooling
+    in_bound: int = 0               # largest input magnitude the overflow proof covers
 
     @property
     def name(self) -> str:
@@ -335,7 +338,7 @@ class ShiftAddEngine:
                                       (in_shape[1] + pad, in_shape[2] + pad))
             elif isinstance(layer, PoolLayerSpec):
                 stride = (layer.stride, layer.stride)
-            plan = None
+            plan, in_bound = None, act_bound
             if entry is not None:
                 weights, biases = layer_terms(entry)
                 plan = _shift_plan(layer.name, weights,
@@ -343,7 +346,8 @@ class ShiftAddEngine:
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, stride, avg_shift))
+            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, stride, avg_shift,
+                                       in_bound))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
@@ -409,7 +413,9 @@ class ShiftAddEngine:
         """Run one named layer on an integer tensor; returns (output, saturations).
 
         Debug/verification surface: the same shift-add, requantization and
-        pooling arithmetic the full forward uses, one stage at a time.
+        pooling arithmetic the full forward uses, one stage at a time. A later
+        layer's overflow proof covers only the inputs its predecessors can
+        emit, so larger inputs raise ``RangeError``.
         """
         x_int = _integer_input(x_int)
         stats: dict[str, int] = {}
@@ -418,6 +424,9 @@ class ShiftAddEngine:
                 if x_int.shape != in_shape:
                     raise ConfigurationError(f"layer {name}: input shape {x_int.shape} does "
                                              f"not match the spec's {in_shape}")
+                if max(x_int.max(), -x_int.min()) > stage.in_bound:
+                    raise RangeError(f"layer {name}: input exceeds {stage.in_bound}, the "
+                                     "largest magnitude its overflow proof covers")
                 return self._forward_arrays(x_int, stats, [stage]), stats.get(name, 0)
         raise ConfigurationError(f"no layer named {name!r}")
 

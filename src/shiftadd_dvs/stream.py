@@ -28,7 +28,10 @@ layer at padding 0, since the slabs already hold the virtual zeros. Float
 stages run ``model.layer_forward`` (convolution, batchnorm, relu or pooling)
 once per slab, so each output row matches the batch reference bit for bit;
 the float dense layer adds one position's channel vector at a time. The
-integer path builds a ``ShiftAddEngine`` and runs each window stage's stack
+integer path builds a ``ShiftAddEngine`` and its stages once per model, as
+the hardware loads its weights once, and reuses them while the model, ``f_a``
+and mode stay the same; a frame's saturation counts travel with the call, so
+stages keep no per-frame state. It runs each window stage's stack
 through one ``ShiftAddEngine._forward_arrays`` call, with the engine stage
 restated only by how it reads its windows from the stack: at row stride P and
 column stride S, a conv through an ``im2col_index`` gather, a pool through its
@@ -154,10 +157,11 @@ class _Stage:
         self.elements_out = elements_out
         self.first_output_at = first_output_at
 
-    def run(self, x: np.ndarray) -> np.ndarray:
+    def run(self, x: np.ndarray, stats: dict) -> np.ndarray:
+        """The stage's output map; integer stages add their saturations to ``stats``."""
         if x.shape != self.in_shape:
             raise ProtocolError(f"stage {self.name}: input map {x.shape} != {self.in_shape}")
-        return self._forward(x)
+        return self._forward(x, stats)
 
     def report(self) -> StageReport:
         return StageReport(name=self.name, peak_occupancy=self._peak(),
@@ -209,12 +213,12 @@ class _WindowStage(_Stage):
         super().__init__(layer.name, in_shape, out_shape[1] * out_shape[2], first)
         self.padded_in = self._real.size
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
         c, h, w = self.in_shape
         pad = self.padding
         padded = np.zeros((c,) + self._real.shape, dtype=self._dtype)
         padded[:, pad:pad + h, pad:pad + w] = x
-        return self._compute(padded[:, self._rows, self._cols])
+        return self._compute(padded[:, self._rows, self._cols], stats)
 
     def _peak(self) -> int:
         return self._peak_real
@@ -226,7 +230,7 @@ class _FlattenStage(_Stage):
     def __init__(self, name: str, in_shape):
         super().__init__(name, in_shape, in_shape[1] * in_shape[2], 1)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
         return x
 
 
@@ -238,16 +242,18 @@ class _DenseStage(_Stage):
         self.out_features = layer.out_features
         self._compute = compute
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        return self._compute(x)
+    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
+        return self._compute(x, stats)
 
     def _peak(self) -> int:
         return self.out_features
 
 
 # -- arithmetic, bound to each stage with functools.partial --------------------
+# Each takes the stage's input and the frame's saturation counts (float layers
+# count none).
 
-def _float_dense(x, weights, bias):
+def _float_dense(x, stats, weights, bias):
     """``bias + sum(W[:, cols(pos)] @ vec(pos))``, adding positions in row-major order.
 
     The flat feature index of channel n at position pos is n*H*W + pos, the
@@ -262,13 +268,13 @@ def _float_dense(x, weights, bias):
     return bias + acc
 
 
-def _float_rows(stack, layer, entry, window_rows: int):
+def _float_rows(stack, stats, layer, entry, window_rows: int):
     """``layer_forward`` on each P-row slab of the stack, one output row each, in row order."""
     return np.concatenate([layer_forward(layer, entry, stack[:, i:i + window_rows])
                            for i in range(0, stack.shape[1], window_rows)], axis=1)
 
 
-def _int_layer(x, engine: ShiftAddEngine, stage: _StageConfig, stats):
+def _int_layer(x, stats, engine: ShiftAddEngine, stage: _StageConfig):
     """The engine's own layer ``stage`` on x: a window stage's slab stack, or the dense map."""
     return engine._forward_arrays(x, stats, [stage])
 
@@ -326,35 +332,60 @@ def _slab_stage(stage: _StageConfig, channels: int) -> _StageConfig:
                                        (oh * p, q + (ow - 1) * s)))
 
 
-def _build_int_stages(engine: ShiftAddEngine, counters: dict) -> list[_Stage]:
+def _build_int_stages(engine: ShiftAddEngine) -> list[_Stage]:
     """Line-buffer stages around the engine's stages, requantizing as the engine does."""
     stages: list[_Stage] = []
     for stage, (layer, in_shape, out_shape) in zip(engine.stages, _stage_geometry(engine.spec)):
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            compute = partial(_int_layer, engine=engine, stage=_slab_stage(stage, in_shape[0]),
-                              stats=counters)
+            compute = partial(_int_layer, engine=engine, stage=_slab_stage(stage, in_shape[0]))
             stages.append(_WindowStage(layer, in_shape, out_shape, np.int64, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
             stages.append(_DenseStage(layer, in_shape, partial(
-                _int_layer, engine=engine, stage=stage, stats=counters)))
+                _int_layer, engine=engine, stage=stage)))
     return stages
 
 
-def _run(stages: list[_Stage], frame: np.ndarray, counters) -> StreamResult:
-    """Run the frame's map through each stage in turn."""
+def _run(stages: list[_Stage], frame: np.ndarray) -> StreamResult:
+    """Run the frame's map through each stage in turn, counting its saturations afresh."""
+    stats: dict[str, int] = {}
     x = frame
     for stage in stages:
-        x = stage.run(x)
+        x = stage.run(x, stats)
     return StreamResult(logits=x, argmax=int(np.argmax(x)),
                         stages=[s.report() for s in stages],
                         modeled_cycles=max(stage.padded_in for stage in stages),
-                        saturations=dict(counters))
+                        saturations=stats)
 
 
 def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamResult:
-    return _run(_build_float_stages(spec, params), np.asarray(frame, dtype=np.float64), {})
+    return _run(_build_float_stages(spec, params), np.asarray(frame, dtype=np.float64))
+
+
+# (key, engine, stages) of the model streamed last. The key holds everything
+# ShiftAddEngine reads from its arguments; the stages keep no per-frame state.
+_last_int_pipeline: tuple | None = None
+
+
+def _int_pipeline(qmodel: QuantizedModel, f_a: int | None,
+                  mode: str) -> tuple[ShiftAddEngine, list[_Stage]]:
+    """The engine and stages for (qmodel, f_a, mode): the last ones if their key still holds.
+
+    The key compares the spec by value and each entry by identity (entries are
+    frozen, their arrays read-only), so reassigning an entry, ``f_a`` or the
+    spec rebuilds. A build that raises leaves the slot as it was.
+    """
+    global _last_int_pipeline
+    key = (qmodel.spec, tuple(qmodel.entries), qmodel.frac_bits, qmodel.int_bits,
+           int(qmodel.f_a if f_a is None else f_a), mode)
+    last = _last_int_pipeline
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    engine = ShiftAddEngine(qmodel, f_a, mode)
+    stages = _build_int_stages(engine)
+    _last_int_pipeline = (key, engine, stages)
+    return engine, stages
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,
@@ -362,9 +393,8 @@ def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = No
     """Stream one frame through the stages of ``ShiftAddEngine(qmodel, f_a, mode)``.
 
     The engine's construction checks (``f_a`` range, mode, folded batchnorm,
-    the 64-bit overflow bound) apply unchanged.
+    the 64-bit overflow bound) apply unchanged. The engine and stages are
+    built once per model and reused while it stays unchanged.
     """
-    engine = ShiftAddEngine(qmodel, f_a, mode)
-    frame_int = quantize_frame(np.asarray(frame, dtype=np.float64), engine.f_a)
-    counters: dict[str, int] = {}
-    return _run(_build_int_stages(engine, counters), frame_int, counters)
+    engine, stages = _int_pipeline(qmodel, f_a, mode)
+    return _run(stages, quantize_frame(np.asarray(frame, dtype=np.float64), engine.f_a))

@@ -10,6 +10,7 @@ import pytest
 from shiftadd_dvs import engine as engine_module
 from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.engine import (
+    ACT_LIMIT,
     FixedActivation,
     ShiftAddEngine,
     _rshift_round_half_even,
@@ -31,12 +32,16 @@ from shiftadd_dvs.model import (
     param_arrays,
 )
 from shiftadd_dvs.quantize import (
+    ZERO_PARAM,
+    QuantizedModel,
     ShiftQuantParam,
     dequantize_model,
     shift_quantize_model,
+    shift_quantize_param,
 )
 
-from conftest import STRIDED_GEOMETRIES, make_small_model, single_conv_spec, wide_dense_model
+from conftest import (STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec,
+                      wide_dense_model)
 
 
 class TestQuantizeActivation:
@@ -320,6 +325,32 @@ class TestOverflowBound:
         with pytest.raises(RangeError):
             eng.layer_forward(spec.layers[0].name, frame)
 
+    def test_later_layer_input_beyond_its_proof_rejected(self):
+        """A 1x1 conv of weight 2^-16 passes on a bound of 2^15 + 1, for which a (3, 16512)
+        dense layer of weights 4 - 2^-16 is proven; at the full 32-bit range that layer's
+        accumulator would wrap, so ``layer_forward`` refuses such an input."""
+        wide = wide_dense_model(129)
+        spec = ModelSpec(layers=(ConvSpec(name="c", out_channels=1, kernel=(1, 1), padding=0,
+                                          relu=False, batchnorm=False),) + wide.spec.layers,
+                         input_shape=wide.spec.input_shape, class_count=3)
+        conv = layer_from_params("c", (1, 1, 1, 1),
+                                 [shift_quantize_param(2.0 ** -16, 1), ZERO_PARAM])
+        eng = ShiftAddEngine(QuantizedModel(spec=spec, entries=[conv] + wide.entries,
+                                            n_terms=18))
+        bound = (1 << 15) + 1
+        dense_input = np.full(spec.geometry()[-1][1], bound, dtype=np.int64)
+        eng.layer_forward("d", dense_input)
+        eng.layer_forward("d", -dense_input)
+        for x in (dense_input + 1, -dense_input - 1, np.full_like(dense_input, ACT_LIMIT)):
+            with pytest.raises(RangeError, match=f"layer d: input exceeds {bound}"):
+                eng.layer_forward("d", x)
+        # what the layers emit stays within the bounds, so the chain equals the forward
+        frame = np.full(spec.input_shape, ACT_LIMIT, dtype=np.int64)
+        x = frame
+        for layer in spec.layers:
+            x, _ = eng.layer_forward(layer.name, x)
+        np.testing.assert_array_equal(x, eng.forward_integer(frame).logits)
+
 
 # May grow, never shrink.
 BANNED_CALLS = ("multiply", "dot", "matmul", "einsum", "tensordot", "inner", "outer", "vdot",
@@ -412,7 +443,7 @@ class TestMultiplierFreeAudit:
         engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
         listed = set(stream_module.DATA_PATH_FUNCTIONS) | set(engine_module.DATA_PATH_FUNCTIONS)
         bound = [(stage.name, value.func.__name__)
-                 for stage in stream_module._build_int_stages(engine, {})
+                 for stage in stream_module._build_int_stages(engine)
                  for value in vars(stage).values() if isinstance(value, partial)]
         assert {name for name, _ in bound} == {
             layer.name for layer in spec.layers if not isinstance(layer, FlattenSpec)}

@@ -68,7 +68,7 @@ def _im2col(x, layer):
 def _stream_stage(stage, x):
     """The rows of the map ``stage`` returns for the (C, H, W) input x: one channel
     vector per output position, row-major (a dense stage's output is one row)."""
-    out = stage.run(x)
+    out = stage.run(x, {})
     return out.reshape(len(out), -1).T
 
 
@@ -81,7 +81,7 @@ def _check_layers(qmodel, frame, f_a=8):
     """
     engine = ShiftAddEngine(qmodel, f_a=f_a)
     align = qmodel.frac_bits + qmodel.int_bits
-    stages = _build_int_stages(engine, {})
+    stages = _build_int_stages(engine)
     x = quantize_frame(frame, f_a)
     checked = 0
     for layer, entry, stage in zip(qmodel.spec.layers, qmodel.entries, stages):
@@ -399,7 +399,7 @@ def _check_edge_layers(q):
     accumulator passes the proof's worst case, and every output stays within the bound
     the proof hands the next layer."""
     engine = ShiftAddEngine(q)
-    stages = _build_int_stages(engine, {})
+    stages = _build_int_stages(engine)
     bounds = _proof_bounds(q)
     checked = 0
     for (layer, in_shape, _), entry, stage, config in zip(q.spec.geometry(), q.entries, stages,

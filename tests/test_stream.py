@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 from collections import deque
 from dataclasses import astuple, replace
@@ -23,6 +24,7 @@ from shiftadd_dvs.model import (
 from shiftadd_dvs.encoding import encode_model
 from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.saqm import load_quantized, save_quantized
+from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.stream import (
     LineBuffer,
     _build_float_stages,
@@ -234,6 +236,22 @@ class TestFloatStreaming:
             stream_float_forward(spec, params, np.zeros((1, 3, 3)))
 
 
+def gain_model(rng, gain: float = 3.9, f_a: int = 8):
+    """Two convolutions of gain ``gain`` and a dense head; at f_a=24 a frame of 100s saturates."""
+    spec = ModelSpec(layers=(
+        ConvSpec(name="gain1", out_channels=1, kernel=(1, 1), padding=0,
+                 relu=False, batchnorm=False),
+        ConvSpec(name="gain2", out_channels=2, kernel=(3, 3), padding=1,
+                 relu=False, batchnorm=False),
+        FlattenSpec(),
+        DenseSpec(name="head", out_features=3),
+    ), input_shape=(1, 4, 4), class_count=3)
+    params = init_params(spec, rng)
+    params.entries[0].conv.kernel[...] = gain
+    params.entries[1].conv.kernel[...] = gain
+    return shift_quantize_model(spec, params, 4, f_a=f_a)
+
+
 class TestIntegerStreaming:
     def test_bit_identical_to_batch_engine(self, rng):
         for _ in range(15):
@@ -246,19 +264,8 @@ class TestIntegerStreaming:
             assert res.argmax == batch.argmax
 
     def test_saturation_counters_match_batch(self, rng):
-        spec = ModelSpec(layers=(
-            ConvSpec(name="gain1", out_channels=1, kernel=(1, 1), padding=0,
-                     relu=False, batchnorm=False),
-            ConvSpec(name="gain2", out_channels=2, kernel=(3, 3), padding=1,
-                     relu=False, batchnorm=False),
-            FlattenSpec(),
-            DenseSpec(name="head", out_features=3),
-        ), input_shape=(1, 4, 4), class_count=3)
-        params = init_params(spec, rng)
-        params.entries[0].conv.kernel[...] = 3.9
-        params.entries[1].conv.kernel[...] = 3.9
-        q = shift_quantize_model(spec, params, 4)
-        frame = np.full(spec.input_shape, 100.0)
+        q = gain_model(rng)
+        frame = np.full(q.spec.input_shape, 100.0)
         batch = ShiftAddEngine(q, f_a=24).forward(frame)
         assert batch.total_saturations > 0
         res = stream_quantized_forward(q, frame, f_a=24)
@@ -304,10 +311,10 @@ class TestIntegerStreaming:
 
     def test_stage_rejects_a_grid_of_the_wrong_length(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
-        stage = _build_int_stages(ShiftAddEngine(shift_quantize_model(spec, params, 3)), {})[0]
+        stage = _build_int_stages(ShiftAddEngine(shift_quantize_model(spec, params, 3)))[0]
         c, h, w = stage.in_shape
         with pytest.raises(ProtocolError, match="input map"):
-            stage.run(np.zeros((c, h - 1, w), dtype=np.int64))
+            stage.run(np.zeros((c, h - 1, w), dtype=np.int64), {})
 
     def test_float_and_integer_paths_keep_their_dtypes(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -474,7 +481,7 @@ def test_slab_reads_stay_in_their_rows(geometry):
     engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
     checked = 0
     for (layer, in_shape, out_shape), stage in zip(spec.geometry(),
-                                                   _build_int_stages(engine, {})):
+                                                   _build_int_stages(engine)):
         if not isinstance(layer, (ConvSpec, PoolLayerSpec)):
             continue
         (p, q), s = layer.kernel if isinstance(layer, ConvSpec) else layer.window, layer.stride
@@ -541,12 +548,12 @@ def test_ring_schedule_matches_line_buffer_steps(case):
     engine = ShiftAddEngine(q)
     checked = 0
     for stages, x in ((_build_float_stages(spec, params), frame),
-                      (_build_int_stages(engine, {}), quantize_frame(frame, engine.f_a))):
+                      (_build_int_stages(engine), quantize_frame(frame, engine.f_a))):
         for layer, stage in zip(spec.layers, stages):
             if isinstance(layer, (ConvSpec, PoolLayerSpec)):
                 check_ring_schedule(layer, stage, x)
                 checked += 1
-            x = stage.run(x)
+            x = stage.run(x, {})
     assert checked == 2 * sum(isinstance(layer, (ConvSpec, PoolLayerSpec))
                               for layer in spec.layers)
 
@@ -589,6 +596,30 @@ def test_streaming_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 256 * 1024, f"{grown} bytes retained over 35 frames"
+
+
+def test_alternating_models_retain_no_memory():
+    """Alternating frames of two models, each call on fresh copies of the model's entries
+    (so no two calls share a key), holds one pipeline at a time: traced memory stays flat."""
+    spec = default_student_spec()
+    rng = np.random.default_rng(37)
+    models = []
+    for _ in range(2):
+        fspec, fparams = fold_model_batchnorm(spec, init_params(spec, rng))
+        models.append(encode_model(shift_quantize_model(fspec, fparams, 3), 3))
+    frame = rng.normal(size=spec.input_shape)
+    tracemalloc.start()
+    try:
+        for i in range(30):
+            if i == 6:  # after the same model as the last call, so one pipeline of it is held
+                settled = tracemalloc.get_traced_memory()[0]
+            q = models[i % 2]
+            stream_quantized_forward(
+                replace(q, entries=[e if e is None else replace(e) for e in q.entries]), frame)
+        grown = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, f"{grown} bytes retained over 24 frames"
 
 
 def test_timed_paths_build_no_scalar_parameters(tmp_path, monkeypatch):
@@ -644,6 +675,138 @@ class TestEngineChecks:
         q = shift_quantize_model(plain, init_params(plain, np.random.default_rng(9)), 3)
         with pytest.raises(ConfigurationError, match="fold batchnorm"):
             stream_quantized_forward(replace(q, spec=with_bn), np.zeros(plain.input_shape))
+
+
+def count_builds(monkeypatch) -> list[str]:
+    """Records "engine" for every ShiftAddEngine the simulator builds and "stages" for
+    every stage list; engines the test builds itself are not counted."""
+    built = []
+    build_stages = stream_module._build_int_stages
+
+    class CountedEngine(ShiftAddEngine):
+        def __init__(self, *args, **kwargs):
+            built.append("engine")
+            super().__init__(*args, **kwargs)
+
+    def counting_stages(engine):
+        built.append("stages")
+        return build_stages(engine)
+
+    monkeypatch.setattr(stream_module, "ShiftAddEngine", CountedEngine)
+    monkeypatch.setattr(stream_module, "_build_int_stages", counting_stages)
+    return built
+
+
+class TestPipelineReuse:
+    """The engine and stages are built once per model and rebuilt whenever a field
+    ShiftAddEngine reads changes; each frame counts its own saturations."""
+
+    @staticmethod
+    def _expect(q, frame, f_a=None, mode="release"):
+        return ShiftAddEngine(q, f_a, mode).forward(frame)
+
+    def test_second_call_builds_nothing(self, rng, monkeypatch):
+        spec, params = make_small_model(rng, batchnorm=False)
+        q = shift_quantize_model(spec, params, 3)
+        frames = rng.normal(size=(3, *spec.input_shape))
+        built = count_builds(monkeypatch)
+        results = [stream_quantized_forward(q, frame) for frame in frames]
+        assert built == ["engine", "stages"]
+        stream_quantized_forward(replace(q, n_terms=q.n_terms), frames[0])  # an equal key
+        assert built == ["engine", "stages"]
+        for frame, res in zip(frames, results):
+            np.testing.assert_array_equal(res.logits, self._expect(q, frame).logits)
+
+    @pytest.mark.parametrize("change", ["entry", "f_a", "frac_bits", "spec"])
+    def test_changed_key_field_rebuilds(self, rng, monkeypatch, change):
+        q, other = gain_model(rng, f_a=24), gain_model(rng, gain=2.0, f_a=24)
+        frame = np.ones(q.spec.input_shape)  # the head saturates at gain 3.9 and f_a 24 only
+        before = stream_quantized_forward(q, frame)
+        assert before.saturations
+        built = count_builds(monkeypatch)
+        if change == "entry":
+            q.entries[1] = other.entries[1]
+        elif change == "f_a":
+            q.f_a = 20
+        elif change == "frac_bits":
+            q.frac_bits = 18
+        else:
+            q.spec = replace(q.spec, layers=q.spec.layers[:1] + (
+                replace(q.spec.layers[1], relu=True),) + q.spec.layers[2:])
+        res = stream_quantized_forward(q, frame)
+        assert built == ["engine", "stages"]
+        want = self._expect(q, frame)
+        np.testing.assert_array_equal(res.logits, want.logits)
+        assert res.saturations == want.saturations
+        if change in ("entry", "f_a"):
+            assert res.saturations != before.saturations  # a stale pipeline would show
+        stream_quantized_forward(q, frame)
+        assert built == ["engine", "stages"]
+
+    def test_mode_switch_rebuilds(self, rng, monkeypatch):
+        q = gain_model(rng, f_a=24)
+        hot, clean = np.full(q.spec.input_shape, 100.0), np.full(q.spec.input_shape, 0.1)
+        built = count_builds(monkeypatch)
+        stream_quantized_forward(q, clean)
+        res = stream_quantized_forward(q, clean, mode="diagnostic")
+        assert built == ["engine", "stages"] * 2
+        np.testing.assert_array_equal(res.logits, self._expect(q, clean).logits)
+        with pytest.raises(SaturationError, match="layer gain1"):
+            stream_quantized_forward(q, hot, mode="diagnostic")
+        assert built == ["engine", "stages"] * 2
+        res = stream_quantized_forward(q, hot)
+        assert built == ["engine", "stages"] * 3
+        want = self._expect(q, hot)
+        assert res.saturations == want.saturations and want.saturations
+        np.testing.assert_array_equal(res.logits, want.logits)
+
+    def test_overflowing_model_raises_on_every_call(self, rng, monkeypatch):
+        spec, params = make_small_model(rng, batchnorm=False)
+        q = shift_quantize_model(spec, params, 3)
+        frame = rng.normal(size=spec.input_shape)
+        want = stream_quantized_forward(q, frame).logits
+        wide = wide_dense_model(129)
+        built = count_builds(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
+                stream_quantized_forward(wide, np.zeros(wide.spec.input_shape))
+        assert built == ["engine"] * 3
+        # the failed builds left the last pipeline in place
+        np.testing.assert_array_equal(stream_quantized_forward(q, frame).logits, want)
+        assert built == ["engine"] * 3
+
+    def test_clean_frame_after_saturating_frame_reports_none(self, rng):
+        q = gain_model(rng, f_a=24)
+        hot, clean = np.full(q.spec.input_shape, 100.0), np.full(q.spec.input_shape, 0.1)
+        want = self._expect(q, hot).saturations
+        assert want and not self._expect(q, clean).saturations
+        first = stream_quantized_forward(q, hot)
+        second = stream_quantized_forward(q, clean)
+        assert first.saturations == want
+        assert second.saturations == {}
+        assert stream_quantized_forward(q, hot).saturations == want
+
+    def test_two_threads_count_their_own_saturations(self, rng):
+        q = gain_model(rng, f_a=24)
+        frames = {"hot": np.full(q.spec.input_shape, 100.0),
+                  "clean": np.full(q.spec.input_shape, 0.1)}
+        want = {name: self._expect(q, frame).saturations for name, frame in frames.items()}
+        assert want["hot"] and not want["clean"]
+        stream_quantized_forward(q, frames["clean"])  # both threads reuse these stages
+        barrier = threading.Barrier(2)
+        got = {}
+
+        def stream(name):
+            barrier.wait()
+            got[name] = [stream_quantized_forward(q, frames[name]).saturations
+                         for _ in range(30)]
+
+        threads = [threading.Thread(target=stream, args=(name,)) for name in frames]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == {name: [want[name]] * 30 for name in frames}
 
 
 def test_zero_model_streams_zero_logits(rng):
