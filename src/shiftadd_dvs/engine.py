@@ -309,25 +309,34 @@ class ShiftAddEngine:
         if mode not in ("release", "diagnostic"):
             raise ConfigurationError(f"mode must be 'release' or 'diagnostic', got {mode}")
         self.qmodel = qmodel
-        self.spec = qmodel.spec
-        self.f_a = int(qmodel.f_a if f_a is None else f_a)
+        self.inputs = self.inputs_of(qmodel, f_a, mode)
+        self.spec, entries, self.frac_bits, self.int_bits, self.f_a, self.mode = self.inputs
         if self.f_a < 0 or self.f_a > 24:
             raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
-        self.frac_bits = qmodel.frac_bits
-        self.int_bits = qmodel.int_bits
-        self.mode = mode
-        self.stages = self._build_stages()
+        self.stages = self._build_stages(entries)
+
+    @staticmethod
+    def inputs_of(qmodel: QuantizedModel, f_a: int | None = None,
+                  mode: str = "release") -> tuple:
+        """Everything an engine is built from: (spec, entries, frac_bits, int_bits, f_a, mode).
+
+        ``f_a`` resolves to the model's own when None. Construction reads the
+        model through this tuple only, so engines built from equal tuples are
+        alike. The spec compares by value and the entries, frozen
+        ``QuantizedLayer`` objects, by identity.
+        """
+        return (qmodel.spec, tuple(qmodel.entries), qmodel.frac_bits, qmodel.int_bits,
+                int(qmodel.f_a if f_a is None else f_a), mode)
 
     # -- construction ------------------------------------------------------
 
-    def _build_stages(self) -> list[_StageConfig]:
+    def _build_stages(self, entries: tuple) -> list[_StageConfig]:
         # quantize_frame rejects any input beyond ACT_LIMIT and every layer
         # saturates to it, so ACT_LIMIT + 1 bounds every activation magnitude.
         act_bound = ACT_LIMIT + 1
         align = self.frac_bits + self.int_bits
         stages = []
-        for (layer, in_shape, out_shape), entry in zip(self.spec.geometry(),
-                                                           self.qmodel.entries):
+        for (layer, in_shape, out_shape), entry in zip(self.spec.geometry(), entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer inference")

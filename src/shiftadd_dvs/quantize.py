@@ -19,7 +19,7 @@ read-only views, built on first access and used by no inference path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -227,6 +227,11 @@ class QuantizedModel:
     int_bits: int = DEFAULT_INT_BITS
     bits: int | None = None        # set once encoded
     f_a: int = 8
+    # The integer streaming pipeline last built from this model, which
+    # ``stream.stream_quantized_forward`` reuses while the engine inputs it was
+    # built from still hold; it lives and dies with the model. Not part of the
+    # model's value, and a copy made with ``dataclasses.replace`` starts without.
+    stream_pipeline: object = field(default=None, init=False, repr=False, compare=False)
 
     def layers(self) -> list[QuantizedLayer]:
         return [e for e in self.entries if e is not None]

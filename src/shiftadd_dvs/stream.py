@@ -29,9 +29,11 @@ stages run ``model.layer_forward`` (convolution, batchnorm, relu or pooling)
 once per slab, so each output row matches the batch reference bit for bit;
 the float dense layer adds one position's channel vector at a time. The
 integer path builds a ``ShiftAddEngine`` and its stages once per model, as
-the hardware loads its weights once, and reuses them while the model, ``f_a``
-and mode stay the same; a frame's saturation counts travel with the call, so
-stages keep no per-frame state. It runs each window stage's stack
+the hardware loads its weights once: the model keeps them, and a later frame
+reuses them while the engine's inputs (``ShiftAddEngine.inputs_of``: the
+spec, the entries, the bit widths, ``f_a`` and the mode) are unchanged. A
+frame's saturation counts travel with the call, so stages keep no per-frame
+state. It runs each window stage's stack
 through one ``ShiftAddEngine._forward_arrays`` call, with the engine stage
 restated only by how it reads its windows from the stack: at row stride P and
 column stride S, a conv through an ``im2col_index`` gather, a pool through its
@@ -363,29 +365,14 @@ def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamR
     return _run(_build_float_stages(spec, params), np.asarray(frame, dtype=np.float64))
 
 
-# (key, engine, stages) of the model streamed last. The key holds everything
-# ShiftAddEngine reads from its arguments; the stages keep no per-frame state.
-_last_int_pipeline: tuple | None = None
+class _IntPipeline:
+    """A ``ShiftAddEngine`` and the line-buffer stages around it, built once for a model."""
 
-
-def _int_pipeline(qmodel: QuantizedModel, f_a: int | None,
-                  mode: str) -> tuple[ShiftAddEngine, list[_Stage]]:
-    """The engine and stages for (qmodel, f_a, mode): the last ones if their key still holds.
-
-    The key compares the spec by value and each entry by identity (entries are
-    frozen, their arrays read-only), so reassigning an entry, ``f_a`` or the
-    spec rebuilds. A build that raises leaves the slot as it was.
-    """
-    global _last_int_pipeline
-    key = (qmodel.spec, tuple(qmodel.entries), qmodel.frac_bits, qmodel.int_bits,
-           int(qmodel.f_a if f_a is None else f_a), mode)
-    last = _last_int_pipeline
-    if last is not None and last[0] == key:
-        return last[1], last[2]
-    engine = ShiftAddEngine(qmodel, f_a, mode)
-    stages = _build_int_stages(engine)
-    _last_int_pipeline = (key, engine, stages)
-    return engine, stages
+    def __init__(self, qmodel: QuantizedModel, f_a: int | None, mode: str):
+        # The engine gets a copy of the model, so a model that keeps this
+        # pipeline is not referenced back by it and is freed once dropped.
+        self.engine = ShiftAddEngine(replace(qmodel, entries=list(qmodel.entries)), f_a, mode)
+        self.stages = _build_int_stages(self.engine)
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,
@@ -393,8 +380,13 @@ def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = No
     """Stream one frame through the stages of ``ShiftAddEngine(qmodel, f_a, mode)``.
 
     The engine's construction checks (``f_a`` range, mode, folded batchnorm,
-    the 64-bit overflow bound) apply unchanged. The engine and stages are
-    built once per model and reused while it stays unchanged.
+    the 64-bit overflow bound) apply unchanged. The model keeps the engine
+    and stages in ``qmodel.stream_pipeline``, and later calls reuse them
+    while ``ShiftAddEngine.inputs_of(qmodel, f_a, mode)`` still equals the
+    engine's inputs; a build that raises is not kept.
     """
-    engine, stages = _int_pipeline(qmodel, f_a, mode)
-    return _run(stages, quantize_frame(np.asarray(frame, dtype=np.float64), engine.f_a))
+    pipeline = qmodel.stream_pipeline
+    if pipeline is None or pipeline.engine.inputs != ShiftAddEngine.inputs_of(qmodel, f_a, mode):
+        pipeline = qmodel.stream_pipeline = _IntPipeline(qmodel, f_a, mode)
+    return _run(pipeline.stages,
+                quantize_frame(np.asarray(frame, dtype=np.float64), pipeline.engine.f_a))

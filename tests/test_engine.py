@@ -115,6 +115,28 @@ def _quantized_small_model(rng, n_terms=3, weight_scale=0.8):
     return spec, params, q
 
 
+def test_engine_reads_its_model_only_through_inputs_of(rng):
+    """Every model field an engine reads, building or running, is one ``inputs_of`` holds,
+    which the streaming simulator compares to decide whether to rebuild."""
+    _, _, q = _quantized_small_model(rng)
+
+    class Recording:
+        def __init__(self, model):
+            self.read = set()
+            self.model = model
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return getattr(self.model, name)
+
+    held = Recording(q)
+    ShiftAddEngine.inputs_of(held)
+    used = Recording(q)
+    engine = ShiftAddEngine(used)
+    engine.forward(rng.normal(size=q.spec.input_shape))
+    assert used.read == held.read == {"spec", "entries", "frac_bits", "int_bits", "f_a"}
+
+
 class TestIntegerForward:
     def test_identity_conv_round_trips_activations(self, rng):
         spec = ModelSpec(layers=(

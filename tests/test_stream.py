@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import threading
 import tracemalloc
+import weakref
 from collections import deque
 from dataclasses import astuple, replace
 
@@ -599,8 +601,8 @@ def test_streaming_retains_no_memory():
 
 
 def test_alternating_models_retain_no_memory():
-    """Alternating frames of two models, each call on fresh copies of the model's entries
-    (so no two calls share a key), holds one pipeline at a time: traced memory stays flat."""
+    """Alternating frames of two models, each call on a fresh copy of one of them (so every
+    call builds a pipeline, kept by a model that is then dropped): traced memory stays flat."""
     spec = default_student_spec()
     rng = np.random.default_rng(37)
     models = []
@@ -611,7 +613,7 @@ def test_alternating_models_retain_no_memory():
     tracemalloc.start()
     try:
         for i in range(30):
-            if i == 6:  # after the same model as the last call, so one pipeline of it is held
+            if i == 6:
                 settled = tracemalloc.get_traced_memory()[0]
             q = models[i % 2]
             stream_quantized_forward(
@@ -620,6 +622,21 @@ def test_alternating_models_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 256 * 1024, f"{grown} bytes retained over 24 frames"
+
+
+def test_dropped_model_frees_its_pipeline(rng):
+    """The pipeline a model keeps does not refer back to it: dropping the model frees
+    both at once, with the cyclic garbage collector off."""
+    spec, params = make_small_model(rng, batchnorm=False)
+    q = shift_quantize_model(spec, params, 3)
+    stream_quantized_forward(q, rng.normal(size=spec.input_shape))
+    model, pipeline = weakref.ref(q), weakref.ref(q.stream_pipeline)
+    gc.disable()
+    try:
+        del q
+        assert model() is None and pipeline() is None
+    finally:
+        gc.enable()
 
 
 def test_timed_paths_build_no_scalar_parameters(tmp_path, monkeypatch):
@@ -698,8 +715,8 @@ def count_builds(monkeypatch) -> list[str]:
 
 
 class TestPipelineReuse:
-    """The engine and stages are built once per model and rebuilt whenever a field
-    ShiftAddEngine reads changes; each frame counts its own saturations."""
+    """Each model keeps its engine and stages, rebuilt whenever a field ShiftAddEngine
+    reads changes; each frame counts its own saturations."""
 
     @staticmethod
     def _expect(q, frame, f_a=None, mode="release"):
@@ -712,8 +729,11 @@ class TestPipelineReuse:
         built = count_builds(monkeypatch)
         results = [stream_quantized_forward(q, frame) for frame in frames]
         assert built == ["engine", "stages"]
-        stream_quantized_forward(replace(q, n_terms=q.n_terms), frames[0])  # an equal key
-        assert built == ["engine", "stages"]
+        copy = replace(q)  # a model of its own, which keeps its own pipeline
+        for frame in frames:
+            stream_quantized_forward(copy, frame)
+            stream_quantized_forward(q, frame)
+        assert built == ["engine", "stages"] * 2
         for frame, res in zip(frames, results):
             np.testing.assert_array_equal(res.logits, self._expect(q, frame).logits)
 
@@ -771,7 +791,7 @@ class TestPipelineReuse:
             with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
                 stream_quantized_forward(wide, np.zeros(wide.spec.input_shape))
         assert built == ["engine"] * 3
-        # the failed builds left the last pipeline in place
+        assert wide.stream_pipeline is None  # no failed build is kept
         np.testing.assert_array_equal(stream_quantized_forward(q, frame).logits, want)
         assert built == ["engine"] * 3
 
