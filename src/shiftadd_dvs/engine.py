@@ -16,14 +16,15 @@ position). A conv gathers its block with ``np.take`` by a flat index that
 tap as a strided view at its (row, column) stride and takes the maximum over
 the taps, or their sum rounded by ``_round_average``. Each layer's terms come
 as arrays from ``encoding.layer_terms`` (``bias + code`` when the layer is
-encoded; no decoded model is built). At build each distinct (sign, im2col row,
-left shift) operand of a layer is listed once, and each output channel lists
-the operand of every one of its terms; the kernel shifts and signs each
-operand's row once, then sums each channel's operand rows, in blocks of
-positions whose scratch arrays stay within ``CHUNK_ELEMENTS``. int64 add and
-shift are exact modulo 2^64 and the overflow check keeps the true sum below
-2^63, so the sum of the shifted operands equals the per-term sum bit for bit,
-whatever its intermediate values.
+encoded; no decoded model is built). At build each distinct (im2col row, left
+shift) operand of a layer is listed once, and each output channel lists the
+operands of its positive terms, which it adds, and of its negative terms, which
+it subtracts; the kernel shifts each operand's row once, then sums each
+channel's added rows and subtracts the sum of its subtracted rows, in blocks of
+positions whose scratch arrays stay within ``CHUNK_ELEMENTS``. int64 add,
+subtract and shift are exact modulo 2^64 and the overflow check keeps the sum
+of the terms' magnitudes below 2^63, so the result equals the per-term sum bit
+for bit, whatever its intermediate values.
 
 Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
 chain. At construction a worst-case bound proves that no accumulator can
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, RangeError, SaturationError
+from .errors import ConfigurationError, DomainError, RangeError, SaturationError
 from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
 from .quantize import QuantizedModel, ShiftQuantParam
 from .encoding import Terms, layer_terms
@@ -96,11 +97,17 @@ def quantize_frame(frame: np.ndarray, f_a: int) -> np.ndarray:
 
 
 def _integer_input(x) -> np.ndarray:
-    """An int64 tensor within the 32-bit activation range the overflow bound assumes."""
-    x = np.asarray(x, dtype=np.int64)
+    """An int64 tensor within the 32-bit activation range the overflow bound assumes.
+
+    Only bool and integer dtypes are read, and their range is checked before the
+    cast, so no value is truncated or wraps on the way in.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "biu":
+        raise DomainError(f"integer input must have a bool or integer dtype, not {x.dtype}")
     if np.any((x > ACT_LIMIT) | (x < -ACT_LIMIT)):
         raise RangeError("integer input exceeds the 32-bit activation range")
-    return x
+    return x.astype(np.int64, copy=False)
 
 
 def shift_add_mul(act, q: ShiftQuantParam, frac_bits: int = 16, int_bits: int = 2) -> int:
@@ -136,10 +143,10 @@ def _saturate(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 # Budget of every scratch array one ``_shift_add`` call holds, in int64 elements
-# (1 MiB): the shifted operand block and each output channel's gather of it. On
-# the default student half the budget shortens the rows each channel sums and
-# slows conv2..conv4 by ~1 ms each; twice it saves ~0.3 ms on conv3 for twice
-# conv2's scratch memory.
+# (1 MiB): the shifted operand block and each output channel's gather of the
+# operands it adds or subtracts. On the default student half the budget shortens
+# the rows each channel sums and slows conv2..conv4 by ~0.2-0.9 ms each; twice
+# it saves ~0.4-0.7 ms on conv3 and ~0.1 ms elsewhere for twice the scratch memory.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -148,10 +155,10 @@ class _ShiftPlan:
     """One layer's weight terms as distinct shifted operands and each channel's share of them."""
 
     bias_acc: np.ndarray        # biases expanded to accumulator scale
-    rows: np.ndarray            # im2col row of each distinct (sign, row, left shift) operand
+    rows: np.ndarray            # im2col row of each distinct (row, left shift) operand
     shift: np.ndarray           # (U, 1) left shift of each operand
-    first_negative: int         # operands from here on have sign -1, those before +1
-    channel_terms: tuple[np.ndarray, ...]  # per output channel, the operand of each of its terms
+    added: tuple[np.ndarray, ...]       # per output channel, the operand of each positive term
+    subtracted: tuple[np.ndarray, ...]  # per output channel, the operand of each negative term
     block: int                  # positions per block (at least 1) within the budget
 
 
@@ -176,50 +183,57 @@ def _bias_acc(name: str, biases: Terms, align: int, f_a: int) -> np.ndarray:
 def _shift_plan(name: str, weights: Terms, bias_acc: np.ndarray, align: int) -> _ShiftPlan:
     """The distinct operands of a layer's weight terms and, per output channel, each term's operand.
 
-    An operand is a (sign, im2col row, left shift) triple. Each used triple is
-    marked in a dense array of two signs by the rows by ``slots`` left shifts, so
-    the running count of marks numbers the operands in that order with no sort,
-    the positive ones first. The terms arrive in (channel, column) order, so each
-    channel's terms are one run; a repeated term keeps its repeat, as its weight
-    sums it twice.
+    An operand is an (im2col row, left shift) pair; a term's sign only decides
+    whether its channel adds or subtracts the operand. Each used pair is marked
+    in a dense array of the rows by ``slots`` left shifts, so the running count
+    of marks numbers the operands in that order with no sort. The terms arrive
+    in (channel, column) order, so each channel's positive terms, and its
+    negative ones, are one run each; a repeated term keeps its repeat, as its
+    weight sums it twice.
     """
     amount = align - weights.shift
     if np.any(amount < 0):
         raise ConfigurationError(
             f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
-    columns = len(weights.count) // len(bias_acc)
+    channels = len(bias_acc)
+    columns = len(weights.count) // channels
+    channel, row = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count), columns)
     slots = int(amount.max(initial=0)) + 1
-    row = np.repeat(np.arange(len(weights.count)) % columns, weights.count)
-    negative = np.repeat(weights.sign < 0, weights.count)
-    key = (negative * columns + row) * slots + amount
-    used = np.zeros(2 * columns * slots, dtype=bool)
+    key = row * slots + amount
+    used = np.zeros(columns * slots, dtype=bool)
     used[key] = True
     operand = np.cumsum(used)[key] - 1
-    rows, shift = np.divmod(np.flatnonzero(used) % (columns * slots), slots)
-    per_channel = weights.count.reshape(len(bias_acc), columns).sum(axis=1)
-    widest = max(len(rows), int(per_channel.max(initial=0)), 1)
-    return _ShiftPlan(bias_acc=bias_acc, rows=rows, shift=shift[:, None],
-                      first_negative=int(np.count_nonzero(used[:columns * slots])),
-                      channel_terms=tuple(np.split(operand, np.cumsum(per_channel)[:-1])),
-                      block=max(1, CHUNK_ELEMENTS // widest))
+    rows, shift = np.divmod(np.flatnonzero(used), slots)
+    negative = np.repeat(weights.sign < 0, weights.count)
+
+    def runs(side: np.ndarray) -> tuple[np.ndarray, ...]:
+        counts = np.bincount(channel[side], minlength=channels)
+        return tuple(np.split(operand[side], np.cumsum(counts)[:-1]))
+
+    added, subtracted = runs(~negative), runs(negative)
+    widest = max([len(rows), 1] + [len(terms) for terms in added + subtracted])
+    return _ShiftPlan(bias_acc=bias_acc, rows=rows, shift=shift[:, None], added=added,
+                      subtracted=subtracted, block=max(1, CHUNK_ELEMENTS // widest))
 
 
 def _shift_add(cols: np.ndarray, plan: _ShiftPlan) -> np.ndarray:
     """Exact ``W_int @ cols + bias`` for an im2col block cols (K, positions), by shifts and adds.
 
-    Each distinct operand is shifted and signed once per block of positions, and
-    each output channel sums its operands' rows. int64 add and shift are exact
-    modulo 2^64, so the sum equals the per-term sum bit for bit.
+    Each distinct operand is shifted once per block of positions; each output
+    channel sums the rows of the operands it adds, then subtracts the sum of
+    those it subtracts. int64 add, subtract and shift are exact modulo 2^64, so
+    the result equals the per-term sum bit for bit.
     """
     acc = np.empty((len(plan.bias_acc), cols.shape[1]), dtype=np.int64)
     for start in range(0, cols.shape[1], plan.block):
         block = slice(start, start + plan.block)
         operands = np.take(cols[:, block], plan.rows, axis=0)
         np.left_shift(operands, plan.shift, out=operands)
-        negatives = operands[plan.first_negative:]
-        np.negative(negatives, out=negatives)
-        for channel, terms in enumerate(plan.channel_terms):
-            np.add.reduce(np.take(operands, terms, axis=0), axis=0, out=acc[channel, block])
+        for channel, (added, subtracted) in enumerate(zip(plan.added, plan.subtracted)):
+            out = acc[channel, block]
+            np.add.reduce(np.take(operands, added, axis=0), axis=0, out=out)
+            if len(subtracted):
+                out -= np.add.reduce(np.take(operands, subtracted, axis=0), axis=0)
     acc += plan.bias_acc[:, None]
     return acc
 

@@ -229,19 +229,16 @@ def batch_loss(spec: ModelSpec, params: ModelParams, x, labels,
     labels = np.asarray(labels, dtype=np.int64)
     logits, caches = forward_batch(spec, params, x, training=training)
     b = logits.shape[0]
-    losses = np.empty(b)
-    dlogits = np.empty_like(logits)
-    for i in range(b):
-        if not np.all(np.isfinite(logits[i])):
-            losses[i] = np.nan
-            dlogits[i] = 0.0
-            continue
-        if teacher_logits is not None and kd is not None:
-            losses[i] = kd_loss(logits[i], teacher_logits[i], int(labels[i]), kd)
-            dlogits[i] = kd_logit_gradient(logits[i], teacher_logits[i], int(labels[i]), kd)
-        else:
-            losses[i] = cross_entropy(logits[i], int(labels[i]))
-            dlogits[i] = ce_logit_gradient(logits[i], int(labels[i]))
+    finite = np.all(np.isfinite(logits), axis=1)
+    losses = np.full(b, np.nan)
+    dlogits = np.zeros_like(logits)
+    if teacher_logits is not None and kd is not None:
+        teacher = np.asarray(teacher_logits)[finite]
+        losses[finite] = kd_loss(logits[finite], teacher, labels[finite], kd)
+        dlogits[finite] = kd_logit_gradient(logits[finite], teacher, labels[finite], kd)
+    else:
+        losses[finite] = cross_entropy(logits[finite], labels[finite])
+        dlogits[finite] = ce_logit_gradient(logits[finite], labels[finite])
     if not np.all(np.isfinite(losses)):
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         ident = sample_ids[bad] if sample_ids is not None else bad

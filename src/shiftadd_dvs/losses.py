@@ -32,32 +32,58 @@ class KDConfig:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
 
 
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], evaluated in log-sum-exp form."""
+def _per_row(values: np.ndarray) -> float | np.ndarray:
+    """A per-row result as a float for one row (0-d), else as the array of rows."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _label_index(label, z: np.ndarray):
+    """Where each row of z holds its label's entry, each label checked to be a class index.
+
+    z is one row of logits with an int label, or a (B, classes) batch with B labels.
+    """
+    labels = np.array(int(label)) if z.ndim == 1 else np.asarray(label).astype(np.int64)
+    if z.ndim > 2 or labels.shape != z.shape[:-1]:
+        raise ConfigurationError(f"{labels.size} labels for logits of shape {z.shape}")
+    bad = np.flatnonzero((labels < 0) | (labels >= z.shape[-1]))
+    if len(bad):
+        raise DomainError(f"label {labels.flat[bad[0]]} out of range for {z.shape[-1]} classes")
+    return labels if z.ndim == 1 else (np.arange(len(labels)), labels)
+
+
+def cross_entropy(logits, label) -> float | np.ndarray:
+    """-log softmax(logits)[label], evaluated in log-sum-exp form.
+
+    Works per row: one row of logits and an int label give a float, a
+    (B, classes) array and B labels give B losses.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise DomainError("logits must be finite")
-    if not 0 <= int(label) < z.shape[-1]:
-        raise DomainError(f"label {label} out of range for {z.shape[-1]} classes")
-    return float(-log_softmax(z)[int(label)])
+    return _per_row(-log_softmax(z)[_label_index(label, z)])
 
 
-def kl_divergence(p, log_q) -> float:
-    """KL(p || q) with q supplied as log-probabilities; terms with p=0 contribute 0."""
+def kl_divergence(p, log_q) -> float | np.ndarray:
+    """KL(p || q) per row, with q supplied as log-probabilities; terms with p=0 contribute 0."""
     p = np.asarray(p, dtype=np.float64)
     log_q = np.asarray(log_q, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - log_q), 0.0)
-    return float(np.sum(terms))
+    return _per_row(np.sum(terms, axis=-1))
 
 
-def kd_loss(student_logits, teacher_logits, label: int, cfg: KDConfig) -> float:
-    """Distillation loss for one sample."""
+def _student_teacher(student_logits, teacher_logits) -> tuple[np.ndarray, np.ndarray]:
     ys = np.asarray(student_logits, dtype=np.float64)
     yt = np.asarray(teacher_logits, dtype=np.float64)
     if ys.shape != yt.shape:
         raise ConfigurationError(
             f"student logits shape {ys.shape} does not match teacher {yt.shape}")
+    return ys, yt
+
+
+def kd_loss(student_logits, teacher_logits, label, cfg: KDConfig) -> float | np.ndarray:
+    """Distillation loss, per row along the last axis as ``cross_entropy``."""
+    ys, yt = _student_teacher(student_logits, teacher_logits)
     ce = cross_entropy(ys, label)
     soft_teacher = softmax_temperature(yt, cfg.temperature)
     log_soft_student = log_softmax(ys / cfg.temperature)
@@ -67,14 +93,12 @@ def kd_loss(student_logits, teacher_logits, label: int, cfg: KDConfig) -> float:
     return cfg.alpha * ce + (1.0 - cfg.alpha) * kl
 
 
-def kd_logit_gradient(student_logits, teacher_logits, label: int, cfg: KDConfig) -> np.ndarray:
-    """d(kd_loss)/d(student_logits); the teacher side carries no gradient."""
-    ys = np.asarray(student_logits, dtype=np.float64)
-    yt = np.asarray(teacher_logits, dtype=np.float64)
+def kd_logit_gradient(student_logits, teacher_logits, label, cfg: KDConfig) -> np.ndarray:
+    """d(kd_loss)/d(student_logits) per row; the teacher side carries no gradient."""
+    ys, yt = _student_teacher(student_logits, teacher_logits)
     probs = softmax_temperature(ys, 1.0)
-    onehot = np.zeros_like(probs)
-    onehot[int(label)] = 1.0
-    grad = cfg.alpha * (probs - onehot)
+    probs[_label_index(label, ys)] -= 1.0
+    grad = cfg.alpha * probs
     soft_student = softmax_temperature(ys, cfg.temperature)
     soft_teacher = softmax_temperature(yt, cfg.temperature)
     scale = cfg.temperature if cfg.t_squared else (1.0 / cfg.temperature)
@@ -82,9 +106,9 @@ def kd_logit_gradient(student_logits, teacher_logits, label: int, cfg: KDConfig)
     return grad
 
 
-def ce_logit_gradient(logits, label: int) -> np.ndarray:
-    """d(cross_entropy)/d(logits) = softmax(logits) - onehot(label)."""
-    probs = softmax_temperature(np.asarray(logits, dtype=np.float64), 1.0)
-    onehot = np.zeros_like(probs)
-    onehot[int(label)] = 1.0
-    return probs - onehot
+def ce_logit_gradient(logits, label) -> np.ndarray:
+    """d(cross_entropy)/d(logits) = softmax(logits) - onehot(label), per row."""
+    z = np.asarray(logits, dtype=np.float64)
+    grad = softmax_temperature(z, 1.0)
+    grad[_label_index(label, z)] -= 1.0
+    return grad

@@ -18,7 +18,8 @@ from shiftadd_dvs.engine import (
     quantize_frame,
     shift_add_mul,
 )
-from shiftadd_dvs.errors import ConfigurationError, RangeError, SaturationError
+from shiftadd_dvs.errors import (ConfigurationError, DomainError, RangeError, SaturationError,
+                                 ShiftAddError)
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -346,6 +347,42 @@ class TestOverflowBound:
             eng.forward_integer(frame)
         with pytest.raises(RangeError):
             eng.layer_forward(spec.layers[0].name, frame)
+
+    def test_malformed_integer_input_rejected(self, rng):
+        """Only bool and integer dtypes reach the integer path, range-checked before the
+        cast: a uint64 2^64 - 1 does not wrap to -1, floats are not truncated, and text,
+        object and complex input is refused with a ShiftAddError, not a numpy or Python one."""
+        spec, _, q = _quantized_small_model(rng)
+        eng = ShiftAddEngine(q)
+        name = spec.layers[0].name
+
+        def frame(dtype, *values):
+            x = np.zeros(spec.input_shape, dtype=dtype)
+            x.flat[:len(values)] = values
+            return x
+
+        cases = [(frame(np.uint64, (1 << 64) - 1), RangeError),
+                 (frame(np.float64, 1.7, -2.9), DomainError),
+                 (frame(np.float64, 1.0, -2.0), DomainError),
+                 (np.full(spec.input_shape, "3"), DomainError),
+                 (frame(object, 1 << 70), DomainError),
+                 (frame(np.complex128, 1 + 2j), DomainError)]
+        for x, error in cases:
+            for call in (eng.forward_integer, partial(eng.layer_forward, name)):
+                with pytest.raises(error):
+                    call(x)
+                with pytest.raises(ShiftAddError):
+                    call(x.tolist())
+        with pytest.raises(DomainError):
+            eng.forward_integer(frame(object, 3))
+        # bool and every integer dtype within range read as the same int64 values
+        want = eng.forward_integer(frame(np.int64, 1, -2, 3)).logits
+        for dtype in (np.int8, np.int16, np.int32):
+            np.testing.assert_array_equal(eng.forward_integer(frame(dtype, 1, -2, 3)).logits, want)
+        np.testing.assert_array_equal(eng.forward_integer(frame(np.uint64, 1, 0, 3)).logits,
+                                      eng.forward_integer(frame(np.int64, 1, 0, 3)).logits)
+        np.testing.assert_array_equal(eng.forward_integer(frame(bool, True, False, True)).logits,
+                                      eng.forward_integer(frame(np.int64, 1, 0, 1)).logits)
 
     def test_later_layer_input_beyond_its_proof_rejected(self):
         """A 1x1 conv of weight 2^-16 passes on a bound of 2^15 + 1, for which a (3, 16512)

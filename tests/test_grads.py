@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from shiftadd_dvs import grads as grads_module
 from shiftadd_dvs.errors import NumericError
 from shiftadd_dvs.grads import backward_batch, batch_loss, forward_batch
-from shiftadd_dvs.losses import KDConfig
+from shiftadd_dvs.losses import KDConfig, kd_logit_gradient, kd_loss
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -424,3 +424,30 @@ def test_capture_is_nchw_and_matches_model_forward(name):
         want_logits, want = model_forward(spec, params, x[i], capture=name)
         np.testing.assert_allclose(captured[i], want, rtol=0, atol=1e-5)
         np.testing.assert_allclose(logits[i], want_logits, rtol=0, atol=1e-5)
+
+
+def test_batch_loss_equals_per_sample_losses():
+    """``batch_loss`` takes the distillation loss of the whole batch in one call; its loss
+    and gradients equal those of one loss call per sample, bit for bit, and a non-finite
+    sample is named by the first one in the batch."""
+    rng = np.random.default_rng(32)
+    spec = default_student_spec(batchnorm=False)  # batch statistics would spread a bad sample
+    params = init_params(spec, rng, dtype=np.float32)
+    x = rng.normal(size=(16, *spec.input_shape)).astype(np.float32)
+    labels = rng.integers(0, 3, size=16)
+    teacher = (rng.normal(size=(16, 3)) * 2).astype(np.float32)
+    kd = KDConfig()
+    loss, grads, logits, _ = batch_loss(spec, params, x, labels, teacher_logits=teacher, kd=kd)
+    _, caches = forward_batch(spec, params, x, training=True)
+    rows = [kd_loss(logits[i], teacher[i], int(labels[i]), kd) for i in range(16)]
+    dlogits = np.array([kd_logit_gradient(logits[i], teacher[i], int(labels[i]), kd)
+                        for i in range(16)], dtype=logits.dtype)
+    want = backward_batch(spec, params, caches, dlogits / 16)
+    assert loss == float(np.array(rows).mean())
+    assert grads.keys() == want.keys()
+    for name in grads:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+    x[[3, 9]] = np.inf
+    ids = [f"s{i}" for i in range(16)]
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'s3'"):
+        batch_loss(spec, params, x, labels, teacher_logits=teacher, kd=kd, sample_ids=ids)

@@ -24,7 +24,7 @@ from shiftadd_dvs.model import (
     init_params,
     layer_forward,
 )
-from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
+from shiftadd_dvs.quantize import ZERO_PARAM, ShiftQuantParam, shift_quantize_model
 from shiftadd_dvs.stream import _build_float_stages, _build_int_stages, stream_quantized_forward
 
 from conftest import (STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec,
@@ -199,6 +199,42 @@ class TestExactProductOracle:
         q.entries[0] = layer_from_params(q.entries[0].name, q.entries[0].shape, params)
         _check_layers(q, np.random.default_rng(6).normal(size=spec.input_shape))
 
+    def test_channels_that_only_add_only_subtract_or_hold_no_terms(self):
+        """A channel whose terms are all positive only adds, one whose terms are all
+        negative only subtracts, and one with no terms keeps its bias alone; the
+        accumulators and the outputs equal the Python-int product."""
+        spec = _single_conv(3)
+        params = init_params(spec, np.random.default_rng(21), weight_scale=0.8)
+        q = shift_quantize_model(spec, params, 3)
+        entry = q.entries[0]
+        weights = list(entry.all_params())
+        per_channel = len(entry.weights) // 3
+        for index, param in enumerate(weights[:len(entry.weights)]):
+            sign = (1, -1, 0)[index // per_channel]
+            weights[index] = ZERO_PARAM if sign == 0 else ShiftQuantParam(
+                sign=sign, shifts=param.shifts or (index % 5 + 1,))
+        q.entries[0] = layer_from_params(entry.name, entry.shape, weights)
+        engine = ShiftAddEngine(q, f_a=8)
+        plan = engine.stages[0].plan
+        assert [(len(a), len(s)) for a, s in zip(plan.added, plan.subtracted)] == [
+            (sum(p.term_count for p in weights[:per_channel]), 0),
+            (0, sum(p.term_count for p in weights[per_channel:2 * per_channel])), (0, 0)]
+        frame = np.random.default_rng(22).normal(0, 2, size=spec.input_shape)
+        x = quantize_frame(frame, 8)
+        cols, (oh, ow) = _im2col(x, spec.layers[0])
+        w_int, b_int = _weight_ints(q.entries[0], q.frac_bits + q.int_bits, 8)
+        acc = cols.astype(object) @ w_int.T.astype(object) + b_int.astype(object)
+        for channel in (0, 1):  # the weighted sums take both signs
+            sums = [int(v) - int(b_int[channel]) for v in acc[:, channel]]
+            assert min(sums) < 0 < max(sums)
+        kernel_cols = np.take(np.pad(x, ((0, 0), (1, 1), (1, 1))), engine.stages[0].gather)
+        assert engine_module._shift_add(kernel_cols, plan).T.tolist() == acc.tolist()
+        assert set(acc[:, 2].tolist()) == {int(b_int[2])}
+        got, _ = engine.layer_forward("c", x)
+        np.testing.assert_array_equal(
+            got, np.array(_python_int_layer(q, q.entries[0], cols, 8, True)).T.reshape(-1, oh, ow))
+        assert _check_layers(q, frame) == 2
+
     def test_all_zero_layers_give_empty_plans(self):
         spec = _single_conv(3)
         params = init_params(spec, np.random.default_rng(7))
@@ -209,7 +245,8 @@ class TestExactProductOracle:
         engine = ShiftAddEngine(q)
         for plan in (engine.stages[0].plan, engine.stages[-1].plan):
             assert len(plan.rows) == 0
-            assert [len(terms) for terms in plan.channel_terms] == [0] * len(plan.bias_acc)
+            assert [len(terms) for terms in plan.added + plan.subtracted] \
+                == [0] * (2 * len(plan.bias_acc))
         assert _check_layers(q, np.random.default_rng(8).normal(size=spec.input_shape)) == 2
 
     def test_position_blocks_split_a_layer(self, monkeypatch):
@@ -223,8 +260,7 @@ class TestExactProductOracle:
         assert plan.block == 1
         _check_layers(q, frame)
         # a budget of four positions: the 6 x 7 positions in eleven blocks, the last one short
-        widest = max([len(plan.rows)] + [len(terms) for terms in plan.channel_terms])
-        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 4 * widest)
+        monkeypatch.setattr(engine_module, "CHUNK_ELEMENTS", 4 * _widest(plan))
         assert ShiftAddEngine(q).stages[0].plan.block == 4
         _check_layers(q, frame)
         # and the Python-int product agrees on the same blocked layer
@@ -235,11 +271,20 @@ class TestExactProductOracle:
             got, np.array(_python_int_layer(q, q.entries[0], cols, 8, True)).T.reshape(-1, oh, ow))
 
 
+def _widest(plan):
+    """The most rows one scratch array of ``_shift_add`` holds per position: the shifted
+    operand block, or one channel's gather of the operands it adds or subtracts."""
+    return max([len(plan.rows)] + [len(terms) for terms in plan.added + plan.subtracted])
+
+
 def _operand_terms(plan):
-    """Per output channel, the sorted (row, left shift, sign) of every term its operands reach."""
-    sign = np.where(np.arange(len(plan.rows)) < plan.first_negative, 1, -1)
-    return [sorted(zip(plan.rows[terms].tolist(), plan.shift[terms, 0].tolist(),
-                       sign[terms].tolist())) for terms in plan.channel_terms]
+    """Per output channel, the sorted (row, left shift, sign) of every term its operands
+    reach: +1 for each operand it adds, -1 for each it subtracts."""
+    def reached(terms, sign):
+        return [(row, shift, sign) for row, shift in
+                zip(plan.rows[terms].tolist(), plan.shift[terms, 0].tolist())]
+    return [sorted(reached(added, 1) + reached(subtracted, -1))
+            for added, subtracted in zip(plan.added, plan.subtracted)]
 
 
 def _weight_terms(weights, out_channels, align):
@@ -255,8 +300,9 @@ def _weight_terms(weights, out_channels, align):
 
 def test_plan_operands_reach_exactly_each_channels_terms():
     """Through its operands each output channel reaches the multiset of its weight terms,
-    terms of one weight that a clamped encoding repeats counted twice, and each
-    operand is distinct."""
+    terms of one weight that a clamped encoding repeats counted twice. Each (row, left
+    shift) operand is listed once, whatever the signs of the terms that use it, and
+    every operand is used."""
     models = []
     for trial in range(8):
         local = np.random.default_rng([95, trial])
@@ -274,9 +320,9 @@ def test_plan_operands_reach_exactly_each_channels_terms():
             plan = engine_module._shift_plan(entry.name, weights, np.zeros(entry.shape[0]), align)
             want = _weight_terms(weights, entry.shape[0], align)
             assert _operand_terms(plan) == want
-            sign = np.arange(len(plan.rows)) < plan.first_negative
-            assert len(set(zip(plan.rows.tolist(), plan.shift[:, 0].tolist(), sign.tolist()))) \
-                == len(plan.rows)
+            assert len(set(zip(plan.rows.tolist(), plan.shift[:, 0].tolist()))) == len(plan.rows)
+            reached = np.concatenate((np.zeros(0, dtype=np.int64),) + plan.added + plan.subtracted)
+            np.testing.assert_array_equal(np.unique(reached), np.arange(len(plan.rows)))
             repeated += sum(len(terms) - len(set(terms)) for terms in want)
     assert repeated > 0  # some weight holds two terms clamped to one magnitude
 
@@ -292,18 +338,21 @@ def test_default_student_blocks_stay_within_budget():
         if stage.plan is None:
             continue
         plan = stage.plan
-        assert len(plan.channel_terms) == len(plan.bias_acc)
-        widest = max([len(plan.rows)] + [len(terms) for terms in plan.channel_terms])
+        assert len(plan.added) == len(plan.subtracted) == len(plan.bias_acc)
+        widest = _widest(plan)
         assert plan.block == 1 or plan.block * widest <= engine_module.CHUNK_ELEMENTS
         assert (plan.block + 1) * widest > engine_module.CHUNK_ELEMENTS
         positions = 1 if stage.gather is None else stage.gather.shape[1]
         blocks.append(-(-positions // plan.block))
     assert max(blocks) > 1  # the budget splits some layer of the default student
-    # a channel can reach more terms than its layer has operands: one weight of four equal terms
-    repeated = Terms(sign=np.array([1]), count=np.array([4]), shift=np.array([3, 3, 3, 3]))
-    plan = engine_module._shift_plan("r", repeated, np.zeros(1, dtype=np.int64), 18)
-    assert (len(plan.rows), len(plan.channel_terms[0])) == (1, 4)
-    assert plan.block == engine_module.CHUNK_ELEMENTS // 4
+    # a channel can reach more terms than its layer has operands: one weight of four equal
+    # terms, which the channel adds or subtracts four times
+    for sign in (1, -1):
+        repeated = Terms(sign=np.array([sign]), count=np.array([4]), shift=np.array([3, 3, 3, 3]))
+        plan = engine_module._shift_plan("r", repeated, np.zeros(1, dtype=np.int64), 18)
+        side, other = (plan.added, plan.subtracted)[::sign]
+        assert (len(plan.rows), len(side[0]), len(other[0])) == (1, 4, 0)
+        assert plan.block == engine_module.CHUNK_ELEMENTS // 4
 
 
 def _python_int_layer(q, entry, cols, f_a, relu):
@@ -350,7 +399,7 @@ def test_engine_reads_the_encoding_as_its_decode(bits):
             continue
         for field in dataclasses.fields(a.plan):
             x, y = getattr(a.plan, field.name), getattr(b.plan, field.name)
-            if field.name == "channel_terms":
+            if field.name in ("added", "subtracted"):
                 assert len(x) == len(y)
                 for terms_a, terms_b in zip(x, y):
                     np.testing.assert_array_equal(terms_a, terms_b)

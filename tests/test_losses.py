@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import ConfigurationError, DomainError
-from shiftadd_dvs.losses import KDConfig, cross_entropy, kd_loss, kl_divergence
+from shiftadd_dvs.losses import (KDConfig, ce_logit_gradient, cross_entropy, kd_logit_gradient,
+                                 kd_loss, kl_divergence)
 from shiftadd_dvs.layers import log_softmax, softmax_temperature
 
 
@@ -87,3 +89,40 @@ class TestKDLoss:
             KDConfig(alpha=1.5)
         with pytest.raises(ConfigurationError):
             KDConfig(temperature=0.0)
+
+
+@pytest.mark.parametrize("loss", ["kd", "kd-t-squared", "ce"])
+def test_batch_equals_per_sample_calls_bitwise(loss):
+    """Rows of float32 logits at scales 0.1-100 in one call give the bits of one call per
+    row, losses and logit gradients alike, as the per-sample callers rely on."""
+    rng = np.random.default_rng(31)
+    cfg = KDConfig(t_squared=loss == "kd-t-squared")
+    for classes in (2, 3, 7):
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            ys = (rng.normal(size=(64, classes)) * scale).astype(np.float32)
+            yt = (rng.normal(size=(64, classes)) * scale).astype(np.float32)
+            labels = rng.integers(0, classes, size=64)
+            if loss == "ce":
+                loss_fn, grad_fn = cross_entropy, ce_logit_gradient
+                args, row_args = (ys, labels), [(ys[i], int(labels[i])) for i in range(64)]
+            else:
+                loss_fn, grad_fn = partial(kd_loss, cfg=cfg), partial(kd_logit_gradient, cfg=cfg)
+                args = (ys, yt, labels)
+                row_args = [(ys[i], yt[i], int(labels[i])) for i in range(64)]
+            rows = [loss_fn(*a) for a in row_args]
+            assert all(type(value) is float for value in rows)
+            assert loss_fn(*args).tobytes() == np.array(rows).tobytes()
+            assert grad_fn(*args).tobytes() == np.array([grad_fn(*a) for a in row_args]).tobytes()
+
+def test_batch_labels_are_checked_per_row():
+    logits = np.zeros((3, 4))
+    with pytest.raises(DomainError, match="label 4 out of range for 4 classes"):
+        cross_entropy(logits, [0, 4, -1])
+    with pytest.raises(DomainError, match="label -1 out of range"):
+        ce_logit_gradient(logits, [0, 3, -1])
+    with pytest.raises(DomainError, match="label 9 out of range"):
+        kd_logit_gradient(logits, logits, [9, 0, 0], KDConfig())
+    with pytest.raises(ConfigurationError):
+        kd_loss(logits, logits, [0, 1], KDConfig())
+    with pytest.raises(DomainError, match="finite"):
+        kd_loss(logits, np.full((3, 4), np.nan), [0, 1, 2], KDConfig())
