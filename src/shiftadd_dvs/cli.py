@@ -403,9 +403,7 @@ def simulate(model, frame_path, engine_kind, clock_mhz, out):
         result = stream_quantized_forward(qmodel, scaler.apply(frame)[None, :, :])
     else:
         spec, params, scaler, _ = _load_model_dir(model)
-        fspec, fparams = fold_model_batchnorm(spec, params)
-        result = stream_float_forward(fspec, fparams,
-                                      scaler.apply(frame)[None, :, :])
+        result = stream_float_forward(spec, params, scaler.apply(frame)[None, :, :])
     report = throughput_report(result.modeled_cycles, clock_mhz * 1e6)
     config = {"model": str(model), "frame": str(frame_path), "engine": engine_kind,
               "clock_mhz": clock_mhz}

@@ -20,20 +20,14 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .layers import conv_output_shape, window_taps
 from .losses import KDConfig, kd_logit_gradient, ce_logit_gradient, kd_loss, cross_entropy
 from .model import ConvSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 
 
-def _taps(a: np.ndarray, window: tuple, stride: int, out_hw: tuple) -> list[np.ndarray]:
-    """One (B, OH, OW, C) strided view of a channel-last batch per window tap, row-major."""
-    (oh, ow), (p, q) = out_hw, window
-    return [a[:, pi:pi + stride * (oh - 1) + 1:stride, qi:qi + stride * (ow - 1) + 1:stride]
-            for pi in range(p) for qi in range(q)]
-
-
 def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
     """(pooled, winner): the tap of each window's first maximum, the one ``np.argmax`` picks."""
-    taps = _taps(a, window, stride, out_hw)
+    taps = window_taps(a, window, stride, out_hw)
     pooled = reduce(np.maximum, taps)
     winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
     taken = taps[0] == pooled
@@ -47,7 +41,7 @@ def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
 def _max_pool_backward(dout, winner, in_shape: tuple, window: tuple, stride: int) -> np.ndarray:
     """Route each pooled gradient to its window's winning input; overlaps accumulate."""
     dx = np.zeros(in_shape, dtype=dout.dtype)
-    for k, tap in enumerate(_taps(dx, window, stride, winner.shape[1:3])):
+    for k, tap in enumerate(window_taps(dx, window, stride, winner.shape[1:3])):
         tap += dout * (winner == k)
     return dx
 
@@ -115,13 +109,13 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             if p > h or q > w:
                 raise ConfigurationError(
                     f"layer {layer.name}: window {p}x{q} larger than input {h}x{w}")
-            out_hw = ((h - p) // s + 1, (w - q) // s + 1)
+            out_hw = conv_output_shape(h, w, (p, q), s)
             cache = {"kind": "maxpool" if layer.mode == "max" else "avgpool", "layer": layer,
                      "in_shape": out.shape, "out_hw": out_hw}
             if layer.mode == "max":
                 pooled, cache["winner"] = _max_pool(out, (p, q), s, out_hw)
                 if record_margins and p * q > 1:
-                    top2 = np.sort(np.stack(_taps(out, (p, q), s, out_hw), axis=-1))[..., -2:]
+                    top2 = np.sort(np.stack(window_taps(out, (p, q), s, out_hw), axis=-1))[..., -2:]
                     cache["pool_gap"] = float(np.min(top2[..., 1] - top2[..., 0]))
             else:
                 win = np.lib.stride_tricks.sliding_window_view(out, (p, q), axis=(1, 2))
@@ -167,7 +161,7 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
         elif kind == "avgpool":
             dx = np.zeros(cache["in_shape"], dtype=dout.dtype)
             share = dout / (layer.window[0] * layer.window[1])
-            for tap in _taps(dx, layer.window, layer.stride, cache["out_hw"]):
+            for tap in window_taps(dx, layer.window, layer.stride, cache["out_hw"]):
                 tap += share
             dout = dx
         elif kind == "conv":
@@ -199,7 +193,7 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
             oh, ow = cache["out_hw"]
             dxp = np.zeros(cache["in_shape"], dtype=dmat.dtype)
             dcols = (dmat @ conv.kernel.reshape(m, n * p * q)).reshape(-1, oh, ow, n, p * q)
-            for k, tap in enumerate(_taps(dxp, (p, q), conv.stride, (oh, ow))):
+            for k, tap in enumerate(window_taps(dxp, (p, q), conv.stride, (oh, ow))):
                 tap += dcols[..., k]
             pad = conv.padding
             dout = dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]

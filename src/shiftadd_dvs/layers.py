@@ -34,11 +34,14 @@ def _as_float(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvLayerParams:
-    """Kernel [out][in][kh][kw], bias [out], stride and zero padding."""
+    """Kernel [out][in][kh][kw], bias [out], stride and zero padding.
+
+    The stride is one int for both axes or a (row, column) pair.
+    """
 
     kernel: np.ndarray
     bias: np.ndarray
-    stride: int = 1
+    stride: int | tuple[int, int] = 1
     padding: int = 0
 
     def __post_init__(self):
@@ -50,7 +53,7 @@ class ConvLayerParams:
             raise ConfigurationError(f"bias shape {bias.shape} does not match {kernel.shape[0]} output channels")
         if kernel.shape[2] < 1 or kernel.shape[3] < 1:
             raise ConfigurationError("kernel window dimensions must be >= 1")
-        if self.stride < 1:
+        if min(_stride_pair(self.stride)) < 1:
             raise ConfigurationError("stride must be >= 1")
         if self.padding < 0:
             raise ConfigurationError("padding must be >= 0")
@@ -64,18 +67,18 @@ class ConvLayerParams:
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """Windowed pooling: ``mode`` is "max" or "avg"."""
+    """Windowed pooling: ``mode`` is "max" or "avg"; stride as for ``ConvLayerParams``."""
 
     mode: str
     window: tuple[int, int] = (2, 2)
-    stride: int = 2
+    stride: int | tuple[int, int] = 2
 
     def __post_init__(self):
         if self.mode not in ("max", "avg"):
             raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {self.mode!r}")
         if self.window[0] < 1 or self.window[1] < 1:
             raise ConfigurationError("pool window dimensions must be >= 1")
-        if self.stride < 1:
+        if min(_stride_pair(self.stride)) < 1:
             raise ConfigurationError("pool stride must be >= 1")
 
 
@@ -126,13 +129,29 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
+def _stride_pair(stride: int | tuple[int, int]) -> tuple[int, int]:
+    """(row, column) stride; one int strides both axes."""
+    return stride if isinstance(stride, tuple) else (stride, stride)
+
+
 def conv_output_shape(in_rows: int, in_cols: int, window: tuple[int, int],
-                      stride: int, padding: int = 0) -> tuple[int, int]:
+                      stride: int | tuple[int, int], padding: int = 0) -> tuple[int, int]:
     """Floor-rule output size shared by convolution and pooling."""
-    p, q = window
-    rows = (in_rows + 2 * padding - p) // stride + 1
-    cols = (in_cols + 2 * padding - q) // stride + 1
-    return rows, cols
+    (p, q), (sr, sc) = window, _stride_pair(stride)
+    return (in_rows + 2 * padding - p) // sr + 1, (in_cols + 2 * padding - q) // sc + 1
+
+
+def window_taps(x: np.ndarray, window: tuple[int, int], stride: int | tuple[int, int],
+                out_hw: tuple[int, int]) -> list[np.ndarray]:
+    """One strided view of ``x`` per window tap, in row-major tap order.
+
+    Axes 1 and 2 of ``x`` are its rows and columns, so (C, H, W) maps and
+    channel-last (B, H, W, C) batches both fit: tap (pi, qi) holds
+    ``x[:, i*SR + pi, j*SC + qi]`` at position (i, j) of the ``out_hw`` grid.
+    """
+    (p, q), (oh, ow), (sr, sc) = window, out_hw, _stride_pair(stride)
+    return [x[:, pi:pi + sr * (oh - 1) + 1:sr, qi:qi + sc * (ow - 1) + 1:sc]
+            for pi in range(p) for qi in range(q)]
 
 
 def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
@@ -140,9 +159,10 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
 
     Accumulation is performed term by term in (in_channel, kernel_row,
     kernel_col) order with the bias added last, so every output element sees a
-    fixed floating-point operation sequence however many rows the call covers:
-    the streaming simulator runs it on one output row at a time (padding 0, as
-    its rows already hold the zeros) and matches the whole-map call bit for bit.
+    fixed floating-point operation sequence whatever map its windows are read
+    from: the streaming simulator runs it once per stage on its stack of
+    line-buffer slabs (padding 0, as the slabs already hold the zeros, and row
+    stride P) and matches the whole-map call bit for bit.
     """
     x = as_feature_map(x)
     m, n, p, q = params.kernel.shape
@@ -155,13 +175,12 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
         raise ConfigurationError(
             f"window {p}x{q} larger than padded input {xp.shape[1]}x{xp.shape[2]}")
     oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), s, pad)
-    taps = [[xp[:, pi:pi + s * oh:s, qi:qi + s * ow:s] for qi in range(q)] for pi in range(p)]
-    weights = params.kernel.transpose(1, 2, 3, 0)[..., None, None]
+    taps = window_taps(xp, (p, q), s, (oh, ow))
+    weights = params.kernel.reshape(m, n, p * q).transpose(1, 2, 0)[..., None, None]
     out = np.zeros((m, oh, ow), dtype=np.float64)
     for ni in range(n):
-        for pi in range(p):
-            for qi in range(q):
-                out += weights[ni, pi, qi] * taps[pi][qi][ni]
+        for k, tap in enumerate(taps):
+            out += weights[ni, k] * tap[ni]
     out += params.bias[:, None, None]
     return out
 
@@ -170,12 +189,11 @@ def pool2d_forward(x, spec: PoolSpec) -> np.ndarray:
     """Per-channel windowed max or arithmetic mean."""
     x = as_feature_map(x)
     p, q = spec.window
-    s = spec.stride
     if p > x.shape[1] or q > x.shape[2]:
         raise ConfigurationError(
             f"pool window {p}x{q} larger than input {x.shape[1]}x{x.shape[2]}")
-    oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), s)
-    taps = [x[:, pi:pi + s * oh:s, qi:qi + s * ow:s] for pi in range(p) for qi in range(q)]
+    oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), spec.stride)
+    taps = window_taps(x, (p, q), spec.stride, (oh, ow))
     if spec.mode == "max":
         out = taps[0].copy()
         for tap in taps[1:]:

@@ -21,27 +21,25 @@ would interleave in hardware. Three stage classes cover every layer kind:
 - ``_FlattenStage`` passes its map on unchanged.
 - ``_DenseStage`` reads the map whole and emits the layer's output.
 
-The arithmetic is a module-level function bound to its stage with
-``functools.partial``; this module adds none of its own to conv and pool
-layers. A window stage computes its whole output map from the stack, with the
-layer at padding 0, since the slabs already hold the virtual zeros. Float
-stages run ``model.layer_forward`` (convolution, batchnorm, relu or pooling)
-once per slab, so each output row matches the batch reference bit for bit;
-the float dense layer adds one position's channel vector at a time. The
-integer path builds a ``ShiftAddEngine`` and its stages once per model, as
-the hardware loads its weights once: the model keeps them, and a later frame
-reuses them while the engine's inputs (``ShiftAddEngine.inputs_of``: the
-spec, the entries, the bit widths, ``f_a`` and the mode) are unchanged. A
-frame's saturation counts travel with the call, so stages keep no per-frame
-state. It runs each window stage's stack
-through one ``ShiftAddEngine._forward_arrays`` call, with the engine stage
-restated only by how it reads its windows from the stack: at row stride P and
-column stride S, a conv through an ``im2col_index`` gather, a pool through its
-strided taps. The engine's plan, which fits any position count, is used as
-built, and diagnostic mode raises at the engine's layer with the engine's
-whole-layer count. The integer dense layer is the engine's own stage on the
-whole map. The simulator thus accepts exactly the models, ``f_a`` and modes
-the engine accepts, and its logits are bit-identical. The modeled cycle count
+One builder, ``_build_stages``, makes the stages of both paths; only their
+arithmetic differs, a module-level function bound to each stage with
+``functools.partial``. A window stage computes its whole output map from the
+stack in one call that reads windows at row stride P and column stride S,
+with the layer at padding 0, since the slabs already hold the virtual zeros.
+Float stages run ``model.layer_forward``, the dense one on the whole map, so
+every output element sees the batch operation order and the float logits
+equal ``model_forward``'s bit for bit. The integer path builds a
+``ShiftAddEngine`` and its stages once per model, as the hardware loads its
+weights once: the model keeps them, and a later frame reuses them while the
+engine's inputs (``ShiftAddEngine.inputs_of``: the spec, the entries, the bit
+widths, ``f_a`` and the mode) are unchanged. A frame's saturation counts
+travel with the call, so stages keep no per-frame state. Each integer stage is
+the engine's own, restated only by how it reads its windows from the stack:
+a conv through an ``im2col_index`` gather, a pool through its strided taps.
+The engine's plan, which fits any position count, is used as built, and
+diagnostic mode raises at the engine's layer with the engine's whole-layer
+count. The simulator thus accepts exactly the models, ``f_a`` and modes the
+engine accepts, and its logits are bit-identical. The modeled cycle count
 assumes one element per cycle per stage and is the maximum per-stage
 element-event count; it is an estimate, distinct from measured latencies.
 """
@@ -255,25 +253,9 @@ class _DenseStage(_Stage):
 # Each takes the stage's input and the frame's saturation counts (float layers
 # count none).
 
-def _float_dense(x, stats, weights, bias):
-    """``bias + sum(W[:, cols(pos)] @ vec(pos))``, adding positions in row-major order.
-
-    The flat feature index of channel n at position pos is n*H*W + pos, the
-    batch flatten order.
-    """
-    c, h, w = x.shape
-    vectors = np.ascontiguousarray(x.reshape(c, h * w).T)
-    columns = np.arange(c * h * w).reshape(c, h * w).T
-    acc = np.zeros(len(bias))
-    for pos, vec in enumerate(vectors):
-        acc = acc + weights[:, columns[pos]] @ vec
-    return bias + acc
-
-
-def _float_rows(stack, stats, layer, entry, window_rows: int):
-    """``layer_forward`` on each P-row slab of the stack, one output row each, in row order."""
-    return np.concatenate([layer_forward(layer, entry, stack[:, i:i + window_rows])
-                           for i in range(0, stack.shape[1], window_rows)], axis=1)
+def _float_layer(x, stats, layer, entry):
+    """``model.layer_forward``: a window stage's slab stack, or the dense map."""
+    return layer_forward(layer, entry, x)
 
 
 def _int_layer(x, stats, engine: ShiftAddEngine, stage: _StageConfig):
@@ -302,51 +284,47 @@ def _stage_geometry(spec: ModelSpec) -> list[tuple]:
     return geometry
 
 
-def _build_float_stages(spec: ModelSpec, params: ModelParams) -> list[_Stage]:
+def _build_stages(spec: ModelSpec, computes: list, dtype) -> list[_Stage]:
+    """Line-buffer stages over the spec's layers; ``computes[i]`` is layer i's arithmetic."""
     stages: list[_Stage] = []
-    for (layer, in_shape, out_shape), entry in zip(_stage_geometry(spec), params.entries):
+    for (layer, in_shape, out_shape), compute in zip(_stage_geometry(spec), computes):
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            if isinstance(layer, ConvSpec):
-                entry = replace(entry, conv=replace(entry.conv, padding=0))
-            p = layer.kernel[0] if isinstance(layer, ConvSpec) else layer.window[0]
-            compute = partial(_float_rows, layer=layer, entry=entry, window_rows=p)
-            stages.append(_WindowStage(layer, in_shape, out_shape, np.float64, compute))
+            stages.append(_WindowStage(layer, in_shape, out_shape, dtype, compute))
         elif isinstance(layer, FlattenSpec):
             stages.append(_FlattenStage(layer.name, in_shape))
         else:
-            stages.append(_DenseStage(layer, in_shape, partial(
-                _float_dense, weights=entry.weights, bias=entry.bias)))
+            stages.append(_DenseStage(layer, in_shape, compute))
     return stages
 
 
-def _slab_stage(stage: _StageConfig, channels: int) -> _StageConfig:
-    """``stage`` restated to read its windows from the stack of slabs, padding already in place.
+# Both paths restate each window layer to read the stack of slabs that
+# ``_WindowStage`` hands it: row stride P, column stride S, padding 0.
 
-    Output row i reads slab i, rows [i*P, (i+1)*P) of the stack, so a window's
-    row stride is P and its column stride the layer's; the plan is the engine's.
-    """
-    layer, (oh, ow) = stage.layer, stage.out_hw
-    if isinstance(layer, PoolLayerSpec):
-        return replace(stage, stride=(layer.window[0], layer.stride))
-    (p, q), s = layer.kernel, layer.stride
-    return replace(stage, layer=replace(layer, padding=0),
-                   gather=im2col_index(channels, (p, q), (p, s), (oh, ow),
-                                       (oh * p, q + (ow - 1) * s)))
+def _float_computes(spec: ModelSpec, params: ModelParams) -> list:
+    """``layer_forward`` per layer, each window layer restated to read the stack of slabs."""
+    computes = []
+    for layer, entry in zip(spec.layers, params.entries):
+        if isinstance(layer, ConvSpec):
+            entry = replace(entry, conv=replace(entry.conv, padding=0,
+                                                stride=(layer.kernel[0], entry.conv.stride)))
+        elif isinstance(layer, PoolLayerSpec):
+            layer = replace(layer, stride=(layer.window[0], layer.stride))
+        computes.append(partial(_float_layer, layer=layer, entry=entry))
+    return computes
 
 
-def _build_int_stages(engine: ShiftAddEngine) -> list[_Stage]:
-    """Line-buffer stages around the engine's stages, requantizing as the engine does."""
-    stages: list[_Stage] = []
-    for stage, (layer, in_shape, out_shape) in zip(engine.stages, _stage_geometry(engine.spec)):
-        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            compute = partial(_int_layer, engine=engine, stage=_slab_stage(stage, in_shape[0]))
-            stages.append(_WindowStage(layer, in_shape, out_shape, np.int64, compute))
-        elif isinstance(layer, FlattenSpec):
-            stages.append(_FlattenStage(layer.name, in_shape))
-        else:
-            stages.append(_DenseStage(layer, in_shape, partial(
-                _int_layer, engine=engine, stage=stage)))
-    return stages
+def _int_computes(engine: ShiftAddEngine) -> list:
+    """The engine's stages and plans, each window stage restated to read the stack of slabs."""
+    computes = []
+    for stage, (layer, in_shape, _) in zip(engine.stages, engine.spec.geometry()):
+        if isinstance(layer, ConvSpec):
+            (p, q), s, (oh, ow) = layer.kernel, layer.stride, stage.out_hw
+            stage = replace(stage, layer=replace(layer, padding=0), gather=im2col_index(
+                in_shape[0], (p, q), (p, s), (oh, ow), (oh * p, q + (ow - 1) * s)))
+        elif isinstance(layer, PoolLayerSpec):
+            stage = replace(stage, stride=(layer.window[0], layer.stride))
+        computes.append(partial(_int_layer, engine=engine, stage=stage))
+    return computes
 
 
 def _run(stages: list[_Stage], frame: np.ndarray) -> StreamResult:
@@ -362,7 +340,12 @@ def _run(stages: list[_Stage], frame: np.ndarray) -> StreamResult:
 
 
 def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamResult:
-    return _run(_build_float_stages(spec, params), np.asarray(frame, dtype=np.float64))
+    """Stream one frame through one ``model.layer_forward`` call per stage, as ``model_forward``."""
+    if len(params.entries) != len(spec.layers):
+        raise ConfigurationError(
+            f"params have {len(params.entries)} entries for {len(spec.layers)} layers")
+    stages = _build_stages(spec, _float_computes(spec, params), np.float64)
+    return _run(stages, np.asarray(frame, dtype=np.float64))
 
 
 class _IntPipeline:
@@ -372,7 +355,7 @@ class _IntPipeline:
         # The engine gets a copy of the model, so a model that keeps this
         # pipeline is not referenced back by it and is freed once dropped.
         self.engine = ShiftAddEngine(replace(qmodel, entries=list(qmodel.entries)), f_a, mode)
-        self.stages = _build_int_stages(self.engine)
+        self.stages = _build_stages(self.engine.spec, _int_computes(self.engine), np.int64)
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame, f_a: int | None = None,

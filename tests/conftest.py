@@ -10,6 +10,7 @@ from shiftadd_dvs.model import (
     init_params,
 )
 from shiftadd_dvs.quantize import ZERO_PARAM, QuantizedLayer, QuantizedModel, shift_quantize_param
+from shiftadd_dvs.stream import _build_stages, _float_computes, _int_computes
 
 
 def make_small_spec(rng: np.random.Generator, batchnorm: bool = False,
@@ -88,6 +89,16 @@ def layer_from_params(name: str, shape: tuple, params) -> QuantizedLayer:
     return QuantizedLayer(name=name, shape=shape, sign=[p.sign for p in params],
                           count=[p.term_count for p in params],
                           shift=[s for p in params for s in p.shifts])
+
+
+def float_stages(spec, params):
+    """The float stages ``stream_float_forward`` runs: the one builder with ``layer_forward``."""
+    return _build_stages(spec, _float_computes(spec, params), np.float64)
+
+
+def int_stages(engine):
+    """The integer stages ``stream_quantized_forward`` runs around ``engine``."""
+    return _build_stages(engine.spec, _int_computes(engine), np.int64)
 
 
 @pytest.fixture

@@ -201,13 +201,13 @@ def test_criterion_07_streaming_equivalence():
         frame = rng.normal(size=spec.input_shape)
         batch = model_forward(spec, params, frame)
         streamed = stream_float_forward(spec, params, frame)
-        assert np.max(np.abs(streamed.logits - batch)) < 1e-6
+        np.testing.assert_array_equal(streamed.logits, batch)
         float_pairs += 1
     elapsed = time.time() - start
     assert int_pairs == 100 and float_pairs == 100
     assert elapsed < 120.0
     report_pass(7, "streaming equivalence",
-                f"{int_pairs} integer bit-identical + {float_pairs} float pairs, {elapsed:.1f}s")
+                f"{int_pairs} integer + {float_pairs} float pairs bit-identical, {elapsed:.1f}s")
 
 
 # -- 8. gradient correctness ----------------------------------------------------

@@ -41,8 +41,8 @@ from shiftadd_dvs.quantize import (
     shift_quantize_param,
 )
 
-from conftest import (STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec,
-                      wide_dense_model)
+from conftest import (STRIDED_GEOMETRIES, int_stages, layer_from_params, make_small_model,
+                      single_conv_spec, wide_dense_model)
 
 
 class TestQuantizeActivation:
@@ -502,7 +502,7 @@ class TestMultiplierFreeAudit:
         engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
         listed = set(stream_module.DATA_PATH_FUNCTIONS) | set(engine_module.DATA_PATH_FUNCTIONS)
         bound = [(stage.name, value.func.__name__)
-                 for stage in stream_module._build_int_stages(engine)
+                 for stage in int_stages(engine)
                  for value in vars(stage).values() if isinstance(value, partial)]
         assert {name for name, _ in bound} == {
             layer.name for layer in spec.layers if not isinstance(layer, FlattenSpec)}

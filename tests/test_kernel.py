@@ -25,10 +25,10 @@ from shiftadd_dvs.model import (
     layer_forward,
 )
 from shiftadd_dvs.quantize import ZERO_PARAM, ShiftQuantParam, shift_quantize_model
-from shiftadd_dvs.stream import _build_float_stages, _build_int_stages, stream_quantized_forward
+from shiftadd_dvs.stream import stream_quantized_forward
 
-from conftest import (STRIDED_GEOMETRIES, layer_from_params, make_small_model, single_conv_spec,
-                      wide_dense_model)
+from conftest import (STRIDED_GEOMETRIES, float_stages, int_stages, layer_from_params,
+                      make_small_model, single_conv_spec, wide_dense_model)
 
 ACT_LIMIT = (1 << 31) - 1
 
@@ -81,7 +81,7 @@ def _check_layers(qmodel, frame, f_a=8):
     """
     engine = ShiftAddEngine(qmodel, f_a=f_a)
     align = qmodel.frac_bits + qmodel.int_bits
-    stages = _build_int_stages(engine)
+    stages = int_stages(engine)
     x = quantize_frame(frame, f_a)
     checked = 0
     for layer, entry, stage in zip(qmodel.spec.layers, qmodel.entries, stages):
@@ -116,7 +116,7 @@ def _check_float_layers(spec, params, frame):
     """
     x = frame
     checked = 0
-    for layer, entry, stage in zip(spec.layers, params.entries, _build_float_stages(spec, params)):
+    for layer, entry, stage in zip(spec.layers, params.entries, float_stages(spec, params)):
         want = layer_forward(layer, entry, x)
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
             streamed = _stream_stage(stage, x)
@@ -448,7 +448,7 @@ def _check_edge_layers(q):
     accumulator passes the proof's worst case, and every output stays within the bound
     the proof hands the next layer."""
     engine = ShiftAddEngine(q)
-    stages = _build_int_stages(engine)
+    stages = int_stages(engine)
     bounds = _proof_bounds(q)
     checked = 0
     for (layer, in_shape, _), entry, stage, config in zip(q.spec.geometry(), q.entries, stages,

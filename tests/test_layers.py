@@ -18,11 +18,15 @@ from shiftadd_dvs.layers import (
 
 
 def conv_oracle(x, kernel, bias, stride, padding):
-    """Naive six-nested-loop convolution, identical accumulation order."""
+    """Naive six-nested-loop convolution, identical accumulation order.
+
+    ``stride`` is one int or a (row, column) pair.
+    """
     m, n, p, q = kernel.shape
+    sr, sc = stride if isinstance(stride, tuple) else (stride, stride)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    oh = (xp.shape[1] - p) // stride + 1
-    ow = (xp.shape[2] - q) // stride + 1
+    oh = (xp.shape[1] - p) // sr + 1
+    ow = (xp.shape[2] - q) // sc + 1
     out = np.zeros((m, oh, ow))
     for mi in range(m):
         for ox in range(oh):
@@ -31,7 +35,7 @@ def conv_oracle(x, kernel, bias, stride, padding):
                 for ni in range(n):
                     for pi in range(p):
                         for qi in range(q):
-                            acc += kernel[mi, ni, pi, qi] * xp[ni, ox * stride + pi, oy * stride + qi]
+                            acc += kernel[mi, ni, pi, qi] * xp[ni, ox * sr + pi, oy * sc + qi]
                 out[mi, ox, oy] = acc + bias[mi]
     return out
 
@@ -74,6 +78,26 @@ class TestConv2d:
             want = conv_oracle(x, kernel, bias, stride, pad)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("stride", [(3, 1), (1, 2), (2, 3)])
+    def test_row_column_stride_matches_nested_loop_oracle(self, rng, stride):
+        for _ in range(5):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            pad = int(rng.integers(0, 2))
+            x = rng.normal(size=(n, int(rng.integers(p, p + 7)), int(rng.integers(q, q + 7))))
+            kernel = rng.normal(size=(m, n, p, q))
+            bias = rng.normal(size=m)
+            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias,
+                                                    stride=stride, padding=pad))
+            np.testing.assert_array_equal(got, conv_oracle(x, kernel, bias, stride, pad))
+
+    @pytest.mark.parametrize("stride", [0, (1, 0), (0, 2)])
+    def test_stride_below_one_rejected(self, rng, stride):
+        with pytest.raises(ConfigurationError, match="stride must be >= 1"):
+            ConvLayerParams(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=stride)
+        with pytest.raises(ConfigurationError, match="stride must be >= 1"):
+            PoolSpec("max", stride=stride)
+
     def test_linearity_with_zero_bias(self, rng):
         kernel = rng.normal(size=(2, 3, 3, 3))
         params = ConvLayerParams(kernel=kernel, bias=np.zeros(2), padding=1)
@@ -114,6 +138,23 @@ class TestPool2d:
     def test_window_too_large(self):
         with pytest.raises(ConfigurationError):
             pool2d_forward(np.ones((1, 2, 2)), PoolSpec("max", window=(3, 3)))
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("stride", [(3, 1), (1, 2), (2, 3)])
+    def test_row_column_stride_matches_nested_loop(self, rng, mode, stride):
+        """Each window's maximum, or its taps summed in row-major order over the area."""
+        (p, q), (sr, sc) = (3, 2), stride
+        x = rng.normal(size=(2, 8, 9))
+        oh, ow = (8 - p) // sr + 1, (9 - q) // sc + 1
+        want = np.zeros((2, oh, ow))
+        for c, i, j in np.ndindex(want.shape):
+            taps = [x[c, i * sr + a, j * sc + b] for a in range(p) for b in range(q)]
+            acc = 0.0
+            for tap in taps:
+                acc += tap
+            want[c, i, j] = max(taps) if mode == "max" else acc / (p * q)
+        got = pool2d_forward(x, PoolSpec(mode, window=(p, q), stride=stride))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDense:

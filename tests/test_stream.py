@@ -29,15 +29,13 @@ from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.stream import (
     LineBuffer,
-    _build_float_stages,
-    _build_int_stages,
     buffer_requirement,
     stream_float_forward,
     stream_quantized_forward,
 )
 
-from conftest import (STRIDED_GEOMETRIES, make_small_model, make_small_spec, single_conv_spec,
-                      wide_dense_model)
+from conftest import (STRIDED_GEOMETRIES, float_stages, int_stages, make_small_model,
+                      make_small_spec, single_conv_spec, wide_dense_model)
 
 
 def first_window_by_enumeration(p, q, s, h, w):
@@ -173,7 +171,7 @@ class TestFloatStreaming:
             frame = rng.normal(size=spec.input_shape)
             batch = model_forward(spec, params, frame)
             res = stream_float_forward(spec, params, frame)
-            assert np.max(np.abs(res.logits - batch)) < 1e-6
+            np.testing.assert_array_equal(res.logits, batch)
             assert res.argmax == int(np.argmax(batch))
 
     def test_batchnorm_eval_streams_identically(self, rng):
@@ -185,7 +183,7 @@ class TestFloatStreaming:
         frame = rng.normal(size=spec.input_shape)
         batch = model_forward(spec, params, frame)
         res = stream_float_forward(spec, params, frame)
-        assert np.max(np.abs(res.logits - batch)) < 1e-6
+        np.testing.assert_array_equal(res.logits, batch)
 
     def test_conservation_per_stage(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -236,6 +234,21 @@ class TestFloatStreaming:
         spec, params = make_small_model(rng, batchnorm=False)
         with pytest.raises(ProtocolError):
             stream_float_forward(spec, params, np.zeros((1, 3, 3)))
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_entry_count_mismatch_rejected(self, rng, change):
+        """One entry too few (the default student without fc1) or too many is an error,
+        as in ``model_forward``, not a stream that silently drops layers."""
+        spec = default_student_spec()
+        params = init_params(spec, rng)
+        entries = params.entries[:-1] if change < 0 else params.entries + [None]
+        params = replace(params, entries=entries)
+        frame = rng.normal(size=spec.input_shape)
+        message = f"params have {len(entries)} entries for {len(spec.layers)} layers"
+        with pytest.raises(ConfigurationError, match=message):
+            model_forward(spec, params, frame)
+        with pytest.raises(ConfigurationError, match=message):
+            stream_float_forward(spec, params, frame)
 
 
 def gain_model(rng, gain: float = 3.9, f_a: int = 8):
@@ -313,7 +326,7 @@ class TestIntegerStreaming:
 
     def test_stage_rejects_a_grid_of_the_wrong_length(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
-        stage = _build_int_stages(ShiftAddEngine(shift_quantize_model(spec, params, 3)))[0]
+        stage = int_stages(ShiftAddEngine(shift_quantize_model(spec, params, 3)))[0]
         c, h, w = stage.in_shape
         with pytest.raises(ProtocolError, match="input map"):
             stage.run(np.zeros((c, h - 1, w), dtype=np.int64), {})
@@ -377,7 +390,7 @@ def test_strided_padded_geometries(rng, kernel, stride, padding):
     params = init_params(spec, rng, weight_scale=0.8)
     frame = rng.normal(size=spec.input_shape)
     float_res = stream_float_forward(spec, params, frame)
-    assert np.max(np.abs(float_res.logits - model_forward(spec, params, frame))) < 1e-6
+    np.testing.assert_array_equal(float_res.logits, model_forward(spec, params, frame))
     q = shift_quantize_model(spec, params, 3)
     int_res = stream_quantized_forward(q, frame)
     np.testing.assert_array_equal(int_res.logits, ShiftAddEngine(q).forward(frame).logits)
@@ -483,7 +496,7 @@ def test_slab_reads_stay_in_their_rows(geometry):
     engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
     checked = 0
     for (layer, in_shape, out_shape), stage in zip(spec.geometry(),
-                                                   _build_int_stages(engine)):
+                                                   int_stages(engine)):
         if not isinstance(layer, (ConvSpec, PoolLayerSpec)):
             continue
         (p, q), s = layer.kernel if isinstance(layer, ConvSpec) else layer.window, layer.stride
@@ -549,8 +562,8 @@ def test_ring_schedule_matches_line_buffer_steps(case):
         frame = rng.normal(size=spec.input_shape)
     engine = ShiftAddEngine(q)
     checked = 0
-    for stages, x in ((_build_float_stages(spec, params), frame),
-                      (_build_int_stages(engine), quantize_frame(frame, engine.f_a))):
+    for stages, x in ((float_stages(spec, params), frame),
+                      (int_stages(engine), quantize_frame(frame, engine.f_a))):
         for layer, stage in zip(spec.layers, stages):
             if isinstance(layer, (ConvSpec, PoolLayerSpec)):
                 check_ring_schedule(layer, stage, x)
@@ -698,19 +711,19 @@ def count_builds(monkeypatch) -> list[str]:
     """Records "engine" for every ShiftAddEngine the simulator builds and "stages" for
     every stage list; engines the test builds itself are not counted."""
     built = []
-    build_stages = stream_module._build_int_stages
+    build_stages = stream_module._build_stages
 
     class CountedEngine(ShiftAddEngine):
         def __init__(self, *args, **kwargs):
             built.append("engine")
             super().__init__(*args, **kwargs)
 
-    def counting_stages(engine):
+    def counting_stages(*args):
         built.append("stages")
-        return build_stages(engine)
+        return build_stages(*args)
 
     monkeypatch.setattr(stream_module, "ShiftAddEngine", CountedEngine)
-    monkeypatch.setattr(stream_module, "_build_int_stages", counting_stages)
+    monkeypatch.setattr(stream_module, "_build_stages", counting_stages)
     return built
 
 
@@ -844,16 +857,18 @@ def test_modeled_cycles_is_max_stage_events(rng):
 
 
 # SHA-256 over the streamed logits (dtype and bytes), modeled_cycles and every
-# StageReport tuple, float path first, then integer; computed before the stages
-# were merged into one class per layer kind.
+# StageReport tuple, float path first, then integer. The integer digests date
+# from before the stages were merged into one class per layer kind; the float
+# ones from when the float dense stage became ``layer_forward`` on the whole
+# map, which made the float logits equal ``model_forward``'s (checked below).
 STREAM_SHA256 = {
-    "default": ("639fd00dfb49002086a98042dcb4d95a5ffb7207d8fee731e89605eb843e0016",
+    "default": ("2155354551950514d09790a2a622f8a75f05d4ac75ccb5cda7463c762f8b07a5",
                 "de0a5c16724a4ee7c2a568c78a691459a6f8669dd260a40f6436eec1e2669146"),
-    "small-1": ("676c51f7826d1e00fd9fb5b2ac15278c6b85a0d356f66c019b93729e860f3e0b",
+    "small-1": ("36653b531b028bbfbb3b266e24e8b9fc1ed0d06255839d1e02a57a4b44410fd3",
                 "4f62740b1d0e5c11d69bb16e9956f2752a45b3e17872be0474604f87842f4d44"),
-    "small-4": ("2e157678b84325faf97f39546ada02c91dc43037d020a1bf16083646700ef6b3",
+    "small-4": ("6fc30a23a122d9f094be7a9160c80a6d5cefe887367251dc7a337a448a001229",
                 "03c71469ae159c8bbb7257977bcbb748a19d2409ece81a92460dbc07116d6c13"),
-    "small-5": ("a6482bb7c3b223f83dceddaad12e1d01eea7626faf4e1d3c83ac1d5b2c88bad5",
+    "small-5": ("02e09633cadeba0dfd99d8cf8a93e1235ce54b3298d65d85a6cfb8b0402fae4f",
                 "a39dc9381278175830f45c91a2d5ae22d0a29fe77f4af939e0a41a3226810d85"),
 }
 
@@ -894,3 +909,11 @@ def test_streamed_outputs_are_pinned():
         got = (_stream_digest(stream_float_forward(spec, params, frame)),
                _stream_digest(stream_quantized_forward(q, frame)))
         assert got == STREAM_SHA256[name], name
+
+
+def test_float_stream_equals_batch_on_pinned_inputs():
+    """The float stream's logits are ``model_forward``'s, bit for bit, on every pinned input
+    (the default student folded, the small models with unfolded batchnorm)."""
+    for name, spec, params, _, frame in _pinned_inputs():
+        res = stream_float_forward(spec, params, frame)
+        np.testing.assert_array_equal(res.logits, model_forward(spec, params, frame), err_msg=name)
