@@ -13,8 +13,9 @@ line buffer handed out, with only the stage's window reads restated), share
 one kernel, ``_shift_add``, over an im2col block (K rows, one column per
 position). A conv gathers its block with ``np.take`` by a flat index that
 ``im2col_index`` precomputes over the padded input; a pool reads each window
-tap as a strided view at its (row, column) stride and takes the maximum over
-the taps, or their sum rounded by ``_round_average``. Each layer's terms come
+tap as a strided view at its (row, column) stride (``layers.window_taps``, as
+the float reference does) and takes the maximum over the taps, or their sum
+rounded by ``_round_average``. Each layer's terms come
 as arrays from ``encoding.layer_terms`` (``bias + code`` when the layer is
 encoded; no decoded model is built). At build each distinct (im2col row, left
 shift) operand of a layer is listed once, and each output channel lists the
@@ -37,8 +38,10 @@ for the bound its predecessor passes on, so each stage records that bound and
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
 their AST), so the only data-dependent operations are shifts, adds and
-compares. Plans, block sizes and im2col indices are built outside it, and input
-conditioning (``quantize_activation``) is the floating-point boundary.
+compares. Plans, block sizes, im2col indices and window slice bounds are built
+outside it, and input conditioning (``quantize_activation``) is the
+floating-point boundary. A pool reads its taps through ``layers.window_taps``,
+which the same audit covers.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, RangeError, SaturationError
+from .layers import window_taps
 from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
 from .quantize import QuantizedModel, ShiftQuantParam
 from .encoding import Terms, layer_terms
@@ -290,7 +294,6 @@ class _StageConfig:
     out_hw: tuple[int, ...]
     plan: _ShiftPlan | None = None  # conv and dense: the weight terms as ``_shift_add`` reads them
     gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
-    stride: tuple[int, int] | None = None  # pool: (row, column) stride of its windows
     avg_shift: int = 0              # average pooling
     in_bound: int = 0               # largest input magnitude the overflow proof covers
 
@@ -354,13 +357,11 @@ class ShiftAddEngine:
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(
                     f"layer {layer.name}: fold batchnorm before integer inference")
-            gather = stride = None
+            gather = None
             if isinstance(layer, ConvSpec):
                 pad = 2 * layer.padding
                 gather = im2col_index(in_shape[0], layer.kernel, layer.stride, out_shape[1:],
                                       (in_shape[1] + pad, in_shape[2] + pad))
-            elif isinstance(layer, PoolLayerSpec):
-                stride = (layer.stride, layer.stride)
             plan, in_bound = None, act_bound
             if entry is not None:
                 weights, biases = layer_terms(entry)
@@ -369,8 +370,7 @@ class ShiftAddEngine:
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, stride, avg_shift,
-                                       in_bound))
+            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, avg_shift, in_bound))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
@@ -398,20 +398,16 @@ class ShiftAddEngine:
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
         """The maximum, or the rounded average, over each window's taps, one strided view each."""
-        p, q = stage.layer.window
-        sr, sc = stage.stride
-        oh, ow = stage.out_hw
-        if stage.layer.mode == "max":
-            out = np.full((x.shape[0], oh, ow), np.iinfo(np.int64).min, dtype=np.int64)
-            for pi in range(p):
-                for qi in range(q):
-                    np.maximum(out, x[:, pi::sr, qi::sc][:, :oh, :ow], out=out)
+        layer = stage.layer
+        taps = window_taps(x, layer.window, layer.stride, stage.out_hw)
+        out = taps[0].copy()
+        if layer.mode == "max":
+            for tap in taps[1:]:
+                np.maximum(out, tap, out=out)
             return out
-        acc = np.zeros((x.shape[0], oh, ow), dtype=np.int64)
-        for pi in range(p):
-            for qi in range(q):
-                acc += x[:, pi::sr, qi::sc][:, :oh, :ow]
-        return _round_average(acc, stage.avg_shift)
+        for tap in taps[1:]:
+            out += tap
+        return _round_average(out, stage.avg_shift)
 
     def _dense_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
         acc = _shift_add(x.reshape(-1, 1), stage.plan)[:, 0]

@@ -74,7 +74,7 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             if out.shape[3] != n:
                 raise ConfigurationError(
                     f"layer {layer.name}: input has {out.shape[3]} channels, kernel expects {n}")
-            s, pad = conv.stride, conv.padding
+            s, pad = layer.stride, layer.padding
             xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
             b, oh, ow = win.shape[:3]
@@ -105,11 +105,7 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             out = z.reshape(b, oh, ow, m)
         elif isinstance(layer, PoolLayerSpec):
             (p, q), s = layer.window, layer.stride
-            _, h, w, _ = out.shape
-            if p > h or q > w:
-                raise ConfigurationError(
-                    f"layer {layer.name}: window {p}x{q} larger than input {h}x{w}")
-            out_hw = conv_output_shape(h, w, (p, q), s)
+            out_hw = conv_output_shape(out.shape[1], out.shape[2], (p, q), s)
             cache = {"kind": "maxpool" if layer.mode == "max" else "avgpool", "layer": layer,
                      "in_shape": out.shape, "out_hw": out_hw}
             if layer.mode == "max":
@@ -193,9 +189,9 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
             oh, ow = cache["out_hw"]
             dxp = np.zeros(cache["in_shape"], dtype=dmat.dtype)
             dcols = (dmat @ conv.kernel.reshape(m, n * p * q)).reshape(-1, oh, ow, n, p * q)
-            for k, tap in enumerate(window_taps(dxp, (p, q), conv.stride, (oh, ow))):
+            for k, tap in enumerate(window_taps(dxp, (p, q), layer.stride, (oh, ow))):
                 tap += dcols[..., k]
-            pad = conv.padding
+            pad = layer.padding
             dout = dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
         else:  # pragma: no cover
             raise ConfigurationError(f"unknown cache kind {kind!r}")

@@ -4,6 +4,11 @@ Feature maps are plain ``numpy`` arrays of shape (channels, rows, cols); rows ar
 the time axis and cols the fiber-position axis. The convolution accumulates in a
 fixed (in_channel, kernel_row, kernel_col) order so outputs are bit-reproducible
 across runs and can be compared exactly against a naive nested-loop evaluation.
+
+Parameters hold arrays only. A window's geometry (kernel or pool window,
+stride, padding) belongs to the model spec, and callers pass it to
+``conv2d_forward`` and ``pool2d_forward``; ``conv_output_shape``, which every
+consumer calls, is where it is checked.
 """
 from __future__ import annotations
 
@@ -34,15 +39,10 @@ def _as_float(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvLayerParams:
-    """Kernel [out][in][kh][kw], bias [out], stride and zero padding.
-
-    The stride is one int for both axes or a (row, column) pair.
-    """
+    """Kernel [out][in][kh][kw] and bias [out]; the stride and padding are the spec's."""
 
     kernel: np.ndarray
     bias: np.ndarray
-    stride: int | tuple[int, int] = 1
-    padding: int = 0
 
     def __post_init__(self):
         kernel = _as_float(self.kernel)
@@ -51,35 +51,12 @@ class ConvLayerParams:
             raise ConfigurationError(f"kernel must be 4-D [out][in][kh][kw], got shape {kernel.shape}")
         if bias.shape != (kernel.shape[0],):
             raise ConfigurationError(f"bias shape {bias.shape} does not match {kernel.shape[0]} output channels")
-        if kernel.shape[2] < 1 or kernel.shape[3] < 1:
-            raise ConfigurationError("kernel window dimensions must be >= 1")
-        if min(_stride_pair(self.stride)) < 1:
-            raise ConfigurationError("stride must be >= 1")
-        if self.padding < 0:
-            raise ConfigurationError("padding must be >= 0")
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "bias", bias)
 
     @property
     def out_channels(self) -> int:
         return self.kernel.shape[0]
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """Windowed pooling: ``mode`` is "max" or "avg"; stride as for ``ConvLayerParams``."""
-
-    mode: str
-    window: tuple[int, int] = (2, 2)
-    stride: int | tuple[int, int] = 2
-
-    def __post_init__(self):
-        if self.mode not in ("max", "avg"):
-            raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {self.mode!r}")
-        if self.window[0] < 1 or self.window[1] < 1:
-            raise ConfigurationError("pool window dimensions must be >= 1")
-        if min(_stride_pair(self.stride)) < 1:
-            raise ConfigurationError("pool stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,9 +113,24 @@ def _stride_pair(stride: int | tuple[int, int]) -> tuple[int, int]:
 
 def conv_output_shape(in_rows: int, in_cols: int, window: tuple[int, int],
                       stride: int | tuple[int, int], padding: int = 0) -> tuple[int, int]:
-    """Floor-rule output size shared by convolution and pooling."""
+    """Floor-rule output size shared by convolution and pooling.
+
+    The one check of a window's geometry: a value that is not an integer, a
+    window dimension or a stride below 1, a negative padding, or a window that
+    does not fit the padded input is rejected.
+    """
     (p, q), (sr, sc) = window, _stride_pair(stride)
-    return (in_rows + 2 * padding - p) // sr + 1, (in_cols + 2 * padding - q) // sc + 1
+    if not all(isinstance(v, (int, np.integer)) for v in (p, q, sr, sc, padding)):
+        raise ConfigurationError("window, stride and padding must be integers")
+    if min(p, q) < 1:
+        raise ConfigurationError(f"window {p}x{q} must be >= 1 in both dimensions")
+    if min(sr, sc) < 1 or padding < 0:
+        raise ConfigurationError("stride must be >= 1 and padding >= 0")
+    oh, ow = (in_rows + 2 * padding - p) // sr + 1, (in_cols + 2 * padding - q) // sc + 1
+    if oh < 1 or ow < 1:
+        raise ConfigurationError(
+            f"window {p}x{q} does not fit input {in_rows}x{in_cols} padded by {padding}")
+    return oh, ow
 
 
 def window_taps(x: np.ndarray, window: tuple[int, int], stride: int | tuple[int, int],
@@ -148,14 +140,16 @@ def window_taps(x: np.ndarray, window: tuple[int, int], stride: int | tuple[int,
     Axes 1 and 2 of ``x`` are its rows and columns, so (C, H, W) maps and
     channel-last (B, H, W, C) batches both fit: tap (pi, qi) holds
     ``x[:, i*SR + pi, j*SC + qi]`` at position (i, j) of the ``out_hw`` grid.
+    The integer engine reads its pool windows here, so the function is on the
+    multiplier-free audited path: the views are cut without a product.
     """
     (p, q), (oh, ow), (sr, sc) = window, out_hw, _stride_pair(stride)
-    return [x[:, pi:pi + sr * (oh - 1) + 1:sr, qi:qi + sc * (ow - 1) + 1:sc]
-            for pi in range(p) for qi in range(q)]
+    return [x[:, pi::sr, qi::sc][:, :oh, :ow] for pi in range(p) for qi in range(q)]
 
 
-def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
-    """Cross-correlate ``x`` with the kernel and add the bias.
+def conv2d_forward(x, params: ConvLayerParams, stride: int | tuple[int, int] = 1,
+                   padding: int = 0) -> np.ndarray:
+    """Cross-correlate ``x``, zero-padded by ``padding``, with the kernel and add the bias.
 
     Accumulation is performed term by term in (in_channel, kernel_row,
     kernel_col) order with the bias added last, so every output element sees a
@@ -169,13 +163,9 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
     if x.shape[0] != n:
         raise ConfigurationError(
             f"input has {x.shape[0]} channels but kernel expects {n}")
-    s, pad = params.stride, params.padding
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    if xp.shape[1] < p or xp.shape[2] < q:
-        raise ConfigurationError(
-            f"window {p}x{q} larger than padded input {xp.shape[1]}x{xp.shape[2]}")
-    oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), s, pad)
-    taps = window_taps(xp, (p, q), s, (oh, ow))
+    oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), stride, padding)
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+    taps = window_taps(xp, (p, q), stride, (oh, ow))
     weights = params.kernel.reshape(m, n, p * q).transpose(1, 2, 0)[..., None, None]
     out = np.zeros((m, oh, ow), dtype=np.float64)
     for ni in range(n):
@@ -185,16 +175,15 @@ def conv2d_forward(x, params: ConvLayerParams) -> np.ndarray:
     return out
 
 
-def pool2d_forward(x, spec: PoolSpec) -> np.ndarray:
-    """Per-channel windowed max or arithmetic mean."""
+def pool2d_forward(x, mode: str, window: tuple[int, int],
+                   stride: int | tuple[int, int]) -> np.ndarray:
+    """Per-channel windowed max (``mode`` "max") or arithmetic mean ("avg")."""
     x = as_feature_map(x)
-    p, q = spec.window
-    if p > x.shape[1] or q > x.shape[2]:
-        raise ConfigurationError(
-            f"pool window {p}x{q} larger than input {x.shape[1]}x{x.shape[2]}")
-    oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), spec.stride)
-    taps = window_taps(x, (p, q), spec.stride, (oh, ow))
-    if spec.mode == "max":
+    if mode not in ("max", "avg"):
+        raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
+    oh, ow = conv_output_shape(x.shape[1], x.shape[2], window, stride)
+    taps = window_taps(x, window, stride, (oh, ow))
+    if mode == "max":
         out = taps[0].copy()
         for tap in taps[1:]:
             np.maximum(out, tap, out=out)
@@ -202,7 +191,7 @@ def pool2d_forward(x, spec: PoolSpec) -> np.ndarray:
     acc = np.zeros((x.shape[0], oh, ow))
     for tap in taps:
         acc += tap
-    return acc / (p * q)
+    return acc / len(taps)
 
 
 def dense_forward(x, params: DenseParams) -> np.ndarray:
@@ -236,7 +225,7 @@ def fold_batchnorm(conv: ConvLayerParams, bn: BatchNormParams) -> ConvLayerParam
     scale = bn.gamma / np.sqrt(bn.var + bn.eps)
     kernel = conv.kernel * scale[:, None, None, None]
     bias = (conv.bias - bn.mean) * scale + bn.beta
-    return ConvLayerParams(kernel=kernel, bias=bias, stride=conv.stride, padding=conv.padding)
+    return ConvLayerParams(kernel=kernel, bias=bias)
 
 
 def relu(x) -> np.ndarray:

@@ -23,7 +23,6 @@ from .layers import (
     BatchNormParams,
     ConvLayerParams,
     DenseParams,
-    PoolSpec,
     as_feature_map,
     batchnorm_apply,
     conv2d_forward,
@@ -56,9 +55,6 @@ class PoolLayerSpec:
     window: tuple[int, int] = (2, 2)
     stride: int = 2
 
-    def pool_spec(self) -> PoolSpec:
-        return PoolSpec(mode=self.mode, window=self.window, stride=self.stride)
-
 
 @dataclass(frozen=True)
 class FlattenSpec:
@@ -72,6 +68,37 @@ class DenseSpec:
 
 
 LayerSpec = ConvSpec | PoolLayerSpec | FlattenSpec | DenseSpec
+
+
+def _layer_output(layer: LayerSpec, shape: tuple, flat: bool) -> tuple:
+    """Output shape of ``layer`` on an input of ``shape``, flat once a flatten has run.
+
+    The spec's one check of each layer: ``conv_output_shape`` checks the
+    window geometry, and this function the rest.
+    """
+    if isinstance(layer, DenseSpec):
+        if not flat:
+            raise ConfigurationError("dense before flatten")
+        if layer.out_features < 1:
+            raise ConfigurationError("out_features must be >= 1")
+        return (layer.out_features,)
+    if flat:
+        raise ConfigurationError({ConvSpec: "conv after flatten", PoolLayerSpec: "pool after flatten",
+                                  FlattenSpec: "repeated flatten"}[type(layer)])
+    c, h, w = shape
+    if isinstance(layer, FlattenSpec):
+        return (c * h * w,)
+    if isinstance(layer, ConvSpec):
+        if layer.out_channels < 1:
+            raise ConfigurationError("out_channels must be >= 1")
+        c, window, padding = layer.out_channels, layer.kernel, layer.padding
+    elif isinstance(layer, PoolLayerSpec):
+        if layer.mode not in ("max", "avg"):
+            raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {layer.mode!r}")
+        window, padding = layer.window, 0
+    else:  # pragma: no cover - union is closed
+        raise ConfigurationError(f"unknown layer kind {type(layer).__name__}")
+    return (c, *conv_output_shape(h, w, window, layer.stride, padding))
 
 
 @dataclass(frozen=True)
@@ -94,35 +121,12 @@ class ModelSpec:
     def _walk(self) -> tuple:
         shape, flat, walk = self.input_shape, False, []
         for layer in self.layers:
-            if isinstance(layer, DenseSpec):
-                if not flat:
-                    raise ConfigurationError(f"layer {layer.name}: dense before flatten")
-                out = (layer.out_features,)
-            elif flat:
-                what = {ConvSpec: "conv after flatten", PoolLayerSpec: "pool after flatten",
-                        FlattenSpec: "repeated flatten"}[type(layer)]
-                raise ConfigurationError(f"layer {layer.name}: {what}")
-            elif isinstance(layer, FlattenSpec):
-                c, h, w = shape
-                out = (c * h * w,)
-                flat = True
-            elif isinstance(layer, (ConvSpec, PoolLayerSpec)):
-                c, h, w = shape
-                if isinstance(layer, ConvSpec):
-                    c, window, padding = layer.out_channels, layer.kernel, layer.padding
-                else:
-                    window, padding = layer.window, 0
-                if layer.stride < 1 or padding < 0:
-                    raise ConfigurationError(
-                        f"layer {layer.name}: stride must be >= 1 and padding >= 0")
-                oh, ow = conv_output_shape(h, w, window, layer.stride, padding)
-                if oh < 1 or ow < 1:
-                    raise ConfigurationError(f"layer {layer.name}: window does not fit input {h}x{w}")
-                out = (c, oh, ow)
-            else:  # pragma: no cover - union is closed
-                raise ConfigurationError(f"unknown layer kind {type(layer).__name__}")
+            try:
+                out = _layer_output(layer, shape, flat)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"layer {layer.name}: {exc}") from exc
             walk.append((layer, shape, out))
-            shape = out
+            shape, flat = out, flat or isinstance(layer, FlattenSpec)
         if not walk or shape != (self.class_count,):
             raise ConfigurationError(
                 f"final layer must produce {self.class_count} logits, got {shape if walk else None}")
@@ -261,8 +265,7 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float =
         if layer.batchnorm:
             bn = BatchNormParams(gamma=np.ones(m, dtype=dtype), beta=np.zeros(m, dtype=dtype),
                                  mean=np.zeros(m, dtype=dtype), var=np.ones(m, dtype=dtype))
-        conv = ConvLayerParams(kernel=weights, bias=bias, stride=layer.stride, padding=layer.padding)
-        entries.append(ConvBlockParams(conv=conv, bn=bn))
+        entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
     return ModelParams(entries=entries)
 
 
@@ -279,12 +282,12 @@ def zero_params(spec: ModelSpec) -> ModelParams:
 def layer_forward(layer: LayerSpec, entry, x) -> np.ndarray:
     """One layer of the reference forward: conv (then batchnorm, relu), pool, flatten or dense."""
     if isinstance(layer, ConvSpec):
-        out = conv2d_forward(x, entry.conv)
+        out = conv2d_forward(x, entry.conv, layer.stride, layer.padding)
         if layer.batchnorm and entry.bn is not None:
             out = batchnorm_apply(out, entry.bn)
         return relu(out) if layer.relu else out
     if isinstance(layer, PoolLayerSpec):
-        return pool2d_forward(x, layer.pool_spec())
+        return pool2d_forward(x, layer.mode, layer.window, layer.stride)
     if isinstance(layer, FlattenSpec):
         return x.reshape(-1)
     return dense_forward(x, entry)

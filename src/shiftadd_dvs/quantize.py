@@ -13,8 +13,8 @@ usual for power-of-two weights: a sign and a term count per parameter and one
 flat array of shifts. ``shift_quantize_model`` fills them a layer at a time
 (rounding with ``np.rint``, keeping the top set bits by integer bit tests).
 ``ShiftQuantParam`` and ``shift_quantize_param`` are the scalar form of one
-weight; a layer's ``weights``, ``biases`` and ``all_params()`` give it as
-read-only views, built on first access and used by no inference path.
+weight; a layer's ``weights`` and ``all_params()`` give it as read-only
+views, built on first access and used by no inference path.
 """
 from __future__ import annotations
 
@@ -204,11 +204,6 @@ class QuantizedLayer:
         """Kernel/weight entries as scalar parameters (a read-only view)."""
         return self._params[:self.weight_count]
 
-    @cached_property
-    def biases(self) -> tuple[ShiftQuantParam, ...]:
-        """Biases as scalar parameters (a read-only view)."""
-        return self._params[self.weight_count:]
-
     def all_params(self) -> tuple[ShiftQuantParam, ...]:
         return self._params
 
@@ -304,9 +299,7 @@ def dequantize_model(q: QuantizedModel) -> ModelParams:
         kernel = values[:qentry.weight_count].reshape(qentry.shape)
         biases = values[qentry.weight_count:]
         if isinstance(layer, ConvSpec):
-            conv = ConvLayerParams(kernel=kernel, bias=biases, stride=layer.stride,
-                                   padding=layer.padding)
-            entries.append(ConvBlockParams(conv=conv, bn=None))
+            entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=kernel, bias=biases)))
         else:
             entries.append(DenseParams(weights=kernel, bias=biases))
     return ModelParams(entries=entries)

@@ -149,8 +149,6 @@ def load_weights(path, spec: ModelSpec) -> ModelParams:
             gamma, beta, mean, var = (reader.f32(shape[0]) for _ in range(4))
             eps = float(reader.f32(1)[0])
             bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=eps)
-        entries.append(ConvBlockParams(
-            conv=ConvLayerParams(kernel=weights, bias=bias, stride=layer.stride,
-                                 padding=layer.padding), bn=bn))
+        entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
     reader.finish(path)
     return ModelParams(entries=entries)

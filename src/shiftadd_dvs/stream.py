@@ -24,8 +24,9 @@ would interleave in hardware. Three stage classes cover every layer kind:
 One builder, ``_build_stages``, makes the stages of both paths; only their
 arithmetic differs, a module-level function bound to each stage with
 ``functools.partial``. A window stage computes its whole output map from the
-stack in one call that reads windows at row stride P and column stride S,
-with the layer at padding 0, since the slabs already hold the virtual zeros.
+stack in one call. ``_slab_layer`` restates its layer, for both paths, to read
+windows at row stride P and column stride S and at padding 0, since the slabs
+already hold the virtual zeros.
 Float stages run ``model.layer_forward``, the dense one on the whole map, so
 every output element sees the batch operation order and the float logits
 equal ``model_forward``'s bit for bit. The integer path builds a
@@ -34,8 +35,9 @@ weights once: the model keeps them, and a later frame reuses them while the
 engine's inputs (``ShiftAddEngine.inputs_of``: the spec, the entries, the bit
 widths, ``f_a`` and the mode) are unchanged. A frame's saturation counts
 travel with the call, so stages keep no per-frame state. Each integer stage is
-the engine's own, restated only by how it reads its windows from the stack:
-a conv through an ``im2col_index`` gather, a pool through its strided taps.
+the engine's own with its layer restated by ``_slab_layer``; a conv also gets
+an ``im2col_index`` gather over the stack, and a pool reads its strided taps
+at the restated stride.
 The engine's plan, which fits any position count, is used as built, and
 diagnostic mode raises at the engine's layer with the engine's whole-layer
 count. The simulator thus accepts exactly the models, ``f_a`` and modes the
@@ -297,18 +299,23 @@ def _build_stages(spec: ModelSpec, computes: list, dtype) -> list[_Stage]:
     return stages
 
 
-# Both paths restate each window layer to read the stack of slabs that
-# ``_WindowStage`` hands it: row stride P, column stride S, padding 0.
+def _slab_layer(layer: ConvSpec | PoolLayerSpec) -> ConvSpec | PoolLayerSpec:
+    """``layer`` restated to read the stack of slabs ``_WindowStage`` hands it.
+
+    The stack holds one P-row slab per output row, zero padding included, so
+    the layer reads it at padding 0 and (row, column) stride (P, S).
+    """
+    if isinstance(layer, ConvSpec):
+        return replace(layer, padding=0, stride=(layer.kernel[0], layer.stride))
+    return replace(layer, stride=(layer.window[0], layer.stride))
+
 
 def _float_computes(spec: ModelSpec, params: ModelParams) -> list:
     """``layer_forward`` per layer, each window layer restated to read the stack of slabs."""
     computes = []
     for layer, entry in zip(spec.layers, params.entries):
-        if isinstance(layer, ConvSpec):
-            entry = replace(entry, conv=replace(entry.conv, padding=0,
-                                                stride=(layer.kernel[0], entry.conv.stride)))
-        elif isinstance(layer, PoolLayerSpec):
-            layer = replace(layer, stride=(layer.window[0], layer.stride))
+        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            layer = _slab_layer(layer)
         computes.append(partial(_float_layer, layer=layer, entry=entry))
     return computes
 
@@ -319,10 +326,10 @@ def _int_computes(engine: ShiftAddEngine) -> list:
     for stage, (layer, in_shape, _) in zip(engine.stages, engine.spec.geometry()):
         if isinstance(layer, ConvSpec):
             (p, q), s, (oh, ow) = layer.kernel, layer.stride, stage.out_hw
-            stage = replace(stage, layer=replace(layer, padding=0), gather=im2col_index(
+            stage = replace(stage, layer=_slab_layer(layer), gather=im2col_index(
                 in_shape[0], (p, q), (p, s), (oh, ow), (oh * p, q + (ow - 1) * s)))
         elif isinstance(layer, PoolLayerSpec):
-            stage = replace(stage, stride=(layer.window[0], layer.stride))
+            stage = replace(stage, layer=_slab_layer(layer))
         computes.append(partial(_int_layer, engine=engine, stage=stage))
     return computes
 

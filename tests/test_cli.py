@@ -253,6 +253,26 @@ class TestInferSimulate:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == error
 
+    @pytest.mark.parametrize("engine", ["float", "shift-add"])
+    def test_unknown_pool_mode_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                     quantized_model, data_dir, engine):
+        broken = tmp_path / "broken"
+        shutil.copytree(quantized_model if engine == "shift-add" else trained_model, broken)
+        doc = json.loads((broken / "model.json").read_text())
+        pool = next(layer for layer in doc["spec"]["layers"] if layer["name"] == "avgpool1")
+        pool["mode"] = "median"
+        (broken / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", engine, "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "layer avgpool1: pool mode" in error["message"]
+        assert not (out / "records.txt").exists()
+
     @pytest.mark.parametrize("missing, engine", [
         ("model.json", "float"), ("model.sacw", "float"), ("model.saqm", "shift-add"),
     ])

@@ -99,7 +99,8 @@ class TestModelEncoding:
         dec = decoded_model(enc)
         for raw, eff in zip(q.layers(), dec.layers()):
             assert raw.weights == eff.weights
-            assert raw.biases == eff.biases
+            for field in ("sign", "count", "shift"):
+                np.testing.assert_array_equal(getattr(raw, field), getattr(eff, field))
 
     def test_narrow_bits_distort_small_terms_upward(self, rng):
         _, _, q = self._quantized(rng)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs import engine as engine_module
+from shiftadd_dvs import layers as layers_module
 from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.engine import (
     ACT_LIMIT,
@@ -210,14 +211,13 @@ class TestIntegerForward:
             got = eng._conv_int(conditioned, eng.stages[0], {})
             deq = dequantize_model(q)
             oracle_conv = ConvLayerParams(kernel=deq.entries[0].conv.kernel,
-                                          bias=deq.entries[0].conv.bias,
-                                          stride=1, padding=pad)
-            want = np.rint(conv2d_forward(conditioned / float(2 ** 10), oracle_conv)
-                           * float(2 ** 10))
+                                          bias=deq.entries[0].conv.bias)
+            want = np.rint(conv2d_forward(conditioned / float(2 ** 10), oracle_conv,
+                                          stride=1, padding=pad) * float(2 ** 10))
             assert np.max(np.abs(got - want)) <= 1.0
 
     def test_full_model_matches_layerwise_rounded_oracle(self, rng):
-        from shiftadd_dvs.layers import PoolSpec, conv2d_forward, pool2d_forward, dense_forward
+        from shiftadd_dvs.layers import conv2d_forward, pool2d_forward, dense_forward
         for trial in range(20):
             local = np.random.default_rng([56, trial])
             spec, _, q = _quantized_small_model(local)
@@ -233,17 +233,16 @@ class TestIntegerForward:
             x = quantize_frame(frame, f_a) / scale
             for layer, entry in zip(spec.layers, deq.entries):
                 if isinstance(layer, ConvSpec):
-                    y = conv2d_forward(x, entry.conv)
+                    y = conv2d_forward(x, entry.conv, layer.stride, layer.padding)
                     x = np.rint(y * scale) / scale
                     if layer.relu:
                         x = np.maximum(x, 0.0)
                 elif isinstance(layer, PoolLayerSpec):
                     if layer.mode == "max":
-                        x = pool2d_forward(x, PoolSpec("max", layer.window, layer.stride))
+                        x = pool2d_forward(x, "max", layer.window, layer.stride)
                     else:
                         area = layer.window[0] * layer.window[1]
-                        summed = pool2d_forward(x, PoolSpec("avg", layer.window,
-                                                            layer.stride)) * area
+                        summed = pool2d_forward(x, "avg", layer.window, layer.stride) * area
                         x = np.floor((summed * scale + area // 2) / area) / scale
                 elif isinstance(layer, FlattenSpec):
                     x = x.reshape(-1)
@@ -479,6 +478,8 @@ class TestMultiplierFreeAudit:
         assert "_shift_add" in kernel_module.DATA_PATH_FUNCTIONS
         for module in {kernel_module, engine_module}:
             self._assert_multiplier_free(module, module.DATA_PATH_FUNCTIONS)
+        # ``_pool_int`` reads its windows through this helper
+        self._assert_multiplier_free(layers_module, ("window_taps",))
 
     def test_stream_integer_functions_contain_no_multiplication(self):
         self._assert_multiplier_free(stream_module, stream_module.DATA_PATH_FUNCTIONS)

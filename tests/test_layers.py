@@ -7,7 +7,6 @@ from shiftadd_dvs.layers import (
     BatchNormParams,
     ConvLayerParams,
     DenseParams,
-    PoolSpec,
     batchnorm_apply,
     conv2d_forward,
     dense_forward,
@@ -56,9 +55,8 @@ class TestConv2d:
         assert out[0, 0, 0] == 9.0
 
     def test_table_conv1_shape(self, rng):
-        params = ConvLayerParams(kernel=rng.normal(size=(8, 1, 3, 3)),
-                                 bias=rng.normal(size=8), stride=1, padding=1)
-        out = conv2d_forward(rng.normal(size=(1, 256, 11)), params)
+        params = ConvLayerParams(kernel=rng.normal(size=(8, 1, 3, 3)), bias=rng.normal(size=8))
+        out = conv2d_forward(rng.normal(size=(1, 256, 11)), params, stride=1, padding=1)
         assert out.shape == (8, 256, 11)
 
     def test_matches_nested_loop_oracle_exactly(self, rng):
@@ -73,8 +71,7 @@ class TestConv2d:
             x = rng.normal(size=(n, h, w))
             kernel = rng.normal(size=(m, n, k, k))
             bias = rng.normal(size=m)
-            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias,
-                                                    stride=stride, padding=pad))
+            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias), stride, pad)
             want = conv_oracle(x, kernel, bias, stride, pad)
             np.testing.assert_array_equal(got, want)
 
@@ -87,25 +84,27 @@ class TestConv2d:
             x = rng.normal(size=(n, int(rng.integers(p, p + 7)), int(rng.integers(q, q + 7))))
             kernel = rng.normal(size=(m, n, p, q))
             bias = rng.normal(size=m)
-            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias,
-                                                    stride=stride, padding=pad))
+            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias), stride, pad)
             np.testing.assert_array_equal(got, conv_oracle(x, kernel, bias, stride, pad))
 
     @pytest.mark.parametrize("stride", [0, (1, 0), (0, 2)])
     def test_stride_below_one_rejected(self, rng, stride):
+        x = np.ones((1, 4, 4))
         with pytest.raises(ConfigurationError, match="stride must be >= 1"):
-            ConvLayerParams(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=stride)
+            conv2d_forward(x, ConvLayerParams(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1)),
+                           stride=stride)
         with pytest.raises(ConfigurationError, match="stride must be >= 1"):
-            PoolSpec("max", stride=stride)
+            pool2d_forward(x, "max", (2, 2), stride)
 
     def test_linearity_with_zero_bias(self, rng):
         kernel = rng.normal(size=(2, 3, 3, 3))
-        params = ConvLayerParams(kernel=kernel, bias=np.zeros(2), padding=1)
+        params = ConvLayerParams(kernel=kernel, bias=np.zeros(2))
         x = rng.normal(size=(3, 6, 6))
         y = rng.normal(size=(3, 6, 6))
         a, b = 0.7, -1.3
-        lhs = conv2d_forward(a * x + b * y, params)
-        rhs = a * conv2d_forward(x, params) + b * conv2d_forward(y, params)
+        lhs = conv2d_forward(a * x + b * y, params, padding=1)
+        rhs = (a * conv2d_forward(x, params, padding=1)
+               + b * conv2d_forward(y, params, padding=1))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-9)
 
     def test_channel_mismatch(self, rng):
@@ -123,21 +122,21 @@ class TestPool2d:
     def test_constant_input(self):
         x = np.full((2, 4, 4), 3.5)
         for mode in ("max", "avg"):
-            out = pool2d_forward(x, PoolSpec(mode=mode, window=(2, 2), stride=2))
+            out = pool2d_forward(x, mode, (2, 2), 2)
             np.testing.assert_array_equal(out, np.full((2, 2, 2), 3.5))
 
     def test_two_by_two_values(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert pool2d_forward(x, PoolSpec("max"))[0, 0, 0] == 4.0
-        assert pool2d_forward(x, PoolSpec("avg"))[0, 0, 0] == 2.5
+        assert pool2d_forward(x, "max", (2, 2), 2)[0, 0, 0] == 4.0
+        assert pool2d_forward(x, "avg", (2, 2), 2)[0, 0, 0] == 2.5
 
     def test_shape_rule(self, rng):
-        out = pool2d_forward(rng.normal(size=(8, 256, 11)), PoolSpec("max"))
+        out = pool2d_forward(rng.normal(size=(8, 256, 11)), "max", (2, 2), 2)
         assert out.shape == (8, 128, 5)
 
     def test_window_too_large(self):
         with pytest.raises(ConfigurationError):
-            pool2d_forward(np.ones((1, 2, 2)), PoolSpec("max", window=(3, 3)))
+            pool2d_forward(np.ones((1, 2, 2)), "max", (3, 3), 2)
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     @pytest.mark.parametrize("stride", [(3, 1), (1, 2), (2, 3)])
@@ -153,7 +152,7 @@ class TestPool2d:
             for tap in taps:
                 acc += tap
             want[c, i, j] = max(taps) if mode == "max" else acc / (p * q)
-        got = pool2d_forward(x, PoolSpec(mode, window=(p, q), stride=stride))
+        got = pool2d_forward(x, mode, (p, q), stride)
         np.testing.assert_array_equal(got, want)
 
 
@@ -180,7 +179,7 @@ class TestDense:
 class TestFoldBatchnorm:
     def _conv(self, rng, channels=3):
         return ConvLayerParams(kernel=rng.normal(size=(channels, 2, 3, 3)),
-                               bias=rng.normal(size=channels), padding=1)
+                               bias=rng.normal(size=channels))
 
     def test_identity_normalization(self, rng):
         conv = self._conv(rng)
@@ -206,8 +205,8 @@ class TestFoldBatchnorm:
                                  var=np.abs(rng.normal(size=3)) + 0.1, eps=1e-5)
             folded = fold_batchnorm(conv, bn)
             x = rng.normal(size=(2, 6, 6))
-            want = batchnorm_apply(conv2d_forward(x, conv), bn)
-            got = conv2d_forward(x, folded)
+            want = batchnorm_apply(conv2d_forward(x, conv, padding=1), bn)
+            got = conv2d_forward(x, folded, padding=1)
             assert np.max(np.abs(got - want)) < 1e-5
 
     def test_channel_mismatch(self, rng):

@@ -93,15 +93,25 @@ def test_spec_rejects_bad_composition():
         ), input_shape=(1, 4, 4), class_count=3)
 
 
-@pytest.mark.parametrize("layer", [
-    ConvSpec(name="c", out_channels=2, stride=0),
-    ConvSpec(name="c", out_channels=2, kernel=(1, 1), padding=-1),
-    PoolLayerSpec(name="c", mode="max", stride=0),
-], ids=["conv_stride_0", "negative_padding", "pool_stride_0"])
-def test_spec_rejects_bad_stride_and_padding(layer):
-    with pytest.raises(ConfigurationError, match="layer c: stride"):
-        ModelSpec(layers=(layer, FlattenSpec(), DenseSpec(name="d", out_features=3)),
-                  input_shape=(1, 4, 4), class_count=3)
+@pytest.mark.parametrize("layer, message", [
+    (ConvSpec(name="c", out_channels=2, stride=0), "layer c: stride"),
+    (ConvSpec(name="c", out_channels=2, kernel=(1, 1), padding=-1), "layer c: stride"),
+    (PoolLayerSpec(name="c", mode="max", stride=0), "layer c: stride"),
+    (PoolLayerSpec(name="c", mode="median"), "layer c: pool mode must be 'max' or 'avg'"),
+    (PoolLayerSpec(name="c", mode="max", window=(0, 2)), "layer c: window 0x2 must be >= 1"),
+    (ConvSpec(name="c", out_channels=2, kernel=(0, 3)), "layer c: window 0x3 must be >= 1"),
+    (ConvSpec(name="c", out_channels=0), "layer c: out_channels must be >= 1"),
+    (DenseSpec(name="c", out_features=0), "layer c: out_features must be >= 1"),
+    (PoolLayerSpec(name="c", mode="max", stride=2.0), "layer c: window, stride and padding"),
+], ids=["conv_stride_0", "negative_padding", "pool_stride_0", "pool_mode_median",
+        "pool_window_0", "conv_kernel_0", "conv_out_channels_0", "dense_out_features_0",
+        "pool_stride_float"])
+def test_spec_rejects_bad_stride_and_padding(layer, message):
+    head = DenseSpec(name="d", out_features=3)
+    layers = (FlattenSpec(), layer, head) if isinstance(layer, DenseSpec) else (
+        layer, FlattenSpec(), head)
+    with pytest.raises(ConfigurationError, match=message):
+        ModelSpec(layers=layers, input_shape=(1, 4, 4), class_count=3)
 
 
 def test_wide_spec_doubles_channels():

@@ -504,7 +504,7 @@ def test_slab_reads_stay_in_their_rows(geometry):
         width = q + (ow - 1) * s
         bound = stage._compute.keywords["stage"]
         if isinstance(layer, PoolLayerSpec):
-            row_stride, col_stride = bound.stride
+            row_stride, col_stride = bound.layer.stride
             assert col_stride == s
             stack_row = np.arange(oh)[:, None] * row_stride + np.arange(p)[None, :]
             output_row = np.broadcast_to(np.arange(oh)[:, None], stack_row.shape)

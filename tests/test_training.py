@@ -105,7 +105,9 @@ class TestTrainModel:
         result = train_model(spec, frames, labels, TrainConfig(batch_size=16, max_epochs=3),
                              seed=3)
         conv1 = result.params.entries[0]
-        outs = np.stack([conv2d_forward(x, conv1.conv) for x in frames])
+        layer = spec.layers[0]
+        outs = np.stack([conv2d_forward(x, conv1.conv, layer.stride, layer.padding)
+                         for x in frames])
         np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)))
 
