@@ -10,7 +10,6 @@ from .errors import (  # noqa: F401
     ParseError,
     ProtocolError,
     RangeError,
-    SaturationError,
     ShiftAddError,
     StratificationError,
 )

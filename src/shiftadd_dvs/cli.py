@@ -7,6 +7,7 @@ internal error (with a structured message on stderr), 2 on usage errors.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -67,12 +68,11 @@ def _fail_on_error(fn):
     return wrapper
 
 
-def _result_doc(out_dir, command: str, config: dict, results: dict,
-                filename: str = "result.json") -> dict:
+def _result_doc(out_dir, command: str, config: dict, results: dict) -> dict:
     doc = {"tool": {"name": "shiftadd-dvs", "version": __version__},
            "command": command, "config": config, "results": results}
     if out_dir is not None:
-        write_json(Path(out_dir) / filename, doc)
+        write_json(Path(out_dir) / "result.json", doc)
     return doc
 
 
@@ -413,10 +413,7 @@ def simulate(model, frame_path, engine_kind, clock_mhz, out):
         "modeled_cycles": result.modeled_cycles,
         "modeled_throughput": report.to_json(),
         "saturations": result.saturations,
-        "stages": [{"name": s.name, "peak_occupancy": s.peak_occupancy,
-                    "elements_in": s.elements_in, "elements_out": s.elements_out,
-                    "first_output_at": s.first_output_at,
-                    "padded_elements_in": s.padded_elements_in} for s in result.stages],
+        "stages": [dataclasses.asdict(s) for s in result.stages],
     }
     _result_doc(out, "simulate", config, results)
     click.echo(f"argmax {result.argmax}, modeled cycles {result.modeled_cycles}")

@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, RangeError, SaturationError
+from .errors import ConfigurationError, DomainError, RangeError
 from .layers import window_taps
 from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
-from .quantize import QuantizedModel, ShiftQuantParam
+from .quantize import QuantizedModel, ShiftQuantParam, check_f_a
 from .encoding import Terms, layer_terms
 
 ACT_LIMIT = (1 << 31) - 1
@@ -242,13 +242,11 @@ def _shift_add(cols: np.ndarray, plan: _ShiftPlan) -> np.ndarray:
     return acc
 
 
-def _requantize(acc: np.ndarray, frac_bits: int, mode: str, stats: dict, name: str,
+def _requantize(acc: np.ndarray, frac_bits: int, stats: dict, name: str,
                 relu: bool = False) -> np.ndarray:
     """Round half-even onto the activation grid and saturate to 32 bits, counting clips."""
     out, clipped = _saturate(_rshift_round_half_even(acc, frac_bits))
     if clipped:
-        if mode == "diagnostic":
-            raise SaturationError(f"layer {name}: {clipped} saturated values")
         stats[name] = stats.get(name, 0) + clipped
     if relu:
         out = np.maximum(out, 0)
@@ -316,34 +314,30 @@ class EngineResult:
 class ShiftAddEngine:
     """Immutable integer inference engine built from a quantized model.
 
-    ``mode`` is "release" (saturate and count) or "diagnostic" (raise on the
-    first saturation). Construction verifies with a worst-case bound that no
-    layer accumulator can overflow 64 bits for any frame ``quantize_frame``
-    accepts, i.e. every input activation within the 32-bit range.
+    The model is its only configuration. Every layer saturates to 32 bits and
+    counts the values it clips. Construction verifies with a worst-case bound
+    that no layer accumulator can overflow 64 bits for any frame
+    ``quantize_frame`` accepts, i.e. every input activation within the 32-bit
+    range.
     """
 
-    def __init__(self, qmodel: QuantizedModel, f_a: int | None = None, mode: str = "release"):
-        if mode not in ("release", "diagnostic"):
-            raise ConfigurationError(f"mode must be 'release' or 'diagnostic', got {mode}")
+    def __init__(self, qmodel: QuantizedModel):
         self.qmodel = qmodel
-        self.inputs = self.inputs_of(qmodel, f_a, mode)
-        self.spec, entries, self.frac_bits, self.int_bits, self.f_a, self.mode = self.inputs
-        if self.f_a < 0 or self.f_a > 24:
-            raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
+        self.inputs = self.inputs_of(qmodel)
+        self.spec, entries, self.frac_bits, self.int_bits, self.f_a = self.inputs
+        check_f_a(self.f_a)
         self.stages = self._build_stages(entries)
 
     @staticmethod
-    def inputs_of(qmodel: QuantizedModel, f_a: int | None = None,
-                  mode: str = "release") -> tuple:
-        """Everything an engine is built from: (spec, entries, frac_bits, int_bits, f_a, mode).
+    def inputs_of(qmodel: QuantizedModel) -> tuple:
+        """Everything an engine is built from: (spec, entries, frac_bits, int_bits, f_a).
 
-        ``f_a`` resolves to the model's own when None. Construction reads the
-        model through this tuple only, so engines built from equal tuples are
-        alike. The spec compares by value and the entries, frozen
-        ``QuantizedLayer`` objects, by identity.
+        Construction reads the model through this tuple only, so engines built
+        from equal tuples are alike. The spec compares by value and the
+        entries, frozen ``QuantizedLayer`` objects, by identity.
         """
         return (qmodel.spec, tuple(qmodel.entries), qmodel.frac_bits, qmodel.int_bits,
-                int(qmodel.f_a if f_a is None else f_a), mode)
+                int(qmodel.f_a))
 
     # -- construction ------------------------------------------------------
 
@@ -393,7 +387,7 @@ class ShiftAddEngine:
         pad = layer.padding
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
         acc = _shift_add(np.take(xp, stage.gather), stage.plan)
-        out = _requantize(acc, self.frac_bits, self.mode, stats, stage.name, layer.relu)
+        out = _requantize(acc, self.frac_bits, stats, stage.name, layer.relu)
         return out.reshape(-1, *stage.out_hw)
 
     def _pool_int(self, x: np.ndarray, stage: _StageConfig) -> np.ndarray:
@@ -411,7 +405,7 @@ class ShiftAddEngine:
 
     def _dense_int(self, x: np.ndarray, stage: _StageConfig, stats: dict) -> np.ndarray:
         acc = _shift_add(x.reshape(-1, 1), stage.plan)[:, 0]
-        return _requantize(acc, self.frac_bits, self.mode, stats, stage.name)
+        return _requantize(acc, self.frac_bits, stats, stage.name)
 
     def _forward_arrays(self, x: np.ndarray, stats: dict, stages=None) -> np.ndarray:
         out = x

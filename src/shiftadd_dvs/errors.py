@@ -35,7 +35,3 @@ class NumericError(ShiftAddError):
 
 class StratificationError(ShiftAddError):
     """A cross-validation fold would be left without samples of some class."""
-
-
-class SaturationError(ShiftAddError):
-    """An integer-path value saturated while the engine runs in diagnostic mode."""

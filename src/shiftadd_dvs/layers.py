@@ -115,10 +115,12 @@ def conv_output_shape(in_rows: int, in_cols: int, window: tuple[int, int],
                       stride: int | tuple[int, int], padding: int = 0) -> tuple[int, int]:
     """Floor-rule output size shared by convolution and pooling.
 
-    The one check of a window's geometry: a value that is not an integer, a
-    window dimension or a stride below 1, a negative padding, or a window that
-    does not fit the padded input is rejected.
+    The one check of a window's geometry: a window that is not a pair, a value
+    that is not an integer, a window dimension or a stride below 1, a negative
+    padding, or a window that does not fit the padded input is rejected.
     """
+    if np.shape(window) != (2,):
+        raise ConfigurationError(f"window must be a (rows, columns) pair, got {window}")
     (p, q), (sr, sc) = window, _stride_pair(stride)
     if not all(isinstance(v, (int, np.integer)) for v in (p, q, sr, sc, padding)):
         raise ConfigurationError("window, stride and padding must be integers")

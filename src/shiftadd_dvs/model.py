@@ -119,6 +119,9 @@ class ModelSpec:
         object.__setattr__(self, "_geometry", self._walk())
 
     def _walk(self) -> tuple:
+        if len(self.input_shape) != 3:
+            raise ConfigurationError(
+                f"input_shape must be (channels, rows, columns), got {self.input_shape}")
         shape, flat, walk = self.input_shape, False, []
         for layer in self.layers:
             try:
@@ -190,9 +193,9 @@ def default_student_spec(batchnorm: bool = True, use_relu: bool = True) -> Model
     return _student_spec(width=1, batchnorm=batchnorm, use_relu=use_relu)
 
 
-def wide_student_spec(batchnorm: bool = True, use_relu: bool = True, factor: int = 2) -> ModelSpec:
-    """Channel-multiplied variant of the student, used as an in-repo teacher."""
-    return _student_spec(width=factor, batchnorm=batchnorm, use_relu=use_relu)
+def wide_student_spec(batchnorm: bool = True, use_relu: bool = True) -> ModelSpec:
+    """The student with every channel count doubled, used as an in-repo teacher."""
+    return _student_spec(width=2, batchnorm=batchnorm, use_relu=use_relu)
 
 
 def _student_spec(width: int, batchnorm: bool, use_relu: bool) -> ModelSpec:

@@ -44,6 +44,12 @@ def _check_frame(frac_bits: int, int_bits: int) -> None:
         raise ConfigurationError(f"invalid fixed-point frame F={frac_bits}, I={int_bits}")
 
 
+def check_f_a(f_a: int) -> None:
+    """Reject an activation scale 2^f_a outside the range the integer path supports."""
+    if not 0 <= f_a <= 24:
+        raise ConfigurationError(f"f_a must be in [0, 24], got {f_a}")
+
+
 def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
                           int_bits: int = DEFAULT_INT_BITS) -> list[int]:
     """Exponents of |w| rounded to the fixed-point grid, most significant first.
@@ -228,24 +234,24 @@ class QuantizedModel:
     # model's value, and a copy made with ``dataclasses.replace`` starts without.
     stream_pipeline: object = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        check_f_a(self.f_a)
+
     def layers(self) -> list[QuantizedLayer]:
         return [e for e in self.entries if e is not None]
 
 
 def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
                          frac_bits: int = DEFAULT_FRAC_BITS, int_bits: int = DEFAULT_INT_BITS,
-                         quantize_biases: bool = True, f_a: int = 8) -> QuantizedModel:
-    """Quantize every weight of the model with one shared (n_terms, F, I) frame.
+                         f_a: int = 8) -> QuantizedModel:
+    """Quantize every weight and bias of the model with one shared (n_terms, F, I) frame.
 
-    Batchnorm must already be folded into the convolutions. With
-    ``quantize_biases`` off, biases keep full fixed-point precision (every grid
-    digit retained); note the file format caps stored terms at 15. Each weight
+    Batchnorm must already be folded into the convolutions. Each parameter
     quantizes exactly as ``shift_quantize_param`` quantizes it.
     """
     if n_terms < 1:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
     _check_frame(frac_bits, int_bits)
-    bias_terms = n_terms if quantize_biases else frac_bits + int_bits
     entries: list = []
     for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
         if weight_shape(layer, in_shape) is None:
@@ -255,7 +261,7 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
             raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
         weights, bias = layer_arrays(layer, in_shape, entry)
         parts = [_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
-                 _quantize_array(bias, layer.name, bias_terms, frac_bits, int_bits)]
+                 _quantize_array(bias, layer.name, n_terms, frac_bits, int_bits)]
         sign, count, shift = (np.concatenate(arrays) for arrays in zip(*parts))
         entries.append(QuantizedLayer(name=layer.name, shape=weights.shape,
                                       sign=sign, count=count, shift=shift))

@@ -16,10 +16,12 @@ Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
 whose shapes it does not carry. The loader rejects N < 1, and both sides
-reject a weight with more than N terms; biases may hold more, since
-``quantize_biases=False`` keeps them at full precision. The writer rejects
-codes that do not fit ``bits`` unsigned bits; the loader rejects non-zero
-padding bits, so every file that loads saves back to the same bytes.
+reject a weight with more than N terms. Biases may hold more, up to the
+field's 15, as a rule of the file format alone: ``shift_quantize_model``
+gives biases N terms, but a file may keep them at full precision. The
+writer rejects codes that do not fit ``bits`` unsigned bits; the loader
+rejects non-zero padding bits, so every file that loads saves back to the
+same bytes.
 
 Each layer's block is packed and unpacked as arrays with
 ``np.packbits``/``np.unpackbits``. Because a record's length depends on its

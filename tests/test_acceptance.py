@@ -380,7 +380,7 @@ def test_criterion_11_quantized_accuracy_recovery():
     assert agree[3] >= agree[2]
     # the integer shift-add engine tracks the dequantized float model
     q3 = shift_quantize_model(fspec, fparams, 3)
-    engine = ShiftAddEngine(q3, f_a=8)
+    engine = ShiftAddEngine(q3)
     deq = dequantize_model(q3)
     engine_agree = 0
     for i in range(100):

@@ -8,7 +8,11 @@ from click.testing import CliRunner
 
 from shiftadd_dvs import __version__
 from shiftadd_dvs.cli import main
-from shiftadd_dvs.dataset import ingest_dataset
+from shiftadd_dvs.dataset import ingest_dataset, read_sample
+from shiftadd_dvs.model import ModelSpec
+from shiftadd_dvs.saqm import load_quantized
+from shiftadd_dvs.stream import StageReport, stream_quantized_forward
+from shiftadd_dvs.training import Standardizer
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +150,19 @@ class TestQuantizeEncode:
         table = doc["results"]["sweep"]
         assert [row["n_terms"] for row in table] == list(range(1, 11))
         assert all(0.0 <= row["accuracy"] <= 1.0 for row in table)
+
+    @pytest.mark.parametrize("f_a", ["25", "-3"])
+    def test_quantize_rejects_f_a_out_of_range(self, runner, tmp_path, trained_model, f_a):
+        out = tmp_path / "q"
+        result = runner.invoke(main, [
+            "quantize", "--model", str(trained_model), "--no-sweep", "--fa", f_a,
+            "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["message"] == f"f_a must be in [0, 24], got {f_a}"
+        assert not (out / "model.saqm").exists()
 
     def test_encode_sweep_bits_1_to_8(self, runner, tmp_path, trained_model, data_dir):
         out = tmp_path / "enc"
@@ -312,6 +329,13 @@ class TestInferSimulate:
                    for line in (infer_out / "records.txt").read_text().strip().splitlines()}
         assert doc["results"]["argmax"] == int(records[ref.id][4])
         assert [int(v) for v in doc["results"]["logits"]] == [int(records[ref.id][i]) for i in (1, 2, 3)]
+        model_doc = json.loads((quantized_model / "model.json").read_text())
+        qmodel = load_quantized(quantized_model / "model.saqm",
+                                ModelSpec.from_json(model_doc["spec"]), f_a=model_doc["f_a"])
+        frame, _ = read_sample(data_dir / "shifted" / ref.file)
+        scaler = Standardizer.from_json(model_doc["standardizer"])
+        streamed = stream_quantized_forward(qmodel, scaler.apply(frame)[None, :, :])
+        assert [StageReport(**stage) for stage in doc["results"]["stages"]] == streamed.stages
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from shiftadd_dvs.engine import (
     quantize_frame,
     shift_add_mul,
 )
-from shiftadd_dvs.errors import (ConfigurationError, DomainError, RangeError, SaturationError,
-                                 ShiftAddError)
+from shiftadd_dvs.errors import ConfigurationError, DomainError, RangeError, ShiftAddError
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -151,7 +151,7 @@ class TestIntegerForward:
         params.entries[0].conv.kernel[...] = 1.0
         params.entries[0].conv.bias[...] = 0.0
         q = shift_quantize_model(spec, params, 1)
-        eng = ShiftAddEngine(q, f_a=8)
+        eng = ShiftAddEngine(q)
         frame = rng.normal(size=(1, 4, 4))
         conditioned = quantize_frame(frame, 8)
         out, saturations = eng.layer_forward("c", conditioned)
@@ -204,8 +204,8 @@ class TestIntegerForward:
             ), input_shape=(n, 6, 6), class_count=3)
             params = init_params(spec, local, weight_scale=0.8)
             params.entries[0].conv.bias[...] = local.normal(0, 0.3, size=m)
-            q = shift_quantize_model(spec, params, 3)
-            eng = ShiftAddEngine(q, f_a=10)
+            q = shift_quantize_model(spec, params, 3, f_a=10)
+            eng = ShiftAddEngine(q)
             frame = local.normal(0, 1, size=spec.input_shape)
             conditioned = quantize_frame(frame, 10)
             got = eng._conv_int(conditioned, eng.stages[0], {})
@@ -223,7 +223,7 @@ class TestIntegerForward:
             spec, _, q = _quantized_small_model(local)
             deq = dequantize_model(q)
             f_a = 10
-            eng = ShiftAddEngine(q, f_a=f_a)
+            eng = ShiftAddEngine(replace(q, f_a=f_a))
             frame = local.normal(0, 1, size=spec.input_shape)
             got = eng.forward(frame).logits
             # oracle: float layers on dequantized weights, re-rounded to the
@@ -268,7 +268,7 @@ class TestIntegerForward:
         frames = rng.normal(0, 1, size=(40, *spec.input_shape))
         agreements = []
         for f_a in (8, 12):
-            eng = ShiftAddEngine(q, f_a=f_a)
+            eng = ShiftAddEngine(replace(q, f_a=f_a))
             agree = 0
             for frame in frames:
                 res = eng.forward(frame)
@@ -306,21 +306,15 @@ class TestSaturation:
         params.entries[0].conv.kernel[...] = 3.9
         params.entries[2].weights[...] = 3.9
         params.entries[2].bias[...] = 0.0
-        q = shift_quantize_model(spec, params, 4)
+        q = shift_quantize_model(spec, params, 4, f_a=24)
         return spec, q
 
     def test_release_mode_counts(self):
         spec, q = self._saturating_setup()
-        eng = ShiftAddEngine(q, f_a=24, mode="release")
+        eng = ShiftAddEngine(q)
         res = eng.forward(np.full(spec.input_shape, 100.0))
         assert res.total_saturations > 0
         assert np.all(np.abs(res.logits) <= (1 << 31) - 1)
-
-    def test_diagnostic_mode_raises(self):
-        spec, q = self._saturating_setup()
-        eng = ShiftAddEngine(q, f_a=24, mode="diagnostic")
-        with pytest.raises(SaturationError):
-            eng.forward(np.full(spec.input_shape, 100.0))
 
 
 class TestOverflowBound:
@@ -330,7 +324,7 @@ class TestOverflowBound:
         params = init_params(spec, rng)
         fspec, fparams = fold_model_batchnorm(spec, params)
         q = shift_quantize_model(fspec, fparams, 3)
-        ShiftAddEngine(q, f_a=8)  # must construct cleanly
+        ShiftAddEngine(q)  # must construct cleanly
 
     def test_worst_case_overflow_rejected(self):
         with pytest.raises(ConfigurationError, match="layer d: worst-case accumulator"):
@@ -511,7 +505,7 @@ class TestMultiplierFreeAudit:
             assert func in listed, f"stage {name} binds unlisted {func}"
 
     @pytest.mark.parametrize("source, caller", [
-        ("def unlisted(acc):\n    return _requantize(acc, 16, 'release', {}, 'x')\n",
+        ("def unlisted(acc):\n    return _requantize(acc, 16, {}, 'x')\n",
          "unlisted"),
         ("def listed(x):\n    f = lambda w: engine._pool_int(w, stage)\n    return f(x)\n",
          "<lambda>"),

@@ -72,15 +72,15 @@ def _stream_stage(stage, x):
     return out.reshape(len(out), -1).T
 
 
-def _check_layers(qmodel, frame, f_a=8):
+def _check_layers(qmodel, frame):
     """Every conv and dense layer of the engine and of the streamed stages equals the oracle.
 
     Each streamed stage is fed the layer's unpadded input map, which it pushes
     row by row, so its virtual padding and its line buffer are part of what is
     checked.
     """
-    engine = ShiftAddEngine(qmodel, f_a=f_a)
-    align = qmodel.frac_bits + qmodel.int_bits
+    engine = ShiftAddEngine(qmodel)
+    f_a, align = qmodel.f_a, qmodel.frac_bits + qmodel.int_bits
     stages = int_stages(engine)
     x = quantize_frame(frame, f_a)
     checked = 0
@@ -214,7 +214,7 @@ class TestExactProductOracle:
             weights[index] = ZERO_PARAM if sign == 0 else ShiftQuantParam(
                 sign=sign, shifts=param.shifts or (index % 5 + 1,))
         q.entries[0] = layer_from_params(entry.name, entry.shape, weights)
-        engine = ShiftAddEngine(q, f_a=8)
+        engine = ShiftAddEngine(q)
         plan = engine.stages[0].plan
         assert [(len(a), len(s)) for a, s in zip(plan.added, plan.subtracted)] == [
             (sum(p.term_count for p in weights[:per_channel]), 0),
@@ -265,7 +265,7 @@ class TestExactProductOracle:
         _check_layers(q, frame)
         # and the Python-int product agrees on the same blocked layer
         x = quantize_frame(frame, 8)
-        got, _ = ShiftAddEngine(q, f_a=8).layer_forward("c", x)
+        got, _ = ShiftAddEngine(q).layer_forward("c", x)
         cols, (oh, ow) = _im2col(x, spec.layers[0])
         np.testing.assert_array_equal(
             got, np.array(_python_int_layer(q, q.entries[0], cols, 8, True)).T.reshape(-1, oh, ow))

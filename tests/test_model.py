@@ -103,15 +103,22 @@ def test_spec_rejects_bad_composition():
     (ConvSpec(name="c", out_channels=0), "layer c: out_channels must be >= 1"),
     (DenseSpec(name="c", out_features=0), "layer c: out_features must be >= 1"),
     (PoolLayerSpec(name="c", mode="max", stride=2.0), "layer c: window, stride and padding"),
+    (ConvSpec(name="c", out_channels=2, kernel=(3,)), r"layer c: window must be a \(rows, "),
+    (PoolLayerSpec(name="c", mode="max", window=(2,)), r"layer c: window must be a \(rows, "),
+    ((4, 4), r"input_shape must be \(channels, rows, columns\), got \(4, 4\)"),
 ], ids=["conv_stride_0", "negative_padding", "pool_stride_0", "pool_mode_median",
         "pool_window_0", "conv_kernel_0", "conv_out_channels_0", "dense_out_features_0",
-        "pool_stride_float"])
+        "pool_stride_float", "conv_kernel_1d", "pool_window_1d", "input_shape_2d"])
 def test_spec_rejects_bad_stride_and_padding(layer, message):
+    """A bad layer, or a bad input shape given in the layer's place, is a ConfigurationError."""
     head = DenseSpec(name="d", out_features=3)
+    input_shape = (1, 4, 4)
+    if not hasattr(layer, "name"):
+        layer, input_shape = ConvSpec(name="c", out_channels=2), layer
     layers = (FlattenSpec(), layer, head) if isinstance(layer, DenseSpec) else (
         layer, FlattenSpec(), head)
     with pytest.raises(ConfigurationError, match=message):
-        ModelSpec(layers=layers, input_shape=(1, 4, 4), class_count=3)
+        ModelSpec(layers=layers, input_shape=input_shape, class_count=3)
 
 
 def test_wide_spec_doubles_channels():

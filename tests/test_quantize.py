@@ -224,23 +224,18 @@ class TestArrayQuantizerMatchesScalar:
         spec = self._spec()
         for frac_bits, int_bits in self.FRAMES:
             for n_terms in range(1, frac_bits + int_bits + 1):
-                for quantize_biases in (True, False):
-                    params = init_params(spec, rng)
-                    for arr in (params.entries[0].conv.kernel, params.entries[0].conv.bias,
-                                params.entries[2].weights, params.entries[2].bias):
-                        arr[...] = self._special_values(rng, frac_bits, int_bits,
-                                                        arr.size).reshape(arr.shape)
-                    q = shift_quantize_model(spec, params, n_terms, frac_bits, int_bits,
-                                             quantize_biases=quantize_biases)
-                    bias_terms = n_terms if quantize_biases else frac_bits + int_bits
-                    for layer, (weights, biases) in zip(q.layers(), (
-                            (params.entries[0].conv.kernel, params.entries[0].conv.bias),
-                            (params.entries[2].weights, params.entries[2].bias))):
-                        want = [shift_quantize_param(float(w), n_terms, frac_bits, int_bits)
-                                for w in weights.ravel()]
-                        want += [shift_quantize_param(float(w), bias_terms, frac_bits, int_bits)
-                                 for w in biases]
-                        assert list(layer.all_params()) == want
+                params = init_params(spec, rng)
+                for arr in (params.entries[0].conv.kernel, params.entries[0].conv.bias,
+                            params.entries[2].weights, params.entries[2].bias):
+                    arr[...] = self._special_values(rng, frac_bits, int_bits,
+                                                    arr.size).reshape(arr.shape)
+                q = shift_quantize_model(spec, params, n_terms, frac_bits, int_bits)
+                for layer, (weights, biases) in zip(q.layers(), (
+                        (params.entries[0].conv.kernel, params.entries[0].conv.bias),
+                        (params.entries[2].weights, params.entries[2].bias))):
+                    want = [shift_quantize_param(float(w), n_terms, frac_bits, int_bits)
+                            for w in np.concatenate((weights, biases), axis=None)]
+                    assert list(layer.all_params()) == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.0, -3.9999999, 1e308],
                              ids=["nan", "inf", "-inf", "4", "rounds_to_4", "1e308"])

@@ -212,9 +212,12 @@ def test_full_precision_biases_round_trip(rng, tmp_path):
     spec, params = make_small_model(rng)
     for entry in params.entries:
         if entry is not None:
-            bias = entry.conv.bias if hasattr(entry, "conv") else entry.bias
+            kernel, bias = ((entry.conv.kernel, entry.conv.bias) if hasattr(entry, "conv")
+                            else (entry.weights, entry.bias))
+            kernel[...] = rng.choice([-0.5, 0.25, 1.0], size=kernel.shape)  # one term each
             bias[...] = rng.normal(0, 0.5, size=bias.shape)
-    q = encode_model(shift_quantize_model(spec, params, 1, frac_bits=10, quantize_biases=False),
+    # every digit of the F=10, I=2 grid, in a model of N=1 that only the biases exceed
+    q = encode_model(replace(shift_quantize_model(spec, params, 12, frac_bits=10), n_terms=1),
                      bits=4)
     assert any(layer.count[len(layer.count) - layer.shape[0]:].max() > 1 for layer in q.layers())
     p1, p2 = tmp_path / "a.saqm", tmp_path / "b.saqm"

@@ -9,7 +9,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from shiftadd_dvs.errors import ConfigurationError, ProtocolError, SaturationError
+from shiftadd_dvs.errors import ConfigurationError, ProtocolError
 from shiftadd_dvs.engine import ShiftAddEngine, quantize_frame
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -279,27 +279,21 @@ class TestIntegerStreaming:
             assert res.argmax == batch.argmax
 
     def test_saturation_counters_match_batch(self, rng):
-        q = gain_model(rng)
+        q = gain_model(rng, f_a=24)
         frame = np.full(q.spec.input_shape, 100.0)
-        batch = ShiftAddEngine(q, f_a=24).forward(frame)
-        assert batch.total_saturations > 0
-        res = stream_quantized_forward(q, frame, f_a=24)
-        assert res.saturations == batch.saturations
+        batch = ShiftAddEngine(q).forward(frame)
+        res = stream_quantized_forward(q, frame)
+        # the first entry is the first layer to saturate, with its whole-layer count
+        assert next(iter(batch.saturations.items())) == ("gain1", 16)
+        assert list(res.saturations.items()) == list(batch.saturations.items())
         np.testing.assert_array_equal(res.logits, batch.logits)
-        # diagnostic mode raises at the first saturating layer with the engine's whole-layer count
-        with pytest.raises(SaturationError) as engine_error:
-            ShiftAddEngine(q, f_a=24, mode="diagnostic").forward(frame)
-        assert str(engine_error.value) == "layer gain1: 16 saturated values"
-        with pytest.raises(SaturationError) as stream_error:
-            stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
-        assert str(stream_error.value) == str(engine_error.value)
 
-    def test_diagnostic_mode_names_the_engines_layer(self, rng):
+    def test_saturations_follow_the_engines_layer_order(self, rng):
         """Stages run in layer order, so the first saturating layer is the engine's.
 
         gain1 saturates only on the frame's last row; gain2 saturates on every
-        row. Were the stages interleaved element by element, gain2 would raise
-        before gain1 had seen the last row.
+        row. Were the stages interleaved element by element, gain2 would
+        saturate before gain1 had seen the last row, and come first.
         """
         spec = ModelSpec(layers=(
             ConvSpec(name="gain1", out_channels=1, kernel=(1, 1), padding=0,
@@ -312,17 +306,14 @@ class TestIntegerStreaming:
         params = init_params(spec, rng)
         params.entries[0].conv.kernel[...] = 2.0
         params.entries[1].conv.kernel[...] = 3.9
-        q = shift_quantize_model(spec, params, 4)
+        q = shift_quantize_model(spec, params, 4, f_a=24)
         frame = np.full(spec.input_shape, 10.0)
         frame[:, -1] = 100.0
-        with pytest.raises(SaturationError) as engine_error:
-            ShiftAddEngine(q, f_a=24, mode="diagnostic").forward(frame)
-        with pytest.raises(SaturationError) as stream_error:
-            stream_quantized_forward(q, frame, f_a=24, mode="diagnostic")
-        assert str(stream_error.value) == str(engine_error.value)
-        batch = ShiftAddEngine(q, f_a=24).forward(frame)
-        res = stream_quantized_forward(q, frame, f_a=24)
-        assert list(res.saturations) == list(batch.saturations)
+        batch = ShiftAddEngine(q).forward(frame)
+        res = stream_quantized_forward(q, frame)
+        assert list(batch.saturations)[:2] == ["gain1", "gain2"]
+        assert batch.saturations["gain1"] == 4  # the last row only
+        assert list(res.saturations.items()) == list(batch.saturations.items())
 
     def test_stage_rejects_a_grid_of_the_wrong_length(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -463,10 +454,10 @@ def test_pools_match_a_python_int_loop(mode, window, stride):
     frame = rng.integers(-4096, 4096, size=spec.input_shape) / 256.0
     x = quantize_frame(frame, 8)
     want = np.array(pool_by_python_ints(x.tolist(), mode, window, stride), dtype=np.int64)
-    engine = ShiftAddEngine(q, f_a=8)
+    engine = ShiftAddEngine(q)
     np.testing.assert_array_equal(engine.layer_forward("pool", x)[0], want)
     np.testing.assert_array_equal(engine.forward(frame).logits, want.reshape(-1))
-    res = stream_quantized_forward(q, frame, f_a=8)
+    res = stream_quantized_forward(q, frame)
     np.testing.assert_array_equal(res.logits, want.reshape(-1))
     float_res = stream_float_forward(spec, params, frame)
     np.testing.assert_array_equal(float_res.logits, model_forward(spec, params, frame))
@@ -675,7 +666,7 @@ def test_timed_paths_build_no_scalar_parameters(tmp_path, monkeypatch):
 
 
 class TestEngineChecks:
-    """The simulator accepts exactly the models, f_a and modes ShiftAddEngine accepts."""
+    """The simulator accepts exactly the models ShiftAddEngine accepts."""
 
     @staticmethod
     def _model(rng):
@@ -689,14 +680,16 @@ class TestEngineChecks:
 
     @pytest.mark.parametrize("f_a", [25, -1])
     def test_f_a_outside_engine_range_rejected(self, rng, f_a):
+        """A model is checked when made, and, since it stays mutable, again when built."""
         q, frame = self._model(rng)
-        with pytest.raises(ConfigurationError, match=r"f_a must be in \[0, 24\]"):
-            stream_quantized_forward(q, frame, f_a=f_a)
-
-    def test_unknown_mode_rejected(self, rng):
-        q, frame = self._model(rng)
-        with pytest.raises(ConfigurationError, match="mode must be"):
-            stream_quantized_forward(q, frame, mode="bogus")
+        message = rf"f_a must be in \[0, 24\], got {f_a}"
+        with pytest.raises(ConfigurationError, match=message):
+            replace(q, f_a=f_a)
+        q.f_a = f_a
+        with pytest.raises(ConfigurationError, match=message):
+            ShiftAddEngine(q)
+        with pytest.raises(ConfigurationError, match=message):
+            stream_quantized_forward(q, frame)
 
     def test_unfolded_batchnorm_rejected(self):
         # the same random draws give the same shapes with and without batchnorm
@@ -732,8 +725,8 @@ class TestPipelineReuse:
     reads changes; each frame counts its own saturations."""
 
     @staticmethod
-    def _expect(q, frame, f_a=None, mode="release"):
-        return ShiftAddEngine(q, f_a, mode).forward(frame)
+    def _expect(q, frame):
+        return ShiftAddEngine(q).forward(frame)
 
     def test_second_call_builds_nothing(self, rng, monkeypatch):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -775,23 +768,6 @@ class TestPipelineReuse:
             assert res.saturations != before.saturations  # a stale pipeline would show
         stream_quantized_forward(q, frame)
         assert built == ["engine", "stages"]
-
-    def test_mode_switch_rebuilds(self, rng, monkeypatch):
-        q = gain_model(rng, f_a=24)
-        hot, clean = np.full(q.spec.input_shape, 100.0), np.full(q.spec.input_shape, 0.1)
-        built = count_builds(monkeypatch)
-        stream_quantized_forward(q, clean)
-        res = stream_quantized_forward(q, clean, mode="diagnostic")
-        assert built == ["engine", "stages"] * 2
-        np.testing.assert_array_equal(res.logits, self._expect(q, clean).logits)
-        with pytest.raises(SaturationError, match="layer gain1"):
-            stream_quantized_forward(q, hot, mode="diagnostic")
-        assert built == ["engine", "stages"] * 2
-        res = stream_quantized_forward(q, hot)
-        assert built == ["engine", "stages"] * 3
-        want = self._expect(q, hot)
-        assert res.saturations == want.saturations and want.saturations
-        np.testing.assert_array_equal(res.logits, want.logits)
 
     def test_overflowing_model_raises_on_every_call(self, rng, monkeypatch):
         spec, params = make_small_model(rng, batchnorm=False)
