@@ -88,15 +88,15 @@ def _save_model_dir(out_dir, spec: ModelSpec, params, standardizer: Standardizer
     write_json(out / "model.json", doc)
 
 
-def _load_model_dir(model_dir, quantized: bool = False, f_a: int | None = None):
-    """(spec, params or the quantized model, standardizer, model.json) of a model directory."""
+def _load_model_dir(model_dir, quantized: bool = False):
+    """(spec, params or the quantized model at model.json's f_a, standardizer, model.json)."""
     path = Path(model_dir) / "model.json"
     try:
         doc = read_json(path)
         try:
             spec = ModelSpec.from_json(doc["spec"])
             scaler = Standardizer.from_json(doc["standardizer"])
-            f_a = int(doc.get("f_a", 8) if f_a is None else f_a)
+            f_a = int(doc.get("f_a", 8))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: malformed model document: {exc!r}") from exc
         if quantized:
@@ -228,26 +228,28 @@ def distill(data, test_data, teacher_logits, arch, alpha, temperature, t_squared
         temps = [float(v) for v in temp_part.split(",") if v]
     except ValueError as exc:
         raise ConfigurationError(f"bad --grid value {grid!r}: {exc}") from exc
+    if not alphas or not temps:
+        raise ConfigurationError(f"bad --grid value {grid!r}: an axis has no values")
+    # every cell is checked before the first one trains
+    kds = [KDConfig(alpha=a, temperature=t, t_squared=t_squared) for a in alphas for t in temps]
     ds = ingest_dataset(data)
     test = ingest_dataset(test_data) if test_data else None
     spec = _build_spec(arch)
     table = load_teacher_logits(teacher_logits, expected_ids=ds.ids,
                                 class_count=spec.class_count)
     cells = []
-    for a in alphas:
-        for t in temps:
-            cfg = TrainConfig(lr=lr, batch_size=batch, max_epochs=epochs,
-                              kd=KDConfig(alpha=a, temperature=t, t_squared=t_squared))
-            res = kfold_train(ds.frames, ds.labels,
-                              test.frames if test else None,
-                              test.labels if test else None,
-                              spec, cfg, seed=seed, k=folds,
-                              teacher_table=table, train_ids=ds.ids)
-            cells.append({"alpha": a, "temperature": t,
-                          "mean_val_accuracy": res.mean_val_accuracy,
-                          "mean_test_accuracy": res.mean_test_accuracy if test else None})
-            click.echo(f"alpha={a} T={t}: val {res.mean_val_accuracy:.4f}"
-                       + (f" test {res.mean_test_accuracy:.4f}" if test else ""))
+    for kd in kds:
+        cfg = TrainConfig(lr=lr, batch_size=batch, max_epochs=epochs, kd=kd)
+        res = kfold_train(ds.frames, ds.labels,
+                          test.frames if test else None,
+                          test.labels if test else None,
+                          spec, cfg, seed=seed, k=folds,
+                          teacher_table=table, train_ids=ds.ids)
+        cells.append({"alpha": kd.alpha, "temperature": kd.temperature,
+                      "mean_val_accuracy": res.mean_val_accuracy,
+                      "mean_test_accuracy": res.mean_test_accuracy if test else None})
+        click.echo(f"alpha={kd.alpha} T={kd.temperature}: val {res.mean_val_accuracy:.4f}"
+                   + (f" test {res.mean_test_accuracy:.4f}" if test else ""))
     config = {"data": str(data), "arch": arch, "seed": seed, "folds": folds,
               "grid": grid, "epochs": epochs, "batch": batch, "lr": lr,
               "t_squared": t_squared}
@@ -340,18 +342,19 @@ def encode(model, data, n_terms, frac_bits, int_bits, out):
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--engine", "engine_kind", type=click.Choice(["shift-add", "float"]),
               default="shift-add", show_default=True)
-@click.option("--fa", "f_a", type=int, default=None)
 @click.option("--out", "-o", type=click.Path(), required=True)
 @_fail_on_error
-def infer(model, data, engine_kind, f_a, out):
+def infer(model, data, engine_kind, out):
     """Run inference over a dataset; writes per-frame text records."""
     ds = ingest_dataset(data)
     out_path = Path(out)
     out_path.mkdir(parents=True, exist_ok=True)
     records = []
     correct = 0
+    config = {"model": str(model), "data": str(data), "engine": engine_kind}
     if engine_kind == "shift-add":
-        _, qmodel, scaler, _ = _load_model_dir(model, quantized=True, f_a=f_a)
+        _, qmodel, scaler, _ = _load_model_dir(model, quantized=True)
+        config["f_a"] = qmodel.f_a
         engine = ShiftAddEngine(qmodel)
         frames = scaler.apply(ds.frames)
 
@@ -377,9 +380,8 @@ def infer(model, data, engine_kind, f_a, out):
             values = ",".join(repr(float(v)) for v in logits)
             records.append(f"{ident},{values},{argmax},0")
             correct += int(argmax == label)
-    atomic_write_text(out_path / "records.txt", "\n".join(records) + "\n")
+    atomic_write_text(out_path / "records.txt", "".join(f"{line}\n" for line in records))
     accuracy = correct / max(1, len(ds.ids))
-    config = {"model": str(model), "data": str(data), "engine": engine_kind, "f_a": f_a}
     _result_doc(out, "infer", config,
                 {"samples": len(ds.ids), "accuracy": accuracy,
                  "records": str(out_path / "records.txt")})

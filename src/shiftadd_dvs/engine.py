@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, RangeError
 from .layers import window_taps
 from .model import ConvSpec, FlattenSpec, LayerSpec, PoolLayerSpec
-from .quantize import QuantizedModel, ShiftQuantParam, check_f_a
+from .quantize import QuantizedModel, ShiftQuantParam
 from .encoding import Terms, layer_terms
 
 ACT_LIMIT = (1 << 31) - 1
@@ -314,30 +314,19 @@ class EngineResult:
 class ShiftAddEngine:
     """Immutable integer inference engine built from a quantized model.
 
-    The model is its only configuration. Every layer saturates to 32 bits and
-    counts the values it clips. Construction verifies with a worst-case bound
-    that no layer accumulator can overflow 64 bits for any frame
-    ``quantize_frame`` accepts, i.e. every input activation within the 32-bit
-    range.
+    The model is its only configuration, immutable and checked when it was
+    made (entries aligned with the spec, batchnorm folded, ``f_a`` in range).
+    Every layer saturates to 32 bits and counts the values it clips.
+    Construction verifies with a worst-case bound that no layer accumulator
+    can overflow 64 bits for any frame ``quantize_frame`` accepts, i.e. every
+    input activation within the 32-bit range.
     """
 
     def __init__(self, qmodel: QuantizedModel):
         self.qmodel = qmodel
-        self.inputs = self.inputs_of(qmodel)
-        self.spec, entries, self.frac_bits, self.int_bits, self.f_a = self.inputs
-        check_f_a(self.f_a)
-        self.stages = self._build_stages(entries)
-
-    @staticmethod
-    def inputs_of(qmodel: QuantizedModel) -> tuple:
-        """Everything an engine is built from: (spec, entries, frac_bits, int_bits, f_a).
-
-        Construction reads the model through this tuple only, so engines built
-        from equal tuples are alike. The spec compares by value and the
-        entries, frozen ``QuantizedLayer`` objects, by identity.
-        """
-        return (qmodel.spec, tuple(qmodel.entries), qmodel.frac_bits, qmodel.int_bits,
-                int(qmodel.f_a))
+        self.spec, self.frac_bits, self.int_bits, self.f_a = (
+            qmodel.spec, qmodel.frac_bits, qmodel.int_bits, qmodel.f_a)
+        self.stages = self._build_stages(qmodel.entries)
 
     # -- construction ------------------------------------------------------
 
@@ -348,9 +337,6 @@ class ShiftAddEngine:
         align = self.frac_bits + self.int_bits
         stages = []
         for (layer, in_shape, out_shape), entry in zip(self.spec.geometry(), entries):
-            if isinstance(layer, ConvSpec) and layer.batchnorm:
-                raise ConfigurationError(
-                    f"layer {layer.name}: fold batchnorm before integer inference")
             gather = None
             if isinstance(layer, ConvSpec):
                 pad = 2 * layer.padding

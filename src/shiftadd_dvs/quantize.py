@@ -44,12 +44,6 @@ def _check_frame(frac_bits: int, int_bits: int) -> None:
         raise ConfigurationError(f"invalid fixed-point frame F={frac_bits}, I={int_bits}")
 
 
-def check_f_a(f_a: int) -> None:
-    """Reject an activation scale 2^f_a outside the range the integer path supports."""
-    if not 0 <= f_a <= 24:
-        raise ConfigurationError(f"f_a must be in [0, 24], got {f_a}")
-
-
 def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
                           int_bits: int = DEFAULT_INT_BITS) -> list[int]:
     """Exponents of |w| rounded to the fixed-point grid, most significant first.
@@ -214,28 +208,48 @@ class QuantizedLayer:
         return self._params
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedModel:
-    """Quantized counterpart of (ModelSpec, ModelParams).
+    """Quantized counterpart of (ModelSpec, ModelParams), immutable and checked once, when made.
 
-    ``entries`` aligns with ``spec.layers``; pool/flatten slots hold None.
+    ``entries``, stored as a tuple, aligns with ``spec.layers``: a
+    ``QuantizedLayer`` of the spec's weight shape in each conv and dense slot,
+    None in each pool and flatten slot. Every conv must have its batchnorm folded.
     """
 
     spec: ModelSpec
-    entries: list
+    entries: tuple
     n_terms: int
     frac_bits: int = DEFAULT_FRAC_BITS
     int_bits: int = DEFAULT_INT_BITS
     bits: int | None = None        # set once encoded
     f_a: int = 8
-    # The integer streaming pipeline last built from this model, which
-    # ``stream.stream_quantized_forward`` reuses while the engine inputs it was
-    # built from still hold; it lives and dies with the model. Not part of the
-    # model's value, and a copy made with ``dataclasses.replace`` starts without.
+    # The integer streaming pipeline ``stream.stream_quantized_forward`` builds
+    # on the model's first frame and keeps; it lives and dies with the model. Not
+    # part of the model's value, and a copy made with ``dataclasses.replace``
+    # starts without.
     stream_pipeline: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_f_a(self.f_a)
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if not 0 <= self.f_a <= 24:  # the activation scales the integer path supports
+            raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
+        layers = self.spec.layers
+        if len(self.entries) != len(layers):
+            layer = layers[min(len(self.entries), len(layers) - 1)]
+            raise ConfigurationError(f"layer {layer.name}: the model has {len(self.entries)} "
+                                     f"entries for {len(layers)} spec layers")
+        for (layer, in_shape, _), entry in zip(self.spec.geometry(), self.entries):
+            shape = weight_shape(layer, in_shape)
+            if shape is None and entry is not None:
+                raise ConfigurationError(f"layer {layer.name}: holds no parameters, got an entry")
+            if shape is not None and (not isinstance(entry, QuantizedLayer)
+                                      or tuple(entry.shape) != shape):
+                got = getattr(entry, "shape", entry)
+                raise ConfigurationError(
+                    f"layer {layer.name}: parameters {got} do not match the spec's {shape}")
+            if isinstance(layer, ConvSpec) and layer.batchnorm:
+                raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
 
     def layers(self) -> list[QuantizedLayer]:
         return [e for e in self.entries if e is not None]
@@ -257,8 +271,6 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
         if weight_shape(layer, in_shape) is None:
             entries.append(None)
             continue
-        if isinstance(layer, ConvSpec) and layer.batchnorm:
-            raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
         weights, bias = layer_arrays(layer, in_shape, entry)
         parts = [_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
                  _quantize_array(bias, layer.name, n_terms, frac_bits, int_bits)]

@@ -56,13 +56,9 @@ def save_quantized(path, q: QuantizedModel) -> None:
                                          q.int_bits, len(q.spec.layers)))
     for (layer, in_shape, _), entry in zip(q.spec.geometry(), q.entries):
         blob += sacw.HEADER.pack(*sacw.layer_header(layer, in_shape))
-        shape = weight_shape(layer, in_shape)
-        if shape is None:
+        if entry is None:
             continue
-        if tuple(entry.shape) != shape:
-            raise ConfigurationError(
-                f"layer {layer.name}: parameters {tuple(entry.shape)} do not match the spec's {shape}")
-        _check_weight_terms(layer.name, shape, entry.count, q.n_terms)
+        _check_weight_terms(layer.name, entry.shape, entry.count, q.n_terms)
         blob += _pack_layer(entry, q.bits)
     atomic_write_bytes(path, bytes(blob))
 

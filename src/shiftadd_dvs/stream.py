@@ -31,17 +31,16 @@ Float stages run ``model.layer_forward``, the dense one on the whole map, so
 every output element sees the batch operation order and the float logits
 equal ``model_forward``'s bit for bit. The integer path builds a
 ``ShiftAddEngine`` and its stages once per model, as the hardware loads its
-weights once: the model keeps them, and a later frame reuses them while the
-engine's inputs (``ShiftAddEngine.inputs_of``: the spec, the entries, the bit
-widths and ``f_a``) are unchanged. A frame's saturation counts travel with the
-call, so stages keep no per-frame state. Each integer stage is the engine's
-own with its layer restated by ``_slab_layer``; a conv also gets an
-``im2col_index`` gather over the stack, and a pool reads its strided taps at
-the restated stride.
+weights once: a model is immutable, so it keeps them from its first frame on.
+A frame's saturation counts travel with the call, so stages keep no per-frame
+state. Each integer stage is the engine's own with its layer restated by
+``_slab_layer``; a conv also gets an ``im2col_index`` gather over the stack,
+and a pool reads its strided taps at the restated stride.
 The engine's plan, which fits any position count, is used as built, so each
 layer's saturation count is the engine's whole-layer count, listed in the
-engine's layer order. The simulator thus accepts exactly the models the
-engine accepts, and its logits are bit-identical. The modeled cycle count
+engine's layer order. The simulator thus accepts the models the engine
+accepts, with one exception: it refuses a dense layer that does not directly
+follow flatten. Its logits are bit-identical. The modeled cycle count
 assumes one element per cycle per stage and is the maximum per-stage
 element-event count; it is an estimate, distinct from measured latencies.
 """
@@ -361,21 +360,21 @@ class _IntPipeline:
     def __init__(self, qmodel: QuantizedModel):
         # The engine gets a copy of the model, so a model that keeps this
         # pipeline is not referenced back by it and is freed once dropped.
-        self.engine = ShiftAddEngine(replace(qmodel, entries=list(qmodel.entries)))
+        self.engine = ShiftAddEngine(replace(qmodel))
         self.stages = _build_stages(self.engine.spec, _int_computes(self.engine), np.int64)
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame) -> StreamResult:
     """Stream one frame through the stages of ``ShiftAddEngine(qmodel)``.
 
-    The engine's construction checks (``f_a`` range, folded batchnorm, the
-    64-bit overflow bound) apply unchanged. The model keeps the engine and
-    stages in ``qmodel.stream_pipeline``, and later calls reuse them while
-    ``ShiftAddEngine.inputs_of(qmodel)`` still equals the engine's inputs; a
-    build that raises is not kept.
+    The engine's construction check, the 64-bit overflow bound, applies
+    unchanged. The first call builds the engine and stages and keeps them in
+    ``qmodel.stream_pipeline``, a cache outside the model's value, which later
+    calls reuse; a build that raises is not kept.
     """
     pipeline = qmodel.stream_pipeline
-    if pipeline is None or pipeline.engine.inputs != ShiftAddEngine.inputs_of(qmodel):
-        pipeline = qmodel.stream_pipeline = _IntPipeline(qmodel)
+    if pipeline is None:
+        pipeline = _IntPipeline(qmodel)
+        object.__setattr__(qmodel, "stream_pipeline", pipeline)
     return _run(pipeline.stages,
                 quantize_frame(np.asarray(frame, dtype=np.float64), pipeline.engine.f_a))

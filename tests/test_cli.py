@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from shiftadd_dvs import __version__
 from shiftadd_dvs.cli import main
 from shiftadd_dvs.dataset import ingest_dataset, read_sample
+from shiftadd_dvs.engine import ShiftAddEngine
 from shiftadd_dvs.model import ModelSpec
 from shiftadd_dvs.saqm import load_quantized
 from shiftadd_dvs.stream import StageReport, stream_quantized_forward
@@ -131,6 +132,25 @@ class TestDistill:
         doc = json.loads((out / "result.json").read_text())
         assert len(doc["results"]["cells"]) == 4
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1;", "an axis has no values"),
+        (";5", "an axis has no values"),
+        ("0.1,2;3", "alpha must be in [0, 1], got 2.0"),
+    ])
+    def test_bad_grid_rejected_before_any_cell_trains(self, runner, tmp_path, data_dir,
+                                                      trained_model, grid, message):
+        result = runner.invoke(main, [
+            "distill", "--data", str(data_dir / "base"),
+            "--teacher-logits", str(trained_model / "teacher.csv"),
+            "--folds", "2", "--epochs", "1", "--batch", "9",
+            "--grid", grid, "-o", str(tmp_path / "grid"),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert message in error["message"]
+        assert "alpha=" not in result.stdout  # no cell trained
+
 
 class TestQuantizeEncode:
     def test_quantize_writes_saqm_and_report(self, quantized_model):
@@ -192,6 +212,55 @@ class TestInferSimulate:
             int(parts[1]), int(parts[2]), int(parts[3])
             assert 0 <= int(parts[4]) <= 2
             assert int(parts[5]) >= 0
+
+    def test_infer_runs_at_the_f_a_model_json_holds(self, runner, tmp_path, trained_model,
+                                                   data_dir):
+        quant = tmp_path / "quant-fa12"
+        result = runner.invoke(main, ["quantize", "--model", str(trained_model), "--no-sweep",
+                                      "--fa", "12", "-o", str(quant)])
+        assert result.exit_code == 0, result.output
+        ref = ingest_dataset(data_dir / "shifted").manifest.samples[0]
+        infer_out, sim_out = tmp_path / "infer", tmp_path / "sim"
+        result = runner.invoke(main, ["infer", "--model", str(quant),
+                                      "--data", str(data_dir / "shifted"), "-o", str(infer_out)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["simulate", "--model", str(quant), "--frame",
+                                      str(data_dir / "shifted" / ref.file), "-o", str(sim_out)])
+        assert result.exit_code == 0, result.output
+        records = {line.split(",")[0]: [int(v) for v in line.split(",")[1:4]]
+                   for line in (infer_out / "records.txt").read_text().splitlines()}
+        model_doc = json.loads((quant / "model.json").read_text())
+        spec = ModelSpec.from_json(model_doc["spec"])
+        frame, _ = read_sample(data_dir / "shifted" / ref.file)
+        frame = Standardizer.from_json(model_doc["standardizer"]).apply(frame)[None, :, :]
+
+        def logits(f_a):
+            engine = ShiftAddEngine(load_quantized(quant / "model.saqm", spec, f_a=f_a))
+            return engine.forward(frame).logits.tolist()
+
+        assert records[ref.id] == logits(12) != logits(8)
+        sim_doc = json.loads((sim_out / "result.json").read_text())
+        assert [int(v) for v in sim_doc["results"]["logits"]] == logits(12)
+        assert json.loads((infer_out / "result.json").read_text())["config"]["f_a"] == 12
+        result = runner.invoke(main, ["infer", "--model", str(quant), "--fa", "8",
+                                      "--data", str(data_dir / "shifted"), "-o", str(infer_out)])
+        assert result.exit_code == 2  # no such option: model.json alone sets f_a
+
+    @pytest.mark.parametrize("engine", ["float", "shift-add"])
+    def test_infer_over_an_empty_dataset_writes_no_records(self, runner, tmp_path, trained_model,
+                                                           quantized_model, engine):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.json").write_text(json.dumps(
+            {"name": "empty", "class_names": ["a", "b", "c"], "samples": []}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--model", str(quantized_model if engine == "shift-add" else trained_model),
+            "--data", str(empty), "--engine", engine, "-o", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (out / "records.txt").read_bytes() == b""
+        assert json.loads((out / "result.json").read_text())["results"]["samples"] == 0
 
     def test_infer_float_matches_simulate_argmax(self, runner, tmp_path, trained_model,
                                                  quantized_model, data_dir):

@@ -196,7 +196,8 @@ class TestExactProductOracle:
         # a clamped decode can repeat a term: 2^-1 + 2^-1 stands for one weight of 1.0
         params = list(q.entries[0].all_params())
         params[4] = ShiftQuantParam(sign=-1, shifts=(3, 3))
-        q.entries[0] = layer_from_params(q.entries[0].name, q.entries[0].shape, params)
+        q = dataclasses.replace(q, entries=(
+            layer_from_params(q.entries[0].name, q.entries[0].shape, params),) + q.entries[1:])
         _check_layers(q, np.random.default_rng(6).normal(size=spec.input_shape))
 
     def test_channels_that_only_add_only_subtract_or_hold_no_terms(self):
@@ -213,7 +214,8 @@ class TestExactProductOracle:
             sign = (1, -1, 0)[index // per_channel]
             weights[index] = ZERO_PARAM if sign == 0 else ShiftQuantParam(
                 sign=sign, shifts=param.shifts or (index % 5 + 1,))
-        q.entries[0] = layer_from_params(entry.name, entry.shape, weights)
+        q = dataclasses.replace(q, entries=(
+            layer_from_params(entry.name, entry.shape, weights),) + q.entries[1:])
         engine = ShiftAddEngine(q)
         plan = engine.stages[0].plan
         assert [(len(a), len(s)) for a, s in zip(plan.added, plan.subtracted)] == [
@@ -390,8 +392,8 @@ def test_engine_reads_the_encoding_as_its_decode(bits):
     q = encode_model(shift_quantize_model(fspec, fparams, 3), bits)
     assert sum(e.encoding.clamp_count for e in q.layers()) > 0
     decoded = decoded_model(q)
-    decoded.entries = [None if e is None else dataclasses.replace(e, encoding=None)
-                       for e in decoded.entries]
+    decoded = dataclasses.replace(decoded, entries=tuple(
+        None if e is None else dataclasses.replace(e, encoding=None) for e in decoded.entries))
     direct, plain = ShiftAddEngine(q), ShiftAddEngine(decoded)
     for a, b in zip(direct.stages, plain.stages):
         assert (a.plan is None) == (b.plan is None)

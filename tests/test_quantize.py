@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,28 @@ class TestModelQuantization:
             shift_quantize_model(spec, params, 3)
         fspec, fparams = fold_model_batchnorm(spec, params)
         shift_quantize_model(fspec, fparams, 3)  # folded model quantizes fine
+
+    def test_model_construction_rejects_misaligned_entries(self, rng):
+        """A model is checked once, when made: one entry per spec layer, a quantized layer
+        of the spec's weight shape exactly in each conv and dense slot, batchnorm folded."""
+        spec = default_student_spec(batchnorm=False)
+        q = shift_quantize_model(spec, init_params(spec, rng), 3)
+        e = q.entries
+        conv2, conv3 = e[2], e[4]
+        cases = [
+            (dict(entries=e[:-1]), "layer fc1: the model has 8 entries for 9 spec layers"),
+            (dict(entries=e + (None,)), "layer fc1: the model has 10 entries for 9 spec layers"),
+            (dict(entries=e[:1] + e[:1] + e[2:]), "layer maxpool1: holds no parameters"),
+            (dict(entries=(None,) + e[1:]), "layer conv1: parameters None do not match"),
+            (dict(entries=e[:2] + (conv3, e[3], conv2) + e[5:]),
+             r"layer conv2: parameters \(32, 16, 3, 3\) do not match the spec's \(16, 8, 3, 3\)"),
+            (dict(spec=default_student_spec(batchnorm=True)),
+             "layer conv1: fold batchnorm before quantization"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(ConfigurationError, match=message):
+                replace(q, **changes)
+        assert replace(q, entries=list(e)).entries == e  # stored as a tuple
 
     def test_out_of_range_weight_names_layer(self, rng):
         spec = default_student_spec(batchnorm=False)

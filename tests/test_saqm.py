@@ -144,8 +144,8 @@ def test_header_fields_out_of_range_rejected(rng, tmp_path, offset, value, messa
 def _with_encoding(q, **changes):
     """``q`` with its last layer's encoding changed, as a hand-built one would be."""
     entry = q.entries[-1]
-    return replace(q, entries=q.entries[:-1] + [
-        replace(entry, encoding=replace(entry.encoding, **changes))])
+    return replace(q, entries=q.entries[:-1] + (
+        replace(entry, encoding=replace(entry.encoding, **changes)),))
 
 
 @pytest.mark.parametrize("code", [-1, 8, 255], ids=["negative", "bits_wide", "byte_wide"])

@@ -4,7 +4,7 @@ import threading
 import tracemalloc
 import weakref
 from collections import deque
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from shiftadd_dvs.model import (
     zero_params,
 )
 from shiftadd_dvs.encoding import encode_model
-from shiftadd_dvs.quantize import ShiftQuantParam, shift_quantize_model
+from shiftadd_dvs.quantize import ShiftQuantParam, dequantize_model, shift_quantize_model
 from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.stream import (
@@ -680,16 +680,18 @@ class TestEngineChecks:
 
     @pytest.mark.parametrize("f_a", [25, -1])
     def test_f_a_outside_engine_range_rejected(self, rng, f_a):
-        """A model is checked when made, and, since it stays mutable, again when built."""
+        """A model is checked once, when made, and cannot be changed afterwards, so no
+        model out of range reaches the engine or the simulator."""
         q, frame = self._model(rng)
         message = rf"f_a must be in \[0, 24\], got {f_a}"
         with pytest.raises(ConfigurationError, match=message):
             replace(q, f_a=f_a)
-        q.f_a = f_a
         with pytest.raises(ConfigurationError, match=message):
-            ShiftAddEngine(q)
-        with pytest.raises(ConfigurationError, match=message):
-            stream_quantized_forward(q, frame)
+            shift_quantize_model(q.spec, dequantize_model(q), 3, f_a=f_a)
+        with pytest.raises(FrozenInstanceError):
+            q.f_a = f_a
+        np.testing.assert_array_equal(stream_quantized_forward(q, frame).logits,
+                                      ShiftAddEngine(q).forward(frame).logits)
 
     def test_unfolded_batchnorm_rejected(self):
         # the same random draws give the same shapes with and without batchnorm
@@ -721,8 +723,8 @@ def count_builds(monkeypatch) -> list[str]:
 
 
 class TestPipelineReuse:
-    """Each model keeps its engine and stages, rebuilt whenever a field ShiftAddEngine
-    reads changes; each frame counts its own saturations."""
+    """Each model keeps its engine and stages; a changed model is a new one, with a
+    pipeline of its own. Each frame counts its own saturations."""
 
     @staticmethod
     def _expect(q, frame):
@@ -745,29 +747,35 @@ class TestPipelineReuse:
 
     @pytest.mark.parametrize("change", ["entry", "f_a", "frac_bits", "spec"])
     def test_changed_key_field_rebuilds(self, rng, monkeypatch, change):
+        """A field cannot be assigned; the model ``dataclasses.replace`` makes with it
+        changed builds its own pipeline, and the original keeps its own."""
         q, other = gain_model(rng, f_a=24), gain_model(rng, gain=2.0, f_a=24)
         frame = np.ones(q.spec.input_shape)  # the head saturates at gain 3.9 and f_a 24 only
         before = stream_quantized_forward(q, frame)
         assert before.saturations
+        field, value = {
+            "entry": ("entries", q.entries[:1] + other.entries[1:2] + q.entries[2:]),
+            "f_a": ("f_a", 20),
+            "frac_bits": ("frac_bits", 18),
+            "spec": ("spec", replace(q.spec, layers=q.spec.layers[:1] + (
+                replace(q.spec.layers[1], relu=True),) + q.spec.layers[2:])),
+        }[change]
+        with pytest.raises(FrozenInstanceError):
+            setattr(q, field, value)
         built = count_builds(monkeypatch)
-        if change == "entry":
-            q.entries[1] = other.entries[1]
-        elif change == "f_a":
-            q.f_a = 20
-        elif change == "frac_bits":
-            q.frac_bits = 18
-        else:
-            q.spec = replace(q.spec, layers=q.spec.layers[:1] + (
-                replace(q.spec.layers[1], relu=True),) + q.spec.layers[2:])
-        res = stream_quantized_forward(q, frame)
+        changed = replace(q, **{field: value})
+        res = stream_quantized_forward(changed, frame)
         assert built == ["engine", "stages"]
-        want = self._expect(q, frame)
+        want = self._expect(changed, frame)
         np.testing.assert_array_equal(res.logits, want.logits)
         assert res.saturations == want.saturations
         if change in ("entry", "f_a"):
-            assert res.saturations != before.saturations  # a stale pipeline would show
-        stream_quantized_forward(q, frame)
+            assert res.saturations != before.saturations  # a shared pipeline would show
+        stream_quantized_forward(changed, frame)
+        again = stream_quantized_forward(q, frame)
         assert built == ["engine", "stages"]
+        np.testing.assert_array_equal(again.logits, before.logits)
+        assert again.saturations == before.saturations
 
     def test_overflowing_model_raises_on_every_call(self, rng, monkeypatch):
         spec, params = make_small_model(rng, batchnorm=False)
