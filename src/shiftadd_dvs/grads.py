@@ -11,7 +11,8 @@ and every gradient of a model without batchnorm are those of the NCHW passes
 this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
 and so may an input that wins three or more overlapping max-pool windows.
 Batchnorm runs on batch statistics in training mode and on running statistics
-in eval mode; the forward stays pure, and ``update_running_stats`` is a separate step.
+in eval mode; the forward stays pure. Training sets the running statistics in
+``training._recalibrate_running_stats``; ``update_running_stats`` has no caller in the package.
 """
 from __future__ import annotations
 
@@ -67,13 +68,10 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
     caches = []
     captured = None
     out = x.transpose(0, 2, 3, 1)
-    for layer, entry in zip(spec.layers, params.entries):
+    for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if isinstance(layer, ConvSpec):
             conv = entry.conv
             m, n, p, q = conv.kernel.shape
-            if out.shape[3] != n:
-                raise ConfigurationError(
-                    f"layer {layer.name}: input has {out.shape[3]} channels, kernel expects {n}")
             s, pad = layer.stride, layer.padding
             xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
@@ -122,10 +120,6 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             caches.append({"kind": "flatten", "layer": layer, "in_shape": out.shape})
             out = out.transpose(0, 3, 1, 2).reshape(out.shape[0], -1)
         else:
-            if out.shape[1] != entry.weights.shape[1]:
-                raise ConfigurationError(
-                    f"layer {layer.name}: input length {out.shape[1]} does not match "
-                    f"weight columns {entry.weights.shape[1]}")
             caches.append({"kind": "dense", "layer": layer, "entry": entry, "input": out})
             out = out @ entry.weights.T + entry.bias
         if capture is not None and layer.name == capture:

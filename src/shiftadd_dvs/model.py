@@ -1,10 +1,11 @@
 """Model description and the reference forward pass.
 
 A ``ModelSpec`` is an ordered list of layer descriptions; ``ModelParams`` holds
-the matching parameter arrays. The default spec is the fixed 4-layer student
-(conv 8/16/32/64 with 3x3 kernels, alternating 2x2 pools, a 2048-wide flatten
-and a 3-class head); ``wide_student_spec`` doubles every channel count to act
-as a desk-scale teacher.
+the matching parameter arrays and its spec, and is checked once, when made, by
+``check_entries``, the walk that checks a ``QuantizedModel`` too. The default
+spec is the fixed 4-layer student (conv 8/16/32/64 with 3x3 kernels,
+alternating 2x2 pools, a 2048-wide flatten and a 3-class head);
+``wide_student_spec`` doubles every channel count to act as a desk-scale teacher.
 
 ``ModelSpec.geometry()`` is the one walk over the layer chain: every
 consumer that needs a layer's input or output shape (initialization, counts,
@@ -213,17 +214,43 @@ def _student_spec(width: int, batchnorm: bool, use_relu: bool) -> ModelSpec:
     ))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvBlockParams:
     conv: ConvLayerParams
     bn: BatchNormParams | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """Per-layer parameter entries aligned with a ``ModelSpec`` layer list."""
+    """Float parameters of ``spec``'s layers, checked once, when made.
 
-    entries: list = field(default_factory=list)
+    ``entries``, a tuple, passes ``check_entries`` with a ``ConvBlockParams`` or
+    ``DenseParams`` in each conv or dense slot; a conv's ``bn`` has its width,
+    exactly where the spec flags batchnorm. Training edits the arrays in place.
+    """
+
+    spec: ModelSpec
+    entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+        check_entries(self.spec, self.entries, {ConvSpec: ConvBlockParams, DenseSpec: DenseParams},
+                      lambda entry: layer_arrays(entry)[0].shape)
+        for layer, entry in zip(self.spec.layers, self.entries):
+            if isinstance(layer, ConvSpec):
+                width = None if entry.bn is None else entry.bn.channels
+                expected = layer.out_channels if layer.batchnorm else None
+                if width != expected:
+                    raise ConfigurationError(
+                        f"layer {layer.name}: batchnorm width {width} does not match the spec's {expected}")
+
+    def entries_for(self, spec: ModelSpec) -> tuple:
+        """``entries``, once ``spec`` is the spec they were checked against."""
+        if spec != self.spec:
+            where = next((f"layer {a.name}" for a, b in zip(spec.layers, self.spec.layers) if a != b),
+                         "input shape, class count or layer count")
+            raise ConfigurationError(f"{where}: parameters were made for a different spec")
+        return self.entries
 
 
 def weight_shape(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...] | None:
@@ -235,17 +262,37 @@ def weight_shape(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...] | None:
     return None
 
 
-def layer_arrays(layer: LayerSpec, in_shape: tuple, entry) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, bias) of a conv or dense entry, checked against the shapes the walk gives it."""
-    if isinstance(layer, ConvSpec):
-        weights, bias = entry.conv.kernel, entry.conv.bias
-    else:
-        weights, bias = entry.weights, entry.bias
-    shape = weight_shape(layer, in_shape)
-    if weights.shape != shape or bias.shape != shape[:1]:
-        raise ConfigurationError(f"layer {layer.name}: parameters {weights.shape} and "
-                                 f"{bias.shape} do not match the spec's {shape}")
-    return weights, bias
+def check_entries(spec: ModelSpec, entries: tuple, entry_types: dict, shape_of) -> None:
+    """The one alignment walk of both model forms, float and quantized.
+
+    Per spec layer, None in a pool or flatten slot, or in a conv or dense slot an
+    ``entry_types[type(layer)]`` whose ``shape_of(entry)`` is the spec's weight shape.
+    """
+    layers = spec.layers
+    if len(entries) != len(layers):
+        layer = layers[min(len(entries), len(layers) - 1)]
+        raise ConfigurationError(f"layer {layer.name}: the model has {len(entries)} "
+                                 f"entries for {len(layers)} spec layers")
+    for (layer, in_shape, _), entry in zip(spec.geometry(), entries):
+        shape = weight_shape(layer, in_shape)
+        if shape is None:
+            if entry is not None:
+                raise ConfigurationError(f"layer {layer.name}: holds no parameters, got an entry")
+            continue
+        if isinstance(entry, entry_types[type(layer)]):
+            got = tuple(shape_of(entry))
+        else:
+            got = None if entry is None else type(entry).__name__
+        if got != shape:
+            raise ConfigurationError(
+                f"layer {layer.name}: parameters {got} do not match the spec's {shape}")
+
+
+def layer_arrays(entry: ConvBlockParams | DenseParams) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, bias) of a conv or dense entry."""
+    if isinstance(entry, ConvBlockParams):
+        return entry.conv.kernel, entry.conv.bias
+    return entry.weights, entry.bias
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float = 1.0,
@@ -269,16 +316,14 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float =
             bn = BatchNormParams(gamma=np.ones(m, dtype=dtype), beta=np.zeros(m, dtype=dtype),
                                  mean=np.zeros(m, dtype=dtype), var=np.ones(m, dtype=dtype))
         entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
-    return ModelParams(entries=entries)
+    return ModelParams(spec, entries)
 
 
 def zero_params(spec: ModelSpec) -> ModelParams:
     params = init_params(spec, np.random.default_rng(0))
     for entry in params.entries:
-        if isinstance(entry, ConvBlockParams):
-            entry.conv.kernel[:] = 0.0
-        elif isinstance(entry, DenseParams):
-            entry.weights[:] = 0.0
+        if entry is not None:
+            layer_arrays(entry)[0][:] = 0.0
     return params
 
 
@@ -286,7 +331,7 @@ def layer_forward(layer: LayerSpec, entry, x) -> np.ndarray:
     """One layer of the reference forward: conv (then batchnorm, relu), pool, flatten or dense."""
     if isinstance(layer, ConvSpec):
         out = conv2d_forward(x, entry.conv, layer.stride, layer.padding)
-        if layer.batchnorm and entry.bn is not None:
+        if layer.batchnorm:
             out = batchnorm_apply(out, entry.bn)
         return relu(out) if layer.relu else out
     if isinstance(layer, PoolLayerSpec):
@@ -302,19 +347,14 @@ def model_forward(spec: ModelSpec, params: ModelParams, x, capture: str | None =
     With ``capture`` set to a layer name, returns (logits, captured_output)
     where the captured value is that layer's post-activation output.
     """
-    if len(params.entries) != len(spec.layers):
-        raise ConfigurationError(
-            f"params have {len(params.entries)} entries for {len(spec.layers)} layers")
+    entries = params.entries_for(spec)
     x = as_feature_map(x)
     if x.shape != spec.input_shape:
         raise ConfigurationError(f"input shape {x.shape} does not match spec {spec.input_shape}")
     captured = None
     out = x
-    for layer, entry in zip(spec.layers, params.entries):
-        try:
-            out = layer_forward(layer, entry, out)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"layer {layer.name}: {exc}") from exc
+    for layer, entry in zip(spec.layers, entries):
+        out = layer_forward(layer, entry, out)
         if capture is not None and layer.name == capture:
             captured = np.array(out, copy=True)
     if capture is not None:
@@ -328,21 +368,14 @@ def fold_model_batchnorm(spec: ModelSpec, params: ModelParams) -> tuple[ModelSpe
     """Fold every batchnorm into its convolution; flags are cleared in the returned spec."""
     layers = []
     entries = []
-    for layer, entry in zip(spec.layers, params.entries):
+    for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if isinstance(layer, ConvSpec) and layer.batchnorm:
-            if entry.bn is None:
-                raise ConfigurationError(f"layer {layer.name}: batchnorm flagged but no parameters")
-            folded = fold_batchnorm(entry.conv, entry.bn)
-            layers.append(replace(layer, batchnorm=False))
-            entries.append(ConvBlockParams(conv=folded, bn=None))
-        elif isinstance(layer, ConvSpec):
-            layers.append(layer)
-            entries.append(ConvBlockParams(conv=entry.conv, bn=None))
-        else:
-            layers.append(layer)
-            entries.append(entry)
-    return ModelSpec(layers=tuple(layers), input_shape=spec.input_shape,
-                     class_count=spec.class_count), ModelParams(entries=entries)
+            layer = replace(layer, batchnorm=False)
+            entry = ConvBlockParams(conv=fold_batchnorm(entry.conv, entry.bn))
+        layers.append(layer)
+        entries.append(entry)
+    folded = replace(spec, layers=tuple(layers))
+    return folded, ModelParams(folded, entries)
 
 
 FLOP_CONVENTION = "mac=1flop; conv/dense bias add counted; pooling, activation and batchnorm not counted"
@@ -367,11 +400,11 @@ def count_report(spec: ModelSpec) -> dict:
 def param_arrays(spec: ModelSpec, params: ModelParams) -> dict[str, np.ndarray]:
     """Trainable arrays keyed "layer.field", in layer order."""
     arrays: dict[str, np.ndarray] = {}
-    for layer, entry in zip(spec.layers, params.entries):
+    for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if isinstance(layer, ConvSpec):
             arrays[f"{layer.name}.kernel"] = entry.conv.kernel
             arrays[f"{layer.name}.bias"] = entry.conv.bias
-            if layer.batchnorm and entry.bn is not None:
+            if layer.batchnorm:
                 arrays[f"{layer.name}.gamma"] = entry.bn.gamma
                 arrays[f"{layer.name}.beta"] = entry.bn.beta
         elif isinstance(layer, DenseSpec):

@@ -29,10 +29,11 @@ from .layers import ConvLayerParams, DenseParams
 from .model import (
     ConvBlockParams,
     ConvSpec,
+    DenseSpec,
     ModelParams,
     ModelSpec,
+    check_entries,
     layer_arrays,
-    weight_shape,
 )
 
 DEFAULT_FRAC_BITS = 16
@@ -210,11 +211,11 @@ class QuantizedLayer:
 
 @dataclass(frozen=True)
 class QuantizedModel:
-    """Quantized counterpart of (ModelSpec, ModelParams), immutable and checked once, when made.
+    """Quantized counterpart of ``ModelParams``, immutable and checked once, when made.
 
-    ``entries``, stored as a tuple, aligns with ``spec.layers``: a
-    ``QuantizedLayer`` of the spec's weight shape in each conv and dense slot,
-    None in each pool and flatten slot. Every conv must have its batchnorm folded.
+    ``entries``, stored as a tuple, passes ``model.check_entries`` with a
+    ``QuantizedLayer`` in each conv and dense slot. Every conv has its batchnorm
+    folded, and no weight holds more than ``n_terms`` (>= 1) terms; a bias may.
     """
 
     spec: ModelSpec
@@ -232,24 +233,22 @@ class QuantizedModel:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.n_terms < 1:
+            raise ConfigurationError(f"n_terms must be >= 1, got {self.n_terms}")
+        _check_frame(self.frac_bits, self.int_bits)
         if not 0 <= self.f_a <= 24:  # the activation scales the integer path supports
             raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
-        layers = self.spec.layers
-        if len(self.entries) != len(layers):
-            layer = layers[min(len(self.entries), len(layers) - 1)]
-            raise ConfigurationError(f"layer {layer.name}: the model has {len(self.entries)} "
-                                     f"entries for {len(layers)} spec layers")
-        for (layer, in_shape, _), entry in zip(self.spec.geometry(), self.entries):
-            shape = weight_shape(layer, in_shape)
-            if shape is None and entry is not None:
-                raise ConfigurationError(f"layer {layer.name}: holds no parameters, got an entry")
-            if shape is not None and (not isinstance(entry, QuantizedLayer)
-                                      or tuple(entry.shape) != shape):
-                got = getattr(entry, "shape", entry)
-                raise ConfigurationError(
-                    f"layer {layer.name}: parameters {got} do not match the spec's {shape}")
+        check_entries(self.spec, self.entries, {ConvSpec: QuantizedLayer, DenseSpec: QuantizedLayer},
+                      lambda entry: entry.shape)
+        for layer, entry in zip(self.spec.layers, self.entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
+            if entry is not None:
+                over = np.flatnonzero(entry.count[:entry.weight_count] > self.n_terms)
+                if over.size:
+                    raise ConfigurationError(
+                        f"layer {layer.name}: weight {over[0]} has {entry.count[over[0]]} terms, "
+                        f"more than N={self.n_terms}")
 
     def layers(self) -> list[QuantizedLayer]:
         return [e for e in self.entries if e is not None]
@@ -263,20 +262,17 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
     Batchnorm must already be folded into the convolutions. Each parameter
     quantizes exactly as ``shift_quantize_param`` quantizes it.
     """
-    if n_terms < 1:
-        raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
     _check_frame(frac_bits, int_bits)
     entries: list = []
-    for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
-        if weight_shape(layer, in_shape) is None:
-            entries.append(None)
-            continue
-        weights, bias = layer_arrays(layer, in_shape, entry)
-        parts = [_quantize_array(weights, layer.name, n_terms, frac_bits, int_bits),
-                 _quantize_array(bias, layer.name, n_terms, frac_bits, int_bits)]
-        sign, count, shift = (np.concatenate(arrays) for arrays in zip(*parts))
-        entries.append(QuantizedLayer(name=layer.name, shape=weights.shape,
-                                      sign=sign, count=count, shift=shift))
+    for layer, entry in zip(spec.layers, params.entries_for(spec)):
+        if entry is not None:
+            weights, bias = layer_arrays(entry)
+            parts = [_quantize_array(arr, layer.name, n_terms, frac_bits, int_bits)
+                     for arr in (weights, bias)]
+            sign, count, shift = (np.concatenate(arrays) for arrays in zip(*parts))
+            entry = QuantizedLayer(name=layer.name, shape=weights.shape,
+                                   sign=sign, count=count, shift=shift)
+        entries.append(entry)
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, f_a=f_a)
 
@@ -305,22 +301,19 @@ def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int, frac_bits: i
 def dequantize_model(q: QuantizedModel) -> ModelParams:
     """Exact floating-point reconstruction of the quantized model."""
     entries: list = []
-    for layer, qentry in zip(q.spec.layers, q.entries):
-        if qentry is None:
-            entries.append(None)
-            continue
-        # bincount adds each parameter's terms in stored order, as the scalar sum does
-        owner = np.repeat(np.arange(len(qentry.count)), qentry.count)
-        magnitude = np.bincount(owner, weights=np.ldexp(1.0, q.int_bits - qentry.shift),
-                                minlength=len(qentry.count))
-        values = qentry.sign * magnitude
-        kernel = values[:qentry.weight_count].reshape(qentry.shape)
-        biases = values[qentry.weight_count:]
-        if isinstance(layer, ConvSpec):
-            entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=kernel, bias=biases)))
-        else:
-            entries.append(DenseParams(weights=kernel, bias=biases))
-    return ModelParams(entries=entries)
+    for layer, entry in zip(q.spec.layers, q.entries):
+        if entry is not None:
+            # bincount adds each parameter's terms in stored order, as the scalar sum does
+            owner = np.repeat(np.arange(len(entry.count)), entry.count)
+            magnitude = np.bincount(owner, weights=np.ldexp(1.0, q.int_bits - entry.shift),
+                                    minlength=len(entry.count))
+            values = entry.sign * magnitude
+            kernel = values[:entry.weight_count].reshape(entry.shape)
+            biases = values[entry.weight_count:]
+            entry = (ConvBlockParams(conv=ConvLayerParams(kernel=kernel, bias=biases))
+                     if isinstance(layer, ConvSpec) else DenseParams(weights=kernel, bias=biases))
+        entries.append(entry)
+    return ModelParams(q.spec, entries)
 
 
 def fixed_point_value(w: float, frac_bits: int = DEFAULT_FRAC_BITS,

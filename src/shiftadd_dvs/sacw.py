@@ -65,18 +65,14 @@ def layer_header(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...]:
 
 
 def save_weights(path, spec: ModelSpec, params: ModelParams) -> None:
-    if len(params.entries) != len(spec.layers):
-        raise ConfigurationError("params do not match spec layer count")
     blob = bytearray(MAGIC + struct.pack("<HH", VERSION, len(spec.layers)))
-    for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries):
+    for (layer, in_shape, _), entry in zip(spec.geometry(), params.entries_for(spec)):
         blob += HEADER.pack(*layer_header(layer, in_shape))
-        if weight_shape(layer, in_shape) is None:
+        if entry is None:
             continue
-        weights, bias = layer_arrays(layer, in_shape, entry)
+        weights, bias = layer_arrays(entry)
         blob += _f32(weights) + _f32(bias)
         if isinstance(layer, ConvSpec) and layer.batchnorm:
-            if entry.bn is None:
-                raise ConfigurationError(f"layer {layer.name}: batchnorm flagged but no parameters")
             blob += _f32(entry.bn.gamma) + _f32(entry.bn.beta)
             blob += _f32(entry.bn.mean) + _f32(entry.bn.var)
             blob += struct.pack("<f", entry.bn.eps)
@@ -151,4 +147,4 @@ def load_weights(path, spec: ModelSpec) -> ModelParams:
             bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=eps)
         entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
     reader.finish(path)
-    return ModelParams(entries=entries)
+    return ModelParams(spec, entries)

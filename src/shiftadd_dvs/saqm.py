@@ -15,13 +15,12 @@ model is the deployable view; the field widths cap term counts at 15.
 Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
-whose shapes it does not carry. The loader rejects N < 1, and both sides
-reject a weight with more than N terms. Biases may hold more, up to the
-field's 15, as a rule of the file format alone: ``shift_quantize_model``
-gives biases N terms, but a file may keep them at full precision. The
-writer rejects codes that do not fit ``bits`` unsigned bits; the loader
-rejects non-zero padding bits, so every file that loads saves back to the
-same bytes.
+whose shapes it does not carry. The loader rejects N < 1, and the
+``QuantizedModel`` it builds rejects a weight with more than N terms. Biases
+may hold more, up to the field's 15: ``shift_quantize_model`` gives biases N
+terms, but a file may keep them at full precision. The writer rejects codes
+that do not fit ``bits`` unsigned bits; the loader rejects non-zero padding
+bits, so every file that loads saves back to the same bytes.
 
 Each layer's block is packed and unpacked as arrays with
 ``np.packbits``/``np.unpackbits``. Because a record's length depends on its
@@ -58,7 +57,6 @@ def save_quantized(path, q: QuantizedModel) -> None:
         blob += sacw.HEADER.pack(*sacw.layer_header(layer, in_shape))
         if entry is None:
             continue
-        _check_weight_terms(layer.name, entry.shape, entry.count, q.n_terms)
         blob += _pack_layer(entry, q.bits)
     atomic_write_bytes(path, bytes(blob))
 
@@ -116,13 +114,13 @@ def load_quantized(path, spec: ModelSpec, f_a: int = 8) -> QuantizedModel:
         reader.header(layer, in_shape)
         shape = weight_shape(layer, in_shape)
         entries.append(None if shape is None
-                       else _unpack_layer(reader, layer.name, shape, bits, n_terms))
+                       else _unpack_layer(reader, layer.name, shape, bits))
     reader.finish(path)
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
                           frac_bits=frac_bits, int_bits=int_bits, bits=bits, f_a=f_a)
 
 
-def _unpack_layer(reader, name: str, shape: tuple, bits: int, n_terms: int) -> QuantizedLayer:
+def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
     (bias,) = reader.unpack("<h")
     if bias < 0:
         raise ConfigurationError(f"layer {name}: negative encoding bias {bias}")
@@ -159,20 +157,11 @@ def _unpack_layer(reader, name: str, shape: tuple, bits: int, n_terms: int) -> Q
     zero_with_terms = count[(sign_field == 0) & (count > 0)]
     if zero_with_terms.size:
         raise ConfigurationError(f"layer {name}: zero weight with {zero_with_terms[0]} terms")
-    _check_weight_terms(name, shape, count, n_terms)
     code = _field(stream, _record_layout(count, bits)[1], bits)
     encoding = LayerEncoding(bias=bias, bits=bits, code=code, count=count, clamp_count=0)
     sign = np.where(sign_field == 2, -1, sign_field.astype(np.int64))
     return QuantizedLayer(name=name, shape=shape, sign=sign, count=count,
                           shift=bias + encoding.code, encoding=encoding)
-
-
-def _check_weight_terms(name: str, shape: tuple, count: np.ndarray, n_terms: int) -> None:
-    """Rejects a weight (one of the first prod(shape) records) with more than N terms."""
-    over = np.flatnonzero(count[:math.prod(shape)] > n_terms)
-    if over.size:
-        raise ConfigurationError(f"layer {name}: weight {over[0]} has {count[over[0]]} terms, "
-                                 f"more than N={n_terms}")
 
 
 def _field(stream: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:

@@ -312,7 +312,7 @@ def _slab_layer(layer: ConvSpec | PoolLayerSpec) -> ConvSpec | PoolLayerSpec:
 def _float_computes(spec: ModelSpec, params: ModelParams) -> list:
     """``layer_forward`` per layer, each window layer restated to read the stack of slabs."""
     computes = []
-    for layer, entry in zip(spec.layers, params.entries):
+    for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if isinstance(layer, (ConvSpec, PoolLayerSpec)):
             layer = _slab_layer(layer)
         computes.append(partial(_float_layer, layer=layer, entry=entry))
@@ -347,9 +347,6 @@ def _run(stages: list[_Stage], frame: np.ndarray) -> StreamResult:
 
 def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamResult:
     """Stream one frame through one ``model.layer_forward`` call per stage, as ``model_forward``."""
-    if len(params.entries) != len(spec.layers):
-        raise ConfigurationError(
-            f"params have {len(params.entries)} entries for {len(spec.layers)} layers")
     stages = _build_stages(spec, _float_computes(spec, params), np.float64)
     return _run(stages, np.asarray(frame, dtype=np.float64))
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import IngestionError, NumericError, ParseError, StratificationError
 from .grads import batch_loss, forward_batch
 from .losses import KDConfig
-from .model import ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
+from .model import ConvSpec, ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
 from .optim import OptimizerState, adam_update, lr_plateau_schedule
 from .rng import stream
 from ._ioutil import atomic_write_text
@@ -117,26 +117,23 @@ def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainCo
 def _recalibrate_running_stats(spec: ModelSpec, params: ModelParams, x: np.ndarray,
                                chunk: int = 512) -> None:
     """Replace running batchnorm statistics with full-training-set statistics."""
-    if not any(getattr(layer, "batchnorm", False) for layer in spec.layers):
+    if not any(isinstance(layer, ConvSpec) and layer.batchnorm for layer in spec.layers):
         return
-    stats: dict[str, list] = {}
+    stats: dict[str, tuple] = {}  # layer name: (its batchnorm, per-chunk statistics)
     for start in range(0, x.shape[0], chunk):
         part = x[start:start + chunk]
         _, caches = forward_batch(spec, params, part, training=True)
         for cache in caches:
             if cache["kind"] == "conv" and "bn" in cache:
-                name = cache["layer"].name
                 count = part.shape[0] * cache["out_hw"][0] * cache["out_hw"][1]
-                stats.setdefault(name, []).append(
+                stats.setdefault(cache["layer"].name, (cache["entry"].bn, []))[1].append(
                     (count, cache["bn"]["batch_mu"], cache["bn"]["batch_var"]))
-    for layer, entry in zip(spec.layers, params.entries):
-        if getattr(layer, "batchnorm", False) and entry.bn is not None:
-            chunks = stats[layer.name]
-            total = sum(c for c, _, _ in chunks)
-            mean = sum(c * mu for c, mu, _ in chunks) / total
-            second = sum(c * (var + mu * mu) for c, mu, var in chunks) / total
-            entry.bn.mean[...] = mean
-            entry.bn.var[...] = np.maximum(second - mean * mean, 0.0)
+    for bn, chunks in stats.values():
+        total = sum(c for c, _, _ in chunks)
+        mean = sum(c * mu for c, mu, _ in chunks) / total
+        second = sum(c * (var + mu * mu) for c, mu, var in chunks) / total
+        bn.mean[...] = mean
+        bn.var[...] = np.maximum(second - mean * mean, 0.0)
 
 
 def evaluate_accuracy(spec: ModelSpec, params: ModelParams, x: np.ndarray,

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import ConfigurationError
+from shiftadd_dvs.layers import BatchNormParams, ConvLayerParams
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
     FlattenSpec,
+    ModelParams,
     ModelSpec,
     PoolLayerSpec,
     count_report,
@@ -17,6 +21,7 @@ from shiftadd_dvs.model import (
     wide_student_spec,
     zero_params,
 )
+from shiftadd_dvs.quantize import shift_quantize_model
 
 EXPECTED_CHAIN = [(8, 256, 11), (8, 128, 5), (16, 128, 5), (16, 64, 2), (32, 64, 2),
                   (32, 32, 1), (64, 32, 1), (2048,), (3,)]
@@ -141,6 +146,49 @@ def test_fold_model_batchnorm_matches_unfolded(rng):
     x = rng.normal(size=(1, 256, 11))
     np.testing.assert_allclose(model_forward(fspec, fparams, x),
                                model_forward(spec, params, x), rtol=1e-9, atol=1e-9)
+
+
+def _bn(width: int) -> BatchNormParams:
+    return BatchNormParams(gamma=np.ones(width), beta=np.zeros(width),
+                           mean=np.zeros(width), var=np.ones(width))
+
+
+@pytest.mark.parametrize("batchnorm, change, message", [
+    (True, lambda e: e[:-1], "layer fc1: the model has 8 entries for 9 spec layers"),
+    (True, lambda e: e + (None,), "layer fc1: the model has 10 entries for 9 spec layers"),
+    (True, lambda e: e[:1] + e[:1] + e[2:], "layer maxpool1: holds no parameters, got an entry"),
+    (True, lambda e: e[:2] + (replace(e[2], conv=ConvLayerParams(
+        kernel=np.zeros((16, 8, 3, 2)), bias=np.zeros(16))),) + e[3:],
+     r"layer conv2: parameters \(16, 8, 3, 2\) do not match the spec's \(16, 8, 3, 3\)"),
+    (True, lambda e: (e[8],) + e[1:], "layer conv1: parameters DenseParams do not match"),
+    (True, lambda e: (replace(e[0], bn=None),) + e[1:],
+     "layer conv1: batchnorm width None does not match the spec's 8"),
+    (False, lambda e: (replace(e[0], bn=_bn(8)),) + e[1:],
+     "layer conv1: batchnorm width 8 does not match the spec's None"),
+    (True, lambda e: (replace(e[0], bn=_bn(4)),) + e[1:],
+     "layer conv1: batchnorm width 4 does not match the spec's 8"),
+], ids=["too_few", "too_many", "entry_in_pool_slot", "kernel_shape", "entry_type",
+        "missing_bn", "bn_not_flagged", "bn_width"])
+def test_params_construction_rejects_misaligned_entries(rng, batchnorm, change, message):
+    """Float parameters are checked once, when made, by the walk that checks a quantized
+    model: one entry per spec layer of the spec's weight shape, batchnorm where flagged."""
+    spec = default_student_spec(batchnorm=batchnorm)
+    entries = init_params(spec, rng).entries
+    with pytest.raises(ConfigurationError, match=message):
+        ModelParams(spec, change(entries))
+
+
+def test_params_are_paired_with_their_spec(rng):
+    """Unfolded parameters given with the folded spec are refused, not run or quantized
+    with every batchnorm silently dropped."""
+    spec = default_student_spec()
+    params = init_params(spec, rng)
+    fspec, _ = fold_model_batchnorm(spec, params)
+    message = "layer conv1: parameters were made for a different spec"
+    with pytest.raises(ConfigurationError, match=message):
+        shift_quantize_model(fspec, params, 3)
+    with pytest.raises(ConfigurationError, match=message):
+        model_forward(fspec, params, rng.normal(size=spec.input_shape))
 
 
 def test_spec_json_round_trip():

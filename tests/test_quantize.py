@@ -186,7 +186,8 @@ class TestModelQuantization:
 
     def test_model_construction_rejects_misaligned_entries(self, rng):
         """A model is checked once, when made: one entry per spec layer, a quantized layer
-        of the spec's weight shape exactly in each conv and dense slot, batchnorm folded."""
+        of the spec's weight shape exactly in each conv and dense slot, batchnorm folded,
+        N >= 1 terms at most per weight and a valid fixed-point frame."""
         spec = default_student_spec(batchnorm=False)
         q = shift_quantize_model(spec, init_params(spec, rng), 3)
         e = q.entries
@@ -200,6 +201,10 @@ class TestModelQuantization:
              r"layer conv2: parameters \(32, 16, 3, 3\) do not match the spec's \(16, 8, 3, 3\)"),
             (dict(spec=default_student_spec(batchnorm=True)),
              "layer conv1: fold batchnorm before quantization"),
+            (dict(n_terms=0), "n_terms must be >= 1, got 0"),
+            (dict(n_terms=-5), "n_terms must be >= 1, got -5"),
+            (dict(frac_bits=-1), "invalid fixed-point frame F=-1, I=2"),
+            (dict(n_terms=2), r"layer conv1: weight \d+ has 3 terms, more than N=2"),
         ]
         for changes, message in cases:
             with pytest.raises(ConfigurationError, match=message):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,16 +27,13 @@ def test_round_trip_float32_exact(rng, tmp_path):
 
 
 def test_round_trip_preserves_forward_outputs(rng, tmp_path):
-    from shiftadd_dvs.layers import BatchNormParams
     spec, params = make_small_model(rng, batchnorm=True)
     # float32-representable weights (and a float32-exact eps) round-trip bit-exactly
     for arr in param_arrays(spec, params).values():
         arr[...] = arr.astype(np.float32)
-    for entry in params.entries:
-        if entry is not None and getattr(entry, "bn", None) is not None:
-            entry.bn = BatchNormParams(gamma=entry.bn.gamma, beta=entry.bn.beta,
-                                       mean=entry.bn.mean, var=entry.bn.var,
-                                       eps=2.0 ** -14)
+    params = replace(params, entries=[
+        replace(entry, bn=replace(entry.bn, eps=2.0 ** -14))
+        if getattr(entry, "bn", None) is not None else entry for entry in params.entries])
     path = tmp_path / "m.sacw"
     save_weights(path, spec, params)
     loaded = load_weights(path, spec)
@@ -98,7 +97,6 @@ def test_save_is_deterministic(rng, tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["kernel", "bias", "gamma", "eps"])
 def test_non_finite_payload_rejected(tmp_path, field, bad):
-    from dataclasses import replace
     spec, params = make_small_model(np.random.default_rng(33), batchnorm=True)
     block = params.entries[0]
     sentinel = 1.375
@@ -109,7 +107,8 @@ def test_non_finite_payload_rejected(tmp_path, field, bad):
     elif field == "gamma":
         block.bn.gamma[0] = sentinel
     else:
-        block.bn = replace(block.bn, eps=sentinel)
+        params = replace(params, entries=(replace(block, bn=replace(block.bn, eps=sentinel)),)
+                         + params.entries[1:])
     path = tmp_path / "m.sacw"
     save_weights(path, spec, params)
     data = path.read_bytes()

@@ -237,18 +237,14 @@ class TestFloatStreaming:
 
     @pytest.mark.parametrize("change", [-1, 1])
     def test_entry_count_mismatch_rejected(self, rng, change):
-        """One entry too few (the default student without fc1) or too many is an error,
-        as in ``model_forward``, not a stream that silently drops layers."""
+        """One entry too few (the default student without fc1) or too many is refused when
+        the parameters are made, so no forward, batched or streamed, ever sees them."""
         spec = default_student_spec()
         params = init_params(spec, rng)
-        entries = params.entries[:-1] if change < 0 else params.entries + [None]
-        params = replace(params, entries=entries)
-        frame = rng.normal(size=spec.input_shape)
-        message = f"params have {len(entries)} entries for {len(spec.layers)} layers"
+        entries = params.entries[:-1] if change < 0 else params.entries + (None,)
+        message = f"layer fc1: the model has {len(entries)} entries for {len(spec.layers)} spec"
         with pytest.raises(ConfigurationError, match=message):
-            model_forward(spec, params, frame)
-        with pytest.raises(ConfigurationError, match=message):
-            stream_float_forward(spec, params, frame)
+            replace(params, entries=entries)
 
 
 def gain_model(rng, gain: float = 3.9, f_a: int = 8):
