@@ -11,8 +11,12 @@ and every gradient of a model without batchnorm are those of the NCHW passes
 this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
 and so may an input that wins three or more overlapping max-pool windows.
 Batchnorm runs on batch statistics in training mode and on running statistics
-in eval mode; the forward stays pure. Training sets the running statistics in
-``training._recalibrate_running_stats``; ``update_running_stats`` has no caller in the package.
+in eval mode; the forward leaves its inputs and parameters untouched. Training
+sets the running statistics in ``training._recalibrate_running_stats``;
+``update_running_stats`` has no caller in the package. A step makes each
+activation-sized array once: ``backward_batch`` overwrites its caches' large
+arrays (a conv's ``cols`` takes its column gradient, batchnorm's ``xhat`` its
+mean term), so caches are single-use and only their batch statistics stay valid.
 """
 from __future__ import annotations
 
@@ -42,8 +46,9 @@ def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
 def _max_pool_backward(dout, winner, in_shape: tuple, window: tuple, stride: int) -> np.ndarray:
     """Route each pooled gradient to its window's winning input; overlaps accumulate."""
     dx = np.zeros(in_shape, dtype=dout.dtype)
+    hit, share = np.empty(winner.shape, dtype=bool), np.empty_like(dout)
     for k, tap in enumerate(window_taps(dx, window, stride, winner.shape[1:3])):
-        tap += dout * (winner == k)
+        tap += np.multiply(dout, np.equal(winner, k, out=hit), out=share)
     return dx
 
 
@@ -76,7 +81,9 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
             b, oh, ow = win.shape[:3]
-            cols = win.reshape(b * oh * ow, n * p * q)
+            # a fresh copy in the pass's dtype, even for a 1x1 window: the backward writes here
+            cols = win.astype(np.result_type(xp, conv.kernel), order="C")
+            cols = cols.reshape(b * oh * ow, n * p * q)
             z = cols @ conv.kernel.reshape(m, n * p * q).T
             z += conv.bias  # in place: z's dtype already covers every parameter's
             cache = {"kind": "conv", "layer": layer, "entry": entry,
@@ -84,12 +91,13 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             if layer.batchnorm:
                 bn = entry.bn
                 mu = z.mean(axis=0) if training else bn.mean
-                xhat = z - mu
-                # np.var's own steps (so its bits), on the centered values that become xhat
-                var = np.square(xhat).mean(axis=0) if training else bn.var
+                xhat = np.subtract(z, mu, out=z)  # the matmul output becomes xhat
+                # np.var's own steps (so its bits) on the centered values; y then holds the output
+                y = np.square(xhat) if training else np.empty_like(xhat)
+                var = y.mean(axis=0) if training else bn.var
                 inv_std = 1.0 / np.sqrt(var + bn.eps)
                 xhat *= inv_std
-                z = xhat * bn.gamma
+                z = np.multiply(xhat, bn.gamma, out=y)
                 z += bn.beta
                 cache["bn"] = {"xhat": xhat, "inv_std": inv_std,
                                "batch_mu": mu, "batch_var": var, "training": training}
@@ -134,6 +142,10 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
 def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every trainable array, given d(loss)/d(logits)."""
+    if any(cache.get("spent") for cache in caches):
+        raise ConfigurationError("caches are single-use: an earlier backward_batch overwrote them")
+    for cache in caches:
+        cache["spent"] = True
     grads: dict[str, np.ndarray] = {}
     dout = np.asarray(dlogits)
     for cache in reversed(caches):
@@ -171,8 +183,9 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
                 grads[f"{layer.name}.beta"] = dbeta
                 if bn_cache["training"]:
                     count = dmat.shape[0]
-                    dmat = dmat - dbeta / count
-                    dmat -= xhat * (dgamma / count)
+                    dmat -= dbeta / count
+                    xhat *= dgamma / count  # after xhat's last read
+                    dmat -= xhat
                     dmat *= bn.gamma * inv_std
                 else:
                     dmat = dmat * bn.gamma * inv_std
@@ -182,7 +195,8 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
                 break  # nothing reads the gradient of the network input
             oh, ow = cache["out_hw"]
             dxp = np.zeros(cache["in_shape"], dtype=dmat.dtype)
-            dcols = (dmat @ conv.kernel.reshape(m, n * p * q)).reshape(-1, oh, ow, n, p * q)
+            dcols = np.matmul(dmat, conv.kernel.reshape(m, n * p * q), out=cache["cols"])
+            dcols = dcols.reshape(-1, oh, ow, n, p * q)
             for k, tap in enumerate(window_taps(dxp, (p, q), layer.stride, (oh, ow))):
                 tap += dcols[..., k]
             pad = layer.padding
