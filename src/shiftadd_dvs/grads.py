@@ -13,13 +13,16 @@ and so may an input that wins three or more overlapping max-pool windows.
 Batchnorm runs on batch statistics in training mode and on running statistics
 in eval mode; the forward leaves its inputs and parameters untouched. Training
 sets the running statistics in ``training._recalibrate_running_stats``;
-``update_running_stats`` has no caller in the package. A step makes each
-activation-sized array once: ``backward_batch`` overwrites its caches' large
-arrays (a conv's ``cols`` takes its column gradient, batchnorm's ``xhat`` its
-mean term), so caches are single-use and only their batch statistics stay valid.
+``update_running_stats`` has no caller in the package. ``backward_batch``
+overwrites its caches' large arrays (a conv's ``cols`` takes its column
+gradient, batchnorm's ``xhat`` its mean term) and cuts its own from dead
+``cols``, so caches are single-use and only their batch statistics stay valid.
+``batch_loss`` keeps those arrays in ``params.step_workspace`` for its next
+step on the same params; ``forward_batch`` makes fresh ones.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -30,11 +33,32 @@ from .losses import KDConfig, kd_logit_gradient, ce_logit_gradient, kd_loss, cro
 from .model import ConvSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec
 
 
-def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
-    """(pooled, winner): the tap of each window's first maximum, the one ``np.argmax`` picks."""
+def _take(kept: dict | None, key: tuple, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised (shape, dtype) array: fresh when ``kept`` is None, else the leading
+    rows of the array ``kept`` holds for (key, dtype), which grows to the largest batch."""
+    if kept is None:
+        return np.empty(shape, dtype)
+    buf = kept.get((key, dtype))
+    if buf is None or len(buf) < shape[0]:
+        buf = kept[key, dtype] = np.empty(shape, dtype)
+    return buf[:shape[0]]
+
+
+def _carve(spare: np.ndarray | None, shape: tuple, dtype) -> tuple:
+    """(array, rest): an uninitialised (shape, dtype) array cut from the start of ``spare``,
+    a flat array nothing reads any more, and the rest; a fresh array if it has no room."""
+    size = math.prod(shape)
+    if spare is None or spare.dtype != dtype or spare.size < size:
+        return np.empty(shape, dtype), spare
+    return spare[:size].reshape(shape), spare[size:]
+
+
+def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple, winner: np.ndarray):
+    """(pooled, winner): the tap of each window's first maximum, the one ``np.argmax`` picks,
+    written into ``winner``."""
     taps = window_taps(a, window, stride, out_hw)
     pooled = reduce(np.maximum, taps)
-    winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    winner.fill(0)
     taken = taps[0] == pooled
     for k in range(1, len(taps)):
         hit = (taps[k] == pooled) & ~taken
@@ -43,9 +67,8 @@ def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple):
     return pooled, winner
 
 
-def _max_pool_backward(dout, winner, in_shape: tuple, window: tuple, stride: int) -> np.ndarray:
-    """Route each pooled gradient to its window's winning input; overlaps accumulate."""
-    dx = np.zeros(in_shape, dtype=dout.dtype)
+def _max_pool_backward(dout, winner, dx: np.ndarray, window: tuple, stride: int) -> np.ndarray:
+    """Add each pooled gradient to zeros ``dx`` at its window's winning input; overlaps add up."""
     hit, share = np.empty(winner.shape, dtype=bool), np.empty_like(dout)
     for k, tap in enumerate(window_taps(dx, window, stride, winner.shape[1:3])):
         tap += np.multiply(dout, np.equal(winner, k, out=hit), out=share)
@@ -64,6 +87,12 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
     float32 batches run the whole pass in single precision (desk-scale
     speedup); anything else is promoted to float64.
     """
+    return _forward(spec, params, x, training, capture, record_margins, kept=None)
+
+
+def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, capture: str | None,
+             record_margins: bool, kept: dict | None):
+    """``forward_batch``, its caches' large arrays taken from ``kept`` by ``_take``."""
     x = np.asarray(x)
     if x.dtype not in (np.float32, np.float64):
         x = x.astype(np.float64)
@@ -73,7 +102,7 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
     caches = []
     captured = None
     out = x.transpose(0, 2, 3, 1)
-    for layer, entry in zip(spec.layers, params.entries_for(spec)):
+    for i, (layer, entry) in enumerate(zip(spec.layers, params.entries_for(spec))):
         if isinstance(layer, ConvSpec):
             conv = entry.conv
             m, n, p, q = conv.kernel.shape
@@ -81,10 +110,12 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
             b, oh, ow = win.shape[:3]
-            # a fresh copy in the pass's dtype, even for a 1x1 window: the backward writes here
-            cols = win.astype(np.result_type(xp, conv.kernel), order="C")
-            cols = cols.reshape(b * oh * ow, n * p * q)
-            z = cols @ conv.kernel.reshape(m, n * p * q).T
+            # a copy in the pass's dtype, even for a 1x1 window: the backward writes here
+            rows = b * oh * ow
+            cols = _take(kept, (i, "cols"), (rows, n * p * q), np.result_type(xp, conv.kernel))
+            np.copyto(cols.reshape(win.shape), win)
+            z = np.matmul(cols, conv.kernel.reshape(m, n * p * q).T,
+                          out=_take(kept, (i, "z"), (rows, m), cols.dtype))
             z += conv.bias  # in place: z's dtype already covers every parameter's
             cache = {"kind": "conv", "layer": layer, "entry": entry,
                      "cols": cols, "in_shape": xp.shape, "out_hw": (oh, ow)}
@@ -93,8 +124,8 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
                 mu = z.mean(axis=0) if training else bn.mean
                 xhat = np.subtract(z, mu, out=z)  # the matmul output becomes xhat
                 # np.var's own steps (so its bits) on the centered values; y then holds the output
-                y = np.square(xhat) if training else np.empty_like(xhat)
-                var = y.mean(axis=0) if training else bn.var
+                y = _take(kept, (i, "y"), xhat.shape, xhat.dtype)
+                var = np.square(xhat, out=y).mean(axis=0) if training else bn.var
                 inv_std = 1.0 / np.sqrt(var + bn.eps)
                 xhat *= inv_std
                 z = np.multiply(xhat, bn.gamma, out=y)
@@ -104,7 +135,7 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             if layer.relu:
                 if record_margins:
                     cache["relu_margin"] = float(np.min(np.abs(z)))
-                mask = z > 0
+                mask = np.greater(z, 0, out=_take(kept, (i, "mask"), z.shape, bool))
                 z *= mask
                 cache["relu_mask"] = mask
             caches.append(cache)
@@ -115,7 +146,9 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
             cache = {"kind": "maxpool" if layer.mode == "max" else "avgpool", "layer": layer,
                      "in_shape": out.shape, "out_hw": out_hw}
             if layer.mode == "max":
-                pooled, cache["winner"] = _max_pool(out, (p, q), s, out_hw)
+                winner = _take(kept, (i, "winner"), (out.shape[0], *out_hw, out.shape[3]),
+                               np.min_scalar_type(p * q - 1))
+                pooled, cache["winner"] = _max_pool(out, (p, q), s, out_hw, winner)
                 if record_margins and p * q > 1:
                     top2 = np.sort(np.stack(window_taps(out, (p, q), s, out_hw), axis=-1))[..., -2:]
                     cache["pool_gap"] = float(np.min(top2[..., 1] - top2[..., 0]))
@@ -148,6 +181,7 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
         cache["spent"] = True
     grads: dict[str, np.ndarray] = {}
     dout = np.asarray(dlogits)
+    spare = None  # the last conv's cols once its column gradient is spread; see _carve
     for cache in reversed(caches):
         layer, kind = cache["layer"], cache["kind"]
         if kind == "dense":
@@ -157,14 +191,15 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
         elif kind == "flatten":
             b, h, w, c = cache["in_shape"]
             dout = dout.reshape(b, c, h, w).transpose(0, 2, 3, 1)
-        elif kind == "maxpool":
-            dout = _max_pool_backward(dout, cache["winner"], cache["in_shape"],
-                                      layer.window, layer.stride)
-        elif kind == "avgpool":
-            dx = np.zeros(cache["in_shape"], dtype=dout.dtype)
-            share = dout / (layer.window[0] * layer.window[1])
-            for tap in window_taps(dx, layer.window, layer.stride, cache["out_hw"]):
-                tap += share
+        elif kind in ("maxpool", "avgpool"):
+            dx, spare = _carve(spare, cache["in_shape"], dout.dtype)
+            dx.fill(0)
+            if kind == "maxpool":
+                _max_pool_backward(dout, cache["winner"], dx, layer.window, layer.stride)
+            else:
+                share = dout / (layer.window[0] * layer.window[1])
+                for tap in window_taps(dx, layer.window, layer.stride, cache["out_hw"]):
+                    tap += share
             dout = dx
         elif kind == "conv":
             entry = cache["entry"]
@@ -178,7 +213,8 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
                 bn = entry.bn
                 xhat, inv_std = bn_cache["xhat"], bn_cache["inv_std"]
                 ones = np.ones(dmat.shape[0], dtype=dmat.dtype)
-                dbeta, dgamma = ones @ dmat, ones @ (dmat * xhat)
+                prod, spare = _carve(spare, dmat.shape, np.result_type(dmat, xhat))
+                dbeta, dgamma = ones @ dmat, ones @ np.multiply(dmat, xhat, out=prod)
                 grads[f"{layer.name}.gamma"] = dgamma
                 grads[f"{layer.name}.beta"] = dbeta
                 if bn_cache["training"]:
@@ -194,13 +230,15 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
             if cache is caches[0]:
                 break  # nothing reads the gradient of the network input
             oh, ow = cache["out_hw"]
-            dxp = np.zeros(cache["in_shape"], dtype=dmat.dtype)
+            dxp, spare = _carve(spare, cache["in_shape"], dmat.dtype)
+            dxp.fill(0)
             dcols = np.matmul(dmat, conv.kernel.reshape(m, n * p * q), out=cache["cols"])
             dcols = dcols.reshape(-1, oh, ow, n, p * q)
             for k, tap in enumerate(window_taps(dxp, (p, q), layer.stride, (oh, ow))):
                 tap += dcols[..., k]
             pad = layer.padding
             dout = dxp[:, pad:dxp.shape[1] - pad, pad:dxp.shape[2] - pad]
+            spare = cache["cols"].reshape(-1)
         else:  # pragma: no cover
             raise ConfigurationError(f"unknown cache kind {kind!r}")
     return grads
@@ -222,10 +260,14 @@ def batch_loss(spec: ModelSpec, params: ModelParams, x, labels,
     """Mean loss over a batch plus gradients; returns (loss, grads, logits, caches).
 
     With teacher logits and a KD config the distillation loss is used,
-    otherwise plain cross-entropy.
+    otherwise plain cross-entropy. The caches alias ``params.step_workspace``,
+    sized for the largest batch yet, and go stale at the next step on
+    ``params``. No caller runs two steps on one params at once; nothing locks.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    logits, caches = forward_batch(spec, params, x, training=training)
+    if params.step_workspace is None:
+        object.__setattr__(params, "step_workspace", {})
+    logits, caches = _forward(spec, params, x, training, None, False, params.step_workspace)
     b = logits.shape[0]
     finite = np.all(np.isfinite(logits), axis=1)
     losses = np.full(b, np.nan)

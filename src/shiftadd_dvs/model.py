@@ -231,6 +231,10 @@ class ModelParams:
 
     spec: ModelSpec
     entries: tuple
+    # The arrays ``grads.batch_loss`` keeps from one step on these parameters to the
+    # next; they live and die with them. Not part of their value, and a copy made
+    # with ``dataclasses.replace`` starts without.
+    step_workspace: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))

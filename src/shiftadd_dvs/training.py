@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError, NumericError, ParseError, StratificationError
+from .errors import (ConfigurationError, IngestionError, NumericError, ParseError,
+                     StratificationError)
 from .grads import batch_loss, forward_batch
 from .losses import KDConfig
 from .model import ConvSpec, ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
@@ -31,6 +32,10 @@ class TrainConfig:
     weight_scale: float = 1.0
     dtype: type = np.float64
     kd: KDConfig | None = None
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_json(self) -> dict:
         doc = {"lr": self.lr, "batch_size": self.batch_size, "max_epochs": self.max_epochs,
@@ -84,6 +89,8 @@ def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainCo
     x = np.asarray(x, dtype=cfg.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
+    if n == 0:
+        raise ConfigurationError("x holds no training frames")
     params = init if init is not None else init_params(spec, stream(seed, "init"),
                                                        weight_scale=cfg.weight_scale,
                                                        dtype=cfg.dtype)
@@ -110,6 +117,7 @@ def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainCo
         result.epochs += 1
         if state.lr < cfg.min_lr:
             break
+    object.__setattr__(params, "step_workspace", None)  # no step on these params follows
     _recalibrate_running_stats(spec, params, x)
     return result
 
@@ -206,6 +214,8 @@ def kfold_train(train_x, train_y, test_x, test_y, spec: ModelSpec, cfg: TrainCon
     ``train_ids`` must name every training sample and the KD loss is used.
     With ``test_x`` None the test metrics stay at 0.
     """
+    if k < 2:
+        raise ConfigurationError(f"folds must be >= 2, got {k}")
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
     folds = stratified_folds(train_y, k, stream(seed, "folds"))

@@ -152,6 +152,31 @@ class TestDistill:
         assert "alpha=" not in result.stdout  # no cell trained
 
 
+@pytest.mark.parametrize("command", ["train", "distill"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch", "0", "batch_size must be >= 1, got 0"),
+    ("--batch", "-3", "batch_size must be >= 1, got -3"),
+    ("--folds", "1", "folds must be >= 2, got 1"),
+    ("--folds", "0", "folds must be >= 2, got 0"),
+])
+def test_degenerate_training_config_exits_with_json_error(runner, tmp_path, data_dir,
+                                                         trained_model, command, flag,
+                                                         value, message):
+    """A batch size below 1 or fewer than 2 folds stops the run before it trains: once a
+    bare traceback, a model trained on nothing, or a division by an empty training set."""
+    out = tmp_path / "out"
+    args = [command, "--data", str(data_dir / "base"), "--epochs", "1", "--batch", "9",
+            "--folds", "2", flag, value, "-o", str(out)]
+    if command == "distill":
+        args += ["--teacher-logits", str(trained_model / "teacher.csv")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ConfigurationError"
+    assert error["message"] == message
+    assert not (out / "model.sacw").exists()
+
+
 class TestQuantizeEncode:
     def test_quantize_writes_saqm_and_report(self, quantized_model):
         assert (quantized_model / "model.saqm").exists()

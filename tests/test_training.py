@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from shiftadd_dvs.errors import IngestionError, NumericError, ParseError, StratificationError
+from shiftadd_dvs.errors import (
+    ConfigurationError,
+    IngestionError,
+    NumericError,
+    ParseError,
+    StratificationError,
+)
 from shiftadd_dvs.layers import conv2d_forward
 from shiftadd_dvs.model import (
     ConvSpec,
@@ -110,6 +116,11 @@ class TestTrainModel:
                          for x in frames])
         np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)))
+
+    def test_empty_training_set_rejected(self):
+        frames, labels = separable_toy_set(n_per_class=2)
+        with pytest.raises(ConfigurationError, match="x holds no training frames"):
+            train_model(tiny_spec(), frames[:0], labels[:0], TrainConfig(), seed=0)
 
     def test_lr_trace_and_losses_recorded(self):
         frames, labels = separable_toy_set(n_per_class=5)
