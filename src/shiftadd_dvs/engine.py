@@ -201,18 +201,20 @@ def _shift_plan(name: str, weights: Terms, bias_acc: np.ndarray, align: int) -> 
             f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
     channels = len(bias_acc)
     columns = len(weights.count) // channels
-    channel, row = np.divmod(np.repeat(np.arange(len(weights.count)), weights.count), columns)
     slots = int(amount.max(initial=0)) + 1
-    key = row * slots + amount
+    row_key = np.tile(np.arange(0, columns * slots, slots), channels)  # each weight's row * slots
+    key = np.repeat(row_key, weights.count) + amount
     used = np.zeros(columns * slots, dtype=bool)
     used[key] = True
-    operand = np.cumsum(used)[key] - 1
+    operand = (np.cumsum(used) - 1)[key]
     rows, shift = np.divmod(np.flatnonzero(used), slots)
-    negative = np.repeat(weights.sign < 0, weights.count)
+    per_weight = weights.count.reshape(channels, columns)
+    negative = (weights.sign < 0).reshape(channels, columns)
 
     def runs(side: np.ndarray) -> tuple[np.ndarray, ...]:
-        counts = np.bincount(channel[side], minlength=channels)
-        return tuple(np.split(operand[side], np.cumsum(counts)[:-1]))
+        ends = np.cumsum((per_weight * side).sum(axis=1)).tolist()
+        operands = operand[np.repeat(side.reshape(-1), weights.count)]
+        return tuple(operands[start:end] for start, end in zip([0] + ends[:-1], ends))
 
     added, subtracted = runs(~negative), runs(negative)
     widest = max([len(rows), 1] + [len(terms) for terms in added + subtracted])

@@ -10,8 +10,10 @@ exact in binary floating point.
 
 A ``QuantizedLayer`` holds its parameters as arrays, the sign-and-shift form
 usual for power-of-two weights: a sign and a term count per parameter and one
-flat array of shifts. ``shift_quantize_model`` fills them a layer at a time
-(rounding with ``np.rint``, keeping the top set bits by integer bit tests).
+flat array of shifts. ``shift_quantize_model`` fills them a layer at a time:
+it rounds with ``np.rint``, then takes each weight's terms in at most
+min(n_terms, F+I) passes over the layer, each taking the highest set bit still
+left in every rounded magnitude and clearing it.
 ``ShiftQuantParam`` and ``shift_quantize_param`` are the scalar form of one
 weight; a layer's ``weights`` and ``all_params()`` give it as read-only
 views, built on first access and used by no inference path.
@@ -43,6 +45,11 @@ DEFAULT_INT_BITS = 2
 def _check_frame(frac_bits: int, int_bits: int) -> None:
     if frac_bits < 0 or int_bits < 0 or frac_bits + int_bits > 31:
         raise ConfigurationError(f"invalid fixed-point frame F={frac_bits}, I={int_bits}")
+
+
+def _check_n_terms(n_terms: int) -> None:
+    if n_terms < 1:
+        raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
 
 
 def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
@@ -107,8 +114,7 @@ ZERO_PARAM = ShiftQuantParam(sign=0, shifts=())
 def shift_quantize_param(w: float, n_terms: int, frac_bits: int = DEFAULT_FRAC_BITS,
                          int_bits: int = DEFAULT_INT_BITS) -> ShiftQuantParam:
     """Keep the ``n_terms`` most significant powers of two of the fixed-point weight."""
-    if n_terms < 1:
-        raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
+    _check_n_terms(n_terms)
     exps = fixed_point_decompose(w, frac_bits, int_bits)[:n_terms]
     if not exps:
         return ZERO_PARAM
@@ -233,8 +239,7 @@ class QuantizedModel:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.n_terms < 1:
-            raise ConfigurationError(f"n_terms must be >= 1, got {self.n_terms}")
+        _check_n_terms(self.n_terms)
         _check_frame(self.frac_bits, self.int_bits)
         if not 0 <= self.f_a <= 24:  # the activation scales the integer path supports
             raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
@@ -262,6 +267,7 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
     Batchnorm must already be folded into the convolutions. Each parameter
     quantizes exactly as ``shift_quantize_param`` quantizes it.
     """
+    _check_n_terms(n_terms)
     _check_frame(frac_bits, int_bits)
     entries: list = []
     for layer, entry in zip(spec.layers, params.entries_for(spec)):
@@ -279,7 +285,13 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
 
 def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int, frac_bits: int,
                     int_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sign, count, shift) of every weight of ``arr``, in ``shift_quantize_param``'s terms."""
+    """(sign, count, shift) of every weight of ``arr``, in ``shift_quantize_param``'s terms.
+
+    After rounding, each of at most min(n_terms, F+I) passes over the weights
+    takes the highest set bit still left in each rounded magnitude as that
+    weight's next term and clears it, so every weight's terms come out most
+    significant first.
+    """
     flat = np.asarray(arr, dtype=np.float64).reshape(-1)
     # as in fixed_point_decompose: cap at 2^int_bits, scale exactly, round half to even
     scaled = np.rint(np.minimum(np.abs(flat), 2.0 ** int_bits) * float(2 ** frac_bits))
@@ -290,12 +302,18 @@ def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int, frac_bits: i
             fixed_point_decompose(float(flat[index]), frac_bits, int_bits)
         except RangeError as exc:
             raise RangeError(f"layer {layer_name}, weight index {index}: {exc}") from exc
-    bit = np.arange(frac_bits + int_bits - 1, -1, -1)  # most significant first
-    is_set = (scaled.astype(np.int64)[:, None] >> bit) & 1 == 1
-    keep = is_set & (np.cumsum(is_set, axis=1) <= n_terms)
-    count = keep.sum(axis=1)
-    sign = np.where(count == 0, 0, np.where(flat > 0, 1, -1))
-    return sign, count, frac_bits + int_bits - bit[np.nonzero(keep)[1]]
+    rest = scaled.astype(np.int32)  # exact: below 2^(F+I) <= 2^31
+    # bit[i, j]: the grid exponent of weight i's term j, -1 past its last term
+    bit = np.empty((rest.size, min(n_terms, frac_bits + int_bits)), dtype=np.int8)
+    count = np.zeros(rest.size, dtype=np.int64)
+    for j in range(bit.shape[1]):
+        top = np.frexp(rest)[1] - 1  # the highest set bit left, -1 if none; frexp is exact here
+        bit[:, j] = top
+        count += top >= 0
+        rest &= ~(1 << np.maximum(top, 0))  # clearing bit 0 of a spent 0 changes nothing
+    sign = np.sign(flat).astype(np.int64)
+    sign[count == 0] = 0
+    return sign, count, frac_bits + int_bits - bit[bit >= 0].astype(np.int64)
 
 
 def dequantize_model(q: QuantizedModel) -> ModelParams:

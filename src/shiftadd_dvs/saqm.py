@@ -15,7 +15,8 @@ model is the deployable view; the field widths cap term counts at 15.
 Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
-whose shapes it does not carry. The loader rejects N < 1, and the
+whose shapes it does not carry. The writer rejects N > 255, which the
+header's u8 field cannot hold; the loader rejects N < 1, and the
 ``QuantizedModel`` it builds rejects a weight with more than N terms. Biases
 may hold more, up to the field's 15: ``shift_quantize_model`` gives biases N
 terms, but a file may keep them at full precision. The writer rejects codes
@@ -45,12 +46,16 @@ MAGIC = b"SAQM"
 VERSION = 1
 HEADER_BITS = SIGN_FIELD_BITS + TERM_COUNT_FIELD_BITS  # sign field: 0 zero, 1 +, 2 -
 MAX_PACKED_TERMS = (1 << TERM_COUNT_FIELD_BITS) - 1
+MAX_HEADER_TERMS = 255  # the header's u8 N field
 
 
 def save_quantized(path, q: QuantizedModel) -> None:
     """Serialize an encoded quantized model."""
     if q.bits is None:
         raise ConfigurationError("encode the model before saving (encode_model)")
+    if q.n_terms > MAX_HEADER_TERMS:
+        raise ConfigurationError(f"N={q.n_terms} terms per weight exceed the SAQM header's "
+                                 f"u8 field limit of {MAX_HEADER_TERMS}")
     blob = bytearray(MAGIC + struct.pack("<HBBBBH", VERSION, q.n_terms, q.bits, q.frac_bits,
                                          q.int_bits, len(q.spec.layers)))
     for (layer, in_shape, _), entry in zip(q.spec.geometry(), q.entries):

@@ -62,6 +62,12 @@ class Standardizer:
     mean: float
     std: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ConfigurationError(f"standardizer mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.std) and self.std > 0):
+            raise ConfigurationError(f"standardizer std must be finite and > 0, got {self.std}")
+
     @staticmethod
     def fit(x: np.ndarray) -> "Standardizer":
         std = float(np.std(x))

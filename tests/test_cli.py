@@ -209,6 +209,19 @@ class TestQuantizeEncode:
         assert error["message"] == f"f_a must be in [0, 24], got {f_a}"
         assert not (out / "model.saqm").exists()
 
+    def test_quantize_rejects_n_beyond_the_saqm_header(self, runner, tmp_path, trained_model):
+        out = tmp_path / "q"
+        result = runner.invoke(main, [
+            "quantize", "--model", str(trained_model), "--no-sweep", "--n", "256",
+            "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["message"] == ("N=256 terms per weight exceed the SAQM header's "
+                                    "u8 field limit of 255")
+        assert not (out / "model.saqm").exists()
+
     def test_encode_sweep_bits_1_to_8(self, runner, tmp_path, trained_model, data_dir):
         out = tmp_path / "enc"
         result = runner.invoke(main, [
@@ -363,6 +376,28 @@ class TestInferSimulate:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == error
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("std", 0.0, "standardizer std must be finite and > 0, got 0.0"),
+        ("std", float("nan"), "standardizer std must be finite and > 0, got nan"),
+        ("mean", float("inf"), "standardizer mean must be finite, got inf"),
+    ], ids=["std-0", "std-nan", "mean-inf"])
+    def test_degenerate_standardizer_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                           data_dir, field, value, message):
+        broken = tmp_path / "broken"
+        shutil.copytree(trained_model, broken)
+        doc = json.loads((broken / "model.json").read_text())
+        doc["standardizer"][field] = value
+        (broken / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", "float", "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == {"type": "ConfigurationError",
+                                                      "message": message}
+        assert not (out / "records.txt").exists()
 
     @pytest.mark.parametrize("engine", ["float", "shift-add"])
     def test_unknown_pool_mode_exits_with_json_error(self, runner, tmp_path, trained_model,

@@ -184,6 +184,12 @@ class TestModelQuantization:
         fspec, fparams = fold_model_batchnorm(spec, params)
         shift_quantize_model(fspec, fparams, 3)  # folded model quantizes fine
 
+    @pytest.mark.parametrize("n_terms", [0, -5])
+    def test_n_terms_below_one_rejected(self, rng, n_terms):
+        spec = default_student_spec(batchnorm=False)
+        with pytest.raises(ConfigurationError, match=f"n_terms must be >= 1, got {n_terms}"):
+            shift_quantize_model(spec, init_params(spec, rng), n_terms)
+
     def test_model_construction_rejects_misaligned_entries(self, rng):
         """A model is checked once, when made: one entry per spec layer, a quantized layer
         of the spec's weight shape exactly in each conv and dense slot, batchnorm folded,
@@ -252,7 +258,8 @@ class TestArrayQuantizerMatchesScalar:
     def test_arrays_equal_scalar_path(self, rng):
         spec = self._spec()
         for frac_bits, int_bits in self.FRAMES:
-            for n_terms in range(1, frac_bits + int_bits + 1):
+            # past F+I the passes stop at F+I: every set bit is a term
+            for n_terms in [*range(1, frac_bits + int_bits + 2), 255]:
                 params = init_params(spec, rng)
                 for arr in (params.entries[0].conv.kernel, params.entries[0].conv.bias,
                             params.entries[2].weights, params.entries[2].bias):
