@@ -10,6 +10,8 @@ columns keep (C, P, Q) order and flatten restores (C, H, W) order, so logits
 and every gradient of a model without batchnorm are those of the NCHW passes
 this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
 and so may an input that wins three or more overlapping max-pool windows.
+Per-channel bias and batchnorm broadcasts run on rows of up to 512 elements,
+the vector tiled to match (``_by_column``), with each element's bits unchanged.
 Batchnorm runs on batch statistics in training mode and on running statistics
 in eval mode; the forward leaves its inputs and parameters untouched. Training
 sets the running statistics in ``training._recalibrate_running_stats``;
@@ -51,6 +53,18 @@ def _carve(spare: np.ndarray | None, shape: tuple, dtype) -> tuple:
     if spare is None or spare.dtype != dtype or spare.size < size:
         return np.empty(shape, dtype), spare
     return spare[:size].reshape(shape), spare[size:]
+
+
+def _by_column(op, a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op(a, v, out=out or a)`` for (rows, m) arrays and an (m,) vector, on (rows/k, m*k) views
+    against ``v`` tiled k = gcd(rows, 512 // m) times, so numpy's inner loop spans up to 512
+    elements, not m; k = 1 unless both are C-contiguous (flatten's gradient at batch 1 is not)."""
+    out = a if out is None else out
+    rows, m = a.shape
+    k = math.gcd(rows, 512 // m or 1) if a.flags.c_contiguous and out.flags.c_contiguous else 1
+    wide = (rows // k, m * k)  # copy=False: never an op on a copy
+    op(a.reshape(wide, copy=False), np.tile(v, k), out=out.reshape(wide, copy=False))
+    return out
 
 
 def _max_pool(a: np.ndarray, window: tuple, stride: int, out_hw: tuple, winner: np.ndarray):
@@ -116,20 +130,20 @@ def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, capture: s
             np.copyto(cols.reshape(win.shape), win)
             z = np.matmul(cols, conv.kernel.reshape(m, n * p * q).T,
                           out=_take(kept, (i, "z"), (rows, m), cols.dtype))
-            z += conv.bias  # in place: z's dtype already covers every parameter's
+            _by_column(np.add, z, conv.bias)  # in place: z's dtype covers every parameter's
             cache = {"kind": "conv", "layer": layer, "entry": entry,
                      "cols": cols, "in_shape": xp.shape, "out_hw": (oh, ow)}
             if layer.batchnorm:
                 bn = entry.bn
                 mu = z.mean(axis=0) if training else bn.mean
-                xhat = np.subtract(z, mu, out=z)  # the matmul output becomes xhat
+                xhat = _by_column(np.subtract, z, mu)  # the matmul output becomes xhat
                 # np.var's own steps (so its bits) on the centered values; y then holds the output
                 y = _take(kept, (i, "y"), xhat.shape, xhat.dtype)
                 var = np.square(xhat, out=y).mean(axis=0) if training else bn.var
                 inv_std = 1.0 / np.sqrt(var + bn.eps)
-                xhat *= inv_std
-                z = np.multiply(xhat, bn.gamma, out=y)
-                z += bn.beta
+                _by_column(np.multiply, xhat, inv_std)
+                z = _by_column(np.multiply, xhat, bn.gamma, out=y)
+                _by_column(np.add, z, bn.beta)
                 cache["bn"] = {"xhat": xhat, "inv_std": inv_std,
                                "batch_mu": mu, "batch_var": var, "training": training}
             if layer.relu:
@@ -219,12 +233,13 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
                 grads[f"{layer.name}.beta"] = dbeta
                 if bn_cache["training"]:
                     count = dmat.shape[0]
-                    dmat -= dbeta / count
-                    xhat *= dgamma / count  # after xhat's last read
+                    _by_column(np.subtract, dmat, dbeta / count)
+                    _by_column(np.multiply, xhat, dgamma / count)  # after xhat's last read
                     dmat -= xhat
-                    dmat *= bn.gamma * inv_std
+                    _by_column(np.multiply, dmat, bn.gamma * inv_std)
                 else:
-                    dmat = dmat * bn.gamma * inv_std
+                    _by_column(np.multiply, dmat, bn.gamma)
+                    _by_column(np.multiply, dmat, inv_std)
             grads[f"{layer.name}.kernel"] = (dmat.T @ cache["cols"]).reshape(m, n, p, q)
             grads[f"{layer.name}.bias"] = dmat.sum(axis=0)
             if cache is caches[0]:

@@ -271,15 +271,22 @@ def reference_gradients(spec, params, x, dlogits):
 # -- the training step, pinned ---------------------------------------------------
 #
 # SHA-256 of the logits and of every gradient array of one step. Rewrites of
-# the passes must keep these bits for models without batchnorm. With batchnorm
-# only the logits are pinned; its gradients are checked against the float64
-# reference above instead. The digests belong to one numpy/BLAS build: a GEMM
-# kernel that sums in another order rounds differently.
+# the passes must keep these bits. Batchnorm takes batch statistics, or the
+# running ones in the "-eval" cases; "-logits" digests the logits alone. The
+# digests belong to one numpy/BLAS build: a GEMM kernel that sums in another
+# order rounds differently.
 
 PINNED_STEP_DIGESTS = {
     "student-float32": "ca028eff49d7d4449ed2ddd0de8eb48b438d89c454917b4a1105e3e416828bcd",
     "student-float64": "ecf860480b400802f9d20194db9df6a3b7ba85522d5ae93eb27c5b30b0943c19",
     "student-batchnorm-float32-logits": "e6396df990ad740c9f330b07f65aac223fdec828f0ca9af07a1034455213e9c1",
+    "student-batchnorm-float32": "f37a2e49400a893479155bc465546cf41169c854835d87455720881f82ee8720",
+    "student-batchnorm-float64": "58ff882e8fae92ffe8a2032b67a5fe53bc748b444732c42022e86569170cd7e6",
+    # at batch 1, conv4's output gradient is a transposed view of the flatten's
+    "student-batchnorm-float32-batch1": "a17613875537e40d9a48f2f933ec09c69f6030aca6fb242b01020c2661645398",
+    "student-batchnorm-float64-batch1": "fa6bee0270a6d7bdc1f7ba04e36d456886735f8996835ad7cae883faa637874d",
+    "student-batchnorm-eval-float32": "c13a7a5656c51e1a5b31c929855fafda132abf6055e2190c2b192fc3e7c52a6e",
+    "student-batchnorm-eval-float64": "e6e283958705e8b11e306e447a1b6750c69ae9a49fd4e7c977402544c7249696",
     # make_small_model draws: ragged avg pool; padded conv into a max pool;
     # max pool into a conv; ragged max pool after a padded 4x4 conv
     "small-1": "ee339d347fd6d8a0c47936c3533fff5257206a3064a7a76fad30f4578bb5fc3c",
@@ -298,7 +305,7 @@ def _digest(logits, grads):
     return h.hexdigest()
 
 
-def _student_step(batchnorm, dtype, batch=8):
+def _student_step(batchnorm, dtype, batch=8, training=True):
     """One distillation step of the default student from a fixed draw."""
     rng = np.random.default_rng(2024)
     spec = default_student_spec(batchnorm=batchnorm)
@@ -307,7 +314,7 @@ def _student_step(batchnorm, dtype, batch=8):
     labels = rng.integers(0, 3, size=batch)
     teacher = rng.normal(size=(batch, 3)) * 2
     _, grads, logits, _ = batch_loss(spec, params, x, labels, teacher_logits=teacher,
-                                     kd=KDConfig())
+                                     kd=KDConfig(), training=training)
     return logits, grads
 
 
@@ -319,13 +326,42 @@ def _pinned_step(case):
         _, grads, logits, _ = batch_loss(spec, params, x, rng.integers(0, 3, size=3))
         return logits, grads
     dtype = np.float32 if "float32" in case else np.float64
-    logits, grads = _student_step("batchnorm" in case, dtype)
-    return logits, {} if "batchnorm" in case else grads
+    logits, grads = _student_step("batchnorm" in case, dtype, batch=1 if "batch1" in case else 8,
+                                  training="eval" not in case)
+    return logits, {} if case.endswith("-logits") else grads
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_STEP_DIGESTS))
 def test_training_step_is_pinned(case):
     assert _digest(*_pinned_step(case)) == PINNED_STEP_DIGESTS[case]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_column_ops_on_wide_rows_equal_the_plain_broadcast(dtype):
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, tiny, -tiny * 3], dtype)
+    # (rows, m) and k: prime rows, 1; conv1 at a short last batch of 7, 64; 308 rows, 4;
+    # a single row, 1; 32 channels, 4; more channels than a wide row holds, 1
+    for rows, m in [(181, 8), (7 * 2816, 8), (7 * 44, 8), (1, 8), (100, 32), (6, 600)]:
+        a = rng.normal(size=(rows, m)).astype(dtype)
+        n = min(a.size, 40)
+        a.flat[rng.choice(a.size, n, replace=False)] = rng.choice(specials, n)
+        v = rng.normal(size=m).astype(dtype)
+        v[:len(specials)] = specials[:m]
+        for op in (np.add, np.subtract, np.multiply):
+            with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaNs on purpose
+                want = op(a, v)
+                got = grads_module._by_column(op, a.copy(), v)
+                out = grads_module._by_column(op, a, v, out=np.empty_like(a))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (rows, m, op)
+            assert out.tobytes() == want.tobytes(), (rows, m, op)
+    # a transposed (64, 8) array fits no (1, 512) view: it is edited in place at k = 1
+    transposed = rng.normal(size=(8, 64)).astype(dtype).T
+    v = rng.normal(size=8).astype(dtype)
+    want = transposed + v
+    assert grads_module._by_column(np.add, transposed, v) is transposed
+    assert np.ascontiguousarray(transposed).tobytes() == want.tobytes()
 
 
 def _assert_matches_reference(spec, params, x, rng):
