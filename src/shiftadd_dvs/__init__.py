@@ -32,5 +32,5 @@ from .quantize import (  # noqa: F401
 )
 from .encoding import compression_report, decode_layer, encode_layer, encode_model  # noqa: F401
 from .engine import ShiftAddEngine, quantize_activation, shift_add_mul  # noqa: F401
-from .stream import LineBuffer, buffer_requirement  # noqa: F401
+from .stream import LineBuffer  # noqa: F401
 from .throughput import ThroughputReport, throughput_report  # noqa: F401

@@ -39,13 +39,3 @@ def read_json(path):
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def thread_cap(default: int = 1) -> int:
-    """Parallelism cap for batch file work, from SHIFTADD_DVS_THREADS (>= 1)."""
-    raw = os.environ.get("SHIFTADD_DVS_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

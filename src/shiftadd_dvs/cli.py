@@ -11,14 +11,13 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from ._ioutil import atomic_write_text, read_json, thread_cap, write_json
+from ._ioutil import atomic_write_text, read_json, write_json
 from .dataset import ingest_dataset, read_sample
 from .encoding import compression_report, decoded_model, encode_model
 from .engine import ShiftAddEngine
@@ -349,37 +348,27 @@ def infer(model, data, engine_kind, out):
     ds = ingest_dataset(data)
     out_path = Path(out)
     out_path.mkdir(parents=True, exist_ok=True)
-    records = []
-    correct = 0
     config = {"model": str(model), "data": str(data), "engine": engine_kind}
     if engine_kind == "shift-add":
         _, qmodel, scaler, _ = _load_model_dir(model, quantized=True)
         config["f_a"] = qmodel.f_a
         engine = ShiftAddEngine(qmodel)
-        frames = scaler.apply(ds.frames)
 
-        def run_one(i):
-            return engine.forward(frames[i])
-
-        workers = thread_cap()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_one, range(frames.shape[0])))
-        else:
-            results = [run_one(i) for i in range(frames.shape[0])]
-        for ident, label, res in zip(ds.ids, ds.labels, results):
-            values = ",".join(str(int(v)) for v in res.logits)
-            records.append(f"{ident},{values},{res.argmax},{res.total_saturations}")
-            correct += int(res.argmax == label)
+        def run_one(frame):
+            res = engine.forward(frame)
+            return [str(int(v)) for v in res.logits], res.argmax, res.total_saturations
     else:
         spec, params, scaler, _ = _load_model_dir(model)
-        frames = scaler.apply(ds.frames)
-        for i, (ident, label) in enumerate(zip(ds.ids, ds.labels)):
-            logits = model_forward(spec, params, frames[i])
-            argmax = int(np.argmax(logits))
-            values = ",".join(repr(float(v)) for v in logits)
-            records.append(f"{ident},{values},{argmax},0")
-            correct += int(argmax == label)
+
+        def run_one(frame):
+            logits = model_forward(spec, params, frame)
+            return [repr(float(v)) for v in logits], int(np.argmax(logits)), 0
+    records = []
+    correct = 0
+    for ident, label, frame in zip(ds.ids, ds.labels, scaler.apply(ds.frames)):
+        values, argmax, saturations = run_one(frame)
+        records.append(f"{ident},{','.join(values)},{argmax},{saturations}")
+        correct += int(argmax == label)
     atomic_write_text(out_path / "records.txt", "".join(f"{line}\n" for line in records))
     accuracy = correct / max(1, len(ds.ids))
     _result_doc(out, "infer", config,

@@ -80,9 +80,6 @@ class FixedActivation:
     value: int
     f_a: int
 
-    def real(self) -> float:
-        return self.value / float(2 ** self.f_a)
-
 
 def quantize_activation(x: float, f_a: int) -> FixedActivation:
     """Round x * 2^f_a half-to-even onto the activation grid."""

@@ -2,14 +2,14 @@
 
 A self-contained reverse-mode implementation over the layer kinds the model
 spec allows (conv, batchnorm, relu, max/avg pool, flatten, dense). The API is
-NCHW: batches come in and captured conv/pool outputs go out as (B, C, H, W);
-gradients come back as a dict keyed like ``model.param_arrays``. Inside,
-activations are channel-last (B, H, W, C), so a conv's GEMM output is its
-activation and its output gradient a GEMM operand without a copy. The im2col
-columns keep (C, P, Q) order and flatten restores (C, H, W) order, so logits
-and every gradient of a model without batchnorm are those of the NCHW passes
-this layout replaced, bit for bit; batchnorm gradients moved in the last bits,
-and so may an input that wins three or more overlapping max-pool windows.
+NCHW: batches come in as (B, C, H, W); gradients come back as a dict keyed
+like ``model.param_arrays``. Inside, activations are channel-last
+(B, H, W, C), so a conv's GEMM output is its activation and its output
+gradient a GEMM operand without a copy. The im2col columns keep (C, P, Q)
+order and flatten restores (C, H, W) order, so logits and every gradient of a
+model without batchnorm are those of the NCHW passes this layout replaced, bit
+for bit; batchnorm gradients moved in the last bits, and so may an input that
+wins three or more overlapping max-pool windows.
 Per-channel bias and batchnorm broadcasts run on rows of up to 512 elements,
 the vector tiled to match (``_by_column``), with each element's bits unchanged.
 Batchnorm runs on batch statistics in training mode and on running statistics
@@ -90,9 +90,8 @@ def _max_pool_backward(dout, winner, dx: np.ndarray, window: tuple, stride: int)
 
 
 def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
-                  training: bool, capture: str | None = None,
-                  record_margins: bool = False):
-    """Run the chain on a batch; returns (logits, caches[, captured]).
+                  training: bool, record_margins: bool = False):
+    """Run the chain on a batch; returns (logits, caches).
 
     ``record_margins`` additionally stores each relu's minimum |pre-activation|
     and each max pool's smallest top-two gap, so finite-difference gradient
@@ -101,11 +100,11 @@ def forward_batch(spec: ModelSpec, params: ModelParams, x: np.ndarray,
     float32 batches run the whole pass in single precision (desk-scale
     speedup); anything else is promoted to float64.
     """
-    return _forward(spec, params, x, training, capture, record_margins, kept=None)
+    return _forward(spec, params, x, training, record_margins, kept=None)
 
 
-def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, capture: str | None,
-             record_margins: bool, kept: dict | None):
+def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, record_margins: bool,
+             kept: dict | None):
     """``forward_batch``, its caches' large arrays taken from ``kept`` by ``_take``."""
     x = np.asarray(x)
     if x.dtype not in (np.float32, np.float64):
@@ -114,7 +113,6 @@ def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, capture: s
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input spec {spec.input_shape}")
     caches = []
-    captured = None
     out = x.transpose(0, 2, 3, 1)
     for i, (layer, entry) in enumerate(zip(spec.layers, params.entries_for(spec))):
         if isinstance(layer, ConvSpec):
@@ -177,12 +175,6 @@ def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, capture: s
         else:
             caches.append({"kind": "dense", "layer": layer, "entry": entry, "input": out})
             out = out @ entry.weights.T + entry.bias
-        if capture is not None and layer.name == capture:
-            captured = np.array(out.transpose(0, 3, 1, 2) if out.ndim == 4 else out, copy=True)
-    if capture is not None:
-        if captured is None:
-            raise ConfigurationError(f"no layer named {capture!r}")
-        return out, caches, captured
     return out, caches
 
 
@@ -282,7 +274,7 @@ def batch_loss(spec: ModelSpec, params: ModelParams, x, labels,
     labels = np.asarray(labels, dtype=np.int64)
     if params.step_workspace is None:
         object.__setattr__(params, "step_workspace", {})
-    logits, caches = _forward(spec, params, x, training, None, False, params.step_workspace)
+    logits, caches = _forward(spec, params, x, training, False, params.step_workspace)
     b = logits.shape[0]
     finite = np.all(np.isfinite(logits), axis=1)
     losses = np.full(b, np.nan)

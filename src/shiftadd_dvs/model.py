@@ -323,14 +323,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float =
     return ModelParams(spec, entries)
 
 
-def zero_params(spec: ModelSpec) -> ModelParams:
-    params = init_params(spec, np.random.default_rng(0))
-    for entry in params.entries:
-        if entry is not None:
-            layer_arrays(entry)[0][:] = 0.0
-    return params
-
-
 def layer_forward(layer: LayerSpec, entry, x) -> np.ndarray:
     """One layer of the reference forward: conv (then batchnorm, relu), pool, flatten or dense."""
     if isinstance(layer, ConvSpec):

@@ -94,9 +94,6 @@ class ShiftQuantParam:
         if (self.sign == 0) != (len(self.shifts) == 0):
             raise ConfigurationError("sign must be 0 exactly when the shift list is empty")
 
-    def exponents(self, int_bits: int = DEFAULT_INT_BITS) -> tuple[int, ...]:
-        return tuple(int_bits - s for s in self.shifts)
-
     def magnitude(self, int_bits: int = DEFAULT_INT_BITS) -> float:
         return float(sum(2.0 ** (int_bits - s) for s in self.shifts))
 

@@ -115,24 +115,6 @@ class LineBuffer:
         return None
 
 
-def buffer_requirement(p: int, s: int, w: int, q: int) -> dict:
-    """Buffer-size arithmetic for one stage.
-
-    Two figures are reported side by side: the commonly quoted start
-    condition (P-1-S)*W + Q, which can go non-positive for large strides and
-    is flagged rather than clamped, and the functional minimum (P-1)*W + Q,
-    the element count at which the first unpadded window actually completes.
-    """
-    if min(p, s, w, q) < 1:
-        raise ConfigurationError("buffer geometry values must be >= 1")
-    estimate = (p - 1 - s) * w + q
-    return {
-        "start_estimate": estimate,
-        "functional_minimum": (p - 1) * w + q,
-        "start_estimate_nonpositive": estimate <= 0,
-    }
-
-
 @dataclass
 class StageReport:
     name: str

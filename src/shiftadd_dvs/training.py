@@ -21,6 +21,11 @@ from .optim import OptimizerState, adam_update, lr_plateau_schedule
 from .rng import stream
 from ._ioutil import atomic_write_text
 
+# Frames per forward_batch call. Bits depend on both: a GEMM kernel may round a row
+# differently with the batch's shape, and recalibration combines per-chunk statistics.
+PREDICT_BATCH = 256
+RECALIBRATION_CHUNK = 512
+
 
 @dataclass
 class TrainConfig:
@@ -128,14 +133,13 @@ def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainCo
     return result
 
 
-def _recalibrate_running_stats(spec: ModelSpec, params: ModelParams, x: np.ndarray,
-                               chunk: int = 512) -> None:
+def _recalibrate_running_stats(spec: ModelSpec, params: ModelParams, x: np.ndarray) -> None:
     """Replace running batchnorm statistics with full-training-set statistics."""
     if not any(isinstance(layer, ConvSpec) and layer.batchnorm for layer in spec.layers):
         return
     stats: dict[str, tuple] = {}  # layer name: (its batchnorm, per-chunk statistics)
-    for start in range(0, x.shape[0], chunk):
-        part = x[start:start + chunk]
+    for start in range(0, x.shape[0], RECALIBRATION_CHUNK):
+        part = x[start:start + RECALIBRATION_CHUNK]
         _, caches = forward_batch(spec, params, part, training=True)
         for cache in caches:
             if cache["kind"] == "conv" and "bn" in cache:
@@ -151,17 +155,16 @@ def _recalibrate_running_stats(spec: ModelSpec, params: ModelParams, x: np.ndarr
 
 
 def evaluate_accuracy(spec: ModelSpec, params: ModelParams, x: np.ndarray,
-                      labels: np.ndarray, batch: int = 256) -> float:
+                      labels: np.ndarray) -> float:
     """Eval-mode argmax accuracy."""
-    predicted = np.argmax(predict_logits(spec, params, x, batch), axis=1)
+    predicted = np.argmax(predict_logits(spec, params, x), axis=1)
     return int(np.sum(predicted == np.asarray(labels, dtype=np.int64))) / max(1, x.shape[0])
 
 
-def predict_logits(spec: ModelSpec, params: ModelParams, x: np.ndarray,
-                   batch: int = 256) -> np.ndarray:
-    """Eval-mode logits, ``batch`` frames per forward call."""
-    out = [forward_batch(spec, params, x[start:start + batch], training=False)[0]
-           for start in range(0, x.shape[0], batch)]
+def predict_logits(spec: ModelSpec, params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits, ``PREDICT_BATCH`` frames per forward call."""
+    out = [forward_batch(spec, params, x[start:start + PREDICT_BATCH], training=False)[0]
+           for start in range(0, x.shape[0], PREDICT_BATCH)]
     return np.concatenate(out, axis=0) if out else np.zeros((0, spec.class_count))
 
 

@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,35 @@ from shiftadd_dvs.model import (
     ModelSpec,
     PoolLayerSpec,
     init_params,
+    layer_arrays,
 )
 from shiftadd_dvs.quantize import ZERO_PARAM, QuantizedLayer, QuantizedModel, shift_quantize_param
 from shiftadd_dvs.stream import _build_stages, _float_computes, _int_computes
+
+
+def openblas_core() -> str:
+    """The GEMM kernel numpy's bundled OpenBLAS chose at load time (``SkylakeX``,
+    ``Haswell``, ...), or "unknown" where that library is missing."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _blas_line() -> str:
+    return f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
+
+
+def pytest_report_header(config):
+    return _blas_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.option.verbose < 0:  # -q hides the report header
+        terminalreporter.write_line(_blas_line())
 
 
 def make_small_spec(rng: np.random.Generator, batchnorm: bool = False,
@@ -40,6 +69,15 @@ def make_small_spec(rng: np.random.Generator, batchnorm: bool = False,
     layers.append(FlattenSpec())
     layers.append(DenseSpec(name="head", out_features=3))
     return ModelSpec(layers=tuple(layers), input_shape=(in_c, h, w), class_count=3)
+
+
+def zero_weight_params(spec: ModelSpec):
+    """Parameters of ``spec`` with every weight and kernel zeroed."""
+    params = init_params(spec, np.random.default_rng(0))
+    for entry in params.entries:
+        if entry is not None:
+            layer_arrays(entry)[0][:] = 0.0
+    return params
 
 
 def make_small_model(rng: np.random.Generator, batchnorm: bool = False,

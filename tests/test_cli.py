@@ -534,22 +534,6 @@ class TestPipelineReproducibility:
         assert [p.read_bytes() for p in samples_a] == [p.read_bytes() for p in samples_b]
 
 
-class TestThreadCap:
-    def test_threaded_infer_matches_sequential(self, runner, tmp_path,
-                                               quantized_model, data_dir, monkeypatch):
-        outs = []
-        for label, threads in (("seq", "1"), ("par", "3")):
-            monkeypatch.setenv("SHIFTADD_DVS_THREADS", threads)
-            out = tmp_path / label
-            result = runner.invoke(main, [
-                "infer", "--model", str(quantized_model),
-                "--data", str(data_dir / "shifted"), "-o", str(out),
-            ])
-            assert result.exit_code == 0, result.output
-            outs.append((out / "records.txt").read_bytes())
-        assert outs[0] == outs[1]
-
-
 class TestExportFeatures:
     def test_flatten_export_shape(self, runner, tmp_path, trained_model, data_dir):
         out = tmp_path / "features"

@@ -3,7 +3,9 @@ import pytest
 
 from shiftadd_dvs.errors import ConfigurationError
 from shiftadd_dvs.features import export_features
-from shiftadd_dvs.model import default_student_spec, init_params, zero_params
+from shiftadd_dvs.model import default_student_spec, init_params
+
+from conftest import zero_weight_params
 
 
 def test_flatten_rows_have_expected_width(rng, tmp_path):
@@ -21,7 +23,7 @@ def test_flatten_rows_have_expected_width(rng, tmp_path):
 
 def test_zero_weight_model_exports_zero_features(rng):
     spec = default_student_spec()
-    params = zero_params(spec)
+    params = zero_weight_params(spec)
     frames = rng.normal(size=(1, 1, 256, 11))
     text = export_features(spec, params, frames, [1], ["s"])
     values = np.array([float(v) for v in text.strip().split(",")[2:]])

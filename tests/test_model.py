@@ -19,9 +19,10 @@ from shiftadd_dvs.model import (
     model_forward,
     param_arrays,
     wide_student_spec,
-    zero_params,
 )
 from shiftadd_dvs.quantize import shift_quantize_model
+
+from conftest import zero_weight_params
 
 EXPECTED_CHAIN = [(8, 256, 11), (8, 128, 5), (16, 128, 5), (16, 64, 2), (32, 64, 2),
                   (32, 32, 1), (64, 32, 1), (2048,), (3,)]
@@ -63,7 +64,7 @@ def test_single_conv_param_count():
 
 def test_zero_network_gives_zero_logits():
     spec = default_student_spec()
-    logits = model_forward(spec, zero_params(spec), np.zeros((1, 256, 11)))
+    logits = model_forward(spec, zero_weight_params(spec), np.zeros((1, 256, 11)))
     np.testing.assert_array_equal(logits, np.zeros(3))
 
 

@@ -59,12 +59,12 @@ class TestShiftQuantizeParam:
     def test_single_power_exact(self):
         p = shift_quantize_param(-0.5, 1)
         assert p.sign == -1
-        assert p.exponents(2) == (-1,)
+        assert tuple(2 - s for s in p.shifts) == (-1,)
         assert p.value(2) == -0.5
 
     def test_greedy_msb(self):
         p = shift_quantize_param(0.7, 3)
-        assert p.exponents(2) == (-1, -3, -4)
+        assert tuple(2 - s for s in p.shifts) == (-1, -3, -4)
         assert p.value(2) == 0.6875
 
     def test_exact_two_term_no_error(self):
@@ -117,7 +117,7 @@ class TestReconstructionProperties:
             err = abs(fixed_point_value(w, 16, 2)) - p.magnitude(2)
             if p.term_count == n and err > 0:
                 # dropped digits are all strictly below the last kept exponent
-                assert err < 2.0 ** p.exponents(2)[-1]
+                assert err < 2.0 ** (2 - p.shifts[-1])
             else:
                 assert err == 0.0
 

@@ -21,7 +21,6 @@ from shiftadd_dvs.model import (
     fold_model_batchnorm,
     init_params,
     model_forward,
-    zero_params,
 )
 from shiftadd_dvs.encoding import encode_model
 from shiftadd_dvs.quantize import ShiftQuantParam, dequantize_model, shift_quantize_model
@@ -29,13 +28,12 @@ from shiftadd_dvs.saqm import load_quantized, save_quantized
 from shiftadd_dvs import stream as stream_module
 from shiftadd_dvs.stream import (
     LineBuffer,
-    buffer_requirement,
     stream_float_forward,
     stream_quantized_forward,
 )
 
 from conftest import (STRIDED_GEOMETRIES, float_stages, int_stages, make_small_model,
-                      make_small_spec, single_conv_spec, wide_dense_model)
+                      make_small_spec, single_conv_spec, wide_dense_model, zero_weight_params)
 
 
 def first_window_by_enumeration(p, q, s, h, w):
@@ -130,24 +128,6 @@ class TestLineBuffer:
     def test_unit_window_completes_on_every_step(self):
         buf = LineBuffer(1, 3, (1, 1), 1)
         np.testing.assert_array_equal(buf.step(np.array([2.0])), [[[2.0]]])
-
-
-class TestBufferRequirement:
-    def test_conv1_formula_values(self):
-        out = buffer_requirement(3, 1, 11, 3)
-        assert out["start_estimate"] == 14
-        assert out["functional_minimum"] == 25
-        assert not out["start_estimate_nonpositive"]
-
-    def test_strided_pool_goes_nonpositive(self):
-        out = buffer_requirement(2, 2, 11, 2)
-        assert out["start_estimate"] == -9
-        assert out["functional_minimum"] == 13
-        assert out["start_estimate_nonpositive"]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            buffer_requirement(0, 1, 4, 1)
 
 
 class TestFloatStreaming:
@@ -824,7 +804,7 @@ class TestPipelineReuse:
 
 def test_zero_model_streams_zero_logits(rng):
     spec, params = make_small_model(rng, batchnorm=False)
-    zero = zero_params(spec)
+    zero = zero_weight_params(spec)
     res = stream_float_forward(spec, zero, rng.normal(size=spec.input_shape))
     np.testing.assert_array_equal(res.logits, np.zeros(3))
     assert res.argmax == 0
