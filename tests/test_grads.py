@@ -22,6 +22,7 @@ from shiftadd_dvs.model import (
     model_forward,
     param_arrays,
     set_param_arrays,
+    wide_student_spec,
 )
 from shiftadd_dvs.optim import OptimizerState, adam_update
 from shiftadd_dvs.training import TrainConfig, train_model
@@ -449,11 +450,20 @@ def test_overlapping_max_pool_gradients_match_finite_differences():
 # -- eval mode against the reference ----------------------------------------------
 
 
-def test_eval_logits_match_model_forward():
+EVAL_CASES = ["student", "wide-student"] + [f"small-{seed}" for seed in range(6)]
+
+
+@pytest.mark.parametrize("case", EVAL_CASES)
+def test_eval_logits_match_model_forward(case):
     """Eval-mode ``forward_batch``, the path ``predict_logits`` takes, gives the per-frame
-    reference's logits under non-trivial batchnorm running statistics."""
-    rng = np.random.default_rng(11)
-    spec = default_student_spec()
+    reference's logits under non-trivial batchnorm running statistics, on both students
+    and on random small models with batchnorm (padding, 1x1 to 4x4 kernels, max and avg pools)."""
+    if case.startswith("small-"):
+        rng = np.random.default_rng(int(case.removeprefix("small-")))
+        spec = make_small_spec(rng, batchnorm=True)
+    else:
+        rng = np.random.default_rng(11)
+        spec = default_student_spec() if case == "student" else wide_student_spec()
     params = init_params(spec, rng)
     for entry in params.entries:
         if getattr(entry, "bn", None) is not None:

@@ -15,15 +15,21 @@ from shiftadd_dvs.model import (
     FlattenSpec,
     ModelSpec,
     PoolLayerSpec,
+    init_params,
+    model_forward,
     param_arrays,
 )
 from shiftadd_dvs.rng import stream
 from shiftadd_dvs.training import (
+    PREDICT_BATCH,
+    RECALIBRATION_CHUNK,
     Standardizer,
     TrainConfig,
     evaluate_accuracy,
     kfold_train,
+    _recalibrate_running_stats,
     load_teacher_logits,
+    predict_logits,
     save_teacher_logits,
     stratified_folds,
     train_model,
@@ -117,6 +123,21 @@ class TestTrainModel:
         np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)))
 
+    def test_running_stats_recalibrated_across_chunks(self):
+        """Over a set one ``RECALIBRATION_CHUNK`` and five frames long, the per-chunk
+        statistics combine into those of the whole set."""
+        rng = np.random.default_rng(4)
+        spec = tiny_spec()
+        params = init_params(spec, rng)
+        frames = rng.normal(size=(RECALIBRATION_CHUNK + 5, *spec.input_shape))
+        _recalibrate_running_stats(spec, params, frames)
+        conv1 = params.entries[0]
+        layer = spec.layers[0]
+        outs = np.stack([conv2d_forward(x, conv1.conv, layer.stride, layer.padding)
+                         for x in frames])
+        np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)), rtol=1e-9)
+        np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)), rtol=1e-9)
+
     def test_empty_training_set_rejected(self):
         frames, labels = separable_toy_set(n_per_class=2)
         with pytest.raises(ConfigurationError, match="x holds no training frames"):
@@ -194,6 +215,23 @@ class TestTeacherLogits:
         path.write_text("a,1.0,2.0\n")
         with pytest.raises(ParseError, match=":1"):
             load_teacher_logits(path)
+
+
+def test_predict_logits_covers_every_frame_across_batches():
+    """``predict_logits`` runs ``PREDICT_BATCH`` frames per forward call; over a set one batch
+    and three frames long each row holds its own frame's eval-mode logits, in order."""
+    rng = np.random.default_rng(6)
+    spec = tiny_spec()
+    params = init_params(spec, rng)
+    bn = params.entries[0].bn
+    bn.mean[...] = rng.normal(size=bn.mean.shape) * 0.1
+    bn.var[...] = rng.uniform(0.5, 2.0, size=bn.var.shape)
+    frames = rng.normal(size=(PREDICT_BATCH + 3, *spec.input_shape))
+    logits = predict_logits(spec, params, frames)
+    assert logits.shape == (PREDICT_BATCH + 3, spec.class_count)
+    want = np.stack([model_forward(spec, params, x) for x in frames])
+    np.testing.assert_allclose(logits, want, rtol=0, atol=1e-5)
+    assert predict_logits(spec, params, frames[:0]).shape == (0, spec.class_count)
 
 
 def test_standardizer_fit_apply():
