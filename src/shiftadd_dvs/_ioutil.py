@@ -1,4 +1,4 @@
-"""Small shared I/O helpers: atomic writes and run documents."""
+"""Small shared I/O helpers: atomic writes, run documents and their field types."""
 from __future__ import annotations
 
 import json
@@ -6,7 +6,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -39,3 +39,11 @@ def read_json(path):
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def json_typed(value, kind: type, what: str):
+    """``value``, which must be a JSON integer (``kind`` int; true and 1.5 are not) or boolean."""
+    if type(value) is not kind:
+        expected = "boolean" if kind is bool else "integer"
+        raise ConfigurationError(f"{what} must be a JSON {expected}, got {value!r}")
+    return value

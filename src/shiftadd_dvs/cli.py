@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._ioutil import atomic_write_text, read_json, write_json
+from ._ioutil import atomic_write_text, json_typed, read_json, write_json
 from .dataset import ingest_dataset, read_sample
 from .encoding import compression_report, decoded_model, encode_model
 from .engine import ShiftAddEngine
@@ -95,7 +95,7 @@ def _load_model_dir(model_dir, quantized: bool = False):
         try:
             spec = ModelSpec.from_json(doc["spec"])
             scaler = Standardizer.from_json(doc["standardizer"])
-            f_a = int(doc.get("f_a", 8))
+            f_a = json_typed(doc.get("f_a", 8), int, f"{path}: f_a")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: malformed model document: {exc!r}") from exc
         if quantized:
@@ -105,14 +105,6 @@ def _load_model_dir(model_dir, quantized: bool = False):
     except FileNotFoundError as exc:
         raise IngestionError(f"{exc.filename}: missing from the model directory") from exc
     return spec, model, scaler, doc
-
-
-def _build_spec(arch: str) -> ModelSpec:
-    if arch == "student":
-        return default_student_spec()
-    if arch == "wide":
-        return wide_student_spec()
-    raise ConfigurationError(f"unknown architecture {arch!r}")
 
 
 @click.group()
@@ -139,22 +131,30 @@ def gen_data(seed, per_class, shifted_per_class, out):
     click.echo(f"wrote {base_dir} and {shifted_dir}")
 
 
+def _fold_trainer(data, test_data, arch, seed, folds, teacher_logits=None):
+    """(data set, test set or None, spec, fit): the data, test data, spec and teacher
+    table are loaded once, and ``fit(cfg)`` runs ``kfold_train`` on them."""
+    ds = ingest_dataset(data)
+    test = ingest_dataset(test_data) if test_data else None
+    spec = {"student": default_student_spec, "wide": wide_student_spec}[arch]()
+    table = None
+    if teacher_logits:
+        table = load_teacher_logits(teacher_logits, expected_ids=ds.ids,
+                                    class_count=spec.class_count)
+
+    def fit(cfg: TrainConfig):
+        return kfold_train(ds.frames, ds.labels, test.frames if test else None,
+                           test.labels if test else None, spec, cfg, seed=seed, k=folds,
+                           teacher_table=table, train_ids=ds.ids)
+    return ds, test, spec, fit
+
+
 def _train_common(data, test_data, arch, seed, folds, epochs, batch, lr, out,
                   command, kd: KDConfig | None = None, teacher_logits_path=None,
                   emit_logits=None):
-    ds = ingest_dataset(data)
-    test = ingest_dataset(test_data) if test_data else None
-    spec = _build_spec(arch)
     cfg = TrainConfig(lr=lr, batch_size=batch, max_epochs=epochs, kd=kd)
-    teacher_table = None
-    if teacher_logits_path:
-        teacher_table = load_teacher_logits(teacher_logits_path, expected_ids=ds.ids,
-                                            class_count=spec.class_count)
-    result = kfold_train(ds.frames, ds.labels,
-                         test.frames if test else None,
-                         test.labels if test else None,
-                         spec, cfg, seed=seed, k=folds,
-                         teacher_table=teacher_table, train_ids=ds.ids)
+    ds, test, spec, fit = _fold_trainer(data, test_data, arch, seed, folds, teacher_logits_path)
+    result = fit(cfg)
     best = int(np.argmax(result.val_accuracies))
     _save_model_dir(out, spec, result.fold_params[best], result.standardizers[best],
                     meta={"arch": arch, "fold": best, "seed": seed})
@@ -231,19 +231,10 @@ def distill(data, test_data, teacher_logits, arch, alpha, temperature, t_squared
         raise ConfigurationError(f"bad --grid value {grid!r}: an axis has no values")
     # every cell is checked before the first one trains
     kds = [KDConfig(alpha=a, temperature=t, t_squared=t_squared) for a in alphas for t in temps]
-    ds = ingest_dataset(data)
-    test = ingest_dataset(test_data) if test_data else None
-    spec = _build_spec(arch)
-    table = load_teacher_logits(teacher_logits, expected_ids=ds.ids,
-                                class_count=spec.class_count)
+    _, test, _, fit = _fold_trainer(data, test_data, arch, seed, folds, teacher_logits)
     cells = []
     for kd in kds:
-        cfg = TrainConfig(lr=lr, batch_size=batch, max_epochs=epochs, kd=kd)
-        res = kfold_train(ds.frames, ds.labels,
-                          test.frames if test else None,
-                          test.labels if test else None,
-                          spec, cfg, seed=seed, k=folds,
-                          teacher_table=table, train_ids=ds.ids)
+        res = fit(TrainConfig(lr=lr, batch_size=batch, max_epochs=epochs, kd=kd))
         cells.append({"alpha": kd.alpha, "temperature": kd.temperature,
                       "mean_val_accuracy": res.mean_val_accuracy,
                       "mean_test_accuracy": res.mean_test_accuracy if test else None})

@@ -8,8 +8,8 @@ requantize back to the activation grid with round-half-to-even and symmetric
 saturation at the 32-bit boundary.
 
 Conv and dense layers, here and in the streaming simulator (which runs each
-window layer through one ``_forward_arrays`` call on the stack of slabs its
-line buffer handed out, with only the stage's window reads restated), share
+layer through one ``_forward_arrays`` call, a window layer's on the stack of
+slabs its line buffer handed out, with only its window reads restated), share
 one kernel, ``_shift_add``, over an im2col block (K rows, one column per
 position). A conv gathers its block with ``np.take`` by a flat index that
 ``im2col_index`` precomputes over the padded input; a pool reads each window
@@ -27,13 +27,14 @@ subtract and shift are exact modulo 2^64 and the overflow check keeps the sum
 of the terms' magnitudes below 2^63, so the result equals the per-term sum bit
 for bit, whatever its intermediate values.
 
-Stage shapes come from ``ModelSpec.geometry()``, the one walk over the layer
-chain. At construction a worst-case bound proves that no accumulator can
-overflow 64 bits for any frame the engine accepts: ``quantize_frame`` rejects
-activations beyond 32 bits and every layer saturates to that range, so the
-proof needs no assumption about the input data. A later layer is proven only
-for the bound its predecessor passes on, so each stage records that bound and
-``layer_forward``, which takes any layer's input from outside, refuses more.
+Each stage keeps its input shape from ``ModelSpec.geometry()``, the one walk
+over the layer chain. At construction a worst-case bound proves that no
+accumulator can overflow 64 bits for any frame the engine accepts:
+``quantize_frame`` rejects activations beyond 32 bits and every layer
+saturates to that range, so the proof needs no assumption about the input
+data. A later layer is proven only for the bound its predecessor passes on, so
+each stage records that bound and ``layer_forward``, which takes any layer's
+input from outside, refuses more.
 
 The functions listed in ``DATA_PATH_FUNCTIONS`` form the integer data path;
 they intentionally contain no multiplication operator (a unit test audits
@@ -288,6 +289,7 @@ class _StageConfig:
     """A spec layer plus what the integer path precomputes for it."""
 
     layer: LayerSpec
+    in_shape: tuple[int, ...]
     out_hw: tuple[int, ...]
     plan: _ShiftPlan | None = None  # conv and dense: the weight terms as ``_shift_add`` reads them
     gather: np.ndarray | None = None  # conv: ``im2col_index`` over the padded input
@@ -349,7 +351,8 @@ class ShiftAddEngine:
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0
-            stages.append(_StageConfig(layer, out_shape[1:], plan, gather, avg_shift, in_bound))
+            stages.append(_StageConfig(layer, in_shape, out_shape[1:], plan, gather, avg_shift,
+                                       in_bound))
         return stages
 
     def _check_overflow_bound(self, name: str, weights: Terms, bias_acc: np.ndarray,
@@ -417,11 +420,11 @@ class ShiftAddEngine:
         """
         x_int = _integer_input(x_int)
         stats: dict[str, int] = {}
-        for stage, (_, in_shape, _) in zip(self.stages, self.spec.geometry()):
+        for stage in self.stages:
             if stage.name == name:
-                if x_int.shape != in_shape:
+                if x_int.shape != stage.in_shape:
                     raise ConfigurationError(f"layer {name}: input shape {x_int.shape} does "
-                                             f"not match the spec's {in_shape}")
+                                             f"not match the spec's {stage.in_shape}")
                 if max(x_int.max(), -x_int.min()) > stage.in_bound:
                     raise RangeError(f"layer {name}: input exceeds {stage.in_bound}, the "
                                      "largest magnitude its overflow proof covers")

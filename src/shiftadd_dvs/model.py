@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._ioutil import json_typed
 from .errors import ConfigurationError
 from .layers import (
     BatchNormParams,
@@ -168,25 +169,35 @@ class ModelSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "ModelSpec":
+        """The spec ``to_json`` wrote; each size and count must be a JSON integer and each
+        flag a JSON boolean, so no other value is read as one."""
+        def get(entry, key, kind=int):
+            value, where = entry[key], f"layer {entry['name']}" if "name" in entry else "spec"
+            if isinstance(value, list):  # kernel, window, input_shape
+                return tuple(json_typed(v, kind, f"{where}: {key}") for v in value)
+            return json_typed(value, kind, f"{where}: {key}")
+
         layers: list[LayerSpec] = []
         for entry in doc["layers"]:
             kind = entry["kind"]
             if kind == "conv":
-                layers.append(ConvSpec(name=entry["name"], out_channels=entry["out_channels"],
-                                       kernel=tuple(entry["kernel"]), stride=entry["stride"],
-                                       padding=entry["padding"], relu=entry["relu"],
-                                       batchnorm=entry["batchnorm"]))
+                layers.append(ConvSpec(name=entry["name"], out_channels=get(entry, "out_channels"),
+                                       kernel=get(entry, "kernel"), stride=get(entry, "stride"),
+                                       padding=get(entry, "padding"), relu=get(entry, "relu", bool),
+                                       batchnorm=get(entry, "batchnorm", bool)))
             elif kind == "pool":
                 layers.append(PoolLayerSpec(name=entry["name"], mode=entry["mode"],
-                                            window=tuple(entry["window"]), stride=entry["stride"]))
+                                            window=get(entry, "window"),
+                                            stride=get(entry, "stride")))
             elif kind == "flatten":
                 layers.append(FlattenSpec(name=entry["name"]))
             elif kind == "dense":
-                layers.append(DenseSpec(name=entry["name"], out_features=entry["out_features"]))
+                layers.append(DenseSpec(name=entry["name"],
+                                        out_features=get(entry, "out_features")))
             else:
                 raise ConfigurationError(f"unknown layer kind {kind!r}")
-        return ModelSpec(layers=tuple(layers), input_shape=tuple(doc["input_shape"]),
-                         class_count=doc["class_count"])
+        return ModelSpec(layers=tuple(layers), input_shape=get(doc, "input_shape"),
+                         class_count=get(doc, "class_count"))
 
 
 def default_student_spec(batchnorm: bool = True, use_relu: bool = True) -> ModelSpec:

@@ -1,59 +1,46 @@
 """Row-major streaming execution with per-stage line buffers.
 
-Each layer becomes a stage that takes its whole (C, H, W) input map and
-returns its output map; stages run in layer order, as the engine's layers do.
-Every report counts one stage's own elements, so none depends on how stages
-would interleave in hardware. Three stage classes cover every layer kind:
+Each layer becomes one ``_Stage`` record, built once from ``spec.geometry()``:
+its input shape, its ``StageReport``, its arithmetic ``compute`` and, for conv
+and pool, its slab schedule ``slabs``. Stages run in layer order, as the
+engine's layers do; each takes its whole input and returns its output, and
+reads the elements its predecessor emits (the first stage the frame's H*W
+channel vectors), so a report counts its own stage's elements only.
 
-- ``_WindowStage`` (conv, pool) models a ring ``LineBuffer`` of the window
-  height's rows over its zero-padded input. The ring's schedule is fixed by
-  the geometry, as a hardware line buffer's wiring is, so the stage derives it
-  once when built: output row i reads padded rows i*S .. i*S+P-1, the slab the
-  ring hands out when row P-1+i*S completes, cut to the columns that row's
-  windows read. Zero padding enters as virtual elements, which do not count
-  toward occupancy since hardware would not store constant zeros; the ring
-  holds the last P*Wp elements fed, so the occupancy peak is the largest real
-  count over P*Wp consecutive elements, and the capacity check runs once, at
-  build. Per frame the stage pads its map and gathers every slab into one
-  (C, OH*P, Q + (OW-1)*S) stack in a single read. The tests step
-  ``LineBuffer.step`` element by element over each stage's padded input and
-  check that every window and the occupancy peak match this schedule.
-- ``_FlattenStage`` passes its map on unchanged.
-- ``_DenseStage`` reads the map whole and emits the layer's output.
+A window stage (conv, pool) models a ring ``LineBuffer`` of the window
+height's rows over its zero-padded input. The ring's schedule is fixed by the
+geometry, as a hardware line buffer's wiring is, so ``_window_schedule``
+derives it once: output row i reads padded rows i*S .. i*S+P-1, the slab the
+ring hands out when row P-1+i*S completes, cut to the columns that row's
+windows read. Padding enters as virtual elements, which take no storage, so
+the occupancy peak is the largest real count over P*Wp consecutive elements,
+checked against the ring's capacity at build. Per frame the stage pads its map
+and gathers every slab into one (C, OH*P, Q + (OW-1)*S) stack; the tests step
+``LineBuffer.step`` element by element to check every window and the peak.
+Flatten and dense pass their input to ``compute`` as it is.
 
-One builder, ``_build_stages``, makes the stages of both paths; only their
-arithmetic differs, a module-level function bound to each stage with
-``functools.partial``. A window stage computes its whole output map from the
-stack in one call. ``_slab_layer`` restates its layer, for both paths, to read
-windows at row stride P and column stride S and at padding 0, since the slabs
-already hold the virtual zeros.
-Float stages run ``model.layer_forward``, the dense one on the whole map, so
-every output element sees the batch operation order and the float logits
-equal ``model_forward``'s bit for bit. The integer path builds a
-``ShiftAddEngine`` and its stages once per model, as the hardware loads its
-weights once: a model is immutable, so it keeps them from its first frame on.
-A frame's saturation counts travel with the call, so stages keep no per-frame
-state. Each integer stage is the engine's own with its layer restated by
-``_slab_layer``; a conv also gets an ``im2col_index`` gather over the stack,
-and a pool reads its strided taps at the restated stride.
-The engine's plan, which fits any position count, is used as built, so each
-layer's saturation count is the engine's whole-layer count, listed in the
-engine's layer order. The simulator thus accepts the models the engine
-accepts, with one exception: it refuses a dense layer that does not directly
-follow flatten. Its logits are bit-identical. The modeled cycle count
-assumes one element per cycle per stage and is the maximum per-stage
-element-event count; it is an estimate, distinct from measured latencies.
+``compute`` is the batch path's own layer call: ``model.layer_forward`` on the
+float path, so the float logits equal ``model_forward``'s bit for bit, and one
+``_forward_arrays`` stage of a ``ShiftAddEngine`` on the integer path, so the
+logits and each layer's saturation count are the engine's. ``_slab_layer``
+restates a window layer to read the stack at row stride P, column stride S and
+padding 0. The engine and its stages are built once per model, as hardware
+loads its weights once. The simulator accepts exactly the models the engine
+accepts. The modeled cycle count assumes one element per cycle per stage and
+is the largest per-stage padded element count; it is an estimate, distinct
+from measured latencies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
 from .engine import ShiftAddEngine, _StageConfig, im2col_index, quantize_frame
-from .model import (ConvSpec, DenseSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec,
+from .model import (ConvSpec, FlattenSpec, ModelSpec, ModelParams, PoolLayerSpec,
                     layer_forward)
 from .quantize import QuantizedModel
 
@@ -115,7 +102,7 @@ class LineBuffer:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageReport:
     name: str
     peak_occupancy: int
@@ -125,111 +112,82 @@ class StageReport:
     padded_elements_in: int
 
 
+@dataclass(frozen=True)
 class _Stage:
-    """One layer over its whole (C, H, W) input map; ``run`` checks the map, subclasses ``_forward``.
+    """One layer: ``compute(x, stats)`` maps its input, of ``in_shape``, to its output.
 
-    The element counts follow from the geometry: every stage reads the map's
-    H*W channel vectors in row-major order.
+    A conv or pool stage has ``slabs`` = (pad, rows, cols): it pads its map by
+    pad and hands ``compute`` the stack ``padded[:, rows, cols]``, whose rows
+    [i*P, (i+1)*P) are output row i's slab. Integer stages add their
+    saturations to ``stats``.
     """
 
-    def __init__(self, name: str, in_shape: tuple[int, int, int], elements_out: int,
-                 first_output_at: int):
-        self.name = name
-        self.in_shape = in_shape
-        self.elements_in = self.padded_in = in_shape[1] * in_shape[2]
-        self.elements_out = elements_out
-        self.first_output_at = first_output_at
+    in_shape: tuple
+    report: StageReport
+    compute: Callable
+    slabs: tuple | None = None
 
     def run(self, x: np.ndarray, stats: dict) -> np.ndarray:
-        """The stage's output map; integer stages add their saturations to ``stats``."""
         if x.shape != self.in_shape:
-            raise ProtocolError(f"stage {self.name}: input map {x.shape} != {self.in_shape}")
-        return self._forward(x, stats)
-
-    def report(self) -> StageReport:
-        return StageReport(name=self.name, peak_occupancy=self._peak(),
-                           elements_in=self.elements_in, elements_out=self.elements_out,
-                           first_output_at=self.first_output_at,
-                           padded_elements_in=self.padded_in)
-
-    def _peak(self) -> int:
-        return 0
-
-
-class _WindowStage(_Stage):
-    """Conv or pool; ``compute`` maps the (C, OH*P, width) stack of slabs to (C', OH, OW).
-
-    Rows [i*P, (i+1)*P) of the stack are the slab a line buffer hands out for
-    output row i: padded rows i*S .. i*S+P-1, cut to the columns that row's
-    windows read. The schedule and the occupancy peak follow from the
-    geometry, so both are derived here, once.
-    """
-
-    def __init__(self, layer: ConvSpec | PoolLayerSpec, in_shape, out_shape, dtype, compute):
-        conv = isinstance(layer, ConvSpec)
-        (p, q), s = layer.kernel if conv else layer.window, layer.stride
-        c, h, w = in_shape
-        pad = layer.padding if conv else 0
-        self.padding = pad
-        self._dtype = dtype
-        self._real = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
-        self._real[pad:pad + h, pad:pad + w] = True
-        self._rows = (np.arange(out_shape[1])[:, None] * s + np.arange(p)).ravel()
-        self._cols = slice(q + (out_shape[2] - 1) * s)  # the slab columns one output row reads
-        self._compute = compute
-        # The ring holds the last P*Wp elements fed, of which only the real ones
-        # are stored, so the occupancy peak is the largest real count over any
-        # P*Wp consecutive elements; the grid has at least P rows.
-        fed = np.concatenate(([0], np.cumsum(self._real.ravel())))
-        span = p * self._real.shape[1]
-        self._peak_real = int((fed[span:] - fed[:len(fed) - span]).max())
-        capacity = p * w  # P rows of real elements per channel
-        if self._peak_real > capacity:
             raise ProtocolError(
-                f"stage {layer.name}: occupancy {self._peak_real} exceeds the "
-                f"{capacity}-element line-buffer capacity")
-        # The first window completes at padded (P-1, Q-1); a leading virtual
-        # element (top padding, or a real row's left padding) is credited to
-        # the real element after it.
-        leading = p - 1 < pad or (p - 1 < pad + h and q - 1 < pad)
-        first = int(self._real[:p - 1].sum() + self._real[p - 1, :q].sum()) + leading
-        super().__init__(layer.name, in_shape, out_shape[1] * out_shape[2], first)
-        self.padded_in = self._real.size
-
-    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
-        c, h, w = self.in_shape
-        pad = self.padding
-        padded = np.zeros((c,) + self._real.shape, dtype=self._dtype)
-        padded[:, pad:pad + h, pad:pad + w] = x
-        return self._compute(padded[:, self._rows, self._cols], stats)
-
-    def _peak(self) -> int:
-        return self._peak_real
+                f"stage {self.report.name}: input map {x.shape} != {self.in_shape}")
+        if self.slabs is not None:
+            pad, rows, cols = self.slabs
+            c, h, w = x.shape
+            padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            padded[:, pad:pad + h, pad:pad + w] = x
+            x = padded[:, rows, cols]
+        return self.compute(x, stats)
 
 
-class _FlattenStage(_Stage):
-    """Passes the map on; the dense stage reads it in the batch flatten order."""
+def _window_schedule(layer: ConvSpec | PoolLayerSpec, in_shape, out_shape) -> tuple:
+    """(report, slabs) of a conv or pool stage, from its geometry alone."""
+    conv = isinstance(layer, ConvSpec)
+    (p, q), s = layer.kernel if conv else layer.window, layer.stride
+    _, h, w = in_shape
+    pad = layer.padding if conv else 0
+    real = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
+    real[pad:pad + h, pad:pad + w] = True
+    rows = (np.arange(out_shape[1])[:, None] * s + np.arange(p)).ravel()
+    cols = slice(q + (out_shape[2] - 1) * s)  # the slab columns one output row reads
+    # The ring holds the last P*Wp elements fed, of which only the real ones
+    # are stored, so the occupancy peak is the largest real count over any
+    # P*Wp consecutive elements; the grid has at least P rows.
+    fed = np.concatenate(([0], np.cumsum(real.ravel())))
+    span = p * real.shape[1]
+    peak = int((fed[span:] - fed[:len(fed) - span]).max())
+    capacity = p * w  # P rows of real elements per channel
+    if peak > capacity:
+        raise ProtocolError(f"stage {layer.name}: occupancy {peak} exceeds the "
+                            f"{capacity}-element line-buffer capacity")
+    # The first window completes at padded (P-1, Q-1); a leading virtual
+    # element (top padding, or a real row's left padding) is credited to
+    # the real element after it.
+    leading = p - 1 < pad or (p - 1 < pad + h and q - 1 < pad)
+    first = int(real[:p - 1].sum() + real[p - 1, :q].sum()) + leading
+    report = StageReport(layer.name, peak, h * w, out_shape[1] * out_shape[2], first, real.size)
+    return report, (pad, rows, cols)
 
-    def __init__(self, name: str, in_shape):
-        super().__init__(name, in_shape, in_shape[1] * in_shape[2], 1)
 
-    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
-        return x
+def _build_stages(spec: ModelSpec, computes: list) -> list[_Stage]:
+    """One stage per layer of ``spec.geometry()``; ``computes[i]`` is layer i's arithmetic.
 
-
-class _DenseStage(_Stage):
-    """``compute`` maps the whole input map to the layer's output, at the grid's last position."""
-
-    def __init__(self, layer: DenseSpec, in_shape, compute):
-        super().__init__(layer.name, in_shape, 1, in_shape[1] * in_shape[2])
-        self.out_features = layer.out_features
-        self._compute = compute
-
-    def _forward(self, x: np.ndarray, stats: dict) -> np.ndarray:
-        return self._compute(x, stats)
-
-    def _peak(self) -> int:
-        return self.out_features
+    Each stage reads the elements its predecessor emits: flatten passes them
+    on, and dense emits one vector once it has read them all.
+    """
+    stages = []
+    elements = spec.input_shape[1] * spec.input_shape[2]
+    for (layer, in_shape, out_shape), compute in zip(spec.geometry(), computes):
+        slabs = None
+        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
+            report, slabs = _window_schedule(layer, in_shape, out_shape)
+        elif isinstance(layer, FlattenSpec):
+            report = StageReport(layer.name, 0, elements, elements, 1, elements)
+        else:
+            report = StageReport(layer.name, layer.out_features, elements, 1, elements, elements)
+        stages.append(_Stage(in_shape, report, compute, slabs))
+        elements = report.elements_out
+    return stages
 
 
 # -- arithmetic, bound to each stage with functools.partial --------------------
@@ -237,12 +195,12 @@ class _DenseStage(_Stage):
 # count none).
 
 def _float_layer(x, stats, layer, entry):
-    """``model.layer_forward``: a window stage's slab stack, or the dense map."""
+    """``model.layer_forward`` on the stage's input."""
     return layer_forward(layer, entry, x)
 
 
 def _int_layer(x, stats, engine: ShiftAddEngine, stage: _StageConfig):
-    """The engine's own layer ``stage`` on x: a window stage's slab stack, or the dense map."""
+    """The engine's own layer ``stage`` on the stage's input."""
     return engine._forward_arrays(x, stats, [stage])
 
 
@@ -255,81 +213,56 @@ class StreamResult:
     saturations: dict[str, int] = field(default_factory=dict)
 
 
-def _stage_geometry(spec: ModelSpec) -> list[tuple]:
-    """``spec.geometry()`` with the trailing dense reading the flatten's input map."""
-    geometry = list(spec.geometry())
-    for i, (layer, _, out_shape) in enumerate(geometry):
-        if isinstance(layer, DenseSpec):
-            if i == 0 or not isinstance(spec.layers[i - 1], FlattenSpec):
-                raise ConfigurationError(
-                    f"layer {layer.name}: streaming needs the dense layer right after flatten")
-            geometry[i] = (layer, geometry[i - 1][1], out_shape)
-    return geometry
+def _slab_layer(layer):
+    """``layer`` restated to read what its stage hands it.
 
-
-def _build_stages(spec: ModelSpec, computes: list, dtype) -> list[_Stage]:
-    """Line-buffer stages over the spec's layers; ``computes[i]`` is layer i's arithmetic."""
-    stages: list[_Stage] = []
-    for (layer, in_shape, out_shape), compute in zip(_stage_geometry(spec), computes):
-        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            stages.append(_WindowStage(layer, in_shape, out_shape, dtype, compute))
-        elif isinstance(layer, FlattenSpec):
-            stages.append(_FlattenStage(layer.name, in_shape))
-        else:
-            stages.append(_DenseStage(layer, in_shape, compute))
-    return stages
-
-
-def _slab_layer(layer: ConvSpec | PoolLayerSpec) -> ConvSpec | PoolLayerSpec:
-    """``layer`` restated to read the stack of slabs ``_WindowStage`` hands it.
-
-    The stack holds one P-row slab per output row, zero padding included, so
-    the layer reads it at padding 0 and (row, column) stride (P, S).
+    A window stage's stack holds one P-row slab per output row, zero padding
+    included, so conv and pool read it at padding 0 and (row, column) stride
+    (P, S); flatten and dense read their input as it is.
     """
     if isinstance(layer, ConvSpec):
         return replace(layer, padding=0, stride=(layer.kernel[0], layer.stride))
-    return replace(layer, stride=(layer.window[0], layer.stride))
+    if isinstance(layer, PoolLayerSpec):
+        return replace(layer, stride=(layer.window[0], layer.stride))
+    return layer
 
 
 def _float_computes(spec: ModelSpec, params: ModelParams) -> list:
-    """``layer_forward`` per layer, each window layer restated to read the stack of slabs."""
-    computes = []
-    for layer, entry in zip(spec.layers, params.entries_for(spec)):
-        if isinstance(layer, (ConvSpec, PoolLayerSpec)):
-            layer = _slab_layer(layer)
-        computes.append(partial(_float_layer, layer=layer, entry=entry))
-    return computes
+    """``layer_forward`` per layer, each restated by ``_slab_layer``."""
+    return [partial(_float_layer, layer=_slab_layer(layer), entry=entry)
+            for layer, entry in zip(spec.layers, params.entries_for(spec))]
 
 
 def _int_computes(engine: ShiftAddEngine) -> list:
-    """The engine's stages and plans, each window stage restated to read the stack of slabs."""
+    """The engine's stages and plans, each layer restated by ``_slab_layer``; a conv also
+    gathers its im2col block from the stack of slabs."""
     computes = []
-    for stage, (layer, in_shape, _) in zip(engine.stages, engine.spec.geometry()):
+    for stage in engine.stages:
+        layer = stage.layer
+        stage = replace(stage, layer=_slab_layer(layer))
         if isinstance(layer, ConvSpec):
             (p, q), s, (oh, ow) = layer.kernel, layer.stride, stage.out_hw
-            stage = replace(stage, layer=_slab_layer(layer), gather=im2col_index(
-                in_shape[0], (p, q), (p, s), (oh, ow), (oh * p, q + (ow - 1) * s)))
-        elif isinstance(layer, PoolLayerSpec):
-            stage = replace(stage, layer=_slab_layer(layer))
+            stage = replace(stage, gather=im2col_index(
+                stage.in_shape[0], (p, q), (p, s), (oh, ow), (oh * p, q + (ow - 1) * s)))
         computes.append(partial(_int_layer, engine=engine, stage=stage))
     return computes
 
 
 def _run(stages: list[_Stage], frame: np.ndarray) -> StreamResult:
-    """Run the frame's map through each stage in turn, counting its saturations afresh."""
+    """Run the frame through each stage in turn, counting its saturations afresh."""
     stats: dict[str, int] = {}
     x = frame
     for stage in stages:
         x = stage.run(x, stats)
-    return StreamResult(logits=x, argmax=int(np.argmax(x)),
-                        stages=[s.report() for s in stages],
-                        modeled_cycles=max(stage.padded_in for stage in stages),
+    reports = [stage.report for stage in stages]
+    return StreamResult(logits=x, argmax=int(np.argmax(x)), stages=reports,
+                        modeled_cycles=max(r.padded_elements_in for r in reports),
                         saturations=stats)
 
 
 def stream_float_forward(spec: ModelSpec, params: ModelParams, frame) -> StreamResult:
     """Stream one frame through one ``model.layer_forward`` call per stage, as ``model_forward``."""
-    stages = _build_stages(spec, _float_computes(spec, params), np.float64)
+    stages = _build_stages(spec, _float_computes(spec, params))
     return _run(stages, np.asarray(frame, dtype=np.float64))
 
 
@@ -340,7 +273,7 @@ class _IntPipeline:
         # The engine gets a copy of the model, so a model that keeps this
         # pipeline is not referenced back by it and is freed once dropped.
         self.engine = ShiftAddEngine(replace(qmodel))
-        self.stages = _build_stages(self.engine.spec, _int_computes(self.engine), np.int64)
+        self.stages = _build_stages(self.engine.spec, _int_computes(self.engine))
 
 
 def stream_quantized_forward(qmodel: QuantizedModel, frame) -> StreamResult:

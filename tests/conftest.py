@@ -131,12 +131,12 @@ def layer_from_params(name: str, shape: tuple, params) -> QuantizedLayer:
 
 def float_stages(spec, params):
     """The float stages ``stream_float_forward`` runs: the one builder with ``layer_forward``."""
-    return _build_stages(spec, _float_computes(spec, params), np.float64)
+    return _build_stages(spec, _float_computes(spec, params))
 
 
 def int_stages(engine):
     """The integer stages ``stream_quantized_forward`` runs around ``engine``."""
-    return _build_stages(engine.spec, _int_computes(engine), np.int64)
+    return _build_stages(engine.spec, _int_computes(engine))
 
 
 @pytest.fixture

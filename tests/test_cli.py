@@ -377,6 +377,33 @@ class TestInferSimulate:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == error
 
+    @pytest.mark.parametrize("engine, edit, message", [
+        ("shift-add", {"f_a": 12.9}, "f_a must be a JSON integer, got 12.9"),
+        ("shift-add", {"f_a": True}, "f_a must be a JSON integer, got True"),
+        ("float", {"relu": "no"}, "layer conv1: relu must be a JSON boolean, got 'no'"),
+        ("float", {"padding": True}, "layer conv1: padding must be a JSON integer, got True"),
+    ], ids=["f_a-float", "f_a-bool", "relu-string", "padding-bool"])
+    def test_mistyped_model_json_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                       quantized_model, data_dir, engine, edit,
+                                                       message):
+        """model.json's f_a is a JSON integer and each layer's flags JSON booleans: a value
+        read as one (12.9 as 12, true as 1, "no" as truthy) exits 1 instead of running."""
+        broken = tmp_path / "broken"
+        shutil.copytree(quantized_model if engine == "shift-add" else trained_model, broken)
+        doc = json.loads((broken / "model.json").read_text())
+        (doc if "f_a" in edit else doc["spec"]["layers"][0]).update(edit)
+        (broken / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--model", str(broken), "--data", str(data_dir / "shifted"),
+            "--engine", engine, "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["message"].endswith(message)
+        assert not (out / "records.txt").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("std", 0.0, "standardizer std must be finite and > 0, got 0.0"),
         ("std", float("nan"), "standardizer std must be finite and > 0, got nan"),

@@ -474,11 +474,10 @@ class TestMultiplierFreeAudit:
             params = init_params(spec, np.random.default_rng(14))
         engine = ShiftAddEngine(shift_quantize_model(spec, params, 3))
         listed = set(stream_module.DATA_PATH_FUNCTIONS) | set(engine_module.DATA_PATH_FUNCTIONS)
-        bound = [(stage.name, value.func.__name__)
+        bound = [(stage.report.name, value.func.__name__)
                  for stage in int_stages(engine)
                  for value in vars(stage).values() if isinstance(value, partial)]
-        assert {name for name, _ in bound} == {
-            layer.name for layer in spec.layers if not isinstance(layer, FlattenSpec)}
+        assert [name for name, _ in bound] == [layer.name for layer in spec.layers]
         for name, func in bound:
             assert func in listed, f"stage {name} binds unlisted {func}"
 

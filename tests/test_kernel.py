@@ -66,8 +66,8 @@ def _im2col(x, layer):
 
 
 def _stream_stage(stage, x):
-    """The rows of the map ``stage`` returns for the (C, H, W) input x: one channel
-    vector per output position, row-major (a dense stage's output is one row)."""
+    """The rows of the map ``stage`` returns for its input x: one channel vector per
+    output position, row-major (a dense stage's output is one row)."""
     out = stage.run(x, {})
     return out.reshape(len(out), -1).T
 
@@ -100,7 +100,7 @@ def _check_layers(qmodel, frame):
             w_int, b_int = _weight_ints(entry, align, f_a)
             want = _requantize(w_int @ x + b_int, qmodel.frac_bits, False)
             np.testing.assert_array_equal(got, want)
-            streamed = _stream_stage(stage, x.reshape(stage.in_shape))
+            streamed = _stream_stage(stage, x)
             assert len(streamed) == 1
             np.testing.assert_array_equal(streamed[0], want)
             checked += 1

@@ -197,6 +197,30 @@ def test_spec_json_round_trip():
     assert ModelSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("layer, key, value, message", [
+    (0, "relu", "no", "layer conv1: relu must be a JSON boolean, got 'no'"),
+    (0, "batchnorm", 1, "layer conv1: batchnorm must be a JSON boolean, got 1"),
+    (0, "padding", True, "layer conv1: padding must be a JSON integer, got True"),
+    (0, "out_channels", 8.0, "layer conv1: out_channels must be a JSON integer, got 8.0"),
+    (0, "kernel", [3, False], "layer conv1: kernel must be a JSON integer, got False"),
+    (1, "stride", True, "layer maxpool1: stride must be a JSON integer, got True"),
+    (1, "window", [2, 2.0], "layer maxpool1: window must be a JSON integer, got 2.0"),
+    (8, "out_features", True, "layer fc1: out_features must be a JSON integer, got True"),
+    (None, "class_count", 3.0, "spec: class_count must be a JSON integer, got 3.0"),
+    (None, "input_shape", [1, True, 11], "spec: input_shape must be a JSON integer, got True"),
+], ids=["relu-string", "batchnorm-int", "padding-bool", "out_channels-float", "kernel-bool",
+        "stride-bool", "window-float", "out_features-bool", "class_count-float",
+        "input_shape-bool"])
+def test_spec_json_rejects_mistyped_fields(layer, key, value, message):
+    """A size or count that is not a JSON integer (a bool is none), or a flag that is not
+    a JSON boolean, is refused rather than read as one ("no" is truthy, true is 1)."""
+    doc = default_student_spec().to_json()
+    (doc if layer is None else doc["layers"][layer])[key] = value
+    with pytest.raises(ConfigurationError) as raised:
+        ModelSpec.from_json(doc)
+    assert str(raised.value) == message
+
+
 def test_param_arrays_cover_all_trainables(rng):
     spec = default_student_spec()
     arrays = param_arrays(spec, init_params(spec, rng))

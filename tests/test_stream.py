@@ -166,9 +166,12 @@ class TestFloatStreaming:
         np.testing.assert_array_equal(res.logits, batch)
 
     def test_conservation_per_stage(self, rng):
+        """Each stage emits the elements its layer makes and reads those its predecessor
+        emits, the first stage the frame's H*W channel vectors."""
         spec, params = make_small_model(rng, batchnorm=False)
         res = stream_float_forward(spec, params, rng.normal(size=spec.input_shape))
         shapes = [spec.input_shape] + spec.layer_shapes()
+        emitted = spec.input_shape[1] * spec.input_shape[2]
         for layer, report, in_shape, out_shape in zip(spec.layers, res.stages,
                                                       shapes[:-1], shapes[1:]):
             if isinstance(layer, FlattenSpec):
@@ -178,6 +181,8 @@ class TestFloatStreaming:
             else:
                 expected = out_shape[1] * out_shape[2]
             assert report.elements_out == expected
+            assert report.elements_in == emitted, layer.name
+            emitted = report.elements_out
 
     def test_occupancy_bounded_by_window_rows(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -203,12 +208,29 @@ class TestFloatStreaming:
         res = stream_float_forward(fspec, fparams, rng.normal(size=(1, 256, 11)))
         assert res.stages[0].peak_occupancy <= 3 * 11
 
-    def test_dense_after_dense_rejected(self, rng):
+    def test_dense_after_dense_streams_as_the_batch_paths(self, rng):
+        """flatten -> dense -> dense streams on both paths, each dense reading the vector
+        its predecessor emits, and gives the batch paths' logits bit for bit."""
         spec = ModelSpec(layers=(FlattenSpec(), DenseSpec(name="d1", out_features=4),
                                  DenseSpec(name="d2", out_features=3)),
-                         input_shape=(2, 2, 2), class_count=3)
-        with pytest.raises(ConfigurationError, match="layer d2"):
-            stream_float_forward(spec, init_params(spec, rng), rng.normal(size=(2, 2, 2)))
+                         input_shape=(2, 3, 2), class_count=3)
+        params = init_params(spec, rng)
+        for entry in params.entries[1:]:
+            entry.bias[...] = rng.normal(size=entry.bias.shape)
+        q = shift_quantize_model(spec, params, 3)
+        for _ in range(5):
+            frame = rng.normal(size=spec.input_shape)
+            res = stream_float_forward(spec, params, frame)
+            np.testing.assert_array_equal(res.logits, model_forward(spec, params, frame))
+            int_res = stream_quantized_forward(q, frame)
+            batch = ShiftAddEngine(q).forward(frame)
+            np.testing.assert_array_equal(int_res.logits, batch.logits)
+            assert int_res.saturations == batch.saturations
+        reports = [(r.name, r.peak_occupancy, r.elements_in, r.elements_out, r.first_output_at,
+                    r.padded_elements_in) for r in res.stages]
+        assert reports == [("flatten", 0, 6, 6, 1, 6), ("d1", 4, 6, 1, 6, 6),
+                           ("d2", 3, 1, 1, 1, 1)]
+        assert res.modeled_cycles == 6 and int_res.stages == res.stages
 
     def test_wrong_frame_shape_rejected(self, rng):
         spec, params = make_small_model(rng, batchnorm=False)
@@ -469,7 +491,7 @@ def test_slab_reads_stay_in_their_rows(geometry):
         (p, q), s = layer.kernel if isinstance(layer, ConvSpec) else layer.window, layer.stride
         _, oh, ow = out_shape
         width = q + (ow - 1) * s
-        bound = stage._compute.keywords["stage"]
+        bound = stage.compute.keywords["stage"]
         if isinstance(layer, PoolLayerSpec):
             row_stride, col_stride = bound.layer.stride
             assert col_stride == s
@@ -502,12 +524,14 @@ def check_ring_schedule(layer, stage, x):
         window = buffer.step(padded[:, r, col], virtual=not real, pos=(r, col))
         if window is not None:
             windows.append(window)
-    stack = padded[:, stage._rows, stage._cols]
-    oh, ow = len(stage._rows) // p, (stack.shape[2] - q) // s + 1
+    slab_pad, rows, cols = stage.slabs
+    assert slab_pad == pad
+    stack = padded[:, rows, cols]
+    oh, ow = len(rows) // p, (stack.shape[2] - q) // s + 1
     want = [stack[:, i * p:(i + 1) * p, j * s:j * s + q] for i in range(oh) for j in range(ow)]
-    assert len(windows) == len(want) == stage.elements_out
+    assert len(windows) == len(want) == stage.report.elements_out
     np.testing.assert_array_equal(np.stack(windows), np.stack(want))
-    assert buffer.peak_real == stage.report().peak_occupancy
+    assert buffer.peak_real == stage.report.peak_occupancy
 
 
 @pytest.mark.parametrize("case", [pytest.param(None, id="default"), *(
