@@ -42,7 +42,16 @@ def read_json(path):
 
 
 def json_typed(value, kind: type, what: str):
-    """``value``, which must be a JSON integer (``kind`` int; true and 1.5 are not) or boolean."""
+    """``value``, which must be a JSON integer (``kind`` int; true and 1.5 are not), boolean
+    or number (``kind`` float; true and "2.5" are not, and an integer comes back as a float)."""
+    if kind is float:
+        if type(value) not in (int, float):
+            raise ConfigurationError(f"{what} must be a JSON number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigurationError(f"{what} must be a JSON number within the float range, "
+                                     f"got an integer of {len(str(abs(value)))} digits") from None
     if type(value) is not kind:
         expected = "boolean" if kind is bool else "integer"
         raise ConfigurationError(f"{what} must be a JSON {expected}, got {value!r}")

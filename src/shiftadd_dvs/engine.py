@@ -25,7 +25,11 @@ channel's added rows and subtracts the sum of its subtracted rows, in blocks of
 positions whose scratch arrays stay within ``CHUNK_ELEMENTS``. int64 add,
 subtract and shift are exact modulo 2^64 and the overflow check keeps the sum
 of the terms' magnitudes below 2^63, so the result equals the per-term sum bit
-for bit, whatever its intermediate values.
+for bit, whatever its intermediate values. A conv's im2col row that reads zero
+padding at every output position adds zero, so the plan drops its terms at
+build (``_live_rows`` finds such rows from the geometry; on the default student
+they are conv4's kernel columns 0 and 2 of its width-1 map); the overflow proof
+still counts every term.
 
 Each stage keeps its input shape from ``ModelSpec.geometry()``, the one walk
 over the layer chain. At construction a worst-case bound proves that no
@@ -284,6 +288,34 @@ def im2col_index(channels: int, window: tuple[int, int], stride: int | tuple[int
     return ((n * h + pi + i * sr) * w + qi + j * sc).reshape(channels * p * q, oh * ow)
 
 
+def _live_rows(channels: int, window: tuple[int, int], stride: int, padding: int,
+               in_hw: tuple[int, int]) -> np.ndarray:
+    """Mask, in weight order, of the im2col rows (n, p, q) that read a real element at
+    some output position; every other row reads zero padding at every position.
+
+    Tap p reads padded row p + i*S at output row i, so it reads a real row at some
+    output row when one of those lands in [padding, padding + H); columns alike.
+    Row (p, q) reads a real element at output (i, j) exactly when tap p's row and tap
+    q's column both do, so it is live when each of its taps is live on its own axis.
+    """
+    def live_taps(taps: int, extent: int) -> np.ndarray:
+        reads = np.arange(taps)[:, None] + np.arange(0, extent + padding + padding - taps + 1,
+                                                     stride)
+        return ((reads >= padding) & (reads < padding + extent)).any(axis=1)
+
+    (p, q), (h, w) = window, in_hw
+    return np.tile((live_taps(p, h)[:, None] & live_taps(q, w)).ravel(), channels)
+
+
+def _live_terms(weights: Terms, live: np.ndarray) -> Terms:
+    """``weights`` with every term of a weight on a row outside ``live`` dropped."""
+    if live.all():
+        return weights
+    keep = np.tile(live, len(weights.count) // len(live))
+    return Terms(weights.sign, np.where(keep, weights.count, 0),
+                 weights.shift[np.repeat(keep, weights.count)])
+
+
 @dataclass(frozen=True)
 class _StageConfig:
     """A spec layer plus what the integer path precomputes for it."""
@@ -338,15 +370,19 @@ class ShiftAddEngine:
         align = self.frac_bits + self.int_bits
         stages = []
         for (layer, in_shape, out_shape), entry in zip(self.spec.geometry(), entries):
-            gather = None
+            gather, live = None, None
             if isinstance(layer, ConvSpec):
                 pad = 2 * layer.padding
                 gather = im2col_index(in_shape[0], layer.kernel, layer.stride, out_shape[1:],
                                       (in_shape[1] + pad, in_shape[2] + pad))
+                live = _live_rows(in_shape[0], layer.kernel, layer.stride, layer.padding,
+                                  in_shape[1:])
             plan, in_bound = None, act_bound
             if entry is not None:
                 weights, biases = layer_terms(entry)
-                plan = _shift_plan(layer.name, weights,
+                # a term on a padding-only row adds zero everywhere; the proof still counts it
+                plan = _shift_plan(layer.name,
+                                   weights if live is None else _live_terms(weights, live),
                                    _bias_acc(layer.name, biases, align, self.f_a), align)
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)

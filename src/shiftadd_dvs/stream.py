@@ -24,10 +24,12 @@ float path, so the float logits equal ``model_forward``'s bit for bit, and one
 ``_forward_arrays`` stage of a ``ShiftAddEngine`` on the integer path, so the
 logits and each layer's saturation count are the engine's. ``_slab_layer``
 restates a window layer to read the stack at row stride P, column stride S and
-padding 0. The engine and its stages are built once per model, as hardware
-loads its weights once. The simulator accepts exactly the models the engine
-accepts. The modeled cycle count assumes one element per cycle per stage and
-is the largest per-stage padded element count; it is an estimate, distinct
+padding 0; the stack holds the padding's zeros in the same im2col rows, so the
+engine's plans, which skip the rows that read only padding, serve it unchanged.
+The engine and its stages are built once per model, as hardware loads its
+weights once. The simulator accepts exactly the models the engine accepts.
+The modeled cycle count assumes one element per cycle per stage and is the
+largest per-stage padded element count; it is an estimate, distinct
 from measured latencies.
 """
 from __future__ import annotations

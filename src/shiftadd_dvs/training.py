@@ -19,7 +19,7 @@ from .losses import KDConfig
 from .model import ConvSpec, ModelParams, ModelSpec, init_params, param_arrays, set_param_arrays
 from .optim import OptimizerState, adam_update, lr_plateau_schedule
 from .rng import stream
-from ._ioutil import atomic_write_text
+from ._ioutil import atomic_write_text, json_typed
 
 # Frames per forward_batch call. Bits depend on both: a GEMM kernel may round a row
 # differently with the batch's shape, and recalibration combines per-chunk statistics.
@@ -86,7 +86,9 @@ class Standardizer:
 
     @staticmethod
     def from_json(doc: dict) -> "Standardizer":
-        return Standardizer(mean=float(doc["mean"]), std=float(doc["std"]))
+        """The standardizer of ``doc``, whose mean and std must be finite JSON numbers."""
+        return Standardizer(mean=json_typed(doc["mean"], float, "standardizer mean"),
+                            std=json_typed(doc["std"], float, "standardizer std"))
 
 
 def train_model(spec: ModelSpec, x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,

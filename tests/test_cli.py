@@ -408,7 +408,9 @@ class TestInferSimulate:
         ("std", 0.0, "standardizer std must be finite and > 0, got 0.0"),
         ("std", float("nan"), "standardizer std must be finite and > 0, got nan"),
         ("mean", float("inf"), "standardizer mean must be finite, got inf"),
-    ], ids=["std-0", "std-nan", "mean-inf"])
+        ("mean", True, "standardizer mean must be a JSON number, got True"),
+        ("std", "2.5", "standardizer std must be a JSON number, got '2.5'"),
+    ], ids=["std-0", "std-nan", "mean-inf", "mean-bool", "std-string"])
     def test_degenerate_standardizer_exits_with_json_error(self, runner, tmp_path, trained_model,
                                                            data_dir, field, value, message):
         broken = tmp_path / "broken"

@@ -512,3 +512,93 @@ def test_edge_of_proof_strided_padded_chain():
     ), input_shape=(2, 13, 11), class_count=3)
     params = init_params(spec, np.random.default_rng(20), weight_scale=0.8)
     assert _check_edge_layers(shift_quantize_model(spec, params, 3)) == 3
+
+
+def _padding_only_rows(layer, in_shape):
+    """The im2col rows that read only padding, by enumeration: the rows of the im2col
+    of a map that is 1 on every real element and 0 on its padding that are zero at
+    every output position."""
+    cols, _ = _im2col(np.ones(in_shape, dtype=np.int64), layer)
+    return np.flatnonzero(~cols.any(axis=0)).tolist()
+
+
+def _dead_row_model(geometry):
+    """The quantized model of a dead-row geometry: the default student, folded and
+    encoded, or one conv of (kernel, stride, padding) on a (C, H, W) map before a dense
+    head."""
+    if geometry is None:
+        spec = default_student_spec()
+        fspec, fparams = fold_model_batchnorm(spec, init_params(spec, np.random.default_rng(23)))
+        return encode_model(shift_quantize_model(fspec, fparams, 3), 3)
+    (c, h, w), kernel, stride, padding = geometry
+    spec = single_conv_spec(c, h, w, 4, kernel, stride=stride, padding=padding, use_relu=True)
+    params = init_params(spec, np.random.default_rng([24, h, w, stride, padding]),
+                         weight_scale=0.8)
+    return shift_quantize_model(spec, params, 3)
+
+
+# (model, the dead (kernel row, kernel column) taps of each conv); a single conv's
+# geometry is ((C, H, W), kernel, stride, padding)
+DEAD_ROW_GEOMETRIES = [
+    pytest.param(None, {"conv4": {(p, q) for p in range(3) for q in (0, 2)}},
+                 id="default-student"),
+    *(pytest.param(((3, 9, 11),) + g.values, {}, id=g.id) for g in STRIDED_GEOMETRIES),
+    pytest.param(((2, 7, 1), (3, 3), 1, 1), {"conv1": {(p, q) for p in range(3) for q in (0, 2)}},
+                 id="width-1"),
+    # padding 3 >= kernel 2 at stride 4: the windows' second kernel row reads padded rows
+    # 1 and 5, both padding, so the whole row is dead
+    pytest.param(((2, 2, 7), (2, 2), 4, 3), {"conv1": {(1, 0), (1, 1)}}, id="pad-over-kernel"),
+]
+
+
+@pytest.mark.parametrize("geometry, dead_taps", DEAD_ROW_GEOMETRIES)
+def test_padding_only_rows_match_enumeration(geometry, dead_taps):
+    """The rows the engine finds from the geometry alone are the rows that read only
+    padding, listed by enumeration; no plan reaches one, and the engine and the streamed
+    stages still equal the Python-int oracle, on random and on edge-of-proof inputs."""
+    q = _dead_row_model(geometry)
+    engine = ShiftAddEngine(q)
+    convs = 0
+    for (layer, in_shape, _), stage in zip(q.spec.geometry(), engine.stages):
+        if not isinstance(layer, ConvSpec):
+            continue
+        live = engine_module._live_rows(in_shape[0], layer.kernel, layer.stride, layer.padding,
+                                        in_shape[1:])
+        dead = _padding_only_rows(layer, in_shape)
+        assert np.flatnonzero(~live).tolist() == dead
+        (kp, kq), taps = layer.kernel, dead_taps.get(layer.name, set())
+        assert dead == [row for row in range(in_shape[0] * kp * kq)
+                        if divmod(row % (kp * kq), kq) in taps]
+        assert not set(stage.plan.rows.tolist()) & set(dead)
+        convs += 1
+    assert convs == len(q.layers()) - 1
+    frame = np.random.default_rng(25).normal(0, 2, size=q.spec.input_shape)
+    assert _check_layers(q, frame) == _check_edge_layers(q) == convs + 1
+
+
+@pytest.mark.parametrize("geometry, dead_taps", DEAD_ROW_GEOMETRIES)
+def test_plans_drop_only_padding_terms_and_proofs_count_every_term(geometry, dead_taps):
+    """Each plan reaches exactly its weight terms on rows that read a real element,
+    while every stage's overflow proof covers the same inputs as the proof over all of
+    its terms; on the default student only conv4 drops terms, all but kernel column 1's."""
+    q = _dead_row_model(geometry)
+    engine = ShiftAddEngine(q)
+    bounds = _proof_bounds(q)
+    align = q.frac_bits + q.int_bits
+    every, reached = {}, {}
+    for (layer, in_shape, _), entry, stage in zip(q.spec.geometry(), q.entries, engine.stages):
+        if entry is None:
+            continue
+        # the first layer's bound is ACT_LIMIT + 1, which ``_proof_bounds`` caps
+        assert min(stage.in_bound, ACT_LIMIT) == bounds[layer.name][0]
+        weights, _ = layer_terms(entry)
+        every[layer.name] = _weight_terms(weights, entry.shape[0], align)
+        reached[layer.name] = _operand_terms(stage.plan)
+        dead = set(_padding_only_rows(layer, in_shape)) if isinstance(layer, ConvSpec) else set()
+        assert reached[layer.name] == [[term for term in terms if term[0] not in dead]
+                                       for terms in every[layer.name]]
+    assert {name for name in every if reached[name] != every[name]} == set(dead_taps)
+    if geometry is None:
+        # conv4's rows are (n, p, q) over a 3 x 3 kernel, so row % 3 is the kernel column
+        assert reached["conv4"] == [[term for term in terms if term[0] % 3 == 1]
+                                    for terms in every["conv4"]]

@@ -242,3 +242,25 @@ def test_standardizer_fit_apply():
     assert abs(float(np.mean(z))) < 1e-12
     assert abs(float(np.std(z)) - 1.0) < 1e-12
     assert Standardizer.from_json(scaler.to_json()) == scaler
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"mean": True, "std": 2.5}, "standardizer mean must be a JSON number, got True"),
+    ({"mean": 0.5, "std": "2.5"}, "standardizer std must be a JSON number, got '2.5'"),
+    ({"mean": None, "std": 2.5}, "standardizer mean must be a JSON number, got None"),
+    ({"mean": 0.5, "std": [2.5]}, "standardizer std must be a JSON number, got [2.5]"),
+    ({"mean": 0.5, "std": float("nan")}, "standardizer std must be finite and > 0, got nan"),
+    ({"mean": float("-inf"), "std": 2.5}, "standardizer mean must be finite, got -inf"),
+    ({"mean": 0.5, "std": 10 ** 400}, "standardizer std must be a JSON number within the "
+                                      "float range, got an integer of 401 digits"),
+], ids=["mean-bool", "std-string", "mean-null", "std-list", "std-nan", "mean-inf", "std-huge"])
+def test_standardizer_from_json_takes_only_finite_numbers(doc, message):
+    with pytest.raises(ConfigurationError) as err:
+        Standardizer.from_json(doc)
+    assert str(err.value) == message
+
+
+def test_standardizer_from_json_reads_integers_as_floats():
+    scaler = Standardizer.from_json({"mean": -3, "std": 2})
+    assert (scaler.mean, scaler.std) == (-3.0, 2.0)
+    assert type(scaler.mean) is type(scaler.std) is float
