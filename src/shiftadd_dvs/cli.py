@@ -122,10 +122,10 @@ def main():
 @_fail_on_error
 def gen_data(seed, per_class, shifted_per_class, out):
     """Generate the synthetic base + shifted benchmark datasets."""
+    shifted_per_class = per_class if shifted_per_class is None else shifted_per_class
     base_dir, shifted_dir = generate_benchmark(seed, per_class, out,
                                                shifted_per_class=shifted_per_class)
-    config = {"seed": seed, "per_class": per_class,
-              "shifted_per_class": shifted_per_class or per_class}
+    config = {"seed": seed, "per_class": per_class, "shifted_per_class": shifted_per_class}
     _result_doc(out, "gen-data", config,
                 {"base": str(base_dir), "shifted": str(shifted_dir)})
     click.echo(f"wrote {base_dir} and {shifted_dir}")

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._ioutil import atomic_write_bytes, read_json, write_json
-from .errors import IngestionError, NumericError, ParseError
+from ._ioutil import atomic_write_bytes, json_typed, read_json, write_json
+from .errors import ConfigurationError, IngestionError, NumericError, ParseError
 from .model import CLASS_NAMES
 
 MAGIC = b"DVSF"
@@ -98,7 +98,8 @@ class Manifest:
     def from_json(doc: dict) -> "Manifest":
         manifest = Manifest(name=doc["name"], class_names=tuple(doc["class_names"]))
         for entry in doc["samples"]:
-            ref = SampleRef(id=entry["id"], file=entry["file"], label=int(entry["label"]))
+            ref = SampleRef(id=entry["id"], file=entry["file"],
+                            label=json_typed(entry["label"], int, f"sample {entry['id']!r}: label"))
             if not (isinstance(ref.id, str) and isinstance(ref.file, str)):
                 raise TypeError(f"sample id {ref.id!r} and file {ref.file!r} must be strings")
             manifest.samples.append(ref)
@@ -138,7 +139,7 @@ def _ingest_directory(path: Path) -> Dataset:
         raise IngestionError(f"{path}: no manifest.json")
     try:
         manifest = Manifest.from_json(read_json(manifest_path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise IngestionError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     seen = set()
     for ref in manifest.samples:

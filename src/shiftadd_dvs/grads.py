@@ -116,19 +116,18 @@ def _forward(spec: ModelSpec, params: ModelParams, x, training: bool, record_mar
     out = x.transpose(0, 2, 3, 1)
     for i, (layer, entry) in enumerate(zip(spec.layers, params.entries_for(spec))):
         if isinstance(layer, ConvSpec):
-            conv = entry.conv
-            m, n, p, q = conv.kernel.shape
+            m, n, p, q = entry.weights.shape
             s, pad = layer.stride, layer.padding
             xp = np.pad(out, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(xp, (p, q), axis=(1, 2))[:, ::s, ::s]
             b, oh, ow = win.shape[:3]
             # a copy in the pass's dtype, even for a 1x1 window: the backward writes here
             rows = b * oh * ow
-            cols = _take(kept, (i, "cols"), (rows, n * p * q), np.result_type(xp, conv.kernel))
+            cols = _take(kept, (i, "cols"), (rows, n * p * q), np.result_type(xp, entry.weights))
             np.copyto(cols.reshape(win.shape), win)
-            z = np.matmul(cols, conv.kernel.reshape(m, n * p * q).T,
+            z = np.matmul(cols, entry.weights.reshape(m, n * p * q).T,
                           out=_take(kept, (i, "z"), (rows, m), cols.dtype))
-            _by_column(np.add, z, conv.bias)  # in place: z's dtype covers every parameter's
+            _by_column(np.add, z, entry.bias)  # in place: z's dtype covers every parameter's
             cache = {"kind": "conv", "layer": layer, "entry": entry,
                      "cols": cols, "in_shape": xp.shape, "out_hw": (oh, ow)}
             if layer.batchnorm:
@@ -209,8 +208,7 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
             dout = dx
         elif kind == "conv":
             entry = cache["entry"]
-            conv = entry.conv
-            m, n, p, q = conv.kernel.shape
+            m, n, p, q = entry.weights.shape
             dmat = dout.reshape(-1, m)  # always from an array this loop made: safe to edit in place
             if "relu_mask" in cache:
                 dmat *= cache["relu_mask"]
@@ -239,7 +237,7 @@ def backward_batch(spec: ModelSpec, params: ModelParams, caches: list,
             oh, ow = cache["out_hw"]
             dxp, spare = _carve(spare, cache["in_shape"], dmat.dtype)
             dxp.fill(0)
-            dcols = np.matmul(dmat, conv.kernel.reshape(m, n * p * q), out=cache["cols"])
+            dcols = np.matmul(dmat, entry.weights.reshape(m, n * p * q), out=cache["cols"])
             dcols = dcols.reshape(-1, oh, ow, n, p * q)
             for k, tap in enumerate(window_taps(dxp, (p, q), layer.stride, (oh, ow))):
                 tap += dcols[..., k]

@@ -5,8 +5,9 @@ the time axis and cols the fiber-position axis. The convolution accumulates in a
 fixed (in_channel, kernel_row, kernel_col) order so outputs are bit-reproducible
 across runs and can be compared exactly against a naive nested-loop evaluation.
 
-Parameters hold arrays only. A window's geometry (kernel or pool window,
-stride, padding) belongs to the model spec, and callers pass it to
+Parameters hold arrays only: one ``LayerParams`` record serves a conv and a
+dense layer alike. A window's geometry (kernel or pool window, stride,
+padding) belongs to the model spec, and callers pass it to
 ``conv2d_forward`` and ``pool2d_forward``; ``conv_output_shape``, which every
 consumer calls, is where it is checked.
 """
@@ -38,46 +39,6 @@ def _as_float(arr) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConvLayerParams:
-    """Kernel [out][in][kh][kw] and bias [out]; the stride and padding are the spec's."""
-
-    kernel: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        kernel = _as_float(self.kernel)
-        bias = _as_float(self.bias)
-        if kernel.ndim != 4:
-            raise ConfigurationError(f"kernel must be 4-D [out][in][kh][kw], got shape {kernel.shape}")
-        if bias.shape != (kernel.shape[0],):
-            raise ConfigurationError(f"bias shape {bias.shape} does not match {kernel.shape[0]} output channels")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", bias)
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
-
-@dataclass(frozen=True)
-class DenseParams:
-    """Fully connected layer: weights [out][in] and bias [out]."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        weights = _as_float(self.weights)
-        bias = _as_float(self.bias)
-        if weights.ndim != 2:
-            raise ConfigurationError(f"dense weights must be 2-D [out][in], got shape {weights.shape}")
-        if bias.shape != (weights.shape[0],):
-            raise ConfigurationError(f"dense bias shape {bias.shape} does not match {weights.shape[0]} outputs")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
-
-
-@dataclass(frozen=True)
 class BatchNormParams:
     """Per-channel affine normalization with running statistics."""
 
@@ -104,6 +65,27 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
+
+
+@dataclass(frozen=True)
+class LayerParams:
+    """One conv or dense layer: weights, conv [out][in][kh][kw] or dense [out][in], bias [out]
+    and the batchnorm that follows, set only where the spec flags one."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+    bn: BatchNormParams | None = None
+
+    def __post_init__(self):
+        weights = _as_float(self.weights)
+        bias = _as_float(self.bias)
+        if weights.ndim not in (2, 4):
+            raise ConfigurationError(
+                f"weights must be 4-D [out][in][kh][kw] or 2-D [out][in], got shape {weights.shape}")
+        if bias.shape != (weights.shape[0],):
+            raise ConfigurationError(f"bias shape {bias.shape} does not match {weights.shape[0]} outputs")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
 
 
 def _stride_pair(stride: int | tuple[int, int]) -> tuple[int, int]:
@@ -149,7 +131,7 @@ def window_taps(x: np.ndarray, window: tuple[int, int], stride: int | tuple[int,
     return [x[:, pi::sr, qi::sc][:, :oh, :ow] for pi in range(p) for qi in range(q)]
 
 
-def conv2d_forward(x, params: ConvLayerParams, stride: int | tuple[int, int] = 1,
+def conv2d_forward(x, params: LayerParams, stride: int | tuple[int, int] = 1,
                    padding: int = 0) -> np.ndarray:
     """Cross-correlate ``x``, zero-padded by ``padding``, with the kernel and add the bias.
 
@@ -161,14 +143,16 @@ def conv2d_forward(x, params: ConvLayerParams, stride: int | tuple[int, int] = 1
     stride P) and matches the whole-map call bit for bit.
     """
     x = as_feature_map(x)
-    m, n, p, q = params.kernel.shape
+    if params.weights.ndim != 4:
+        raise ConfigurationError(f"a convolution needs 4-D weights, got shape {params.weights.shape}")
+    m, n, p, q = params.weights.shape
     if x.shape[0] != n:
         raise ConfigurationError(
             f"input has {x.shape[0]} channels but kernel expects {n}")
     oh, ow = conv_output_shape(x.shape[1], x.shape[2], (p, q), stride, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
     taps = window_taps(xp, (p, q), stride, (oh, ow))
-    weights = params.kernel.reshape(m, n, p * q).transpose(1, 2, 0)[..., None, None]
+    weights = params.weights.reshape(m, n, p * q).transpose(1, 2, 0)[..., None, None]
     out = np.zeros((m, oh, ow), dtype=np.float64)
     for ni in range(n):
         for k, tap in enumerate(taps):
@@ -196,9 +180,11 @@ def pool2d_forward(x, mode: str, window: tuple[int, int],
     return acc / len(taps)
 
 
-def dense_forward(x, params: DenseParams) -> np.ndarray:
+def dense_forward(x, params: LayerParams) -> np.ndarray:
     """out[i] = sum_j W[i, j] * x[j] + b[i]."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if params.weights.ndim != 2:
+        raise ConfigurationError(f"a dense layer needs 2-D weights, got shape {params.weights.shape}")
     if x.shape[0] != params.weights.shape[1]:
         raise ConfigurationError(
             f"dense input length {x.shape[0]} does not match weight columns {params.weights.shape[1]}")
@@ -216,18 +202,19 @@ def batchnorm_apply(x, bn: BatchNormParams) -> np.ndarray:
     return x * scale[:, None, None] + shift[:, None, None]
 
 
-def fold_batchnorm(conv: ConvLayerParams, bn: BatchNormParams) -> ConvLayerParams:
-    """Absorb a batchnorm into the preceding convolution.
+def fold_batchnorm(params: LayerParams, bn: BatchNormParams) -> LayerParams:
+    """Absorb a batchnorm into the preceding conv or dense layer.
 
-    The returned convolution satisfies conv'(x) == bn(conv(x)) for every input.
+    The returned layer, which holds no batchnorm, satisfies
+    layer'(x) == bn(layer(x)) for every input.
     """
-    if bn.channels != conv.out_channels:
+    if bn.channels != params.weights.shape[0]:
         raise ConfigurationError(
-            f"batchnorm has {bn.channels} channels but conv produces {conv.out_channels}")
+            f"batchnorm has {bn.channels} channels but the layer produces {params.weights.shape[0]}")
     scale = bn.gamma / np.sqrt(bn.var + bn.eps)
-    kernel = conv.kernel * scale[:, None, None, None]
-    bias = (conv.bias - bn.mean) * scale + bn.beta
-    return ConvLayerParams(kernel=kernel, bias=bias)
+    weights = params.weights * scale.reshape(-1, *(1,) * (params.weights.ndim - 1))
+    bias = (params.bias - bn.mean) * scale + bn.beta
+    return LayerParams(weights=weights, bias=bias)
 
 
 def relu(x) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 A ``ModelSpec`` is an ordered list of layer descriptions; ``ModelParams`` holds
 the matching parameter arrays and its spec, and is checked once, when made, by
-``check_entries``, the walk that checks a ``QuantizedModel`` too. The default
+``check_entries``, the walk that checks a ``QuantizedModel`` too; each conv or
+dense layer's entry is one ``layers.LayerParams``. The default
 spec is the fixed 4-layer student (conv 8/16/32/64 with 3x3 kernels,
 alternating 2x2 pools, a 2048-wide flatten and a 3-class head);
 ``wide_student_spec`` doubles every channel count to act as a desk-scale teacher.
@@ -23,8 +24,7 @@ from ._ioutil import json_typed
 from .errors import ConfigurationError
 from .layers import (
     BatchNormParams,
-    ConvLayerParams,
-    DenseParams,
+    LayerParams,
     as_feature_map,
     batchnorm_apply,
     conv2d_forward,
@@ -226,18 +226,12 @@ def _student_spec(width: int, batchnorm: bool, use_relu: bool) -> ModelSpec:
 
 
 @dataclass(frozen=True)
-class ConvBlockParams:
-    conv: ConvLayerParams
-    bn: BatchNormParams | None = None
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Float parameters of ``spec``'s layers, checked once, when made.
 
-    ``entries``, a tuple, passes ``check_entries`` with a ``ConvBlockParams`` or
-    ``DenseParams`` in each conv or dense slot; a conv's ``bn`` has its width,
-    exactly where the spec flags batchnorm. Training edits the arrays in place.
+    ``entries``, a tuple, passes ``check_entries`` with a ``LayerParams`` in each
+    conv and dense slot, whose ``bn`` has the conv's width exactly where the spec
+    flags batchnorm and is None elsewhere. Training edits the arrays in place.
     """
 
     spec: ModelSpec
@@ -249,12 +243,11 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        check_entries(self.spec, self.entries, {ConvSpec: ConvBlockParams, DenseSpec: DenseParams},
-                      lambda entry: layer_arrays(entry)[0].shape)
+        check_entries(self.spec, self.entries, LayerParams, lambda entry: entry.weights.shape)
         for layer, entry in zip(self.spec.layers, self.entries):
-            if isinstance(layer, ConvSpec):
+            if entry is not None:
                 width = None if entry.bn is None else entry.bn.channels
-                expected = layer.out_channels if layer.batchnorm else None
+                expected = layer.out_channels if isinstance(layer, ConvSpec) and layer.batchnorm else None
                 if width != expected:
                     raise ConfigurationError(
                         f"layer {layer.name}: batchnorm width {width} does not match the spec's {expected}")
@@ -277,11 +270,11 @@ def weight_shape(layer: LayerSpec, in_shape: tuple) -> tuple[int, ...] | None:
     return None
 
 
-def check_entries(spec: ModelSpec, entries: tuple, entry_types: dict, shape_of) -> None:
+def check_entries(spec: ModelSpec, entries: tuple, entry_type: type, shape_of) -> None:
     """The one alignment walk of both model forms, float and quantized.
 
     Per spec layer, None in a pool or flatten slot, or in a conv or dense slot an
-    ``entry_types[type(layer)]`` whose ``shape_of(entry)`` is the spec's weight shape.
+    ``entry_type`` whose ``shape_of(entry)`` is the spec's weight shape.
     """
     layers = spec.layers
     if len(entries) != len(layers):
@@ -294,20 +287,13 @@ def check_entries(spec: ModelSpec, entries: tuple, entry_types: dict, shape_of) 
             if entry is not None:
                 raise ConfigurationError(f"layer {layer.name}: holds no parameters, got an entry")
             continue
-        if isinstance(entry, entry_types[type(layer)]):
+        if isinstance(entry, entry_type):
             got = tuple(shape_of(entry))
         else:
             got = None if entry is None else type(entry).__name__
         if got != shape:
             raise ConfigurationError(
                 f"layer {layer.name}: parameters {got} do not match the spec's {shape}")
-
-
-def layer_arrays(entry: ConvBlockParams | DenseParams) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, bias) of a conv or dense entry."""
-    if isinstance(entry, ConvBlockParams):
-        return entry.conv.kernel, entry.conv.bias
-    return entry.weights, entry.bias
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float = 1.0,
@@ -322,22 +308,18 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, weight_scale: float =
         m = shape[0]
         std = weight_scale * np.sqrt(2.0 / (math.prod(shape) // m))
         weights = rng.normal(0.0, std, size=shape).astype(dtype)
-        bias = np.zeros(m, dtype=dtype)
-        if isinstance(layer, DenseSpec):
-            entries.append(DenseParams(weights=weights, bias=bias))
-            continue
         bn = None
-        if layer.batchnorm:
+        if isinstance(layer, ConvSpec) and layer.batchnorm:
             bn = BatchNormParams(gamma=np.ones(m, dtype=dtype), beta=np.zeros(m, dtype=dtype),
                                  mean=np.zeros(m, dtype=dtype), var=np.ones(m, dtype=dtype))
-        entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
+        entries.append(LayerParams(weights=weights, bias=np.zeros(m, dtype=dtype), bn=bn))
     return ModelParams(spec, entries)
 
 
 def layer_forward(layer: LayerSpec, entry, x) -> np.ndarray:
     """One layer of the reference forward: conv (then batchnorm, relu), pool, flatten or dense."""
     if isinstance(layer, ConvSpec):
-        out = conv2d_forward(x, entry.conv, layer.stride, layer.padding)
+        out = conv2d_forward(x, entry, layer.stride, layer.padding)
         if layer.batchnorm:
             out = batchnorm_apply(out, entry.bn)
         return relu(out) if layer.relu else out
@@ -378,7 +360,7 @@ def fold_model_batchnorm(spec: ModelSpec, params: ModelParams) -> tuple[ModelSpe
     for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if isinstance(layer, ConvSpec) and layer.batchnorm:
             layer = replace(layer, batchnorm=False)
-            entry = ConvBlockParams(conv=fold_batchnorm(entry.conv, entry.bn))
+            entry = fold_batchnorm(entry, entry.bn)
         layers.append(layer)
         entries.append(entry)
     folded = replace(spec, layers=tuple(layers))
@@ -408,15 +390,14 @@ def param_arrays(spec: ModelSpec, params: ModelParams) -> dict[str, np.ndarray]:
     """Trainable arrays keyed "layer.field", in layer order."""
     arrays: dict[str, np.ndarray] = {}
     for layer, entry in zip(spec.layers, params.entries_for(spec)):
-        if isinstance(layer, ConvSpec):
-            arrays[f"{layer.name}.kernel"] = entry.conv.kernel
-            arrays[f"{layer.name}.bias"] = entry.conv.bias
-            if layer.batchnorm:
-                arrays[f"{layer.name}.gamma"] = entry.bn.gamma
-                arrays[f"{layer.name}.beta"] = entry.bn.beta
-        elif isinstance(layer, DenseSpec):
-            arrays[f"{layer.name}.weights"] = entry.weights
-            arrays[f"{layer.name}.bias"] = entry.bias
+        if entry is None:
+            continue
+        weights = "kernel" if isinstance(layer, ConvSpec) else "weights"  # the names the step pins hash
+        arrays[f"{layer.name}.{weights}"] = entry.weights
+        arrays[f"{layer.name}.bias"] = entry.bias
+        if entry.bn is not None:
+            arrays[f"{layer.name}.gamma"] = entry.bn.gamma
+            arrays[f"{layer.name}.beta"] = entry.bn.beta
     return arrays
 
 

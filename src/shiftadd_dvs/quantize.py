@@ -8,12 +8,13 @@ as terms get smaller and the per-layer offset encoding operates on small
 non-negative integers. The dequantized value sign * sum(2^(int_bits - s)) is
 exact in binary floating point.
 
-A ``QuantizedLayer`` holds its parameters as arrays, the sign-and-shift form
-usual for power-of-two weights: a sign and a term count per parameter and one
-flat array of shifts. ``shift_quantize_model`` fills them a layer at a time:
-it rounds with ``np.rint``, then takes each weight's terms in at most
-min(n_terms, F+I) passes over the layer, each taking the highest set bit still
-left in every rounded magnitude and clearing it.
+A ``QuantizedLayer``, one folded ``layers.LayerParams`` (weights, then bias),
+holds its parameters as arrays, the sign-and-shift form usual for power-of-two
+weights: a sign and a term count per parameter and one flat array of shifts.
+``shift_quantize_model`` fills them a layer at a time: it rounds with
+``np.rint``, then takes each weight's terms in at most min(n_terms, F+I)
+passes over the layer, each taking the highest set bit still left in every
+rounded magnitude and clearing it.
 ``ShiftQuantParam`` and ``shift_quantize_param`` are the scalar form of one
 weight; a layer's ``weights`` and ``all_params()`` give it as read-only
 views, built on first access and used by no inference path.
@@ -27,16 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, RangeError
-from .layers import ConvLayerParams, DenseParams
-from .model import (
-    ConvBlockParams,
-    ConvSpec,
-    DenseSpec,
-    ModelParams,
-    ModelSpec,
-    check_entries,
-    layer_arrays,
-)
+from .layers import LayerParams
+from .model import ConvSpec, ModelParams, ModelSpec, check_entries
 
 DEFAULT_FRAC_BITS = 16
 DEFAULT_INT_BITS = 2
@@ -240,8 +233,7 @@ class QuantizedModel:
         _check_frame(self.frac_bits, self.int_bits)
         if not 0 <= self.f_a <= 24:  # the activation scales the integer path supports
             raise ConfigurationError(f"f_a must be in [0, 24], got {self.f_a}")
-        check_entries(self.spec, self.entries, {ConvSpec: QuantizedLayer, DenseSpec: QuantizedLayer},
-                      lambda entry: entry.shape)
+        check_entries(self.spec, self.entries, QuantizedLayer, lambda entry: entry.shape)
         for layer, entry in zip(self.spec.layers, self.entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
@@ -269,11 +261,10 @@ def shift_quantize_model(spec: ModelSpec, params: ModelParams, n_terms: int,
     entries: list = []
     for layer, entry in zip(spec.layers, params.entries_for(spec)):
         if entry is not None:
-            weights, bias = layer_arrays(entry)
             parts = [_quantize_array(arr, layer.name, n_terms, frac_bits, int_bits)
-                     for arr in (weights, bias)]
+                     for arr in (entry.weights, entry.bias)]
             sign, count, shift = (np.concatenate(arrays) for arrays in zip(*parts))
-            entry = QuantizedLayer(name=layer.name, shape=weights.shape,
+            entry = QuantizedLayer(name=layer.name, shape=entry.weights.shape,
                                    sign=sign, count=count, shift=shift)
         entries.append(entry)
     return QuantizedModel(spec=spec, entries=entries, n_terms=n_terms,
@@ -316,17 +307,15 @@ def _quantize_array(arr: np.ndarray, layer_name: str, n_terms: int, frac_bits: i
 def dequantize_model(q: QuantizedModel) -> ModelParams:
     """Exact floating-point reconstruction of the quantized model."""
     entries: list = []
-    for layer, entry in zip(q.spec.layers, q.entries):
+    for entry in q.entries:
         if entry is not None:
             # bincount adds each parameter's terms in stored order, as the scalar sum does
             owner = np.repeat(np.arange(len(entry.count)), entry.count)
             magnitude = np.bincount(owner, weights=np.ldexp(1.0, q.int_bits - entry.shift),
                                     minlength=len(entry.count))
             values = entry.sign * magnitude
-            kernel = values[:entry.weight_count].reshape(entry.shape)
-            biases = values[entry.weight_count:]
-            entry = (ConvBlockParams(conv=ConvLayerParams(kernel=kernel, bias=biases))
-                     if isinstance(layer, ConvSpec) else DenseParams(weights=kernel, bias=biases))
+            entry = LayerParams(weights=values[:entry.weight_count].reshape(entry.shape),
+                                bias=values[entry.weight_count:])
         entries.append(entry)
     return ModelParams(q.spec, entries)
 

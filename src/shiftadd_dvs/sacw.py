@@ -3,10 +3,10 @@
 Layout (all little-endian):
   magic "SACW", u16 version=1, u16 layer count; then per layer a u8 kind tag
   (1 conv, 2 maxpool, 3 avgpool, 4 flatten, 5 dense), a shape header of six
-  u16 fields (M, N, P, Q, S, pad), then float32 payload: conv kernel in
-  [m][n][p][q] order followed by the bias, dense weights [out][in] followed by
-  the bias. When the model spec flags batchnorm on a conv, its gamma, beta,
-  mean, var arrays (length M each) and a single epsilon follow the conv bias.
+  u16 fields (M, N, P, Q, S, pad), then a conv or dense layer's
+  ``layers.LayerParams`` as float32: its weights ([m][n][p][q] or [out][in]
+  order), its bias and, when the model spec flags batchnorm on a conv, the
+  gamma, beta, mean, var arrays (length M each) and a single epsilon.
 The file carries parameters only; loading requires the ModelSpec that
 describes the layer chain (the CLI stores it as a JSON sidecar).
 
@@ -23,17 +23,14 @@ import numpy as np
 
 from ._ioutil import atomic_write_bytes
 from .errors import ConfigurationError, NumericError
-from .layers import BatchNormParams, ConvLayerParams, DenseParams
+from .layers import BatchNormParams, LayerParams
 from .model import (
-    ConvBlockParams,
     ConvSpec,
-    DenseSpec,
     FlattenSpec,
     LayerSpec,
     ModelParams,
     ModelSpec,
     PoolLayerSpec,
-    layer_arrays,
     weight_shape,
 )
 
@@ -70,9 +67,8 @@ def save_weights(path, spec: ModelSpec, params: ModelParams) -> None:
         blob += HEADER.pack(*layer_header(layer, in_shape))
         if entry is None:
             continue
-        weights, bias = layer_arrays(entry)
-        blob += _f32(weights) + _f32(bias)
-        if isinstance(layer, ConvSpec) and layer.batchnorm:
+        blob += _f32(entry.weights) + _f32(entry.bias)
+        if entry.bn is not None:
             blob += _f32(entry.bn.gamma) + _f32(entry.bn.beta)
             blob += _f32(entry.bn.mean) + _f32(entry.bn.var)
             blob += struct.pack("<f", entry.bn.eps)
@@ -137,14 +133,11 @@ def load_weights(path, spec: ModelSpec) -> ModelParams:
             continue
         weights = reader.f32(math.prod(shape)).reshape(shape)
         bias = reader.f32(shape[0])
-        if isinstance(layer, DenseSpec):
-            entries.append(DenseParams(weights=weights, bias=bias))
-            continue
         bn = None
-        if layer.batchnorm:
+        if isinstance(layer, ConvSpec) and layer.batchnorm:
             gamma, beta, mean, var = (reader.f32(shape[0]) for _ in range(4))
             eps = float(reader.f32(1)[0])
             bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=eps)
-        entries.append(ConvBlockParams(conv=ConvLayerParams(kernel=weights, bias=bias), bn=bn))
+        entries.append(LayerParams(weights=weights, bias=bias, bn=bn))
     reader.finish(path)
     return ModelParams(spec, entries)

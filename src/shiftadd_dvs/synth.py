@@ -134,12 +134,11 @@ def generate_synthetic_dataset(seed: int, per_class: int, out_dir,
 
 
 def generate_benchmark(seed: int, per_class: int, out_dir,
-                       shifted_per_class: int | None = None) -> tuple[Path, Path]:
+                       shifted_per_class: int) -> tuple[Path, Path]:
     """Base training set plus the distribution-shifted evaluation set."""
     out = Path(out_dir)
     base_dir = out / "base"
     shifted_dir = out / "shifted"
     generate_synthetic_dataset(seed, per_class, base_dir, variant="base")
-    generate_synthetic_dataset(seed, shifted_per_class or per_class, shifted_dir,
-                               variant="shifted")
+    generate_synthetic_dataset(seed, shifted_per_class, shifted_dir, variant="shifted")
     return base_dir, shifted_dir

@@ -11,7 +11,6 @@ from shiftadd_dvs.model import (
     ModelSpec,
     PoolLayerSpec,
     init_params,
-    layer_arrays,
 )
 from shiftadd_dvs.quantize import ZERO_PARAM, QuantizedLayer, QuantizedModel, shift_quantize_param
 from shiftadd_dvs.stream import _build_stages, _float_computes, _int_computes
@@ -76,7 +75,7 @@ def zero_weight_params(spec: ModelSpec):
     params = init_params(spec, np.random.default_rng(0))
     for entry in params.entries:
         if entry is not None:
-            layer_arrays(entry)[0][:] = 0.0
+            entry.weights[:] = 0.0
     return params
 
 

@@ -76,6 +76,16 @@ class TestGenData:
         b = sorted((tmp_path / "b").rglob("*.dvsf"))
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
+    def test_zero_shifted_per_class_exits_with_json_error(self, tmp_path, runner):
+        """--shifted-per-class 0 is refused as --per-class 0 is, not read as "unset"."""
+        result = runner.invoke(main, ["gen-data", "--per-class", "2", "--shifted-per-class", "0",
+                                      "-o", str(tmp_path)])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == {"type": "ConfigurationError",
+                                                      "message": "per_class must be >= 1"}
+        assert not (tmp_path / "shifted").exists()
+        assert not (tmp_path / "result.json").exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, trained_model):
@@ -426,6 +436,28 @@ class TestInferSimulate:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == {"type": "ConfigurationError",
                                                       "message": message}
+        assert not (out / "records.txt").exists()
+
+    @pytest.mark.parametrize("label", [True, "2", 2.7, 0.5], ids=["true", "string", "2.7", "0.5"])
+    def test_mistyped_manifest_label_exits_with_json_error(self, runner, tmp_path, trained_model,
+                                                           data_dir, label):
+        """A manifest label must be a JSON integer: one that truncates to the file's own
+        label (true as 1, "2" and 2.7 as 2, 0.5 as 0) exits 1 instead of loading."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir / "shifted", data)
+        doc = json.loads((data / "manifest.json").read_text())
+        sample = next(s for s in doc["samples"] if s["label"] == int(label))
+        sample["label"] = label
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--model", str(trained_model), "--data", str(data),
+            "--engine", "float", "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "IngestionError"
+        assert f"sample {sample['id']!r}: label must be a JSON integer, got {label!r}" in error["message"]
         assert not (out / "records.txt").exists()
 
     @pytest.mark.parametrize("engine", ["float", "shift-add"])

@@ -111,10 +111,8 @@ class TestModelEncoding:
         for raw_e, eff_e in zip(deq_raw.entries, deq_eff.entries):
             if raw_e is None:
                 continue
-            a = raw_e.conv.kernel if hasattr(raw_e, "conv") else raw_e.weights
-            b = eff_e.conv.kernel if hasattr(eff_e, "conv") else eff_e.weights
             # clamping shrinks shift magnitudes, so effective |weights| never decrease
-            assert np.all(np.abs(b) >= np.abs(a) - 1e-15)
+            assert np.all(np.abs(eff_e.weights) >= np.abs(raw_e.weights) - 1e-15)
 
     def test_encoding_scope_is_per_layer(self, rng):
         _, _, q = self._quantized(rng)

@@ -126,8 +126,8 @@ class TestIntegerForward:
             DenseSpec(name="d", out_features=3),
         ), input_shape=(1, 4, 4), class_count=3)
         params = init_params(spec, rng)
-        params.entries[0].conv.kernel[...] = 1.0
-        params.entries[0].conv.bias[...] = 0.0
+        params.entries[0].weights[...] = 1.0
+        params.entries[0].bias[...] = 0.0
         q = shift_quantize_model(spec, params, 1)
         eng = ShiftAddEngine(q)
         frame = rng.normal(size=(1, 4, 4))
@@ -168,7 +168,7 @@ class TestIntegerForward:
             eng.layer_forward("c", np.zeros(shape, dtype=np.int64))
 
     def test_single_conv_matches_float_oracle_within_one_ulp(self, rng):
-        from shiftadd_dvs.layers import ConvLayerParams, conv2d_forward
+        from shiftadd_dvs.layers import conv2d_forward
         for trial in range(40):
             local = np.random.default_rng([55, trial])
             k = int(local.integers(1, 4))
@@ -181,16 +181,14 @@ class TestIntegerForward:
                 DenseSpec(name="d", out_features=3),
             ), input_shape=(n, 6, 6), class_count=3)
             params = init_params(spec, local, weight_scale=0.8)
-            params.entries[0].conv.bias[...] = local.normal(0, 0.3, size=m)
+            params.entries[0].bias[...] = local.normal(0, 0.3, size=m)
             q = shift_quantize_model(spec, params, 3, f_a=10)
             eng = ShiftAddEngine(q)
             frame = local.normal(0, 1, size=spec.input_shape)
             conditioned = quantize_frame(frame, 10)
             got = eng._conv_int(conditioned, eng.stages[0], {})
             deq = dequantize_model(q)
-            oracle_conv = ConvLayerParams(kernel=deq.entries[0].conv.kernel,
-                                          bias=deq.entries[0].conv.bias)
-            want = np.rint(conv2d_forward(conditioned / float(2 ** 10), oracle_conv,
+            want = np.rint(conv2d_forward(conditioned / float(2 ** 10), deq.entries[0],
                                           stride=1, padding=pad) * float(2 ** 10))
             assert np.max(np.abs(got - want)) <= 1.0
 
@@ -211,7 +209,7 @@ class TestIntegerForward:
             x = quantize_frame(frame, f_a) / scale
             for layer, entry in zip(spec.layers, deq.entries):
                 if isinstance(layer, ConvSpec):
-                    y = conv2d_forward(x, entry.conv, layer.stride, layer.padding)
+                    y = conv2d_forward(x, entry, layer.stride, layer.padding)
                     x = np.rint(y * scale) / scale
                     if layer.relu:
                         x = np.maximum(x, 0.0)
@@ -281,7 +279,7 @@ class TestSaturation:
             DenseSpec(name="d", out_features=3),
         ), input_shape=(1, 2, 2), class_count=3)
         params = init_params(spec, np.random.default_rng(3))
-        params.entries[0].conv.kernel[...] = 3.9
+        params.entries[0].weights[...] = 3.9
         params.entries[2].weights[...] = 3.9
         params.entries[2].bias[...] = 0.0
         q = shift_quantize_model(spec, params, 4, f_a=24)

@@ -177,7 +177,7 @@ def argmax_route(d, idx, in_shape, window, stride):
 
 
 def _ref_conv(x, layer, conv, grads):
-    k = conv.kernel.astype(np.float64)
+    k = conv.weights.astype(np.float64)
     s, pad = layer.stride, layer.padding
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(xp, layer.kernel, axis=(2, 3))[:, :, ::s, ::s]
@@ -241,7 +241,7 @@ def reference_gradients(spec, params, x, dlogits):
     out = np.asarray(x, dtype=np.float64)
     for layer, entry in zip(spec.layers, params.entries):
         if isinstance(layer, ConvSpec):
-            out, back = _ref_conv(out, layer, entry.conv, grads)
+            out, back = _ref_conv(out, layer, entry, grads)
             backs.append(back)
             if layer.batchnorm:
                 out, back = _ref_batchnorm(out, layer.name, entry.bn, grads)

@@ -240,8 +240,8 @@ class TestExactProductOracle:
     def test_all_zero_layers_give_empty_plans(self):
         spec = _single_conv(3)
         params = init_params(spec, np.random.default_rng(7))
-        params.entries[0].conv.kernel[...] = 0.0
-        params.entries[0].conv.bias[...] = 0.25
+        params.entries[0].weights[...] = 0.0
+        params.entries[0].bias[...] = 0.25
         params.entries[3].weights[...] = 0.0
         q = shift_quantize_model(spec, params, 3)
         engine = ShiftAddEngine(q)

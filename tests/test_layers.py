@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from shiftadd_dvs.errors import ConfigurationError, DomainError
 from shiftadd_dvs.layers import (
     BatchNormParams,
-    ConvLayerParams,
-    DenseParams,
+    LayerParams,
     batchnorm_apply,
     conv2d_forward,
     dense_forward,
@@ -39,23 +38,42 @@ def conv_oracle(x, kernel, bias, stride, padding):
     return out
 
 
+class TestLayerParams:
+    @pytest.mark.parametrize("weights, bias, message", [
+        (np.ones((2, 3, 3)), np.zeros(2), r"must be 4-D .* or 2-D .*, got shape \(2, 3, 3\)"),
+        (np.ones((2, 1, 3, 3)), np.zeros(3), r"bias shape \(3,\) does not match 2 outputs"),
+        (np.ones((3, 4)), np.zeros((3, 1)), r"bias shape \(3, 1\) does not match 3 outputs"),
+    ])
+    def test_rejects_malformed_arrays(self, weights, bias, message):
+        with pytest.raises(ConfigurationError, match=message):
+            LayerParams(weights=weights, bias=bias)
+
+    def test_conv_and_dense_reject_the_other_kinds_weights(self):
+        dense = LayerParams(weights=np.ones((2, 4)), bias=np.zeros(2))
+        conv = LayerParams(weights=np.ones((2, 4, 1, 1)), bias=np.zeros(2))
+        with pytest.raises(ConfigurationError, match=r"needs 4-D weights, got shape \(2, 4\)"):
+            conv2d_forward(np.ones((4, 3, 3)), dense)
+        with pytest.raises(ConfigurationError, match=r"needs 2-D weights, got shape \(2, 4, 1, 1\)"):
+            dense_forward(np.ones(4), conv)
+
+
 class TestConv2d:
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(3, 5, 7))
         kernel = np.zeros((3, 3, 1, 1))
         for c in range(3):
             kernel[c, c, 0, 0] = 1.0
-        params = ConvLayerParams(kernel=kernel, bias=np.zeros(3))
+        params = LayerParams(weights=kernel, bias=np.zeros(3))
         np.testing.assert_array_equal(conv2d_forward(x, params), x)
 
     def test_all_ones_sum(self):
-        params = ConvLayerParams(kernel=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
+        params = LayerParams(weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
         out = conv2d_forward(np.ones((1, 3, 3)), params)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 9.0
 
     def test_table_conv1_shape(self, rng):
-        params = ConvLayerParams(kernel=rng.normal(size=(8, 1, 3, 3)), bias=rng.normal(size=8))
+        params = LayerParams(weights=rng.normal(size=(8, 1, 3, 3)), bias=rng.normal(size=8))
         out = conv2d_forward(rng.normal(size=(1, 256, 11)), params, stride=1, padding=1)
         assert out.shape == (8, 256, 11)
 
@@ -71,7 +89,7 @@ class TestConv2d:
             x = rng.normal(size=(n, h, w))
             kernel = rng.normal(size=(m, n, k, k))
             bias = rng.normal(size=m)
-            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias), stride, pad)
+            got = conv2d_forward(x, LayerParams(weights=kernel, bias=bias), stride, pad)
             want = conv_oracle(x, kernel, bias, stride, pad)
             np.testing.assert_array_equal(got, want)
 
@@ -84,21 +102,21 @@ class TestConv2d:
             x = rng.normal(size=(n, int(rng.integers(p, p + 7)), int(rng.integers(q, q + 7))))
             kernel = rng.normal(size=(m, n, p, q))
             bias = rng.normal(size=m)
-            got = conv2d_forward(x, ConvLayerParams(kernel=kernel, bias=bias), stride, pad)
+            got = conv2d_forward(x, LayerParams(weights=kernel, bias=bias), stride, pad)
             np.testing.assert_array_equal(got, conv_oracle(x, kernel, bias, stride, pad))
 
     @pytest.mark.parametrize("stride", [0, (1, 0), (0, 2)])
     def test_stride_below_one_rejected(self, rng, stride):
         x = np.ones((1, 4, 4))
         with pytest.raises(ConfigurationError, match="stride must be >= 1"):
-            conv2d_forward(x, ConvLayerParams(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1)),
+            conv2d_forward(x, LayerParams(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1)),
                            stride=stride)
         with pytest.raises(ConfigurationError, match="stride must be >= 1"):
             pool2d_forward(x, "max", (2, 2), stride)
 
     def test_linearity_with_zero_bias(self, rng):
         kernel = rng.normal(size=(2, 3, 3, 3))
-        params = ConvLayerParams(kernel=kernel, bias=np.zeros(2))
+        params = LayerParams(weights=kernel, bias=np.zeros(2))
         x = rng.normal(size=(3, 6, 6))
         y = rng.normal(size=(3, 6, 6))
         a, b = 0.7, -1.3
@@ -108,12 +126,12 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-9)
 
     def test_channel_mismatch(self, rng):
-        params = ConvLayerParams(kernel=rng.normal(size=(2, 3, 3, 3)), bias=np.zeros(2))
+        params = LayerParams(weights=rng.normal(size=(2, 3, 3, 3)), bias=np.zeros(2))
         with pytest.raises(ConfigurationError):
             conv2d_forward(rng.normal(size=(2, 6, 6)), params)
 
     def test_window_too_large(self, rng):
-        params = ConvLayerParams(kernel=rng.normal(size=(1, 1, 5, 5)), bias=np.zeros(1))
+        params = LayerParams(weights=rng.normal(size=(1, 1, 5, 5)), bias=np.zeros(1))
         with pytest.raises(ConfigurationError):
             conv2d_forward(rng.normal(size=(1, 3, 3)), params)
 
@@ -158,35 +176,35 @@ class TestPool2d:
 
 class TestDense:
     def test_identity(self):
-        params = DenseParams(weights=np.eye(4), bias=np.zeros(4))
+        params = LayerParams(weights=np.eye(4), bias=np.zeros(4))
         x = np.arange(4.0)
         np.testing.assert_array_equal(dense_forward(x, params), x)
 
     def test_dot_product(self):
-        params = DenseParams(weights=np.array([[1.0, 1.0, 1.0]]), bias=np.array([0.5]))
+        params = LayerParams(weights=np.array([[1.0, 1.0, 1.0]]), bias=np.array([0.5]))
         np.testing.assert_allclose(dense_forward([1.0, 2.0, 3.0], params), [6.5])
 
     def test_table_head_shape(self, rng):
-        params = DenseParams(weights=rng.normal(size=(3, 2048)), bias=np.zeros(3))
+        params = LayerParams(weights=rng.normal(size=(3, 2048)), bias=np.zeros(3))
         assert dense_forward(rng.normal(size=2048), params).shape == (3,)
 
     def test_length_mismatch(self):
-        params = DenseParams(weights=np.ones((2, 3)), bias=np.zeros(2))
+        params = LayerParams(weights=np.ones((2, 3)), bias=np.zeros(2))
         with pytest.raises(ConfigurationError):
             dense_forward(np.ones(4), params)
 
 
 class TestFoldBatchnorm:
     def _conv(self, rng, channels=3):
-        return ConvLayerParams(kernel=rng.normal(size=(channels, 2, 3, 3)),
-                               bias=rng.normal(size=channels))
+        return LayerParams(weights=rng.normal(size=(channels, 2, 3, 3)),
+                           bias=rng.normal(size=channels))
 
     def test_identity_normalization(self, rng):
         conv = self._conv(rng)
         bn = BatchNormParams(gamma=np.ones(3), beta=np.zeros(3), mean=np.zeros(3),
                              var=np.ones(3), eps=1e-12)
         folded = fold_batchnorm(conv, bn)
-        np.testing.assert_allclose(folded.kernel, conv.kernel, rtol=1e-12)
+        np.testing.assert_allclose(folded.weights, conv.weights, rtol=1e-12)
         np.testing.assert_allclose(folded.bias, conv.bias, rtol=1e-12)
 
     def test_gamma_two_doubles(self, rng):
@@ -194,7 +212,7 @@ class TestFoldBatchnorm:
         bn = BatchNormParams(gamma=np.full(3, 2.0), beta=np.zeros(3), mean=np.zeros(3),
                              var=np.full(3, 1.0 - 1e-12), eps=1e-12)
         folded = fold_batchnorm(conv, bn)
-        np.testing.assert_allclose(folded.kernel, 2.0 * conv.kernel, rtol=1e-9)
+        np.testing.assert_allclose(folded.weights, 2.0 * conv.weights, rtol=1e-9)
         np.testing.assert_allclose(folded.bias, 2.0 * conv.bias, rtol=1e-9)
 
     def test_equivalence_oracle(self, rng):
@@ -215,6 +233,17 @@ class TestFoldBatchnorm:
                              var=np.ones(4))
         with pytest.raises(ConfigurationError):
             fold_batchnorm(conv, bn)
+
+    def test_dense_layer_keeps_its_shape(self, rng):
+        """The record serves a dense layer too: its 2-D weights fold per output row."""
+        dense = LayerParams(weights=rng.normal(size=(3, 5)), bias=rng.normal(size=3))
+        bn = BatchNormParams(gamma=rng.normal(size=3), beta=rng.normal(size=3),
+                             mean=rng.normal(size=3), var=np.abs(rng.normal(size=3)) + 0.1)
+        folded = fold_batchnorm(dense, bn)
+        assert folded.weights.shape == (3, 5)
+        x = rng.normal(size=5)
+        want = (dense_forward(x, dense) - bn.mean) / np.sqrt(bn.var + bn.eps) * bn.gamma + bn.beta
+        np.testing.assert_allclose(dense_forward(x, folded), want, rtol=1e-12, atol=1e-12)
 
 
 class TestSoftmaxTemperature:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import ConfigurationError
-from shiftadd_dvs.layers import BatchNormParams, ConvLayerParams
+from shiftadd_dvs.layers import BatchNormParams
 from shiftadd_dvs.model import (
     ConvSpec,
     DenseSpec,
@@ -158,10 +158,12 @@ def _bn(width: int) -> BatchNormParams:
     (True, lambda e: e[:-1], "layer fc1: the model has 8 entries for 9 spec layers"),
     (True, lambda e: e + (None,), "layer fc1: the model has 10 entries for 9 spec layers"),
     (True, lambda e: e[:1] + e[:1] + e[2:], "layer maxpool1: holds no parameters, got an entry"),
-    (True, lambda e: e[:2] + (replace(e[2], conv=ConvLayerParams(
-        kernel=np.zeros((16, 8, 3, 2)), bias=np.zeros(16))),) + e[3:],
+    (True, lambda e: e[:2] + (replace(e[2], weights=np.zeros((16, 8, 3, 2))),) + e[3:],
      r"layer conv2: parameters \(16, 8, 3, 2\) do not match the spec's \(16, 8, 3, 3\)"),
-    (True, lambda e: (e[8],) + e[1:], "layer conv1: parameters DenseParams do not match"),
+    (True, lambda e: (e[8],) + e[1:],
+     r"layer conv1: parameters \(3, 2048\) do not match the spec's \(8, 1, 3, 3\)"),
+    (True, lambda e: e[:8] + (replace(e[8], bn=_bn(3)),),
+     "layer fc1: batchnorm width 3 does not match the spec's None"),
     (True, lambda e: (replace(e[0], bn=None),) + e[1:],
      "layer conv1: batchnorm width None does not match the spec's 8"),
     (False, lambda e: (replace(e[0], bn=_bn(8)),) + e[1:],
@@ -169,7 +171,7 @@ def _bn(width: int) -> BatchNormParams:
     (True, lambda e: (replace(e[0], bn=_bn(4)),) + e[1:],
      "layer conv1: batchnorm width 4 does not match the spec's 8"),
 ], ids=["too_few", "too_many", "entry_in_pool_slot", "kernel_shape", "entry_type",
-        "missing_bn", "bn_not_flagged", "bn_width"])
+        "dense_bn", "missing_bn", "bn_not_flagged", "bn_width"])
 def test_params_construction_rejects_misaligned_entries(rng, batchnorm, change, message):
     """Float parameters are checked once, when made, by the walk that checks a quantized
     model: one entry per spec layer of the spec's weight shape, batchnorm where flagged."""

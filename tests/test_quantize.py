@@ -136,10 +136,7 @@ class TestModelQuantization:
         params = init_params(spec, np.random.default_rng(0))
         for entry in params.entries:
             if entry is not None:
-                if hasattr(entry, "conv"):
-                    entry.conv.kernel[:] = 0.0
-                else:
-                    entry.weights[:] = 0.0
+                entry.weights[:] = 0.0
         q = shift_quantize_model(spec, params, 3)
         for layer in q.layers():
             assert all(p.sign == 0 for p in layer.all_params())
@@ -150,7 +147,7 @@ class TestModelQuantization:
         for entry in params.entries:
             if entry is None:
                 continue
-            arr = entry.conv.kernel if hasattr(entry, "conv") else entry.weights
+            arr = entry.weights
             exps = rng.integers(-8, 1, size=arr.shape)
             signs = rng.choice([-1.0, 1.0], size=arr.shape)
             arr[...] = signs * np.power(2.0, exps)
@@ -159,9 +156,7 @@ class TestModelQuantization:
         for entry, dentry in zip(params.entries, deq.entries):
             if entry is None:
                 continue
-            a = entry.conv.kernel if hasattr(entry, "conv") else entry.weights
-            b = dentry.conv.kernel if hasattr(dentry, "conv") else dentry.weights
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(entry.weights, dentry.weights)
 
     def test_n_equals_f_plus_i_is_fixed_point_round(self, rng):
         spec = default_student_spec(batchnorm=False)
@@ -171,10 +166,8 @@ class TestModelQuantization:
         for entry, dentry in zip(params.entries, deq.entries):
             if entry is None:
                 continue
-            a = entry.conv.kernel if hasattr(entry, "conv") else entry.weights
-            b = dentry.conv.kernel if hasattr(dentry, "conv") else dentry.weights
-            want = np.vectorize(lambda v: fixed_point_value(v, 16, 2))(a)
-            np.testing.assert_array_equal(b, want)
+            want = np.vectorize(lambda v: fixed_point_value(v, 16, 2))(entry.weights)
+            np.testing.assert_array_equal(dentry.weights, want)
 
     def test_requires_folded_batchnorm(self, rng):
         spec = default_student_spec(batchnorm=True)
@@ -220,7 +213,7 @@ class TestModelQuantization:
     def test_out_of_range_weight_names_layer(self, rng):
         spec = default_student_spec(batchnorm=False)
         params = init_params(spec, rng)
-        params.entries[2].conv.kernel[0, 0, 0, 0] = 5.0  # conv2
+        params.entries[2].weights[0, 0, 0, 0] = 5.0  # conv2
         with pytest.raises(RangeError, match="conv2"):
             shift_quantize_model(spec, params, 3)
 
@@ -261,13 +254,13 @@ class TestArrayQuantizerMatchesScalar:
             # past F+I the passes stop at F+I: every set bit is a term
             for n_terms in [*range(1, frac_bits + int_bits + 2), 255]:
                 params = init_params(spec, rng)
-                for arr in (params.entries[0].conv.kernel, params.entries[0].conv.bias,
+                for arr in (params.entries[0].weights, params.entries[0].bias,
                             params.entries[2].weights, params.entries[2].bias):
                     arr[...] = self._special_values(rng, frac_bits, int_bits,
                                                     arr.size).reshape(arr.shape)
                 q = shift_quantize_model(spec, params, n_terms, frac_bits, int_bits)
                 for layer, (weights, biases) in zip(q.layers(), (
-                        (params.entries[0].conv.kernel, params.entries[0].conv.bias),
+                        (params.entries[0].weights, params.entries[0].bias),
                         (params.entries[2].weights, params.entries[2].bias))):
                     want = [shift_quantize_param(float(w), n_terms, frac_bits, int_bits)
                             for w in np.concatenate((weights, biases), axis=None)]
@@ -279,8 +272,8 @@ class TestArrayQuantizerMatchesScalar:
     def test_first_bad_weight_raises_the_scalar_message(self, rng, bad, where):
         spec = self._spec()
         params = init_params(spec, rng)
-        arr = params.entries[0].conv.kernel.reshape(-1) if where == "weight" \
-            else params.entries[0].conv.bias
+        arr = params.entries[0].weights.reshape(-1) if where == "weight" \
+            else params.entries[0].bias
         arr[1] = bad
         arr[2] = 5.0 if np.isnan(bad) else np.nan  # a later bad value is not the one reported
         with pytest.raises(RangeError) as scalar:

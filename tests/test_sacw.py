@@ -1,10 +1,14 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from shiftadd_dvs.errors import ConfigurationError, NumericError
 from shiftadd_dvs.model import (
+    ConvSpec,
+    DenseSpec,
+    FlattenSpec,
+    ModelSpec,
     default_student_spec,
     init_params,
     model_forward,
@@ -33,7 +37,7 @@ def test_round_trip_preserves_forward_outputs(rng, tmp_path):
         arr[...] = arr.astype(np.float32)
     params = replace(params, entries=[
         replace(entry, bn=replace(entry.bn, eps=2.0 ** -14))
-        if getattr(entry, "bn", None) is not None else entry for entry in params.entries])
+        if entry is not None and entry.bn is not None else entry for entry in params.entries])
     path = tmp_path / "m.sacw"
     save_weights(path, spec, params)
     loaded = load_weights(path, spec)
@@ -46,18 +50,40 @@ def test_batchnorm_blocks_follow_convs(rng, tmp_path):
     spec = default_student_spec(batchnorm=True)
     params = init_params(spec, rng)
     for entry in params.entries:
-        if entry is not None and getattr(entry, "bn", None) is not None:
+        if entry is not None and entry.bn is not None:
             entry.bn.mean[...] = rng.normal(size=entry.bn.mean.shape)
             entry.bn.var[...] = np.abs(rng.normal(size=entry.bn.var.shape)) + 0.1
     path = tmp_path / "m.sacw"
     save_weights(path, spec, params)
     loaded = load_weights(path, spec)
     for orig, got in zip(params.entries, loaded.entries):
-        if orig is not None and getattr(orig, "bn", None) is not None:
+        if orig is not None and orig.bn is not None:
             np.testing.assert_array_equal(
                 got.bn.mean, orig.bn.mean.astype(np.float32).astype(np.float64))
             np.testing.assert_array_equal(
                 got.bn.var, orig.bn.var.astype(np.float32).astype(np.float64))
+
+
+def test_round_trip_gives_equal_records(rng, tmp_path):
+    """A conv with batchnorm, a conv without and a dense layer each load as the record saved."""
+    spec = ModelSpec(layers=(ConvSpec(name="a", out_channels=2),
+                             ConvSpec(name="b", out_channels=3, batchnorm=False),
+                             FlattenSpec(), DenseSpec(name="d", out_features=3)),
+                     input_shape=(1, 4, 4))
+    params = init_params(spec, rng)
+    bn = params.entries[0].bn
+    for arr in (*param_arrays(spec, params).values(), bn.mean, bn.var):
+        arr[...] = rng.normal(size=arr.shape).astype(np.float32)  # float32 values round-trip
+    bn.var[...] = np.abs(bn.var)
+    params = replace(params, entries=(replace(params.entries[0], bn=replace(bn, eps=2.0 ** -14)),
+                                      *params.entries[1:]))
+    path = tmp_path / "m.sacw"
+    save_weights(path, spec, params)
+    loaded = load_weights(path, spec)
+    assert [e.bn is None for e in loaded.entries if e is not None] == [False, True, True]
+    for saved, got in zip(params.entries, loaded.entries):
+        if saved is not None:
+            np.testing.assert_equal(astuple(got), astuple(saved))
 
 
 def test_header_magic_and_version(rng, tmp_path):
@@ -101,9 +127,9 @@ def test_non_finite_payload_rejected(tmp_path, field, bad):
     block = params.entries[0]
     sentinel = 1.375
     if field == "kernel":
-        block.conv.kernel[0, 0, 0, 0] = sentinel
+        block.weights[0, 0, 0, 0] = sentinel
     elif field == "bias":
-        block.conv.bias[0] = sentinel
+        block.bias[0] = sentinel
     elif field == "gamma":
         block.bn.gamma[0] = sentinel
     else:

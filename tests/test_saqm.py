@@ -73,9 +73,7 @@ def test_dequantized_values_survive_round_trip(rng, tmp_path):
     for ea, eb in zip(a.entries, b.entries):
         if ea is None:
             continue
-        xa = ea.conv.kernel if hasattr(ea, "conv") else ea.weights
-        xb = eb.conv.kernel if hasattr(eb, "conv") else eb.weights
-        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(ea.weights, eb.weights)
 
 
 def test_unencoded_model_cannot_be_saved(rng, tmp_path):
@@ -212,10 +210,8 @@ def test_full_precision_biases_round_trip(rng, tmp_path):
     spec, params = make_small_model(rng)
     for entry in params.entries:
         if entry is not None:
-            kernel, bias = ((entry.conv.kernel, entry.conv.bias) if hasattr(entry, "conv")
-                            else (entry.weights, entry.bias))
-            kernel[...] = rng.choice([-0.5, 0.25, 1.0], size=kernel.shape)  # one term each
-            bias[...] = rng.normal(0, 0.5, size=bias.shape)
+            entry.weights[...] = rng.choice([-0.5, 0.25, 1.0], size=entry.weights.shape)  # one term each
+            entry.bias[...] = rng.normal(0, 0.5, size=entry.bias.shape)
     # every digit of the F=10, I=2 grid, in a model of N=1 that only the biases exceed
     q = encode_model(replace(shift_quantize_model(spec, params, 12, frac_bits=10), n_terms=1),
                      bits=4)

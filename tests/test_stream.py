@@ -260,8 +260,8 @@ def gain_model(rng, gain: float = 3.9, f_a: int = 8):
         DenseSpec(name="head", out_features=3),
     ), input_shape=(1, 4, 4), class_count=3)
     params = init_params(spec, rng)
-    params.entries[0].conv.kernel[...] = gain
-    params.entries[1].conv.kernel[...] = gain
+    params.entries[0].weights[...] = gain
+    params.entries[1].weights[...] = gain
     return shift_quantize_model(spec, params, 4, f_a=f_a)
 
 
@@ -302,8 +302,8 @@ class TestIntegerStreaming:
             DenseSpec(name="head", out_features=3),
         ), input_shape=(1, 6, 4), class_count=3)
         params = init_params(spec, rng)
-        params.entries[0].conv.kernel[...] = 2.0
-        params.entries[1].conv.kernel[...] = 3.9
+        params.entries[0].weights[...] = 2.0
+        params.entries[1].weights[...] = 3.9
         q = shift_quantize_model(spec, params, 4, f_a=24)
         frame = np.full(spec.input_shape, 10.0)
         frame[:, -1] = 100.0
@@ -878,9 +878,8 @@ def _pinned_inputs():
         for entry in params.entries:
             if entry is None:
                 continue
-            bias = entry.conv.bias if hasattr(entry, "conv") else entry.bias
-            bias[...] = local.normal(0, 0.3, size=bias.shape)
-            if getattr(entry, "bn", None) is not None:
+            entry.bias[...] = local.normal(0, 0.3, size=entry.bias.shape)
+            if entry.bn is not None:
                 entry.bn.mean[...] = local.normal(0, 0.3, size=entry.bn.mean.shape)
                 entry.bn.var[...] = np.abs(local.normal(size=entry.bn.var.shape)) + 0.5
         fspec, fparams = fold_model_batchnorm(spec, params)

@@ -118,7 +118,7 @@ class TestTrainModel:
                              seed=3)
         conv1 = result.params.entries[0]
         layer = spec.layers[0]
-        outs = np.stack([conv2d_forward(x, conv1.conv, layer.stride, layer.padding)
+        outs = np.stack([conv2d_forward(x, conv1, layer.stride, layer.padding)
                          for x in frames])
         np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)))
@@ -133,7 +133,7 @@ class TestTrainModel:
         _recalibrate_running_stats(spec, params, frames)
         conv1 = params.entries[0]
         layer = spec.layers[0]
-        outs = np.stack([conv2d_forward(x, conv1.conv, layer.stride, layer.padding)
+        outs = np.stack([conv2d_forward(x, conv1, layer.stride, layer.padding)
                          for x in frames])
         np.testing.assert_allclose(conv1.bn.mean, outs.mean(axis=(0, 2, 3)), rtol=1e-9)
         np.testing.assert_allclose(conv1.bn.var, outs.var(axis=(0, 2, 3)), rtol=1e-9)
