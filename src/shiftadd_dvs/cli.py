@@ -281,7 +281,7 @@ def quantize(model, data, n_terms, bits, frac_bits, int_bits, f_a, sweep, out):
     write_json(out_path / "model.json", {"spec": fspec.to_json(),
                                          "standardizer": scaler.to_json(),
                                          "f_a": f_a, "tool_version": __version__})
-    clamps = {e.name: e.encoding.clamp_count for e in encoded.entries if e is not None}
+    clamps = {e.name: e.encoding.clamp_count for e in encoded.layers()}
     config = {"model": str(model), "data": str(data) if data else None,
               "n_terms": n_terms, "bits": bits, "frac_bits": frac_bits,
               "int_bits": int_bits, "f_a": f_a}
@@ -311,11 +311,8 @@ def encode(model, data, n_terms, frac_bits, int_bits, out):
     table = []
     for bits in range(1, 9):
         encoded = encode_model(q, bits)
-        row = {"bits": bits,
-               "clamp_counts": {e.name: e.encoding.clamp_count
-                                for e in encoded.entries if e is not None},
-               "lossless": all(e.encoding.clamp_count == 0
-                               for e in encoded.entries if e is not None)}
+        clamps = {e.name: e.encoding.clamp_count for e in encoded.layers()}
+        row = {"bits": bits, "clamp_counts": clamps, "lossless": not any(clamps.values())}
         if frames is not None:
             acc = evaluate_accuracy(fspec, dequantize_model(decoded_model(encoded)),
                                     frames, labels)

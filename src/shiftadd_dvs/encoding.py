@@ -8,9 +8,9 @@ reported so losslessness is checkable (clamp_count == 0 iff decoding is the
 exact inverse).
 
 ``encode_model`` encodes a layer's flat shift array at once (the bias as a
-minimum, the codes as a clip); ``layer_terms`` hands the engine the effective
-``bias + code`` arrays. ``encode_layer``/``decode_layer`` are the same
-arithmetic on lists.
+minimum, the codes as a clip); ``layer_terms`` and ``decoded_model`` read the
+effective ``bias + code``, which ``QuantizedModel`` holds within [0, F+I].
+``encode_layer``/``decode_layer`` are the same arithmetic on lists.
 """
 from __future__ import annotations
 
@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelSpec, weight_shape
-from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel
-
-
-def _check_bits(bits: int) -> None:
-    if not 1 <= bits <= 8:
-        raise ConfigurationError(f"encoding width must be in [1, 8], got {bits}")
+from .quantize import LayerEncoding, QuantizedLayer, QuantizedModel, _check_bits, _check_n_terms
 
 
 def _offset_codes(magnitudes: np.ndarray, bits: int) -> tuple[int, np.ndarray, int]:
@@ -89,24 +84,19 @@ def layer_terms(entry: QuantizedLayer) -> tuple[Terms, Terms]:
     """
     enc = entry.encoding
     shift = entry.shift if enc is None else enc.bias + enc.code
-    if np.any(shift < 0):
-        raise ConfigurationError(f"layer {entry.name}: shift magnitudes must be non-negative")
     n = entry.weight_count
     split = int(entry.count[:n].sum())
     return (Terms(entry.sign[:n], entry.count[:n], shift[:split]),
             Terms(entry.sign[n:], entry.count[n:], shift[split:]))
 
 
-def decode_entry(entry: QuantizedLayer) -> QuantizedLayer:
-    """The layer with its shifts replaced by the effective ``bias + code`` (see layer_terms)."""
-    if entry.encoding is None:
-        raise ConfigurationError(f"layer {entry.name} has no encoding")
-    return replace(entry, shift=entry.encoding.bias + entry.encoding.code)
-
-
 def decoded_model(q: QuantizedModel) -> QuantizedModel:
-    """Model whose parameters are the decode of their encoding (deployable view)."""
-    return replace(q, entries=[None if e is None else decode_entry(e) for e in q.entries])
+    """Model whose shifts are the effective ``bias + code`` of their encoding (deployable view)."""
+    if q.bits is None:
+        raise ConfigurationError("encode the model before decoding it (encode_model)")
+    return replace(q, entries=[
+        None if e is None else replace(e, shift=e.encoding.bias + e.encoding.code)
+        for e in q.entries])
 
 
 SIGN_FIELD_BITS = 2
@@ -117,12 +107,11 @@ BASELINE_BITS = 32
 
 def compression_report(spec: ModelSpec, n_terms: int, bits: int) -> dict:
     """Headline storage ratio N*bits/32 plus itemized sign/bias overhead."""
-    if n_terms < 1 or not 1 <= bits <= 8:
-        raise ConfigurationError(f"invalid report config N={n_terms}, bits={bits}")
+    _check_n_terms(n_terms)
+    _check_bits(bits)
     shapes = [weight_shape(layer, in_shape) for layer, in_shape, _ in spec.geometry()]
     shapes = [shape for shape in shapes if shape is not None]
     weight_count = sum(math.prod(shape) + shape[0] for shape in shapes)
-    layer_count = len(shapes)
     stored_bits = n_terms * bits
     ratio = stored_bits / BASELINE_BITS
     return {
@@ -136,6 +125,6 @@ def compression_report(spec: ModelSpec, n_terms: int, bits: int) -> dict:
             "term_count_bits_per_weight": TERM_COUNT_FIELD_BITS,
             "bias_bits_per_layer": LAYER_BIAS_FIELD_BITS,
             "weight_count": weight_count,
-            "layer_count": layer_count,
+            "layer_count": len(shapes),
         },
     }

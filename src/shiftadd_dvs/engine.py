@@ -176,17 +176,13 @@ def _magnitudes(terms: Terms, amount: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _bias_acc(name: str, biases: Terms, align: int, f_a: int) -> np.ndarray:
+def _bias_acc(biases: Terms, align: int, f_a: int) -> np.ndarray:
     """Biases expanded to accumulator scale 2^(f_a + frac_bits)."""
-    amount = f_a + align - biases.shift
-    if np.any(amount < 0):
-        raise ConfigurationError(f"layer {name}: bias magnitude {int(biases.shift.max())} "
-                                 f"exceeds alignment {f_a + align}")
-    magnitude = _magnitudes(biases, amount)
+    magnitude = _magnitudes(biases, f_a + align - biases.shift)
     return np.where(biases.sign < 0, -magnitude, magnitude)
 
 
-def _shift_plan(name: str, weights: Terms, bias_acc: np.ndarray, align: int) -> _ShiftPlan:
+def _shift_plan(weights: Terms, bias_acc: np.ndarray, align: int) -> _ShiftPlan:
     """The distinct operands of a layer's weight terms and, per output channel, each term's operand.
 
     An operand is an (im2col row, left shift) pair; a term's sign only decides
@@ -198,9 +194,6 @@ def _shift_plan(name: str, weights: Terms, bias_acc: np.ndarray, align: int) -> 
     weight sums it twice.
     """
     amount = align - weights.shift
-    if np.any(amount < 0):
-        raise ConfigurationError(
-            f"layer {name}: shift magnitude {int(weights.shift.max())} exceeds alignment {align}")
     channels = len(bias_acc)
     columns = len(weights.count) // channels
     slots = int(amount.max(initial=0)) + 1
@@ -348,11 +341,12 @@ class ShiftAddEngine:
     """Immutable integer inference engine built from a quantized model.
 
     The model is its only configuration, immutable and checked when it was
-    made (entries aligned with the spec, batchnorm folded, ``f_a`` in range).
-    Every layer saturates to 32 bits and counts the values it clips.
-    Construction verifies with a worst-case bound that no layer accumulator
-    can overflow 64 bits for any frame ``quantize_frame`` accepts, i.e. every
-    input activation within the 32-bit range.
+    made (entries aligned with the spec, batchnorm folded, ``f_a`` in range,
+    every term at most F+I, so no left shift is negative). Every layer
+    saturates to 32 bits and counts the values it clips. Construction
+    verifies with a worst-case bound that no layer accumulator can overflow
+    64 bits for any frame ``quantize_frame`` accepts, i.e. every input
+    activation within the 32-bit range.
     """
 
     def __init__(self, qmodel: QuantizedModel):
@@ -381,9 +375,8 @@ class ShiftAddEngine:
             if entry is not None:
                 weights, biases = layer_terms(entry)
                 # a term on a padding-only row adds zero everywhere; the proof still counts it
-                plan = _shift_plan(layer.name,
-                                   weights if live is None else _live_terms(weights, live),
-                                   _bias_acc(layer.name, biases, align, self.f_a), align)
+                plan = _shift_plan(weights if live is None else _live_terms(weights, live),
+                                   _bias_acc(biases, align, self.f_a), align)
                 act_bound = self._check_overflow_bound(layer.name, weights, plan.bias_acc,
                                                        act_bound)
             avg_shift = _avg_shift(layer) if isinstance(layer, PoolLayerSpec) else 0

@@ -6,7 +6,6 @@ import io
 import numpy as np
 
 from ._ioutil import atomic_write_text
-from .errors import ConfigurationError
 from .model import ModelParams, ModelSpec, model_forward
 
 

@@ -45,6 +45,11 @@ def _check_n_terms(n_terms: int) -> None:
         raise ConfigurationError(f"n_terms must be >= 1, got {n_terms}")
 
 
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= 8:
+        raise ConfigurationError(f"encoding width must be in [1, 8], got {bits}")
+
+
 def fixed_point_decompose(w: float, frac_bits: int = DEFAULT_FRAC_BITS,
                           int_bits: int = DEFAULT_INT_BITS) -> list[int]:
     """Exponents of |w| rounded to the fixed-point grid, most significant first.
@@ -75,7 +80,7 @@ class ShiftQuantParam:
 
     ``shifts[j] = int_bits - exponent_j``; freshly quantized weights carry
     strictly increasing shifts (distinct powers), while decoding a clamped
-    layer may produce repeats (see encoding.decode_entry).
+    layer may produce repeats (see encoding.decoded_model).
     """
 
     sign: int
@@ -131,6 +136,7 @@ class LayerEncoding:
 
     ``code`` holds one code per term, aligned with the layer's ``shift``;
     ``count`` is the layer's terms per parameter, the layout of ``code``.
+    ``bits`` is in [1, 8], ``bias`` >= 0 and every code in [0, 2^bits).
     """
 
     bias: int
@@ -142,6 +148,12 @@ class LayerEncoding:
     def __post_init__(self):
         object.__setattr__(self, "code", _frozen(self.code))
         object.__setattr__(self, "count", _frozen(self.count))
+        _check_bits(self.bits)
+        if self.bias < 0:
+            raise ConfigurationError(f"encoding bias must be >= 0, got {self.bias}")
+        unfit = self.code[(self.code < 0) | (self.code >= 1 << self.bits)]
+        if unfit.size:
+            raise ConfigurationError(f"code {unfit[0]} outside [0, {1 << self.bits})")
 
     @cached_property
     def codes(self) -> tuple[tuple[int, ...], ...]:
@@ -212,6 +224,8 @@ class QuantizedModel:
     ``entries``, stored as a tuple, passes ``model.check_entries`` with a
     ``QuantizedLayer`` in each conv and dense slot. Every conv has its batchnorm
     folded, and no weight holds more than ``n_terms`` (>= 1) terms; a bias may.
+    ``bits`` is None exactly when no layer is encoded, else every encoding's
+    width, and each stored shift and encoded ``bias + code`` is at most F+I.
     """
 
     spec: ModelSpec
@@ -237,12 +251,22 @@ class QuantizedModel:
         for layer, entry in zip(self.spec.layers, self.entries):
             if isinstance(layer, ConvSpec) and layer.batchnorm:
                 raise ConfigurationError(f"layer {layer.name}: fold batchnorm before quantization")
-            if entry is not None:
-                over = np.flatnonzero(entry.count[:entry.weight_count] > self.n_terms)
-                if over.size:
-                    raise ConfigurationError(
-                        f"layer {layer.name}: weight {over[0]} has {entry.count[over[0]]} terms, "
-                        f"more than N={self.n_terms}")
+            if entry is None:
+                continue
+            over = np.flatnonzero(entry.count[:entry.weight_count] > self.n_terms)
+            if over.size:
+                raise ConfigurationError(
+                    f"layer {layer.name}: weight {over[0]} has {entry.count[over[0]]} terms, "
+                    f"more than N={self.n_terms}")
+            enc = entry.encoding
+            bits, top = (None, 0) if enc is None else (enc.bits, enc.bias + enc.code.max(initial=0))
+            if bits != self.bits:
+                raise ConfigurationError(
+                    f"layer {layer.name}: encoded with bits={bits}, the model with bits={self.bits}")
+            top = max(top, entry.shift.max(initial=0))
+            if top > self.frac_bits + self.int_bits:
+                raise ConfigurationError(f"layer {layer.name}: shift magnitude {top} is beyond "
+                                         f"F+I={self.frac_bits + self.int_bits}")
 
     def layers(self) -> list[QuantizedLayer]:
         return [e for e in self.entries if e is not None]

@@ -15,13 +15,12 @@ model is the deployable view; the field widths cap term counts at 15.
 Layer records come from ``sacw.layer_header`` over ``ModelSpec.geometry()``;
 the loader reads every byte through ``sacw._Reader`` and rejects a record that
 differs from the spec's in any field, so a file never loads against a spec
-whose shapes it does not carry. The writer rejects N > 255, which the
-header's u8 field cannot hold; the loader rejects N < 1, and the
-``QuantizedModel`` it builds rejects a weight with more than N terms. Biases
-may hold more, up to the field's 15: ``shift_quantize_model`` gives biases N
-terms, but a file may keep them at full precision. The writer rejects codes
-that do not fit ``bits`` unsigned bits; the loader rejects non-zero padding
-bits, so every file that loads saves back to the same bytes.
+whose shapes it does not carry. Only the format's limits are checked here:
+the writer's N <= 255 (a u8) and 15 terms a parameter (the packed field), the
+loader's header ranges, sign fields, length and zero padding, so every file
+that loads saves back to the same bytes. The model's constructors check the
+rest as the loader builds it; a bias may hold more than N terms (a file may
+keep biases at full precision).
 
 Each layer's block is packed and unpacked as arrays with
 ``np.packbits``/``np.unpackbits``. Because a record's length depends on its
@@ -60,26 +59,17 @@ def save_quantized(path, q: QuantizedModel) -> None:
                                          q.int_bits, len(q.spec.layers)))
     for (layer, in_shape, _), entry in zip(q.spec.geometry(), q.entries):
         blob += sacw.HEADER.pack(*sacw.layer_header(layer, in_shape))
-        if entry is None:
-            continue
-        blob += _pack_layer(entry, q.bits)
+        if entry is not None:
+            blob += _pack_layer(entry, q.bits)
     atomic_write_bytes(path, bytes(blob))
 
 
 def _pack_layer(entry: QuantizedLayer, bits: int) -> bytes:
     enc = entry.encoding
-    if enc is None:
-        raise ConfigurationError(f"layer {entry.name} has no encoding")
-    if not 0 <= enc.bias < 1 << 15:
-        raise ConfigurationError(f"layer {entry.name}: encoding bias {enc.bias} outside [0, 32767]")
     if entry.count.max() > MAX_PACKED_TERMS:
         raise ConfigurationError(
             f"layer {entry.name}: {int(entry.count.max())} terms exceed the packed field "
             f"limit of {MAX_PACKED_TERMS}")
-    unfit = enc.code[(enc.code < 0) | (enc.code >= 1 << bits)]
-    if unfit.size:
-        raise ConfigurationError(
-            f"layer {entry.name}: code {int(unfit[0])} does not fit {bits} unsigned bits")
     start, code_at = _record_layout(entry.count, bits)
     stream = np.zeros(int(start[-1]), dtype=np.uint8)
     sign_field = np.where(entry.sign < 0, 2, entry.sign)
@@ -127,8 +117,6 @@ def load_quantized(path, spec: ModelSpec, f_a: int = 8) -> QuantizedModel:
 
 def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
     (bias,) = reader.unpack("<h")
-    if bias < 0:
-        raise ConfigurationError(f"layer {name}: negative encoding bias {bias}")
     params = math.prod(shape) + shape[0]
     longest = -(-params * (HEADER_BITS + MAX_PACKED_TERMS * bits) // 8)
     window = np.frombuffer(reader.data[reader.pos:reader.pos + longest], dtype=np.uint8)
@@ -159,9 +147,6 @@ def _unpack_layer(reader, name: str, shape: tuple, bits: int) -> QuantizedLayer:
     count = count_at[start].astype(np.int64)
     if np.any(sign_field == 3):
         raise ConfigurationError(f"layer {name}: invalid sign field")
-    zero_with_terms = count[(sign_field == 0) & (count > 0)]
-    if zero_with_terms.size:
-        raise ConfigurationError(f"layer {name}: zero weight with {zero_with_terms[0]} terms")
     code = _field(stream, _record_layout(count, bits)[1], bits)
     encoding = LayerEncoding(bias=bias, bits=bits, code=code, count=count, clamp_count=0)
     sign = np.where(sign_field == 2, -1, sign_field.astype(np.int64))

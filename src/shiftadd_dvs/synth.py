@@ -125,7 +125,7 @@ def generate_synthetic_dataset(seed: int, per_class: int, out_dir,
                                variant: str = "base", name: str | None = None) -> Manifest:
     """Write per_class samples of each class as a DVSF dataset directory."""
     if per_class < 1:
-        raise ConfigurationError("per_class must be >= 1")
+        raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
     keys = [(label, index) for label in range(len(_TEXTURES)) for index in range(per_class)]
     return convert_samples((synth_sample(seed, variant, label, index) for label, index in keys),
                            [label for label, _ in keys],
@@ -136,9 +136,9 @@ def generate_synthetic_dataset(seed: int, per_class: int, out_dir,
 def generate_benchmark(seed: int, per_class: int, out_dir,
                        shifted_per_class: int) -> tuple[Path, Path]:
     """Base training set plus the distribution-shifted evaluation set."""
-    out = Path(out_dir)
-    base_dir = out / "base"
-    shifted_dir = out / "shifted"
+    if shifted_per_class < 1:  # before the base set is written, which checks per_class
+        raise ConfigurationError(f"shifted_per_class must be >= 1, got {shifted_per_class}")
+    base_dir, shifted_dir = Path(out_dir) / "base", Path(out_dir) / "shifted"
     generate_synthetic_dataset(seed, per_class, base_dir, variant="base")
     generate_synthetic_dataset(seed, shifted_per_class, shifted_dir, variant="shifted")
     return base_dir, shifted_dir

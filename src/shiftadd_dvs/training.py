@@ -39,8 +39,9 @@ class TrainConfig:
     kd: KDConfig | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, value in (("batch_size", self.batch_size), ("max_epochs", self.max_epochs)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     def to_json(self) -> dict:
         doc = {"lr": self.lr, "batch_size": self.batch_size, "max_epochs": self.max_epochs,

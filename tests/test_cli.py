@@ -77,12 +77,14 @@ class TestGenData:
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
     def test_zero_shifted_per_class_exits_with_json_error(self, tmp_path, runner):
-        """--shifted-per-class 0 is refused as --per-class 0 is, not read as "unset"."""
+        """--shifted-per-class 0 is refused as --per-class 0 is, not read as "unset", and
+        by name, before the base set is written."""
         result = runner.invoke(main, ["gen-data", "--per-class", "2", "--shifted-per-class", "0",
                                       "-o", str(tmp_path)])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"] == {"type": "ConfigurationError",
-                                                      "message": "per_class must be >= 1"}
+        assert json.loads(result.stderr)["error"] == {
+            "type": "ConfigurationError", "message": "shifted_per_class must be >= 1, got 0"}
+        assert not (tmp_path / "base").exists()
         assert not (tmp_path / "shifted").exists()
         assert not (tmp_path / "result.json").exists()
 
@@ -168,12 +170,15 @@ class TestDistill:
     ("--batch", "-3", "batch_size must be >= 1, got -3"),
     ("--folds", "1", "folds must be >= 2, got 1"),
     ("--folds", "0", "folds must be >= 2, got 0"),
+    ("--epochs", "0", "max_epochs must be >= 1, got 0"),
+    ("--epochs", "-3", "max_epochs must be >= 1, got -3"),
 ])
 def test_degenerate_training_config_exits_with_json_error(runner, tmp_path, data_dir,
                                                          trained_model, command, flag,
                                                          value, message):
-    """A batch size below 1 or fewer than 2 folds stops the run before it trains: once a
-    bare traceback, a model trained on nothing, or a division by an empty training set."""
+    """A batch size below 1, fewer than 2 folds or fewer than 1 epoch stops the run before
+    it trains: once a bare traceback, a model trained on nothing, a division by an empty
+    training set, or an untrained model saved as a result."""
     out = tmp_path / "out"
     args = [command, "--data", str(data_dir / "base"), "--epochs", "1", "--batch", "9",
             "--folds", "2", flag, value, "-o", str(out)]
@@ -559,6 +564,16 @@ class TestReport:
     def test_unknown_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["report", "--frobnicate"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "n_terms must be >= 1, got 0"),
+        ("--bits", "9", "encoding width must be in [1, 8], got 9"),
+    ])
+    def test_out_of_range_config_exits_with_json_error(self, runner, flag, value, message):
+        result = runner.invoke(main, ["report", flag, value])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == {"type": "ConfigurationError",
+                                                      "message": message}
 
 
 class TestPipelineReproducibility:

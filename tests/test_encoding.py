@@ -3,7 +3,6 @@ import pytest
 
 from shiftadd_dvs.encoding import (
     compression_report,
-    decode_entry,
     decode_layer,
     decoded_model,
     encode_layer,
@@ -122,10 +121,10 @@ class TestModelEncoding:
                 for layer in enc.layers()]
         assert biases == mins
 
-    def test_decode_entry_requires_encoding(self, rng):
+    def test_decoded_model_requires_encoding(self, rng):
         _, _, q = self._quantized(rng)
-        with pytest.raises(ConfigurationError):
-            decode_entry(q.layers()[0])
+        with pytest.raises(ConfigurationError, match="encode the model before decoding"):
+            decoded_model(q)
 
 
 class TestCompressionReport:

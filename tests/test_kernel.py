@@ -319,7 +319,7 @@ def test_plan_operands_reach_exactly_each_channels_terms():
         align = q.frac_bits + q.int_bits
         for entry in q.layers():
             weights, _ = layer_terms(entry)
-            plan = engine_module._shift_plan(entry.name, weights, np.zeros(entry.shape[0]), align)
+            plan = engine_module._shift_plan(weights, np.zeros(entry.shape[0]), align)
             want = _weight_terms(weights, entry.shape[0], align)
             assert _operand_terms(plan) == want
             assert len(set(zip(plan.rows.tolist(), plan.shift[:, 0].tolist()))) == len(plan.rows)
@@ -351,7 +351,7 @@ def test_default_student_blocks_stay_within_budget():
     # terms, which the channel adds or subtracts four times
     for sign in (1, -1):
         repeated = Terms(sign=np.array([sign]), count=np.array([4]), shift=np.array([3, 3, 3, 3]))
-        plan = engine_module._shift_plan("r", repeated, np.zeros(1, dtype=np.int64), 18)
+        plan = engine_module._shift_plan(repeated, np.zeros(1, dtype=np.int64), 18)
         side, other = (plan.added, plan.subtracted)[::sign]
         assert (len(plan.rows), len(side[0]), len(other[0])) == (1, 4, 0)
         assert plan.block == engine_module.CHUNK_ELEMENTS // 4
@@ -392,7 +392,7 @@ def test_engine_reads_the_encoding_as_its_decode(bits):
     q = encode_model(shift_quantize_model(fspec, fparams, 3), bits)
     assert sum(e.encoding.clamp_count for e in q.layers()) > 0
     decoded = decoded_model(q)
-    decoded = dataclasses.replace(decoded, entries=tuple(
+    decoded = dataclasses.replace(decoded, bits=None, entries=tuple(
         None if e is None else dataclasses.replace(e, encoding=None) for e in decoded.entries))
     direct, plain = ShiftAddEngine(q), ShiftAddEngine(decoded)
     for a, b in zip(direct.stages, plain.stages):

@@ -1,8 +1,11 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from shiftadd_dvs.encoding import decoded_model, encode_model
+from shiftadd_dvs.engine import ShiftAddEngine
 from shiftadd_dvs.errors import ConfigurationError, RangeError
 from shiftadd_dvs.model import default_student_spec, fold_model_batchnorm, init_params
 from shiftadd_dvs.quantize import (
@@ -13,8 +16,9 @@ from shiftadd_dvs.quantize import (
     shift_quantize_model,
     shift_quantize_param,
 )
+from shiftadd_dvs.saqm import load_quantized, save_quantized
 
-from conftest import single_conv_spec
+from conftest import make_small_model, single_conv_spec
 
 
 def brute_force_expansion(w, frac_bits):
@@ -226,6 +230,82 @@ class TestModelQuantization:
             assert l1.weights == l2.weights
             for field in ("sign", "count", "shift"):
                 np.testing.assert_array_equal(getattr(l1, field), getattr(l2, field))
+
+
+class TestEncodedModelConstruction:
+    """The encoded form is checked once, when made: every consumer reads the same model."""
+
+    @staticmethod
+    def _quantized():
+        spec = default_student_spec(batchnorm=False)
+        return shift_quantize_model(spec, init_params(spec, np.random.default_rng(30)), 3)
+
+    def test_model_bits_must_match_its_encodings(self):
+        """A 3-bit model relabelled 5-bit would save and reload as 5-bit, its layers still 3."""
+        q = encode_model(self._quantized(), 3)
+        for bits in (5, None):
+            with pytest.raises(ConfigurationError,
+                               match=f"layer conv1: encoded with bits=3, the model with bits={bits}"):
+                replace(q, bits=bits)
+
+    def test_unencoded_model_cannot_claim_bits(self):
+        with pytest.raises(ConfigurationError,
+                           match="layer conv1: encoded with bits=None, the model with bits=3"):
+            replace(self._quantized(), bits=3)
+
+    def test_code_outside_its_width_rejected(self):
+        """A code of -1 would build and run in the engine, and only the writer refuse it."""
+        enc = encode_model(self._quantized(), 3).entries[0].encoding
+        code = np.array(enc.code)
+        code[0] = -1
+        with pytest.raises(ConfigurationError, match=r"code -1 outside \[0, 8\)"):
+            replace(enc, code=code)
+
+    def test_encoding_bits_outside_one_to_eight_rejected(self):
+        enc = encode_model(self._quantized(), 3).entries[0].encoding
+        for bits in (0, 9):
+            with pytest.raises(ConfigurationError,
+                               match=f"encoding width must be in \\[1, 8\\], got {bits}"):
+                replace(enc, bits=bits)
+
+    def test_saqm_bias_off_the_grid_rejected_on_load(self, tmp_path):
+        """A file whose conv1 bias is 40 holds shifts up to 47 against F+I = 18: it is
+        refused as it loads, not by whichever consumer checks alignment first."""
+        q = encode_model(self._quantized(), 3)
+        path = tmp_path / "m.saqm"
+        save_quantized(path, q)
+        data = bytearray(path.read_bytes())
+        data[25:27] = struct.pack("<h", 40)  # after the 12-byte header and conv1's 13-byte record
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigurationError,
+                           match=r"layer conv1: shift magnitude 47 is beyond F\+I=18"):
+            load_quantized(path, q.spec)
+
+    def test_stored_shift_off_the_grid_rejected(self):
+        """Shifts made on the F=16 grid do not fit a model that claims F=10."""
+        q = self._quantized()
+        top = int(q.entries[0].shift.max())
+        with pytest.raises(ConfigurationError,
+                           match=rf"layer conv1: shift magnitude {top} is beyond F\+I=12"):
+            replace(q, frac_bits=10)
+
+
+@pytest.mark.parametrize("frac_bits, int_bits", [(16, 2), (7, 1)])
+def test_the_encoded_form_rules_refuse_no_valid_model(tmp_path, frac_bits, int_bits):
+    """Every ``encode_model`` output, bits 1..8 and N 1..4, and its SAQM reload construct,
+    decode, save to the same bytes and build an engine."""
+    spec, params = make_small_model(np.random.default_rng(31))
+    for n_terms in range(1, 5):
+        q = shift_quantize_model(spec, params, n_terms, frac_bits, int_bits)
+        for bits in range(1, 9):
+            encoded = encode_model(q, bits)
+            first, again = tmp_path / "first.saqm", tmp_path / "again.saqm"
+            save_quantized(first, encoded)
+            loaded = load_quantized(first, spec)
+            save_quantized(again, loaded)
+            assert again.read_bytes() == first.read_bytes()
+            for model in (encoded, loaded, decoded_model(encoded)):
+                ShiftAddEngine(model)
 
 
 class TestArrayQuantizerMatchesScalar:

@@ -126,7 +126,7 @@ def test_header_disagreeing_with_spec_rejected(tmp_path, altered):
 @pytest.mark.parametrize("offset, value, message", [
     (6, 0, "N=0, .* out of range"),
     (7, 0, "out of range"), (7, 9, "out of range"), (8, 40, "out of range"),
-    (26, 0x80, "negative encoding bias"),  # high byte of the first layer's i16 bias
+    (26, 0x80, "encoding bias must be >= 0"),  # high byte of the first layer's i16 bias
 ], ids=["n_terms_0", "bits_0", "bits_9", "frac_40", "negative_bias"])
 def test_header_fields_out_of_range_rejected(rng, tmp_path, offset, value, message):
     spec, params = make_small_model(rng)
@@ -148,22 +148,29 @@ def _with_encoding(q, **changes):
 
 @pytest.mark.parametrize("code", [-1, 8, 255], ids=["negative", "bits_wide", "byte_wide"])
 def test_codes_outside_the_field_width_rejected(rng, tmp_path, code):
+    """A code the ``bits``-wide field cannot hold never reaches the writer: the encoding
+    refuses it when it is made."""
     spec, params = make_small_model(rng)
     q = encode_model(shift_quantize_model(spec, params, 3), bits=3)
     codes = np.array(q.entries[-1].encoding.code)
     codes[0] = code
-    with pytest.raises(ConfigurationError, match=f"layer head: code {code} does not fit 3"):
-        save_quantized(tmp_path / "m.saqm", _with_encoding(q, code=codes))
+    with pytest.raises(ConfigurationError, match=rf"code {code} outside \[0, 8\)"):
+        _with_encoding(q, code=codes)
     codes[0] = 7
     save_quantized(tmp_path / "m.saqm", _with_encoding(q, code=codes))
 
 
-@pytest.mark.parametrize("bias", [-1, 1 << 15])
-def test_encoding_bias_outside_the_field_rejected(rng, tmp_path, bias):
+@pytest.mark.parametrize("bias, message", [
+    (-1, "encoding bias must be >= 0, got -1"),
+    (1 << 15, r"layer head: shift magnitude \d+ is beyond F\+I=18"),
+], ids=["-1", "32768"])
+def test_encoding_bias_outside_the_field_rejected(rng, bias, message):
+    """A bias the i16 field cannot hold never reaches the writer: a negative one is refused
+    by the encoding, one off the F+I grid by the model."""
     spec, params = make_small_model(rng)
     q = encode_model(shift_quantize_model(spec, params, 3), bits=3)
-    with pytest.raises(ConfigurationError, match=f"layer head: encoding bias {bias} outside"):
-        save_quantized(tmp_path / "m.saqm", _with_encoding(q, bias=bias))
+    with pytest.raises(ConfigurationError, match=message):
+        _with_encoding(q, bias=bias)
 
 
 # Hand-built files: one dense layer of 3 x 1 weights and 3 biases behind a flatten,
@@ -242,7 +249,7 @@ def test_weight_with_more_than_n_terms_rejected(tmp_path):
 
 @pytest.mark.parametrize("records, cut_bits, tail_bits, message", [
     (GOOD[:2] + [(3, 0, [])] + GOOD[3:], 0, (), "invalid sign field"),
-    (GOOD[:2] + [(0, 2, [1, 1])] + GOOD[3:], 0, (), "zero weight with 2 terms"),
+    (GOOD[:2] + [(0, 2, [1, 1])] + GOOD[3:], 0, (), "0 exactly when a parameter has no terms"),
     (GOOD[:2] + [(1, 0, [])] + GOOD[3:], 0, (), "0 exactly when a parameter has no terms"),
     (GOOD, 2, (), "truncated"),  # the last code loses its top bits
     (GOOD[:5] + [(2, 1, [])], 0, (), "truncated"),  # the last code is missing
